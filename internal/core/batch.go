@@ -24,10 +24,10 @@ import (
 // steady-state allocations.
 //
 // The kernel is an arithmetic replica, not an approximation: for any
-// candidate whose columns were extracted from a built System (see
-// ExtractRow), the Briefs it produces are bitwise identical to
-// System.AssessBrief on that System. The batch_test property tests and
-// the compiled-space probe checks in internal/opt both enforce this.
+// candidate whose row was folded from the kernel's level fragments (see
+// rows.go), the Briefs it produces are bitwise identical to
+// System.AssessBrief on the built candidate. The batch_test property
+// tests and the fast paths' Probe checks both enforce this.
 
 // Device resolution kinds, precomputed per (scenario, device): what
 // serves in the device's role after the failure.
@@ -65,6 +65,7 @@ type batchMulti struct {
 // it is immutable afterwards and safe for concurrent AssessBatch calls
 // with distinct Cols/BatchScratch.
 type BatchKernel struct {
+	sys      *System // the built base design
 	scs      []failure.Scenario
 	reqs     cost.Requirements
 	nLevels  int
@@ -83,17 +84,22 @@ type BatchKernel struct {
 	// multi-sited configuration identical to the base design's.
 	multiLevel []bool
 	multi      []batchMulti
-	// multiSites/multiThreshold record the base configuration so
-	// ExtractRow can verify a foreign System still matches.
-	multiSites     [][]string
-	multiThreshold []int
+
+	// The base design cut into row inputs (rows.go): the primary copy's
+	// demands and one fragment per level. retainer is the facility's cost
+	// factor, charged on the base outlays of the devices marked covered
+	// (those at the primary site).
+	primaryDemands []IndexedDemand
+	frags          []Fragment
+	retainer       float64
+	covered        []bool
 }
 
 // Cols is a columnar block of candidate parameters: row-major arrays
 // with one row per candidate, sized for the kernel's level and device
 // counts. All level-indexed arrays are len n*Levels, device-indexed
 // arrays len n*Devices. Obtain one from BatchKernel.NewCols and fill
-// rows with ExtractRow (or internal/opt's compiled space).
+// rows with an Assembler.
 type Cols struct {
 	levels  int
 	devices int
@@ -165,6 +171,29 @@ func (k *BatchKernel) Levels() int { return k.nLevels }
 // Devices returns the kernel's device count.
 func (k *BatchKernel) Devices() int { return k.nDevices }
 
+// maxRows is the most distinct outlay techniques a device can carry:
+// the primary copy plus one technique per level.
+func (k *BatchKernel) maxRows() int { return k.nLevels + 1 }
+
+// BaseSpec returns the base design's spec of device di (read-only).
+func (k *BatchKernel) BaseSpec(di int) *device.Spec { return &k.sys.design.Devices[di].Spec }
+
+// BaseFragment returns the base design's fragment of level j (read-only).
+func (k *BatchKernel) BaseFragment(j int) *Fragment { return &k.frags[j] }
+
+// PrimaryDemands returns the primary copy's demands (shared slice,
+// read-only), which every row folds first.
+func (k *BatchKernel) PrimaryDemands() []IndexedDemand { return k.primaryDemands }
+
+// Retainer returns the facility retainer's cost factor on device di's
+// base outlays, or 0 when the retainer does not cover the device.
+func (k *BatchKernel) Retainer(di int) float64 {
+	if k.covered[di] {
+		return k.retainer
+	}
+	return 0
+}
+
 // DeviceIndex returns the design-order index of the named device, or -1.
 func (k *BatchKernel) DeviceIndex(name string) int {
 	if i, ok := k.devIndex[name]; ok {
@@ -226,12 +255,13 @@ func (k *BatchKernel) NonNegativeRates() bool {
 }
 
 // NewBatchKernel compiles the scenario- and placement-dependent
-// assessment tables for the system's design. The scenario set is
-// validated once here — AssessBatch never re-validates — and captured by
-// value. Knob choices evaluated against this kernel must not move
-// devices, change spare/facility configuration, or alter any
-// multi-sited level's fragment layout; internal/opt's space compiler
-// enforces that before routing candidates through the kernel.
+// assessment tables for the system's design and cuts the design into
+// row inputs (level fragments and primary demands). The
+// scenario set is validated once here — AssessBatch never re-validates —
+// and captured by value. Candidates evaluated against this kernel must
+// not move devices, change spare/facility configuration, or alter any
+// multi-sited level's fragment layout; Diff enforces that. The system's
+// design must not be mutated while the kernel is in use.
 func NewBatchKernel(sys *System, scs []failure.Scenario) (*BatchKernel, error) {
 	d := sys.design
 	for _, sc := range scs {
@@ -240,6 +270,7 @@ func NewBatchKernel(sys *System, scs []failure.Scenario) (*BatchKernel, error) {
 		}
 	}
 	k := &BatchKernel{
+		sys:      sys,
 		scs:      append([]failure.Scenario(nil), scs...),
 		reqs:     d.Requirements,
 		nLevels:  len(d.Levels),
@@ -286,8 +317,6 @@ func NewBatchKernel(sys *System, scs []failure.Scenario) (*BatchKernel, error) {
 	}
 
 	k.multiLevel = make([]bool, k.nLevels)
-	k.multiSites = make([][]string, k.nLevels)
-	k.multiThreshold = make([]int, k.nLevels)
 	k.multi = make([]batchMulti, len(scs)*k.nLevels)
 	for j, tech := range d.Levels {
 		ms, ok := tech.(protect.MultiSited)
@@ -295,12 +324,10 @@ func NewBatchKernel(sys *System, scs []failure.Scenario) (*BatchKernel, error) {
 			continue
 		}
 		k.multiLevel[j] = true
-		k.multiSites[j] = ms.CopyDevices()
-		k.multiThreshold[j] = ms.SurvivalThreshold()
 		for si, sc := range k.scs {
 			surviving := 0
 			first := int32(-1)
-			for _, name := range k.multiSites[j] {
+			for _, name := range ms.CopyDevices() {
 				pd, ok := d.placedDevice(name)
 				if !ok {
 					continue
@@ -313,85 +340,33 @@ func NewBatchKernel(sys *System, scs []failure.Scenario) (*BatchKernel, error) {
 				}
 			}
 			k.multi[si*k.nLevels+j] = batchMulti{
-				survives: surviving >= k.multiThreshold[j],
+				survives: surviving >= ms.SurvivalThreshold(),
 				readIdx:  first,
 			}
 		}
 	}
-	return k, nil
-}
 
-// ExtractRow fills one Cols row from a built System: the candidate
-// parameters AssessBatch needs, pulled from the same models AssessBrief
-// consults. The system must structurally match the kernel's base design
-// — same device names in the same order, same level count, and identical
-// multi-sited configuration — or an error is returned.
-func (k *BatchKernel) ExtractRow(sys *System, cols *Cols, row int) error {
-	d := sys.design
-	if len(d.Levels) != k.nLevels {
-		return fmt.Errorf("core: batch kernel has %d levels, system has %d", k.nLevels, len(d.Levels))
-	}
-	if len(d.Devices) != k.nDevices {
-		return fmt.Errorf("core: batch kernel has %d devices, system has %d", k.nDevices, len(d.Devices))
-	}
-	dev := row * k.nDevices
-	for di, pd := range d.Devices {
-		if got, ok := k.devIndex[pd.Spec.Name]; !ok || got != di {
-			return fmt.Errorf("core: batch kernel device order mismatch at %q", pd.Spec.Name)
+	k.covered = make([]bool, k.nDevices)
+	if d.Facility != nil && d.Facility.CostFactor != 0 {
+		k.retainer = d.Facility.CostFactor
+		for i, pd := range d.Devices {
+			k.covered[i] = pd.Placement.Site != "" && pd.Placement.Site == at.Site
 		}
-		cols.DevMaxBW[dev+di] = pd.Spec.MaxBandwidth()
-		cols.DevAvail[dev+di] = sys.devices[pd.Spec.Name].AvailableBandwidth()
 	}
-	lvl := row * k.nLevels
+	// The base design built, so its extraction repeats checks Build
+	// already passed.
+	a := k.NewAssembler()
+	var err error
+	if k.primaryDemands, err = a.capture(d.Primary.ApplyDemands, nil); err != nil {
+		return nil, fmt.Errorf("core: batch kernel: primary: %w", err)
+	}
+	k.frags = make([]Fragment, k.nLevels)
 	for j, tech := range d.Levels {
-		if _, isMulti := tech.(protect.MultiSited); isMulti != k.multiLevel[j] {
-			return fmt.Errorf("core: batch kernel multi-sited mismatch at level %d", j+1)
-		}
-		if k.multiLevel[j] {
-			ms := tech.(protect.MultiSited)
-			if ms.SurvivalThreshold() != k.multiThreshold[j] {
-				return fmt.Errorf("core: batch kernel multi-sited threshold changed at level %d", j+1)
-			}
-			sites := ms.CopyDevices()
-			if len(sites) != len(k.multiSites[j]) {
-				return fmt.Errorf("core: batch kernel multi-sited fragment set changed at level %d", j+1)
-			}
-			for i := range sites {
-				if sites[i] != k.multiSites[j][i] {
-					return fmt.Errorf("core: batch kernel multi-sited fragment set changed at level %d", j+1)
-				}
-			}
-		}
-		pol := tech.Level().Policy
-		cols.LvlLag[lvl+j] = pol.TransferLag()
-		cols.LvlAccW[lvl+j] = pol.EffectiveAccW()
-		cols.LvlRetSpan[lvl+j] = pol.RetentionSpan()
-		cols.LvlRestore[lvl+j] = tech.RestoreSize(d.Workload)
-		copyIdx, ok := k.devIndex[tech.CopyDevice()]
-		if !ok {
-			return fmt.Errorf("core: batch kernel: level %d copy device %q unknown", j+1, tech.CopyDevice())
-		}
-		readIdx, ok := k.devIndex[tech.ReadDevice()]
-		if !ok {
-			return fmt.Errorf("core: batch kernel: level %d read device %q unknown", j+1, tech.ReadDevice())
-		}
-		cols.LvlCopy[lvl+j] = int32(copyIdx)
-		cols.LvlRead[lvl+j] = int32(readIdx)
-		cols.LvlTransport[lvl+j] = -1
-		if name := tech.TransportDevice(); name != "" {
-			// Mirrors transportSpec: a transport name absent from the
-			// design silently means "no transport".
-			if ti, ok := k.devIndex[name]; ok {
-				if _, placed := d.placedDevice(name); placed {
-					cols.LvlTransport[lvl+j] = int32(ti)
-				}
-			}
+		if k.frags[j], err = a.Fragment(tech, nil); err != nil {
+			return nil, fmt.Errorf("core: batch kernel: level %d: %w", j+1, err)
 		}
 	}
-	cols.OutlaysTotal[row] = sys.outlaysTotal
-	cols.Valid[row] = true
-	cols.Err[row] = nil
-	return nil
+	return k, nil
 }
 
 // AssessBatch assesses the first n candidate rows of cols under every

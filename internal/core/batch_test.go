@@ -18,9 +18,9 @@ func batchDesigns() []*core.Design {
 }
 
 // TestAssessBatchMatchesAssessBrief: for every design and scenario, a
-// Cols row extracted from a built System and assessed through the batch
-// kernel yields Briefs bitwise identical to System.AssessBrief — the
-// determinism contract the compiled optimizer path builds on.
+// Cols row folded from the kernel's level fragments and assessed through
+// the batch kernel yields Briefs bitwise identical to System.AssessBrief
+// — the determinism contract the compiled optimizer path builds on.
 func TestAssessBatchMatchesAssessBrief(t *testing.T) {
 	scs := briefScenarios()
 	for _, d := range batchDesigns() {
@@ -36,9 +36,10 @@ func TestAssessBatchMatchesAssessBrief(t *testing.T) {
 		// be unaffected by neighbors and invalid rows must come back
 		// zeroed.
 		cols := kern.NewCols(3)
+		asm := kern.NewAssembler()
 		for _, row := range []int{0, 2} {
-			if err := kern.ExtractRow(sys, cols, row); err != nil {
-				t.Fatalf("%s: extract row %d: %v", d.Name, row, err)
+			if !asm.Row(d, cols, row) {
+				t.Fatalf("%s: row %d refused", d.Name, row)
 			}
 		}
 		var scratch core.BatchScratch
@@ -77,9 +78,10 @@ func TestAssessBatchAllocBudget(t *testing.T) {
 	}
 	const rows = 16
 	cols := kern.NewCols(rows)
+	asm := kern.NewAssembler()
 	for r := 0; r < rows; r++ {
-		if err := kern.ExtractRow(sys, cols, r); err != nil {
-			t.Fatal(err)
+		if !asm.Row(sys.Design(), cols, r) {
+			t.Fatal("base row refused")
 		}
 	}
 	var scratch core.BatchScratch
@@ -105,9 +107,9 @@ func TestNewBatchKernelRejectsInvalidScenario(t *testing.T) {
 	}
 }
 
-// TestExtractRowRejectsForeignShape: a system whose shape differs from
-// the kernel's base design must be refused, not silently mis-assessed.
-func TestExtractRowRejectsForeignShape(t *testing.T) {
+// TestRowRejectsForeignShape: a design whose shape differs from the
+// kernel's base design must be refused, not silently mis-assessed.
+func TestRowRejectsForeignShape(t *testing.T) {
 	sys, err := core.Build(casestudy.Baseline())
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +118,8 @@ func TestExtractRowRejectsForeignShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := core.Build(erasureDesign(5, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cols := kern.NewCols(1)
-	if err := kern.ExtractRow(other, cols, 0); err == nil {
-		t.Error("extract accepted a system with a different design shape")
+	if kern.NewAssembler().Row(erasureDesign(5, 3), cols, 0) || cols.Valid[0] {
+		t.Error("row accepted a design with a different shape")
 	}
 }

@@ -2,97 +2,34 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"time"
 
-	"stordep/internal/device"
 	"stordep/internal/failure"
-	"stordep/internal/protect"
 	"stordep/internal/units"
 )
 
-// This file implements incremental re-assessment for coordinate-descent
-// style callers (internal/opt's Tune): a knob changes one hierarchy
-// level or one device spec at a time, so re-running the changed
-// technique's demand arithmetic against the cached records of every
-// unchanged technique reproduces the full Build-and-assess outcome at a
-// fraction of the cost. The fold order is exactly Build's per-device
-// demand registration order, so every float sum is bit-identical to the
-// legacy path — a DeltaAssessor score may replace a legacy score without
-// perturbing a search's argmin or tie-breaks.
-
-// deltaDemand is one captured device demand with the device resolved to
-// its design index.
-type deltaDemand struct {
-	dev  int32
-	tech string
-	bw   units.Rate
-	cap  units.ByteSize
-	ship float64
-}
-
-// deltaFrag is everything one hierarchy level contributes to an
-// assessment: the batch-kernel columns plus the level's device demands
-// in registration order.
-type deltaFrag struct {
-	lag, accW, retSpan time.Duration
-	restore            units.ByteSize
-	copyIdx, readIdx   int32
-	transportIdx       int32 // -1 when the technique names no transport
-	name               string
-	demands            []deltaDemand
-}
-
-// DeltaAssessor incrementally re-assesses variants of one base design:
-// AssessDelta accepts a design differing from the base in level
-// policies and representable spec fields, re-extracts only the changed
-// levels' demand records, and re-folds the cached remainder through the
-// columnar batch kernel. Obtain one with NewDeltaAssessor. A
-// DeltaAssessor owns per-call scratch buffers and must not be shared
-// between concurrent calls; the base design must not be mutated while
-// the assessor is alive.
+// DeltaAssessor incrementally re-assesses variants of one base design
+// for coordinate-descent callers (internal/opt's Tune), where a knob
+// changes one hierarchy level or one device spec at a time. AssessDelta
+// diffs a variant against the base, re-extracts only the changed levels'
+// fragments, and folds the cached remainder through the columnar batch
+// kernel (rows.go). The fold follows Build's demand registration order,
+// so a delta score is bit-identical to the Build-and-assess score and
+// may replace it without perturbing a search's argmin or tie-breaks.
+// Obtain one with NewDeltaAssessor. A DeltaAssessor owns per-call
+// scratch and must not be shared between concurrent calls; the base
+// design must not be mutated while the assessor is alive.
 type DeltaAssessor struct {
-	base *Design
 	kern *BatchKernel
-
-	nLevels  int
-	nDevices int
-	maxRows  int // primary + one technique per level
-
-	baseSpecs []device.Spec
-	primary   []deltaDemand
-	baseFrags []deltaFrag
-
-	retainer   bool
-	costFactor float64
-	covered    []bool
-
-	// Demand-capture fleet: one clean device per base spec, reused (via
-	// ResetDemands) across every fragment extraction. Demands are
-	// policy/workload arithmetic only, so spec changes never alter them.
-	fleet protect.DeviceMap
-	devs  []*device.Device
-
-	// Per-call scratch: candidate fragment/spec resolution, demand
-	// totals, outlay rows, and the one-row kernel block.
-	frags    []*deltaFrag
-	specs    []*device.Spec
-	repl     []deltaFrag // re-extracted fragments for changed levels
-	totBW    []units.Rate
-	totCap   []units.ByteSize
-	rowTech  []string
-	rowBase  []units.Money
-	rowCount []int
-	cols     *Cols
-	bs       BatchScratch
+	asm  *Assembler
+	cols *Cols
+	bs   BatchScratch
 }
 
 // NewDeltaAssessor builds the incremental assessor for a base design and
 // scenario set: it builds the base system once, compiles the batch
-// kernel, captures every technique's demand records on a clean fleet,
-// and verifies the captured state reproduces the legacy assessment of
-// the base bit-for-bit. Any failure returns an error — the caller then
-// keeps using the legacy path.
+// kernel, and probes that the zero-change assessment reproduces the
+// reference assessment of the base bit for bit. Any failure returns an
+// error; the caller then keeps using the reference path.
 func NewDeltaAssessor(base *Design, scs []failure.Scenario) (*DeltaAssessor, error) {
 	sys, err := Build(base)
 	if err != nil {
@@ -102,399 +39,27 @@ func NewDeltaAssessor(base *Design, scs []failure.Scenario) (*DeltaAssessor, err
 	if err != nil {
 		return nil, fmt.Errorf("core: delta: %w", err)
 	}
-	da := &DeltaAssessor{
-		base:     base,
-		kern:     kern,
-		nLevels:  kern.Levels(),
-		nDevices: kern.Devices(),
-	}
-	da.maxRows = da.nLevels + 1
-
-	da.baseSpecs = make([]device.Spec, da.nDevices)
-	for i, pd := range base.Devices {
-		da.baseSpecs[i] = pd.Spec
-	}
-
-	// Primary demands, captured on a clean fleet. Demands are
-	// policy/workload arithmetic only (no technique reads its devices'
-	// specs or prior demands), so a clean-fleet capture yields exactly
-	// the records Build's shared fleet receives, in the same order.
-	if err := da.buildFleet(); err != nil {
-		return nil, fmt.Errorf("core: delta: %w", err)
-	}
-	if err := base.Primary.ApplyDemands(base.Workload, da.fleet); err != nil {
-		return nil, fmt.Errorf("core: delta: primary: %w", err)
-	}
-	da.primary = appendDemands(nil, da.devs)
-
-	da.baseFrags = make([]deltaFrag, da.nLevels)
-	for j, tech := range base.Levels {
-		f, err := da.fragment(tech, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: delta: level %d: %w", j+1, err)
-		}
-		da.baseFrags[j] = f
-	}
-
-	da.covered = make([]bool, da.nDevices)
-	if base.Facility != nil && base.Facility.CostFactor != 0 {
-		da.retainer = true
-		da.costFactor = base.Facility.CostFactor
-		primarySite := base.PrimaryPlacement().Site
-		for i, pd := range base.Devices {
-			da.covered[i] = pd.Placement.Site != "" && pd.Placement.Site == primarySite
-		}
-	}
-
-	da.frags = make([]*deltaFrag, da.nLevels)
-	da.specs = make([]*device.Spec, da.nDevices)
-	da.repl = make([]deltaFrag, da.nLevels)
-	da.totBW = make([]units.Rate, da.nDevices)
-	da.totCap = make([]units.ByteSize, da.nDevices)
-	da.rowTech = make([]string, da.nDevices*da.maxRows)
-	da.rowBase = make([]units.Money, da.nDevices*da.maxRows)
-	da.rowCount = make([]int, da.nDevices)
-	da.cols = kern.NewCols(1)
-
-	// Construction self-check: the zero-change assessment must reproduce
-	// the legacy path exactly — outlay total and every scenario brief.
+	da := &DeltaAssessor{kern: kern, asm: kern.NewAssembler(), cols: kern.NewCols(1)}
 	outlays, briefs, ok := da.AssessDelta(base)
 	if !ok {
 		return nil, fmt.Errorf("core: delta: base design not re-assessable")
 	}
-	if outlays != sys.outlaysTotal {
-		return nil, fmt.Errorf("core: delta: outlay mismatch: %v vs %v", outlays, sys.outlaysTotal)
-	}
-	var scratch Scratch
-	for si, sc := range scs {
-		want, err := sys.AssessBrief(sc, &scratch)
-		if err != nil {
-			return nil, fmt.Errorf("core: delta: base brief: %w", err)
-		}
-		if briefs[si] != want {
-			return nil, fmt.Errorf("core: delta: brief mismatch under scenario %d", si)
-		}
+	if err := Probe(base, scs, outlays, briefs); err != nil {
+		return nil, fmt.Errorf("core: delta: %w", err)
 	}
 	return da, nil
-}
-
-// buildFleet constructs the reusable demand-capture fleet: one fresh
-// device per base spec, keyed by name and in design order.
-func (da *DeltaAssessor) buildFleet() error {
-	da.fleet = make(protect.DeviceMap, da.nDevices)
-	da.devs = make([]*device.Device, da.nDevices)
-	for i := range da.baseSpecs {
-		dev, err := device.New(da.baseSpecs[i])
-		if err != nil {
-			return err
-		}
-		da.fleet[da.baseSpecs[i].Name] = dev
-		da.devs[i] = dev
-	}
-	return nil
-}
-
-// appendDemands flattens a capture fleet's accumulated demands into
-// records, in device order.
-func appendDemands(out []deltaDemand, devs []*device.Device) []deltaDemand {
-	for di, dev := range devs {
-		dev.ScanDemands(func(dem device.Demand) {
-			out = append(out, deltaDemand{
-				dev:  int32(di),
-				tech: dem.Technique,
-				bw:   dem.Bandwidth,
-				cap:  dem.Capacity,
-				ship: dem.ShipmentsPerYear,
-			})
-		})
-	}
-	return out
-}
-
-// fragment captures one level's contribution from technique tech,
-// applying the same validation Build would; an error means the level
-// state cannot be represented and the caller must fall back. Demand
-// records are appended to buf (may be nil), whose backing array the
-// returned fragment adopts.
-func (da *DeltaAssessor) fragment(tech protect.Technique, buf []deltaDemand) (deltaFrag, error) {
-	var f deltaFrag
-	if err := tech.Validate(); err != nil {
-		return f, err
-	}
-	lv := tech.Level()
-	if lv.Name == "" {
-		return f, fmt.Errorf("level has no name")
-	}
-	if err := lv.Policy.Validate(); err != nil {
-		return f, err
-	}
-	f.lag = lv.Policy.TransferLag()
-	f.accW = lv.Policy.EffectiveAccW()
-	f.retSpan = lv.Policy.RetentionSpan()
-	f.restore = tech.RestoreSize(da.base.Workload)
-	f.name = lv.Name
-	ci := da.kern.DeviceIndex(tech.CopyDevice())
-	ri := da.kern.DeviceIndex(tech.ReadDevice())
-	if ci < 0 || ri < 0 {
-		return f, fmt.Errorf("level %q references unknown device", lv.Name)
-	}
-	f.copyIdx, f.readIdx = int32(ci), int32(ri)
-	f.transportIdx = -1
-	if name := tech.TransportDevice(); name != "" {
-		// Design.Validate rejects a transport name absent from the fleet,
-		// so the legacy path must reproduce that error.
-		ti := da.kern.DeviceIndex(name)
-		if ti < 0 {
-			return f, fmt.Errorf("level %q transport %q unknown", lv.Name, name)
-		}
-		f.transportIdx = int32(ti)
-	}
-	for _, dev := range da.devs {
-		dev.ResetDemands()
-	}
-	if err := tech.ApplyDemands(da.base.Workload, da.fleet); err != nil {
-		return f, err
-	}
-	f.demands = appendDemands(buf, da.devs)
-	return f, nil
-}
-
-// levelEqual reports whether a candidate level is deeply equal to its
-// base counterpart. The concrete case-study techniques are compared
-// field by field (policies via Policy.Equal, allocation-free); anything
-// else falls back to reflect.DeepEqual.
-func levelEqual(x, y protect.Technique) bool {
-	switch a := x.(type) {
-	case *protect.SplitMirror:
-		b, ok := y.(*protect.SplitMirror)
-		return ok && a.InstanceName == b.InstanceName && a.Array == b.Array &&
-			a.Pol.Equal(&b.Pol)
-	case *protect.Backup:
-		b, ok := y.(*protect.Backup)
-		return ok && a.InstanceName == b.InstanceName && a.SourceArray == b.SourceArray &&
-			a.Target == b.Target && a.Pol.Equal(&b.Pol)
-	case *protect.Vaulting:
-		b, ok := y.(*protect.Vaulting)
-		return ok && a.InstanceName == b.InstanceName && a.BackupDevice == b.BackupDevice &&
-			a.Vault == b.Vault && a.Transport == b.Transport &&
-			a.BackupRetW == b.BackupRetW && a.Pol.Equal(&b.Pol)
-	}
-	return reflect.DeepEqual(x, y)
-}
-
-func primaryEqual(p, q *protect.Primary) bool {
-	if p == nil || q == nil {
-		return p == q
-	}
-	return *p == *q
-}
-
-func facilityEqual(p, q *Facility) bool {
-	if p == nil || q == nil {
-		return p == q
-	}
-	return *p == *q
 }
 
 // AssessDelta assesses a variant of the base design, re-extracting only
 // the levels that changed. It returns the variant's outlay total, one
 // Brief per kernel scenario (a scratch slice, valid until the next
 // call), and ok=true. ok=false means the variant is outside the delta
-// protocol — a change the cached tables cannot carry, a validation
-// error, or an over-capacity fleet — and the caller must assess it
-// through the legacy path (which also reproduces the exact error).
+// protocol (see Assembler.Row) and the caller must assess it through the
+// reference path, which also reproduces the exact error.
 func (da *DeltaAssessor) AssessDelta(d *Design) (units.Money, []Brief, bool) {
-	b := da.base
-	if d.Name != b.Name ||
-		!d.Workload.Equal(b.Workload) ||
-		d.Requirements != b.Requirements ||
-		!primaryEqual(d.Primary, b.Primary) ||
-		!facilityEqual(d.Facility, b.Facility) ||
-		len(d.Levels) != da.nLevels || len(d.Devices) != da.nDevices {
+	if !da.asm.Row(d, da.cols, 0) {
 		return 0, nil, false
 	}
-	for i := range d.Devices {
-		dp, bp := &d.Devices[i], &b.Devices[i]
-		if dp.Placement != bp.Placement || dp.SparePlacement != bp.SparePlacement {
-			return 0, nil, false
-		}
-		da.specs[i] = &da.baseSpecs[i]
-		if dp.Spec == bp.Spec {
-			continue
-		}
-		// The kernel froze name resolution, kinds, fixed delays and spare
-		// provisioning; everything else about a spec is re-derived here.
-		if dp.Spec.Name != bp.Spec.Name || dp.Spec.Kind != bp.Spec.Kind ||
-			dp.Spec.Delay != bp.Spec.Delay || dp.Spec.Spare != bp.Spec.Spare {
-			return 0, nil, false
-		}
-		da.specs[i] = &dp.Spec
-	}
-	for j := range d.Levels {
-		if levelEqual(d.Levels[j], b.Levels[j]) {
-			da.frags[j] = &da.baseFrags[j]
-			continue
-		}
-		dm, dok := d.Levels[j].(protect.MultiSited)
-		bm, bok := b.Levels[j].(protect.MultiSited)
-		if dok != bok {
-			return 0, nil, false
-		}
-		if dok {
-			// Multi-sited survival is placement arithmetic baked into the
-			// kernel; the fragment set and threshold must not move.
-			if reflect.TypeOf(d.Levels[j]) != reflect.TypeOf(b.Levels[j]) ||
-				dm.SurvivalThreshold() != bm.SurvivalThreshold() ||
-				!reflect.DeepEqual(dm.CopyDevices(), bm.CopyDevices()) {
-				return 0, nil, false
-			}
-		}
-		f, err := da.fragment(d.Levels[j], da.repl[j].demands[:0])
-		if err != nil {
-			return 0, nil, false
-		}
-		da.repl[j] = f
-		da.frags[j] = &da.repl[j]
-	}
-
-	// Duplicate level names fail Chain.Validate in Build; the legacy path
-	// reproduces that error.
-	for a := 0; a < da.nLevels; a++ {
-		for c := a + 1; c < da.nLevels; c++ {
-			if da.frags[a].name == da.frags[c].name {
-				return 0, nil, false
-			}
-		}
-	}
-
-	for di := 0; di < da.nDevices; di++ {
-		da.totBW[di] = 0
-		da.totCap[di] = 0
-		da.rowCount[di] = 0
-	}
-	// Demand fold: primary first, then levels in order — Build's exact
-	// per-device registration order, so the float sums are bit-identical.
-	if !da.foldDemands(da.primary) {
-		return 0, nil, false
-	}
-	for j := 0; j < da.nLevels; j++ {
-		if !da.foldDemands(da.frags[j].demands) {
-			return 0, nil, false
-		}
-	}
-
-	cols := da.cols
-	var total units.Money
-	var covered units.Money
-	for di := 0; di < da.nDevices; di++ {
-		sp := da.specs[di]
-		maxBW := sp.MaxBandwidth()
-		if da.totCap[di] > 0 {
-			maxCap := sp.MaxCapacity()
-			if maxCap <= 0 || float64(sp.RawCapacityFor(da.totCap[di])/maxCap) > 1 {
-				return 0, nil, false
-			}
-		}
-		if da.totBW[di] > 0 {
-			if maxBW <= 0 || float64(da.totBW[di]/maxBW) > 1 {
-				return 0, nil, false
-			}
-		}
-		cols.DevMaxBW[di] = maxBW
-		avail := maxBW - da.totBW[di]
-		if avail < 0 {
-			avail = 0
-		}
-		cols.DevAvail[di] = avail
-
-		rows := da.rowCount[di]
-		base := di * da.maxRows
-		spare := sp.HasSpare()
-		for x := 0; x < rows; x++ {
-			rb := da.rowBase[base+x]
-			item := rb
-			if spare {
-				item = rb + units.Money(sp.Spare.Discount)*rb
-			}
-			total += item
-			if da.covered[di] {
-				covered += rb
-			}
-		}
-	}
-	if da.retainer && covered > 0 {
-		total += units.Money(da.costFactor) * covered
-	}
-	cols.OutlaysTotal[0] = total
-
-	for j := 0; j < da.nLevels; j++ {
-		f := da.frags[j]
-		cols.LvlLag[j] = f.lag
-		cols.LvlAccW[j] = f.accW
-		cols.LvlRetSpan[j] = f.retSpan
-		cols.LvlRestore[j] = f.restore
-		cols.LvlCopy[j] = f.copyIdx
-		cols.LvlRead[j] = f.readIdx
-		cols.LvlTransport[j] = f.transportIdx
-	}
-	cols.Valid[0] = true
-	cols.Err[0] = nil
-
-	da.kern.AssessBatch(1, cols, &da.bs)
-	return total, da.bs.Briefs, true
+	da.kern.AssessBatch(1, da.cols, &da.bs)
+	return da.cols.OutlaysTotal[0], da.bs.Briefs, true
 }
-
-// foldDemands accumulates one technique's demand records into the
-// bandwidth/capacity totals and the per-device outlay rows, replicating
-// device.Device.Outlays: the first technique on a device carries the
-// fixed cost (and an interconnect's provisioned-bandwidth cost), every
-// demand adds its marginal annual cost. Returns false if a device
-// accumulates more distinct technique rows than the scratch holds
-// (possible only for techniques attributing demands to foreign names).
-func (da *DeltaAssessor) foldDemands(recs []deltaDemand) bool {
-	for i := range recs {
-		r := &recs[i]
-		di := int(r.dev)
-		da.totBW[di] += r.bw
-		da.totCap[di] += r.cap
-
-		sp := da.specs[di]
-		interconnect := sp.Kind == device.KindInterconnect
-		base := di * da.maxRows
-		n := da.rowCount[di]
-		ri := -1
-		for x := 0; x < n; x++ {
-			if da.rowTech[base+x] == r.tech {
-				ri = x
-				break
-			}
-		}
-		if ri < 0 {
-			if n == da.maxRows {
-				return false
-			}
-			ri = n
-			da.rowCount[di] = n + 1
-			da.rowTech[base+ri] = r.tech
-			var first units.Money
-			if ri == 0 {
-				first = sp.Cost.Fixed
-				if interconnect {
-					first += units.Money(sp.Cost.PerMBPerSec * sp.MaxBandwidth().MBPS())
-				}
-			}
-			da.rowBase[base+ri] = first
-		}
-		raw := sp.RawCapacityFor(r.cap)
-		bw := r.bw
-		if interconnect {
-			bw = 0 // already charged at provisioned capacity
-		}
-		da.rowBase[base+ri] += sp.Cost.Annual(raw, bw, r.ship) - sp.Cost.Fixed
-	}
-	return true
-}
-
-// Scenarios returns the assessor's scenario set (shared slice,
-// read-only); AssessDelta's briefs are indexed to match.
-func (da *DeltaAssessor) Scenarios() []failure.Scenario { return da.kern.Scenarios() }

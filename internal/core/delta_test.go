@@ -133,8 +133,9 @@ func TestDeltaAssessorMatchesLegacy(t *testing.T) {
 
 // TestDeltaAssessorRejectsOutsideProtocol: changes the cached tables
 // cannot carry — renames, moved hardware, workload edits, shape changes,
-// invalid policies, over-capacity retention — must return ok=false so
-// the caller falls back to the legacy path (and its exact errors).
+// invalid policies or specs, over-capacity retention — must return
+// ok=false so the caller falls back to the legacy path (and its exact
+// errors).
 func TestDeltaAssessorRejectsOutsideProtocol(t *testing.T) {
 	base := casestudy.Baseline()
 	da, err := core.NewDeltaAssessor(base, deltaScenarios())
@@ -154,6 +155,23 @@ func TestDeltaAssessorRejectsOutsideProtocol(t *testing.T) {
 			for i := range d.Devices {
 				if d.Devices[i].Spec.Name == device.NameTapeLibrary {
 					d.Devices[i].Spec.MaxCapSlots = 1
+				}
+			}
+		},
+		// Specs Build rejects (device.Spec.Validate) even though their
+		// demands would fit: a negative slot count, as a link-count knob
+		// can set, and a capacity overhead below one.
+		"negative-slots": func(d *core.Design) {
+			for i := range d.Devices {
+				if d.Devices[i].Spec.Name == device.NameTapeLibrary {
+					d.Devices[i].Spec.MaxBWSlots = -1
+				}
+			}
+		},
+		"overhead-below-one": func(d *core.Design) {
+			for i := range d.Devices {
+				if d.Devices[i].Spec.Name == device.NameTapeVault {
+					d.Devices[i].Spec.CapOverhead = 0.5
 				}
 			}
 		},

@@ -1,0 +1,134 @@
+package core_test
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"stordep/internal/casestudy"
+	"stordep/internal/core"
+)
+
+// changeEachField walks every field reachable from v (an addressable
+// value), changes that one field, calls check with the field's path, and
+// restores it. Structs recurse into their fields, pointers into their
+// targets (a nil pointer is changed to a zero target), slices into their
+// elements plus a shortened length. seen collects the struct types
+// visited. An unexported or unhandled field fails the test: the walk
+// must reach every field a comparison could forget.
+func changeEachField(t *testing.T, path string, v reflect.Value, seen map[reflect.Type]bool, check func(path string)) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		seen[v.Type()] = true
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				t.Fatalf("%s.%s: unexported field the walk cannot change", path, f.Name)
+			}
+			changeEachField(t, path+"."+f.Name, v.Field(i), seen, check)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+			check(path + " (nil to zero value)")
+			v.SetZero()
+			return
+		}
+		changeEachField(t, path, v.Elem(), seen, check)
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			changeEachField(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i), seen, check)
+		}
+		if n := v.Len(); n > 0 {
+			v.SetLen(n - 1)
+			check(path + " (shortened)")
+			v.SetLen(n)
+		}
+	case reflect.String:
+		old := v.String()
+		v.SetString(old + "-changed")
+		check(path)
+		v.SetString(old)
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		old := v.Int()
+		v.SetInt(old + 1)
+		check(path)
+		v.SetInt(old)
+	case reflect.Float64:
+		old := v.Float()
+		v.SetFloat(old + 1)
+		check(path)
+		v.SetFloat(old)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+		check(path)
+		v.SetBool(!v.Bool())
+	default:
+		t.Fatalf("%s: field kind %v not handled by the walk", path, v.Kind())
+	}
+}
+
+// TestDiffReportsEveryField: Diff's typed equality decides which levels
+// both fast paths (the compiled search and DeltaAssessor) re-extract, so
+// a field it ignores would let a changed design reuse the base's cached
+// numbers. Every field of every compared type — the techniques with
+// their nested hierarchy.Policy and WindowSet, the primary copy, the
+// facility, the requirements and the workload — is changed one at a
+// time on a clone, and Diff must report each change: either the level
+// shows up as touched or the change is refused outright. A field added
+// to any of these types without extending the comparison fails here.
+func TestDiffReportsEveryField(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	for _, base := range []*core.Design{
+		casestudy.Baseline(),                  // split mirror, backup, vaulting, facility
+		casestudy.WeeklyVaultFI(),             // backup with a secondary window set
+		casestudy.WeeklyVaultDailyFSnapshot(), // snapshot
+		casestudy.AsyncBMirror(4),             // mirror
+	} {
+		sys, err := core.Build(base)
+		if err != nil {
+			t.Fatalf("%s: %v", base.Name, err)
+		}
+		kern, err := core.NewBatchKernel(sys, deltaScenarios())
+		if err != nil {
+			t.Fatalf("%s: %v", base.Name, err)
+		}
+		d := cloneDesign(t, base)
+		var touch core.Touch
+		if !kern.Diff(d, &touch) || len(touch.Levels)+len(touch.Devices) != 0 {
+			t.Fatalf("%s: an unchanged clone differs: %+v", base.Name, touch)
+		}
+		for j := range d.Levels {
+			path := fmt.Sprintf("%s: level %d %T", base.Name, j+1, d.Levels[j])
+			changeEachField(t, path, reflect.ValueOf(d.Levels[j]).Elem(), seen, func(path string) {
+				if kern.Diff(d, &touch) && !slices.Contains(touch.Levels, j) {
+					t.Errorf("%s: change not reported (touched levels %v)", path, touch.Levels)
+				}
+			})
+		}
+		refused := func(path string) {
+			if kern.Diff(d, &touch) {
+				t.Errorf("%s: change accepted as representable", path)
+			}
+		}
+		changeEachField(t, base.Name+": primary", reflect.ValueOf(d.Primary).Elem(), seen, refused)
+		changeEachField(t, base.Name+": facility", reflect.ValueOf(d.Facility).Elem(), seen, refused)
+		changeEachField(t, base.Name+": requirements", reflect.ValueOf(&d.Requirements).Elem(), seen, refused)
+		changeEachField(t, base.Name+": workload", reflect.ValueOf(d.Workload).Elem(), seen, refused)
+	}
+	for _, name := range []string{
+		"protect.SplitMirror", "protect.Snapshot", "protect.Mirror", "protect.Backup",
+		"protect.Vaulting", "hierarchy.Policy", "hierarchy.WindowSet", "protect.Primary",
+		"core.Facility", "cost.Requirements", "workload.Workload", "workload.BatchPoint",
+	} {
+		found := false
+		for typ := range seen {
+			found = found || typ.String() == name
+		}
+		if !found {
+			t.Errorf("walk never reached %s", name)
+		}
+	}
+}

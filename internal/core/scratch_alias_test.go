@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -47,9 +48,10 @@ func TestScratchAliasingInterleaved(t *testing.T) {
 			var scratch core.Scratch
 			var batch core.BatchScratch
 			cols := kern.NewCols(2)
+			asm := kern.NewAssembler()
 			for _, row := range []int{0, 1} {
-				if err := kern.ExtractRow(sys, cols, row); err != nil {
-					errs <- err
+				if !asm.Row(sys.Design(), cols, row) {
+					errs <- fmt.Errorf("goroutine %d: base row %d refused", g, row)
 					return
 				}
 			}

@@ -229,6 +229,27 @@ func (s *Spec) HasSpare() bool {
 	return s.Spare.Kind == SpareDedicated || s.Spare.Kind == SpareShared
 }
 
+// FixedOutlay is the outlay term the device's primary (first registered)
+// technique carries on top of its demands (§3.3.5): the fixed cost, plus
+// an interconnect's bandwidth cost, since links are provisioned whole.
+func (s *Spec) FixedOutlay() units.Money {
+	if s.Kind == KindInterconnect {
+		return s.Cost.Fixed + units.Money(s.Cost.PerMBPerSec*s.MaxBandwidth().MBPS())
+	}
+	return s.Cost.Fixed
+}
+
+// DemandOutlay is the marginal annual outlay one demand adds: its
+// per-capacity (raw), per-bandwidth and per-shipment costs. An
+// interconnect's bandwidth is already charged whole in FixedOutlay.
+func (s *Spec) DemandOutlay(dem Demand) units.Money {
+	bw := dem.Bandwidth
+	if s.Kind == KindInterconnect {
+		bw = 0
+	}
+	return s.Cost.Annual(s.RawCapacityFor(dem.Capacity), bw, dem.ShipmentsPerYear) - s.Cost.Fixed
+}
+
 // Demand is a workload placed on a device by one data protection technique
 // (§3.2.3): sustained bandwidth, logical capacity, and (for transport
 // devices) shipments per year.
@@ -434,7 +455,6 @@ func (o TechOutlay) Total() units.Money { return o.Base + o.SpareCost }
 // costs the same whether the mirror stream fills it or not.
 func (d *Device) Outlays() []TechOutlay {
 	var rows []TechOutlay
-	interconnect := d.spec.Kind == KindInterconnect
 	index := make(map[string]int)
 	for _, dem := range d.demands {
 		i, ok := index[dem.Technique]
@@ -442,19 +462,11 @@ func (d *Device) Outlays() []TechOutlay {
 			i = len(rows)
 			index[dem.Technique] = i
 			rows = append(rows, TechOutlay{Technique: dem.Technique})
-			if len(rows) == 1 {
-				rows[0].Base += d.spec.Cost.Fixed
-				if interconnect {
-					rows[0].Base += units.Money(d.spec.Cost.PerMBPerSec * d.spec.MaxBandwidth().MBPS())
-				}
+			if i == 0 {
+				rows[0].Base += d.spec.FixedOutlay()
 			}
 		}
-		raw := d.spec.RawCapacityFor(dem.Capacity)
-		bw := dem.Bandwidth
-		if interconnect {
-			bw = 0 // already charged at provisioned capacity
-		}
-		rows[i].Base += d.spec.Cost.Annual(raw, bw, dem.ShipmentsPerYear) - d.spec.Cost.Fixed
+		rows[i].Base += d.spec.DemandOutlay(dem)
 	}
 	if d.spec.HasSpare() {
 		for i := range rows {

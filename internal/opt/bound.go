@@ -366,7 +366,7 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 		p.baseSer[i] = units.Forever
 	}
 	for j := 0; j < nL; j++ {
-		f := &cs.baseFrags[j]
+		f := kern.BaseFragment(j)
 		if !fragSane(f) {
 			return nil
 		}
@@ -374,19 +374,19 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 			p.baseLag[j] = units.Forever
 			continue
 		}
-		p.baseLag[j] = f.lag
+		p.baseLag[j] = f.Lag
 		for si := 0; si < ns; si++ {
 			idx := si*nL + j
-			ser := kern.DeviceFixedDelay(int(f.readIdx))
+			ser := kern.DeviceFixedDelay(int(f.Read))
 			if kern.MultiLevel(j) {
 				p.baseServe[idx] = p.mServe[idx]
 				if d := p.mRead[idx]; d >= 0 {
 					ser = d
 				}
 			} else {
-				p.baseServe[idx] = p.intact[si*nD+int(f.copyIdx)]
+				p.baseServe[idx] = p.intact[si*nD+int(f.Copy)]
 			}
-			p.baseAccW[idx] = f.accW
+			p.baseAccW[idx] = f.AccW
 			p.baseSer[idx] = ser
 		}
 	}
@@ -408,8 +408,8 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 // fragSane verifies the nonnegativity the duration floors rely on:
 // cumulative lags stay nonnegative and every loss is >= the level's
 // accumulation window.
-func fragSane(f *levelFrag) bool {
-	return f.lag >= 0 && f.accW >= 0 && f.retSpan >= 0
+func fragSane(f *core.Fragment) bool {
+	return f.Lag >= 0 && f.AccW >= 0 && f.RetSpan >= 0
 }
 
 // buildGroups fills each group's member-option, suspect and owned-level
@@ -453,10 +453,10 @@ func (p *pruner) buildGroups() bool {
 				if !fragSane(f) {
 					return false
 				}
-				pg.copyIdx[t*nl+li] = f.copyIdx
-				pg.accW[t*nl+li] = f.accW
-				pg.lag[t*nl+li] = f.lag
-				pg.readDelay[t*nl+li] = cs.kern.DeviceFixedDelay(int(f.readIdx))
+				pg.copyIdx[t*nl+li] = f.Copy
+				pg.accW[t*nl+li] = f.AccW
+				pg.lag[t*nl+li] = f.Lag
+				pg.readDelay[t*nl+li] = cs.kern.DeviceFixedDelay(int(f.Read))
 			}
 		}
 	}
@@ -473,53 +473,51 @@ func (p *pruner) buildGroups() bool {
 //	mult * (fixedTerm*[present] + sum of per-demand marginals)
 //
 // where mult folds the spare discount and facility-retainer factor
-// (both frozen by the compile diff), fixedTerm is the fixed cost plus an
-// interconnect's provisioned-bandwidth cost, present means the device
-// received any demand, and each marginal is Annual(rec) - Fixed under
-// the candidate's spec. Devices with a base (constant) spec split
-// exactly into constant-source terms plus per-group own-record terms;
-// devices whose spec a group owns are tabulated per entry of that group
-// — unless another group also feeds them demands, in which case the
-// device's (verified nonnegative) contribution is dropped from the
-// floor entirely.
+// (both frozen by the compile diff), fixedTerm is the spec's
+// FixedOutlay, present means the device received any demand, and each
+// marginal is the spec's DemandOutlay of one record. Devices with a
+// base (constant) spec split exactly into constant-source terms plus
+// per-group own-record terms; devices whose spec a group owns are
+// tabulated per entry of that group — unless another group also feeds
+// them demands, in which case the device's (verified nonnegative)
+// contribution is dropped from the floor entirely.
 func (p *pruner) buildOutlays() bool {
 	cs := p.cs
+	kern := cs.kern
 	nD := cs.nDevices
 
 	mult := make([]float64, nD)
 	for di := 0; di < nD; di++ {
 		m := 1.0
-		sp := &cs.baseSpecs[di]
+		sp := kern.BaseSpec(di)
 		if sp.HasSpare() {
 			if sp.Spare.Discount < 0 {
 				return false
 			}
 			m += sp.Spare.Discount
 		}
-		if cs.retainer && cs.covered[di] {
-			if cs.costFactor < 0 {
-				return false
-			}
-			m += cs.costFactor
+		f := kern.Retainer(di)
+		if f < 0 {
+			return false
 		}
-		mult[di] = m
+		mult[di] = m + f
 	}
 
 	// Constant-source records per device: the primary plus every level
 	// no group owns.
-	constRecs := make([][]*demandRec, nD)
-	for i := range cs.primaryDemands {
-		r := &cs.primaryDemands[i]
-		constRecs[r.dev] = append(constRecs[r.dev], r)
+	constRecs := make([][]*core.IndexedDemand, nD)
+	prim := kern.PrimaryDemands()
+	for i := range prim {
+		constRecs[prim[i].Dev] = append(constRecs[prim[i].Dev], &prim[i])
 	}
 	for j := 0; j < cs.nLevels; j++ {
 		if cs.levelOwner[j] >= 0 {
 			continue
 		}
-		f := &cs.baseFrags[j]
-		for i := range f.demands {
-			r := &f.demands[i]
-			constRecs[r.dev] = append(constRecs[r.dev], r)
+		f := kern.BaseFragment(j)
+		for i := range f.Demands {
+			r := &f.Demands[i]
+			constRecs[r.Dev] = append(constRecs[r.Dev], r)
 		}
 	}
 
@@ -534,33 +532,20 @@ func (p *pruner) buildOutlays() bool {
 				continue
 			}
 			for li := range e.frags {
-				for ri := range e.frags[li].demands {
-					feeds[gi][e.frags[li].demands[ri].dev] = true
+				for _, r := range e.frags[li].Demands {
+					feeds[gi][r.Dev] = true
 				}
 			}
 		}
 	}
 
-	marginal := func(sp *device.Spec, r *demandRec) (units.Money, bool) {
-		bw := r.bw
-		if sp.Kind == device.KindInterconnect {
-			bw = 0 // fill charges interconnects at provisioned capacity
-		}
-		m := sp.Cost.Annual(sp.RawCapacityFor(r.cap), bw, r.ship) - sp.Cost.Fixed
-		if !(m >= 0) || math.IsInf(float64(m), 1) {
-			return 0, false
-		}
-		return m, true
+	marginal := func(sp *device.Spec, r *core.IndexedDemand) (units.Money, bool) {
+		m := sp.DemandOutlay(r.Demand)
+		return m, finiteNonNeg(m)
 	}
 	fixedTerm := func(sp *device.Spec) (units.Money, bool) {
-		ft := sp.Cost.Fixed
-		if sp.Kind == device.KindInterconnect {
-			ft += units.Money(sp.Cost.PerMBPerSec * sp.MaxBandwidth().MBPS())
-		}
-		if !(ft >= 0) || math.IsInf(float64(ft), 1) {
-			return 0, false
-		}
-		return ft, true
+		ft := sp.FixedOutlay()
+		return ft, finiteNonNeg(ft)
 	}
 
 	var constTotal units.Money
@@ -570,7 +555,7 @@ func (p *pruner) buildOutlays() bool {
 			// Base spec governs for every candidate: constant-source terms
 			// are constant, own-record terms are added per group entry
 			// below.
-			sp := &cs.baseSpecs[di]
+			sp := kern.BaseSpec(di)
 			ft, ok := fixedTerm(sp)
 			if !ok {
 				return false
@@ -617,9 +602,9 @@ func (p *pruner) buildOutlays() bool {
 				margSum += m
 			}
 			for li := range e.frags {
-				for ri := range e.frags[li].demands {
-					r := &e.frags[li].demands[ri]
-					if int(r.dev) != di {
+				for ri := range e.frags[li].Demands {
+					r := &e.frags[li].Demands[ri]
+					if int(r.Dev) != di {
 						continue
 					}
 					m, ok := marginal(sp, r)
@@ -647,9 +632,9 @@ func (p *pruner) buildOutlays() bool {
 							continue
 						}
 						for li := range ee.frags {
-							for ri := range ee.frags[li].demands {
-								r := &ee.frags[li].demands[ri]
-								if int(r.dev) != di {
+							for ri := range ee.frags[li].Demands {
+								r := &ee.frags[li].Demands[ri]
+								if int(r.Dev) != di {
 									continue
 								}
 								if _, ok := marginal(sp, r); !ok {
@@ -679,9 +664,9 @@ func (p *pruner) buildOutlays() bool {
 				continue
 			}
 			for li := range e.frags {
-				for ri := range e.frags[li].demands {
-					r := &e.frags[li].demands[ri]
-					di := int(r.dev)
+				for ri := range e.frags[li].Demands {
+					r := &e.frags[li].Demands[ri]
+					di := int(r.Dev)
 					if cs.specOwner[di] >= 0 {
 						// Own-group devices were handled in the per-entry
 						// pass above; other groups' devices were dropped
@@ -689,7 +674,7 @@ func (p *pruner) buildOutlays() bool {
 						// verified under every reachable spec.
 						continue
 					}
-					m, ok := marginal(&cs.baseSpecs[di], r)
+					m, ok := marginal(kern.BaseSpec(di), r)
 					if !ok {
 						return false
 					}
@@ -699,22 +684,25 @@ func (p *pruner) buildOutlays() bool {
 		}
 	}
 
-	if !(constTotal >= 0) || math.IsInf(float64(constTotal), 1) {
+	if !finiteNonNeg(constTotal) {
 		return false
 	}
 	for gi := range p.groups {
 		pg := &p.groups[gi]
 		for t, v := range pg.outlay {
-			if pg.suspect[t] {
-				continue
-			}
-			if !(v >= 0) || math.IsInf(float64(v), 1) {
+			if !pg.suspect[t] && !finiteNonNeg(v) {
 				return false
 			}
 		}
 	}
 	p.outlayConst = constTotal
 	return true
+}
+
+// finiteNonNeg reports whether an outlay term is a finite value >= 0
+// (false for NaN), the sign the outlay floor relies on.
+func finiteNonNeg(m units.Money) bool {
+	return m >= 0 && !math.IsInf(float64(m), 1)
 }
 
 // newScratch allocates one worker's bound-computation state.
@@ -993,32 +981,13 @@ func (p *pruner) seed(objective Objective, lo, hi int) {
 	var bs core.BatchScratch
 	choice := make([]int, len(cs.knobs))
 	var res whatif.Result
-	ns := len(cs.scs)
 	for pi := 0; pi < probes; pi++ {
-		idx := lo
-		if probes > 1 {
-			idx = lo + pi*(n-1)/(probes-1)
-		}
-		decodeChoice(choice, cs.knobs, idx)
+		decodeChoice(choice, cs.knobs, lo+spreadIndex(pi, probes, n))
 		if cs.fill(fs, cols, 0, choice) {
 			continue
 		}
 		cs.kern.AssessBatch(1, cols, &bs)
-		res.Design = cs.base.Name
-		res.Err = nil
-		res.Outlays = cols.OutlaysTotal[0]
-		res.Outcomes = res.Outcomes[:0]
-		for si := 0; si < ns; si++ {
-			b := bs.Briefs[si]
-			res.Outcomes = append(res.Outcomes, whatif.Outcome{
-				Scenario:     cs.scs[si],
-				RecoveryTime: b.RecoveryTime,
-				DataLoss:     b.DataLoss,
-				Penalties:    b.Penalties,
-				Total:        b.Total,
-				Lost:         b.WholeObjectLost,
-			})
-		}
+		res.SetBriefs(cs.base.Name, cols.OutlaysTotal[0], cs.scs, bs.Briefs)
 		p.noteScore(objective(res))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -312,4 +313,27 @@ func vaultPolicyPair() []hierarchy.Policy {
 	weeklyVault.Primary.AccW = units.Week
 	weeklyVault.RetCnt = 156
 	return []hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault}
+}
+
+// TestPrunerSeedHugeSpace: seed spreads its probes over its slice. Over
+// [0, 2^60) the product p*(n-1) overflows int, which panics inside fill;
+// the probes must seed a finite incumbent instead.
+func TestPrunerSeedHugeSpace(t *testing.T) {
+	knobs := hugeSpaceKnobs()
+	cs, err := compileSpace(casestudy.Baseline(), knobs, scenarios(), 1)
+	if err != nil {
+		t.Fatalf("compileSpace: %v", err)
+	}
+	pr := newPruner(cs, WorstTotalFloor(), 0)
+	if pr == nil {
+		t.Fatal("no pruner for the space")
+	}
+	space, err := SpaceSize(knobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.seed(WorstTotalObjective(), 0, space)
+	if inc := pr.incumbent.load(); math.IsInf(float64(inc), 1) {
+		t.Error("seeding found no incumbent")
+	}
 }

@@ -3,16 +3,12 @@ package opt
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
-	"sync"
-	"time"
 
 	"stordep/internal/core"
 	"stordep/internal/device"
 	"stordep/internal/failure"
 	"stordep/internal/parallel"
-	"stordep/internal/protect"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
 )
@@ -24,13 +20,14 @@ import (
 //
 // The observation behind the compilation: knobs touch small, disjoint
 // parts of a design. A one-time pass diffs every option of every knob
-// against the base design to learn which hierarchy levels and device
-// specs each knob can change, unions knobs with overlapping footprints
-// into groups, and precomputes — for every joint option combination of
-// each group — the level fragments (policy lags, retention spans,
-// restore sizes, routing indices, demand lists) and device specs that
-// combination produces. Filling a candidate row is then pure table
-// lookup and float folding in exactly Build's order, so the results are
+// against the base design (core.BatchKernel.Diff) to learn which
+// hierarchy levels and device specs each knob can change, unions knobs
+// with overlapping footprints into groups, and precomputes — for every
+// joint option combination of each group — the level fragments
+// (core.Fragment: policy lags, retention spans, restore sizes, routing
+// indices, demand lists) and device specs that combination produces.
+// Filling a candidate row is then a table lookup plus core's fold
+// (core.Assembler.Fold) in exactly Build's order, so the results are
 // bit-identical to the legacy clone-and-build path.
 //
 // Anything the tables cannot represent exactly is handled by falling
@@ -46,7 +43,8 @@ import (
 //     build, or a probe mismatch abort the compilation; the search runs
 //     the legacy fold for the whole space.
 //   - probes: before a compiled space is trusted, a spread of candidate
-//     indices is evaluated both ways and compared field by field.
+//     indices is evaluated both ways and compared field by field
+//     (core.Probe).
 //
 // The compilation assumes each knob's Apply reads only design state
 // that it (or a knob sharing its touch footprint) also writes — the
@@ -77,34 +75,12 @@ const (
 	compileProbes = 16
 )
 
-// demandRec is one captured device demand: device.Demand with the
-// device and technique names resolved to indices.
-type demandRec struct {
-	dev  int32
-	tech int32 // interned Demand.Technique
-	bw   units.Rate
-	cap  units.ByteSize
-	ship float64
-}
-
-// levelFrag carries everything one hierarchy level contributes to a
-// candidate row: the batch-kernel columns plus the level's device
-// demands in their exact registration order.
-type levelFrag struct {
-	lag, accW, retSpan time.Duration
-	restore            units.ByteSize
-	copyIdx, readIdx   int32
-	transportIdx       int32 // -1 when the technique names no transport
-	nameID             int32 // interned level name, for the duplicate check
-	demands            []demandRec
-}
-
 // groupEntry is one joint option combination of a knob group: either
 // the precomputed fragments/specs, or suspect (candidate goes slow).
 type groupEntry struct {
 	suspect bool
-	frags   []levelFrag   // aligned with knobGroup.levels
-	specs   []device.Spec // aligned with knobGroup.devices
+	frags   []core.Fragment // aligned with knobGroup.levels
+	specs   []device.Spec   // aligned with knobGroup.devices
 }
 
 // knobGroup unions knobs whose touch footprints overlap. Its table
@@ -130,74 +106,39 @@ type compiledSpace struct {
 
 	nLevels  int
 	nDevices int
-	maxRows  int // max distinct outlay techniques per device
-
-	baseFrags      []levelFrag
-	primaryDemands []demandRec
-	baseSpecs      []device.Spec
 
 	groups     []knobGroup
 	levelOwner []int // level -> owning group, -1 = untouched (base)
-	levelSlot  []int // position in the owner's levels list
-	specOwner  []int
-	specSlot   []int
+	specOwner  []int // device -> owning group, -1 = untouched (base)
+	specSlot   []int // position in the owner's devices list
 	// knobSuspect[k][o]: option o of knob k is unrepresentable (apply
 	// error or forbidden change) — every candidate choosing it is slow.
 	knobSuspect [][]bool
-
-	names *interner
-
-	// Facility retainer replication: covered[d] marks devices whose base
-	// outlays the retainer covers.
-	retainer   bool
-	costFactor float64
-	covered    []bool
 }
 
-// interner maps technique/level names to dense IDs. Locked because
-// group extraction runs on the worker pool; IDs are compile-time only.
-type interner struct {
-	mu  sync.Mutex
-	ids map[string]int32
-}
-
-func (in *interner) id(name string) int32 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if id, ok := in.ids[name]; ok {
-		return id
-	}
-	id := int32(len(in.ids))
-	in.ids[name] = id
-	return id
-}
-
-// fillScratch is one worker's reusable buffers for fill: demand totals,
-// outlay rows, and the per-candidate fragment/spec resolution. No
+// fillScratch is one worker's reusable state for fill: core's row
+// assembler plus the candidate's fragment and spec per level and device.
+// Levels and devices no group owns keep pointing at the base. No
 // allocation happens in fill once a scratch exists.
 type fillScratch struct {
-	entry []*groupEntry  // per group: the candidate's entry
-	frags []*levelFrag   // per level: candidate fragment
-	specs []*device.Spec // per device: candidate spec
-
-	totBW    []units.Rate
-	totCap   []units.ByteSize
-	rowTech  []int32 // nDevices x maxRows outlay-row technique IDs
-	rowBase  []units.Money
-	rowCount []int
+	asm   *core.Assembler
+	frags []*core.Fragment
+	specs []*device.Spec
 }
 
 func newFillScratch(cs *compiledSpace) *fillScratch {
-	return &fillScratch{
-		entry:    make([]*groupEntry, len(cs.groups)),
-		frags:    make([]*levelFrag, cs.nLevels),
-		specs:    make([]*device.Spec, cs.nDevices),
-		totBW:    make([]units.Rate, cs.nDevices),
-		totCap:   make([]units.ByteSize, cs.nDevices),
-		rowTech:  make([]int32, cs.nDevices*cs.maxRows),
-		rowBase:  make([]units.Money, cs.nDevices*cs.maxRows),
-		rowCount: make([]int, cs.nDevices),
+	fs := &fillScratch{
+		asm:   cs.kern.NewAssembler(),
+		frags: make([]*core.Fragment, cs.nLevels),
+		specs: make([]*device.Spec, cs.nDevices),
 	}
+	for j := range fs.frags {
+		fs.frags[j] = cs.kern.BaseFragment(j)
+	}
+	for di := range fs.specs {
+		fs.specs[di] = cs.kern.BaseSpec(di)
+	}
+	return fs
 }
 
 // compileSpace builds the compiled form or reports why it cannot. A nil
@@ -226,11 +167,6 @@ func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, worke
 		kern:     kern,
 		nLevels:  kern.Levels(),
 		nDevices: kern.Devices(),
-		names:    &interner{ids: make(map[string]int32)},
-	}
-	cs.maxRows = cs.nLevels + 1 // primary + one technique per level
-	if err := cs.extractBase(); err != nil {
-		return nil, fmt.Errorf("opt: compile: base: %w", err)
 	}
 	remaining := maxCompileWork - work
 	if err := cs.groupKnobs(remaining); err != nil {
@@ -245,197 +181,6 @@ func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, worke
 	return cs, nil
 }
 
-// fragment captures one level's contribution from technique tech,
-// applying the same validation Build would: any error means candidates
-// carrying this technique state must take the slow path.
-func (cs *compiledSpace) fragment(tech protect.Technique) (levelFrag, error) {
-	var f levelFrag
-	if err := tech.Validate(); err != nil {
-		return f, err
-	}
-	lv := tech.Level()
-	if lv.Name == "" {
-		return f, fmt.Errorf("opt: compile: level has no name")
-	}
-	if err := lv.Policy.Validate(); err != nil {
-		return f, err
-	}
-	f.lag = lv.Policy.TransferLag()
-	f.accW = lv.Policy.EffectiveAccW()
-	f.retSpan = lv.Policy.RetentionSpan()
-	f.restore = tech.RestoreSize(cs.base.Workload)
-	f.nameID = cs.names.id(lv.Name)
-	ci := cs.kern.DeviceIndex(tech.CopyDevice())
-	ri := cs.kern.DeviceIndex(tech.ReadDevice())
-	if ci < 0 || ri < 0 {
-		return f, fmt.Errorf("opt: compile: level %q references unknown device", lv.Name)
-	}
-	f.copyIdx, f.readIdx = int32(ci), int32(ri)
-	f.transportIdx = -1
-	if name := tech.TransportDevice(); name != "" {
-		// Unlike a missing transport in a built system (silently treated
-		// as "no transport" by the recovery model), Design.Validate
-		// rejects a transport name absent from the fleet — so an unknown
-		// name must go through the slow path to reproduce that error.
-		ti := cs.kern.DeviceIndex(name)
-		if ti < 0 {
-			return f, fmt.Errorf("opt: compile: level %q transport %q unknown", lv.Name, name)
-		}
-		f.transportIdx = int32(ti)
-	}
-	// Demands are policy/workload arithmetic only — no technique reads
-	// its devices' specs or prior demands (each computes from the
-	// workload and its own configuration) — so capturing them on a clean
-	// fleet of base-spec devices yields exactly the records Build's
-	// shared fleet receives from this technique, in the same order.
-	fleet := make(protect.DeviceMap, cs.nDevices)
-	devs := make([]*device.Device, cs.nDevices)
-	for i := range cs.baseSpecs {
-		dev, err := device.New(cs.baseSpecs[i])
-		if err != nil {
-			return f, err
-		}
-		fleet[cs.baseSpecs[i].Name] = dev
-		devs[i] = dev
-	}
-	if err := tech.ApplyDemands(cs.base.Workload, fleet); err != nil {
-		return f, err
-	}
-	for di, dev := range devs {
-		for _, dem := range dev.Demands() {
-			f.demands = append(f.demands, demandRec{
-				dev:  int32(di),
-				tech: cs.names.id(dem.Technique),
-				bw:   dem.Bandwidth,
-				cap:  dem.Capacity,
-				ship: dem.ShipmentsPerYear,
-			})
-		}
-	}
-	return f, nil
-}
-
-// extractBase captures the base design's specs, primary demands and
-// level fragments, plus the facility-retainer coverage map. The base
-// built successfully, so none of this may fail.
-func (cs *compiledSpace) extractBase() error {
-	d := cs.base
-	cs.baseSpecs = make([]device.Spec, cs.nDevices)
-	for i, pd := range d.Devices {
-		cs.baseSpecs[i] = pd.Spec
-	}
-	fleet := make(protect.DeviceMap, cs.nDevices)
-	devs := make([]*device.Device, cs.nDevices)
-	for i := range cs.baseSpecs {
-		dev, err := device.New(cs.baseSpecs[i])
-		if err != nil {
-			return err
-		}
-		fleet[cs.baseSpecs[i].Name] = dev
-		devs[i] = dev
-	}
-	if err := d.Primary.ApplyDemands(d.Workload, fleet); err != nil {
-		return err
-	}
-	for di, dev := range devs {
-		for _, dem := range dev.Demands() {
-			cs.primaryDemands = append(cs.primaryDemands, demandRec{
-				dev:  int32(di),
-				tech: cs.names.id(dem.Technique),
-				bw:   dem.Bandwidth,
-				cap:  dem.Capacity,
-				ship: dem.ShipmentsPerYear,
-			})
-		}
-	}
-	cs.baseFrags = make([]levelFrag, cs.nLevels)
-	for j, tech := range d.Levels {
-		f, err := cs.fragment(tech)
-		if err != nil {
-			return err
-		}
-		cs.baseFrags[j] = f
-	}
-	cs.covered = make([]bool, cs.nDevices)
-	if d.Facility != nil && d.Facility.CostFactor != 0 {
-		cs.retainer = true
-		cs.costFactor = d.Facility.CostFactor
-		primarySite := d.PrimaryPlacement().Site
-		for i, pd := range d.Devices {
-			cs.covered[i] = pd.Placement.Site != "" && pd.Placement.Site == primarySite
-		}
-	}
-	return nil
-}
-
-// diffTouch is the representable difference between a candidate design
-// and the base: which levels and device specs changed. ok=false means
-// the change cannot be carried by the tables (renamed design, moved or
-// renamed devices, spare/facility/primary/workload/requirements edits,
-// multi-sited reconfiguration, shape changes).
-type diffTouch struct {
-	ok      bool
-	levels  []int
-	devices []int
-}
-
-func (cs *compiledSpace) diff(d *core.Design) diffTouch {
-	b := cs.base
-	t := diffTouch{ok: true}
-	if d.Name != b.Name ||
-		!reflect.DeepEqual(d.Workload, b.Workload) ||
-		!reflect.DeepEqual(d.Requirements, b.Requirements) ||
-		!reflect.DeepEqual(d.Primary, b.Primary) ||
-		!reflect.DeepEqual(d.Facility, b.Facility) ||
-		len(d.Levels) != len(b.Levels) || len(d.Devices) != len(b.Devices) {
-		t.ok = false
-		return t
-	}
-	for i := range d.Devices {
-		dp, bp := &d.Devices[i], &b.Devices[i]
-		if dp.Placement != bp.Placement || dp.SparePlacement != bp.SparePlacement {
-			t.ok = false
-			return t
-		}
-		if dp.Spec == bp.Spec {
-			continue
-		}
-		// The kernel froze name resolution, kinds, fixed delays and
-		// spare provisioning at compile time; a knob changing those
-		// cannot ride the tables. Everything else about a spec (slot
-		// counts, rates, costs, overheads) is re-derived per candidate.
-		if dp.Spec.Name != bp.Spec.Name || dp.Spec.Kind != bp.Spec.Kind ||
-			dp.Spec.Delay != bp.Spec.Delay || dp.Spec.Spare != bp.Spec.Spare {
-			t.ok = false
-			return t
-		}
-		t.devices = append(t.devices, i)
-	}
-	for j := range d.Levels {
-		if reflect.DeepEqual(d.Levels[j], b.Levels[j]) {
-			continue
-		}
-		dm, dok := d.Levels[j].(protect.MultiSited)
-		bm, bok := b.Levels[j].(protect.MultiSited)
-		if dok != bok {
-			t.ok = false
-			return t
-		}
-		if dok {
-			// Multi-sited survival is placement arithmetic baked into
-			// the kernel; the fragment set and threshold must not move.
-			if reflect.TypeOf(d.Levels[j]) != reflect.TypeOf(b.Levels[j]) ||
-				dm.SurvivalThreshold() != bm.SurvivalThreshold() ||
-				!reflect.DeepEqual(dm.CopyDevices(), bm.CopyDevices()) {
-				t.ok = false
-				return t
-			}
-		}
-		t.levels = append(t.levels, j)
-	}
-	return t
-}
-
 // groupKnobs diffs every option of every knob against the base to learn
 // each knob's touch footprint, then unions knobs sharing a level or a
 // device spec into groups. budget bounds the total group table size.
@@ -444,6 +189,7 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	cs.knobSuspect = make([][]bool, nk)
 	touchL := make([][]int, nk)
 	touchD := make([][]int, nk)
+	var t core.Touch
 	for k := range cs.knobs {
 		opts := cs.knobs[k].Options
 		cs.knobSuspect[k] = make([]bool, len(opts))
@@ -459,15 +205,14 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 				cs.knobSuspect[k][o] = true
 				continue
 			}
-			t := cs.diff(d)
-			if !t.ok {
+			if !cs.kern.Diff(d, &t) {
 				cs.knobSuspect[k][o] = true
 				continue
 			}
-			for _, j := range t.levels {
+			for _, j := range t.Levels {
 				lset[j] = true
 			}
-			for _, di := range t.devices {
+			for _, di := range t.Devices {
 				dset[di] = true
 			}
 		}
@@ -528,7 +273,6 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	}
 
 	cs.levelOwner = make([]int, cs.nLevels)
-	cs.levelSlot = make([]int, cs.nLevels)
 	cs.specOwner = make([]int, cs.nDevices)
 	cs.specSlot = make([]int, cs.nDevices)
 	for j := range cs.levelOwner {
@@ -558,9 +302,8 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 			return fmt.Errorf("opt: compile: group tables exceed the compile work cap")
 		}
 		gi := len(cs.groups)
-		for slot, j := range g.levels {
+		for _, j := range g.levels {
 			cs.levelOwner[j] = gi
-			cs.levelSlot[j] = slot
 		}
 		for slot, di := range g.devices {
 			cs.specOwner[di] = gi
@@ -576,72 +319,22 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 // re-diffing against the base. Combinations whose effects stray outside
 // the group's footprint, or fail any validation, are marked suspect.
 // Extraction is the expensive part of compilation, so it runs on the
-// worker pool.
+// worker pool, each worker extracting on its own core.Assembler.
 func (cs *compiledSpace) extractGroups(workers int) error {
+	type extractor struct {
+		asm   *core.Assembler
+		touch core.Touch
+	}
+	acc := func() *extractor { return &extractor{asm: cs.kern.NewAssembler()} }
+	keep := func(a, _ *extractor) *extractor { return a }
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
 		g.entries = make([]groupEntry, g.size)
-		err := parallel.ForEach(workers, g.size, func(t int) error {
-			e := &g.entries[t]
-			opts := make([]int, len(g.members))
-			rem := t
-			for mi := len(g.members) - 1; mi >= 0; mi-- {
-				opts[mi] = rem % g.radix[mi]
-				rem /= g.radix[mi]
-			}
-			for mi, k := range g.members {
-				if cs.knobSuspect[k][opts[mi]] {
-					e.suspect = true
-					return nil
-				}
-			}
-			d, err := Clone(cs.base)
-			if err != nil {
-				return err
-			}
-			for mi, k := range g.members {
-				if err := cs.knobs[k].Apply(d, opts[mi]); err != nil {
-					e.suspect = true
-					return nil
-				}
-			}
-			dt := cs.diff(d)
-			if !dt.ok {
-				e.suspect = true
-				return nil
-			}
-			for _, j := range dt.levels {
-				if cs.levelOwner[j] != gi {
-					e.suspect = true
-					return nil
-				}
-			}
-			for _, di := range dt.devices {
-				if cs.specOwner[di] != gi {
-					e.suspect = true
-					return nil
-				}
-			}
-			e.frags = make([]levelFrag, len(g.levels))
-			for li, j := range g.levels {
-				f, err := cs.fragment(d.Levels[j])
-				if err != nil {
-					e.suspect = true
-					return nil
-				}
-				e.frags[li] = f
-			}
-			e.specs = make([]device.Spec, len(g.devices))
-			for si, di := range g.devices {
-				sp := d.Devices[di].Spec
-				if err := sp.Validate(); err != nil {
-					e.suspect = true
-					return nil
-				}
-				e.specs[si] = sp
-			}
-			return nil
-		})
+		_, err := parallel.Reduce(workers, g.size, acc, func(x *extractor, t int) (*extractor, error) {
+			ok, err := cs.extractEntry(x.asm, &x.touch, gi, t)
+			g.entries[t].suspect = !ok
+			return x, err
+		}, keep)
 		if err != nil {
 			return err
 		}
@@ -649,10 +342,62 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 	return nil
 }
 
-// fill resolves candidate `choice` into Cols row `row`: fragment/spec
-// lookup, then the demand, check and outlay folds in exactly Build's
-// order. Returns true when the candidate must take the legacy slow path
-// (the row is marked invalid and untouched otherwise). Allocation-free.
+// extractEntry fills entry t of group gi, reporting false when that
+// option combination is unrepresentable (its candidates go slow).
+func (cs *compiledSpace) extractEntry(asm *core.Assembler, touch *core.Touch, gi, t int) (bool, error) {
+	g := &cs.groups[gi]
+	opts := make([]int, len(g.members))
+	rem := t
+	for mi := len(g.members) - 1; mi >= 0; mi-- {
+		opts[mi] = rem % g.radix[mi]
+		rem /= g.radix[mi]
+	}
+	for mi, k := range g.members {
+		if cs.knobSuspect[k][opts[mi]] {
+			return false, nil
+		}
+	}
+	d, err := Clone(cs.base)
+	if err != nil {
+		return false, err
+	}
+	for mi, k := range g.members {
+		if cs.knobs[k].Apply(d, opts[mi]) != nil {
+			return false, nil
+		}
+	}
+	if !cs.kern.Diff(d, touch) {
+		return false, nil
+	}
+	for _, j := range touch.Levels {
+		if cs.levelOwner[j] != gi {
+			return false, nil
+		}
+	}
+	for _, di := range touch.Devices {
+		if cs.specOwner[di] != gi {
+			return false, nil
+		}
+	}
+	e := &g.entries[t]
+	e.frags = make([]core.Fragment, len(g.levels))
+	for li, j := range g.levels {
+		if e.frags[li], err = asm.Fragment(d.Levels[j], nil); err != nil {
+			return false, nil
+		}
+	}
+	e.specs = make([]device.Spec, len(g.devices))
+	for si, di := range g.devices {
+		e.specs[si] = d.Devices[di].Spec
+	}
+	return true, nil
+}
+
+// fill resolves candidate `choice` into Cols row `row`: each group's
+// table entry supplies the fragments and specs it owns, and core's fold
+// does the demand, check and outlay folds in exactly Build's order.
+// Returns true when the candidate must take the legacy slow path (the
+// row is marked invalid). Allocation-free.
 func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice []int) bool {
 	for k, o := range choice {
 		if cs.knobSuspect[k][o] {
@@ -671,190 +416,33 @@ func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice 
 			cols.Valid[row] = false
 			return true
 		}
-		fs.entry[gi] = e
-	}
-	for j := 0; j < cs.nLevels; j++ {
-		if gi := cs.levelOwner[j]; gi >= 0 {
-			fs.frags[j] = &fs.entry[gi].frags[cs.levelSlot[j]]
-		} else {
-			fs.frags[j] = &cs.baseFrags[j]
+		for li, j := range g.levels {
+			fs.frags[j] = &e.frags[li]
+		}
+		for si, di := range g.devices {
+			fs.specs[di] = &e.specs[si]
 		}
 	}
-	// Duplicate level names fail Chain.Validate in Build; the slow path
-	// reproduces that build error (scored +Inf).
-	for a := 0; a < cs.nLevels; a++ {
-		for b := a + 1; b < cs.nLevels; b++ {
-			if fs.frags[a].nameID == fs.frags[b].nameID {
-				cols.Valid[row] = false
-				return true
-			}
-		}
-	}
-	for di := 0; di < cs.nDevices; di++ {
-		if gi := cs.specOwner[di]; gi >= 0 {
-			fs.specs[di] = &fs.entry[gi].specs[cs.specSlot[di]]
-		} else {
-			fs.specs[di] = &cs.baseSpecs[di]
-		}
-		fs.totBW[di] = 0
-		fs.totCap[di] = 0
-		fs.rowCount[di] = 0
-	}
-
-	// Demand fold: primary first, then levels in order — the same
-	// per-device registration order Build produces, so the float sums
-	// and the outlay row order are bit-identical.
-	if !cs.foldDemands(fs, cs.primaryDemands) {
-		cols.Valid[row] = false
-		return true
-	}
-	for j := 0; j < cs.nLevels; j++ {
-		if !cs.foldDemands(fs, fs.frags[j].demands) {
-			cols.Valid[row] = false
-			return true
-		}
-	}
-
-	// Check + outlay fold, in device order. Check failures make the
-	// candidate invalid in Build; the slow path reproduces the error.
-	lvlBase := row * cs.nLevels
-	devBase := row * cs.nDevices
-	var total units.Money
-	var covered units.Money
-	for di := 0; di < cs.nDevices; di++ {
-		sp := fs.specs[di]
-		maxBW := sp.MaxBandwidth()
-		if fs.totCap[di] > 0 {
-			maxCap := sp.MaxCapacity()
-			if maxCap <= 0 || float64(sp.RawCapacityFor(fs.totCap[di])/maxCap) > 1 {
-				cols.Valid[row] = false
-				return true
-			}
-		}
-		if fs.totBW[di] > 0 {
-			if maxBW <= 0 || float64(fs.totBW[di]/maxBW) > 1 {
-				cols.Valid[row] = false
-				return true
-			}
-		}
-		cols.DevMaxBW[devBase+di] = maxBW
-		avail := maxBW - fs.totBW[di]
-		if avail < 0 {
-			avail = 0
-		}
-		cols.DevAvail[devBase+di] = avail
-
-		rows := fs.rowCount[di]
-		base := di * cs.maxRows
-		spare := sp.HasSpare()
-		for x := 0; x < rows; x++ {
-			b := fs.rowBase[base+x]
-			item := b
-			if spare {
-				item = b + units.Money(sp.Spare.Discount)*b
-			}
-			total += item
-			if cs.covered[di] {
-				covered += b
-			}
-		}
-	}
-	if cs.retainer && covered > 0 {
-		total += units.Money(cs.costFactor) * covered
-	}
-	cols.OutlaysTotal[row] = total
-
-	for j := 0; j < cs.nLevels; j++ {
-		f := fs.frags[j]
-		cols.LvlLag[lvlBase+j] = f.lag
-		cols.LvlAccW[lvlBase+j] = f.accW
-		cols.LvlRetSpan[lvlBase+j] = f.retSpan
-		cols.LvlRestore[lvlBase+j] = f.restore
-		cols.LvlCopy[lvlBase+j] = f.copyIdx
-		cols.LvlRead[lvlBase+j] = f.readIdx
-		cols.LvlTransport[lvlBase+j] = f.transportIdx
-	}
-	cols.Valid[row] = true
-	cols.Err[row] = nil
-	return false
-}
-
-// foldDemands accumulates one technique's demand records into the
-// bandwidth/capacity totals and the per-device outlay rows, replicating
-// device.Device.Outlays: the first technique on a device carries the
-// fixed cost (and an interconnect's provisioned-bandwidth cost), every
-// demand adds its marginal annual cost. Returns false if a device
-// accumulates more distinct technique rows than the scratch holds
-// (possible only for techniques attributing demands to foreign names).
-func (cs *compiledSpace) foldDemands(fs *fillScratch, recs []demandRec) bool {
-	for i := range recs {
-		r := &recs[i]
-		di := int(r.dev)
-		fs.totBW[di] += r.bw
-		fs.totCap[di] += r.cap
-
-		sp := fs.specs[di]
-		interconnect := sp.Kind == device.KindInterconnect
-		base := di * cs.maxRows
-		n := fs.rowCount[di]
-		ri := -1
-		for x := 0; x < n; x++ {
-			if fs.rowTech[base+x] == r.tech {
-				ri = x
-				break
-			}
-		}
-		if ri < 0 {
-			if n == cs.maxRows {
-				return false
-			}
-			ri = n
-			fs.rowCount[di] = n + 1
-			fs.rowTech[base+ri] = r.tech
-			var first units.Money
-			if ri == 0 {
-				first = sp.Cost.Fixed
-				if interconnect {
-					first += units.Money(sp.Cost.PerMBPerSec * sp.MaxBandwidth().MBPS())
-				}
-			}
-			fs.rowBase[base+ri] = first
-		}
-		raw := sp.RawCapacityFor(r.cap)
-		bw := r.bw
-		if interconnect {
-			bw = 0 // already charged at provisioned capacity
-		}
-		fs.rowBase[base+ri] += sp.Cost.Annual(raw, bw, r.ship) - sp.Cost.Fixed
-	}
-	return true
+	return !fs.asm.Fold(cols, row, fs.frags, fs.specs)
 }
 
 // verify evaluates a spread of candidate indices through both the
 // compiled tables and the legacy clone+build path and compares every
-// output field. Any mismatch rejects the compilation. Slow-path
-// candidates are exact by construction and only checked for agreement
-// about *being* slow when the legacy path errors.
+// output field (core.Probe). Any mismatch rejects the compilation.
+// Slow-path candidates are exact by construction and only checked for
+// agreement about *being* slow when the legacy path errors.
 func (cs *compiledSpace) verify() error {
 	space, err := spaceSize(cs.knobs)
 	if err != nil {
 		return err
 	}
-	probes := compileProbes
-	if space < probes {
-		probes = space
-	}
+	probes := min(compileProbes, space)
 	cols := cs.kern.NewCols(1)
 	var bs core.BatchScratch
 	fs := newFillScratch(cs)
 	choice := make([]int, len(cs.knobs))
-	var ev whatif.Evaluator
-	var res whatif.Result
 	for p := 0; p < probes; p++ {
-		idx := 0
-		if probes > 1 {
-			idx = p * (space - 1) / (probes - 1)
-		}
+		idx := spreadIndex(p, probes, space)
 		decodeChoice(choice, cs.knobs, idx)
 		slow := cs.fill(fs, cols, 0, choice)
 		d, err := Clone(cs.base)
@@ -870,24 +458,24 @@ func (cs *compiledSpace) verify() error {
 		if slow {
 			continue
 		}
-		ev.EvaluateInto(d, cs.scs, &res)
-		if res.Err != nil {
-			return fmt.Errorf("opt: compile probe %d: build fails (%v) but tables claim fast path", idx, res.Err)
-		}
-		if cols.OutlaysTotal[0] != res.Outlays {
-			return fmt.Errorf("opt: compile probe %d: outlays %v != %v", idx, cols.OutlaysTotal[0], res.Outlays)
-		}
 		cs.kern.AssessBatch(1, cols, &bs)
-		for si := range cs.scs {
-			b := bs.Briefs[si]
-			o := res.Outcomes[si]
-			if b.RecoveryTime != o.RecoveryTime || b.DataLoss != o.DataLoss ||
-				b.Penalties != o.Penalties || b.Total != o.Total || b.WholeObjectLost != o.Lost {
-				return fmt.Errorf("opt: compile probe %d scenario %d: batch %+v != legacy %+v", idx, si, b, o)
-			}
+		if err := core.Probe(d, cs.scs, cols.OutlaysTotal[0], bs.Briefs); err != nil {
+			return fmt.Errorf("opt: compile probe %d: %w", idx, err)
 		}
 	}
 	return nil
+}
+
+// spreadIndex returns the p-th of n indices spread evenly over [0, size):
+// p*(size-1)/(n-1), computed as p*q + p*r/(n-1) where
+// size-1 = q*(n-1) + r, so no intermediate product overflows however
+// large the space.
+func spreadIndex(p, n, size int) int {
+	if n <= 1 {
+		return 0
+	}
+	q, r := (size-1)/(n-1), (size-1)%(n-1)
+	return p*q + p*r/(n-1)
 }
 
 // batchAcc is one worker's state in the compiled batched fold: the
@@ -1029,21 +617,7 @@ func (cs *compiledSpace) search(lo, hi, batch int, objective Objective, opts Exh
 				// Knobs that could rename the design are unrepresentable,
 				// so fast-path candidates keep the base name — exactly
 				// what the legacy evaluator would record.
-				a.res.Design = cs.base.Name
-				a.res.Err = nil
-				a.res.Outlays = a.cols.OutlaysTotal[r]
-				a.res.Outcomes = a.res.Outcomes[:0]
-				for si := 0; si < ns; si++ {
-					b := a.bscratch.Briefs[r*ns+si]
-					a.res.Outcomes = append(a.res.Outcomes, whatif.Outcome{
-						Scenario:     cs.scs[si],
-						RecoveryTime: b.RecoveryTime,
-						DataLoss:     b.DataLoss,
-						Penalties:    b.Penalties,
-						Total:        b.Total,
-						Lost:         b.WholeObjectLost,
-					})
-				}
+				a.res.SetBriefs(cs.base.Name, a.cols.OutlaysTotal[r], cs.scs, a.bscratch.Briefs[r*ns:(r+1)*ns])
 				s = objective(a.res)
 			}
 			a.evals++

@@ -3,6 +3,7 @@ package opt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -110,21 +111,7 @@ func TestCompiledSpaceMatchesLegacyPerCandidate(t *testing.T) {
 		}
 		fast++
 		cs.kern.AssessBatch(1, cols, &bs)
-		res.Design = base.Name
-		res.Err = nil
-		res.Outlays = cols.OutlaysTotal[0]
-		res.Outcomes = res.Outcomes[:0]
-		for si := range scs {
-			b := bs.Briefs[si]
-			res.Outcomes = append(res.Outcomes, whatif.Outcome{
-				Scenario:     scs[si],
-				RecoveryTime: b.RecoveryTime,
-				DataLoss:     b.DataLoss,
-				Penalties:    b.Penalties,
-				Total:        b.Total,
-				Lost:         b.WholeObjectLost,
-			})
-		}
+		res.SetBriefs(base.Name, cols.OutlaysTotal[0], scs, bs.Briefs)
 		if got := objective(res); got != want {
 			t.Errorf("candidate %d: compiled score %v, legacy %v", idx, got, want)
 		}
@@ -357,5 +344,86 @@ func TestExhaustiveBatchedAllocBudget(t *testing.T) {
 	if perCandidate > 2 {
 		t.Errorf("batched search allocates %.2f objects per candidate (%.0f over %d), budget 2",
 			perCandidate, allocs, space)
+	}
+}
+
+// hugeSpaceKnobs spans 2^60 candidates: four vault retention counts,
+// then 58 two-option tie-breakers that touch nothing.
+func hugeSpaceKnobs() []Knob {
+	knobs := []Knob{RetCntKnob("vaulting", []int{2, 4, 8, 13})}
+	for i := 0; i < 58; i++ {
+		knobs = append(knobs, Knob{
+			Name:       fmt.Sprintf("tie %d", i),
+			Options:    []string{"a", "b"},
+			Apply:      func(*core.Design, int) error { return nil },
+			Revertible: true,
+		})
+	}
+	return knobs
+}
+
+// TestCompileVerifyHugeSpace: verify spreads its probes over the whole
+// space, not just the searched shard. On a 2^60-candidate space the
+// product p*(space-1) overflows int, which decodes negative options and
+// panics inside fill. A 1024-candidate shard of that space must compile
+// and return the legacy winner.
+func TestCompileVerifyHugeSpace(t *testing.T) {
+	base := casestudy.Baseline()
+	knobs := hugeSpaceKnobs()
+	scs := scenarios()
+	if _, err := compileSpace(base, knobs, scs, 1); err != nil {
+		t.Fatalf("compileSpace: %v", err)
+	}
+	sol, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{
+		Workers: 1,
+		Shard:   Shard{Index: 0, Count: 1 << 50},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shard covers retention option 0 with every tie-breaker
+	// combination: all score alike, so the lowest index wins.
+	want, err := scoreCandidate(base, knobs, scs, WorstTotalObjective(), make([]int, len(knobs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Score != want || sol.CandidateIndex != 0 || sol.Evaluations != 1024 {
+		t.Errorf("score %v index %d evaluations %d, want %v, 0, 1024",
+			sol.Score, sol.CandidateIndex, sol.Evaluations, want)
+	}
+}
+
+// TestSpreadIndex: spreadIndex is exactly p*(size-1)/(n-1) wherever that
+// product fits in an int, and stays ascending within [0, size) with the
+// endpoints pinned where it would overflow.
+func TestSpreadIndex(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 15, 16, 17, 1000, 6144, 1 << 40} {
+		for _, n := range []int{1, 2, 3, 16} {
+			if n > size {
+				continue
+			}
+			for p := 0; p < n; p++ {
+				want := 0
+				if n > 1 {
+					want = p * (size - 1) / (n - 1)
+				}
+				if got := spreadIndex(p, n, size); got != want {
+					t.Errorf("spreadIndex(%d, %d, %d) = %d, want %d", p, n, size, got, want)
+				}
+			}
+		}
+	}
+	for _, size := range []int{1 << 60, math.MaxInt} {
+		prev := -1
+		for p := 0; p < compileProbes; p++ {
+			got := spreadIndex(p, compileProbes, size)
+			if got <= prev || got >= size {
+				t.Fatalf("spreadIndex(%d, %d, %d) = %d after %d", p, compileProbes, size, got, prev)
+			}
+			prev = got
+		}
+		if prev != size-1 {
+			t.Errorf("last probe of %d lands at %d, want %d", size, prev, size-1)
+		}
 	}
 }

@@ -363,21 +363,7 @@ func (cs *compiledSpace) frontier(lo, hi, batch, workers int, reuse bool, pr *pr
 				}
 				a.eval.EvaluateInto(d, cs.scs, &a.res)
 			} else {
-				a.res.Design = cs.base.Name
-				a.res.Err = nil
-				a.res.Outlays = a.cols.OutlaysTotal[r]
-				a.res.Outcomes = a.res.Outcomes[:0]
-				for si := 0; si < ns; si++ {
-					b := a.bscratch.Briefs[r*ns+si]
-					a.res.Outcomes = append(a.res.Outcomes, whatif.Outcome{
-						Scenario:     cs.scs[si],
-						RecoveryTime: b.RecoveryTime,
-						DataLoss:     b.DataLoss,
-						Penalties:    b.Penalties,
-						Total:        b.Total,
-						Lost:         b.WholeObjectLost,
-					})
-				}
+				a.res.SetBriefs(cs.base.Name, a.cols.OutlaysTotal[r], cs.scs, a.bscratch.Briefs[r*ns:(r+1)*ns])
 			}
 			a.set.addResult(global, &a.res)
 			a.evals++

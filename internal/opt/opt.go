@@ -146,8 +146,8 @@ var (
 	ErrNoFeasible  = errors.New("opt: no knob combination produced a feasible design")
 )
 
-// tuneDeltaProbes is how many incremental AssessDelta scores TuneWorkers
-// cross-checks against the full Build-and-assess evaluator before
+// tuneDeltaProbes is how many incremental AssessDelta results TuneWorkers
+// probes against the full Build-and-assess path (core.Probe) before
 // trusting the delta path for the rest of the descent (on top of the
 // bit-exact base self-check NewDeltaAssessor already performs). Any
 // divergence permanently disables incremental scoring for the run.
@@ -309,7 +309,6 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 		delta        *core.DeltaAssessor
 		deltaScratch *core.Design
 		deltaRes     whatif.Result
-		deltaProbe   tuneAcc
 		deltaProbes  int
 		deltaState   int // 0 = untried, 1 = active, 2 = disabled
 	)
@@ -365,30 +364,16 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 					legacy = append(legacy, j)
 					continue
 				}
-				deltaRes.Design = base.Name
-				deltaRes.Outlays = out
-				deltaRes.Err = nil
-				deltaRes.Outcomes = deltaRes.Outcomes[:0]
-				for si, b := range briefs {
-					deltaRes.Outcomes = append(deltaRes.Outcomes, whatif.Outcome{
-						Scenario:     scenarios[si],
-						RecoveryTime: b.RecoveryTime,
-						DataLoss:     b.DataLoss,
-						Penalties:    b.Penalties,
-						Total:        b.Total,
-						Lost:         b.WholeObjectLost,
-					})
-				}
-				s := objective(deltaRes)
 				if deltaProbes < tuneDeltaProbes {
 					deltaProbes++
-					deltaProbe.eval.EvaluateInto(d, scenarios, &deltaProbe.res)
-					if want := objective(deltaProbe.res); want != s {
+					if core.Probe(d, scenarios, out, briefs) != nil {
 						deltaState = 2
-						s = want
+						legacy = append(legacy, j)
+						continue
 					}
 				}
-				missScores[j] = s
+				deltaRes.SetBriefs(base.Name, out, scenarios, briefs)
+				missScores[j] = objective(deltaRes)
 			}
 		} else {
 			for j := range misses {

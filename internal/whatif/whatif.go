@@ -46,6 +46,26 @@ type Result struct {
 	Err error
 }
 
+// SetBriefs overwrites r with an evaluation of the named design: its
+// outlay total and one Outcome per Brief, briefs[i] assessed under
+// scs[i]. It is the one Brief-to-Outcome conversion, shared by
+// EvaluateInto and the optimizer's fast paths; r's Outcomes capacity is
+// reused.
+func (r *Result) SetBriefs(design string, outlays units.Money, scs []failure.Scenario, briefs []core.Brief) {
+	r.Design, r.Outlays, r.Err = design, outlays, nil
+	r.Outcomes = r.Outcomes[:0]
+	for i, b := range briefs {
+		r.Outcomes = append(r.Outcomes, Outcome{
+			Scenario:     scs[i],
+			RecoveryTime: b.RecoveryTime,
+			DataLoss:     b.DataLoss,
+			Penalties:    b.Penalties,
+			Total:        b.Total,
+			Lost:         b.WholeObjectLost,
+		})
+	}
+}
+
 // WorstTotal returns the highest total cost across scenarios — the
 // "design for the hypothesized disaster" criterion. Designs that failed
 // to build return +Inf.
@@ -168,6 +188,7 @@ func EvaluateOne(d *core.Design, scenarios []failure.Scenario) Result {
 // to use.
 type Evaluator struct {
 	scratch core.Scratch
+	briefs  []core.Brief
 }
 
 // EvaluateInto evaluates d into *res, producing exactly the Result
@@ -186,21 +207,16 @@ func (e *Evaluator) EvaluateInto(d *core.Design, scenarios []failure.Scenario, r
 		return
 	}
 	res.Outlays = sys.Outlays().Total()
+	e.briefs = e.briefs[:0]
 	for _, sc := range scenarios {
 		b, err := sys.AssessBrief(sc, &e.scratch)
 		if err != nil {
 			res.Err = fmt.Errorf("whatif: scenario %s: %w", sc.DisplayName(), err)
 			return
 		}
-		res.Outcomes = append(res.Outcomes, Outcome{
-			Scenario:     sc,
-			RecoveryTime: b.RecoveryTime,
-			DataLoss:     b.DataLoss,
-			Penalties:    b.Penalties,
-			Total:        b.Total,
-			Lost:         b.WholeObjectLost,
-		})
+		e.briefs = append(e.briefs, b)
 	}
+	res.SetBriefs(d.Name, res.Outlays, scenarios, e.briefs)
 }
 
 // Rank sorts results by ascending worst-scenario total cost (stable on
