@@ -200,7 +200,7 @@ func BenchmarkSimulationValidation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Run(20 * units.Week); err != nil {
+		if err := s.RunFrom(0, 20*units.Week); err != nil {
 			b.Fatal(err)
 		}
 		st, err := s.LossStudy([]int{2, 3}, 0, 12*units.Week, 19*units.Week, time.Hour)

@@ -121,7 +121,7 @@ func run(w io.Writer, designPath, scope, target string, weeks int, step, outage 
 
 	fmt.Fprintf(w, "Simulating %d weeks of RP propagation for %q (%s)\n",
 		weeks, design.Name, chain)
-	if err := simulator.Run(horizon); err != nil {
+	if err := simulator.RunFrom(0, horizon); err != nil {
 		return err
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,8 @@ import (
 
 	"stordep/internal/casestudy"
 	"stordep/internal/config"
+	"stordep/internal/protect"
+	"stordep/internal/sim"
 )
 
 func writeBaseline(t *testing.T) string {
@@ -107,6 +110,22 @@ func TestRunNoSurvivors(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "the object is lost") {
 		t.Errorf("output:\n%s", buf.String())
+	}
+}
+
+// TestRunRejectsCountOnlyRetention: a vault retained by count alone
+// ("retW": "0s") loads and assesses, but the simulator would expire every
+// RP on arrival, so the command must refuse it by name.
+func TestRunRejectsCountOnlyRetention(t *testing.T) {
+	d := casestudy.Baseline()
+	d.Levels[2].(*protect.Vaulting).Pol.RetW = 0
+	path := filepath.Join(t.TempDir(), "d.json")
+	if err := config.Save(path, d); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := run(&buf, path, "site", "0h", 10, "1h", "", false); !errors.Is(err, sim.ErrCountOnlyRetention) {
+		t.Errorf("count-only retention: got %v", err)
 	}
 }
 

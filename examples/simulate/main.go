@@ -37,7 +37,7 @@ func main() {
 	horizon := 30 * stordep.Week
 	fmt.Printf("Simulating %v of RP propagation for: %s\n\n",
 		horizon, chain)
-	if err := simulator.Run(horizon); err != nil {
+	if err := simulator.RunFrom(0, horizon); err != nil {
 		log.Fatal(err)
 	}
 

@@ -293,7 +293,7 @@ func buildObjSims(ms *core.MultiSystem, mcs *MultiCase, merged []ObjectOutage, s
 				}
 			}
 		}
-		if err := s.Run(mcs.Horizon); err != nil {
+		if err := s.RunFrom(0, mcs.Horizon); err != nil {
 			return nil, err
 		}
 		return s, nil

@@ -72,7 +72,7 @@ func checkCase(cs *Case) (*runResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := healthy.Run(cs.Horizon); err != nil {
+	if err := healthy.RunFrom(0, cs.Horizon); err != nil {
 		return nil, err
 	}
 	degraded := healthy
@@ -86,7 +86,7 @@ func checkCase(cs *Case) (*runResult, error) {
 				return nil, err
 			}
 		}
-		if err := degraded.Run(cs.Horizon); err != nil {
+		if err := degraded.RunFrom(0, cs.Horizon); err != nil {
 			return nil, err
 		}
 	}

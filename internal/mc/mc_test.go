@@ -7,7 +7,11 @@ import (
 	"time"
 
 	"stordep/internal/casestudy"
+	"stordep/internal/failure"
+	"stordep/internal/protect"
+	"stordep/internal/sim"
 	"stordep/internal/units"
+	"stordep/internal/whatif"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -185,6 +189,15 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if _, err := c.Estimate(nil); !errors.Is(err, ErrBadTrials) {
 		t.Errorf("empty estimate: got %v", err)
+	}
+	// A vault retained by count alone validates, and the analytic model
+	// keeps its cycles, but the simulator cannot replay it: the campaign
+	// must refuse rather than report every site disaster as a loss.
+	countOnly := casestudy.Baseline()
+	countOnly.Levels[2].(*protect.Vaulting).Pol.RetW = 0
+	site := whatif.Frequencies{failure.ScopeSite: 2}
+	if _, err := (&Campaign{Design: countOnly, Trials: 30, Rates: site}).Run(); !errors.Is(err, sim.ErrCountOnlyRetention) {
+		t.Errorf("count-only vault retention: got %v", err)
 	}
 }
 

@@ -153,16 +153,16 @@ func (r *runner) sampleWrongRecoveries(tseed int64) []wrongRecovery {
 // caught and re-synced (protection was degraded for the window), an
 // escaped window is latent exposure the estimator surfaces only through
 // events that happen to land in it.
-func (r *runner) classifySilentFault(o *Obs, clean, faulted *sim.Simulator, outs []sim.Outage, f sim.SilentFault) {
+func (r *runner) classifySilentFault(o *Obs, hist histories, outs []sim.Outage, f sim.SilentFault) {
 	all := make([]int, len(r.chain))
 	for i := range all {
 		all[i] = i + 1
 	}
-	cycle := r.chain[f.Level-1].Policy.CyclePeriod()
 	detected := false
-	for _, at := range probeGrid(f.From, f.To+2*cycle, r.end) {
-		floss, _, fok := faulted.Loss(all, at, 0)
-		closs, _, cok := clean.Loss(all, at, 0)
+	for _, at := range r.probes(f) {
+		h := hist.at(at)
+		floss, _, fok := h.s.Loss(all, at, 0)
+		closs, _, cok := h.clean.Loss(all, at, 0)
 		if cok && !fok {
 			detected = true // fails where the fault-free history recovers
 			break
@@ -188,6 +188,14 @@ func (r *runner) classifySilentFault(o *Obs, clean, faulted *sim.Simulator, outs
 	} else {
 		o.OpEscapes++
 	}
+}
+
+// probes returns the instants at which a silent fault's consequences are
+// probed: its window plus two of the level's cycles, when the RPs it
+// poisoned are still retained.
+func (r *runner) probes(f sim.SilentFault) []time.Duration {
+	cycle := r.chain[f.Level-1].Policy.CyclePeriod()
+	return probeGrid(f.From, f.To+2*cycle, r.end)
 }
 
 // probeGrid returns up to eight whole-minute probe instants spanning

@@ -176,7 +176,7 @@ func TestWrongRecoveryDetectedRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clean.Run(r.end); err != nil {
+	if err := clean.RunFrom(0, r.end); err != nil {
 		t.Fatal(err)
 	}
 	var o Obs

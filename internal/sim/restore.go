@@ -51,26 +51,26 @@ func (s *Simulator) Plan(surviving []int, failAt, targetAge time.Duration) (Rest
 		return RestorePlan{}, false
 	}
 	var best RestorePlan
-	found := false
+	index := -1
 	for _, j := range surviving {
 		if j < 1 || j > len(s.chain) {
 			continue
 		}
-		for _, rp := range s.levels[j-1] {
-			if s.usableAt(j, rp, failAt) && rp.Cut <= target && (!found || rp.Cut > best.Serving.Cut) {
+		for i, rp := range s.levels[j-1] {
+			if rp.Cut <= target && (index < 0 || rp.Cut > best.Serving.Cut) && s.usableAt(j, i, failAt) {
 				best = RestorePlan{Serving: rp, Level: j}
-				found = true
+				index = i
 			}
 		}
 	}
-	if !found {
+	if index < 0 {
 		return RestorePlan{}, false
 	}
 	best.Incremental = best.Serving.Secondary
 	best.FullCut = best.Serving.Cut
 	if best.Incremental {
 		// usableAt guaranteed the base full exists and covers failAt.
-		base, _ := s.baseFull(best.Level, best.Serving)
+		base, _ := s.baseFull(best.Level, index)
 		best.FullCut = base.Cut
 	}
 	return best, true

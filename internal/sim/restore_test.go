@@ -116,7 +116,7 @@ func TestRTStudyValidation(t *testing.T) {
 	if _, err := s.RTStudy(w, []int{1}, 0, 0, time.Hour, time.Hour, units.MBPerSec, 0); err != ErrNotRun {
 		t.Errorf("before run: %v", err)
 	}
-	if err := s.Run(2 * units.Week); err != nil {
+	if err := s.RunFrom(0, 2*units.Week); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RTStudy(w, []int{1}, 0, time.Hour, 0, time.Hour, units.MBPerSec, 0); err == nil {

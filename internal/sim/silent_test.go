@@ -26,7 +26,7 @@ func TestAddSilentFaultGuards(t *testing.T) {
 	if err := s.AddSilentFault(SilentFault{Level: 1, From: 0, To: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(units.Week); err != nil {
+	if err := s.RunFrom(0, units.Week); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddSilentFault(SilentFault{Level: 1, From: 0, To: time.Hour}); err == nil {
@@ -51,7 +51,7 @@ func TestSilentFaultPhantoms(t *testing.T) {
 	if err := s.AddSilentFault(SilentFault{Level: 1, From: 30 * time.Hour, To: 50 * time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(10 * units.Day); err != nil {
+	if err := s.RunFrom(0, 10*units.Day); err != nil {
 		t.Fatal(err)
 	}
 	rps, err := s.RPs(1)
@@ -90,7 +90,7 @@ func TestSilentFaultPhantoms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clean.Run(10 * units.Day); err != nil {
+	if err := clean.RunFrom(0, 10*units.Day); err != nil {
 		t.Fatal(err)
 	}
 	cl, _, ok := clean.Loss([]int{1}, 49*time.Hour, 0)
@@ -114,7 +114,7 @@ func TestSilentFaultPropagates(t *testing.T) {
 	if err := s.AddSilentFault(SilentFault{Level: 1, From: 300 * time.Hour, To: 340 * time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(10 * units.Week); err != nil {
+	if err := s.RunFrom(0, 10*units.Week); err != nil {
 		t.Fatal(err)
 	}
 	rps, err := s.RPs(2)
@@ -146,7 +146,7 @@ func TestSilentFaultRestorePlan(t *testing.T) {
 	if err := s.AddSilentFault(SilentFault{Level: 1, From: 30 * time.Hour, To: 50 * time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(10 * units.Day); err != nil {
+	if err := s.RunFrom(0, 10*units.Day); err != nil {
 		t.Fatal(err)
 	}
 	plan, ok := s.Plan([]int{1}, 49*time.Hour, 0)

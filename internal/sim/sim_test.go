@@ -33,15 +33,28 @@ func run(t *testing.T, c hierarchy.Chain, until time.Duration) *Simulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(until); err != nil {
+	if err := s.RunFrom(0, until); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
 func TestNewRejectsInvalidChain(t *testing.T) {
-	if _, err := New(hierarchy.Chain{}); err == nil {
-		t.Fatal("empty chain accepted")
+	// Count-only retention validates as a policy, but expiring each RP
+	// RetW after it lands would simulate it as no retention at all.
+	countOnly := baselineChain()
+	countOnly[2].Policy.RetW = 0
+	for _, tc := range []struct {
+		name  string
+		chain hierarchy.Chain
+		want  error
+	}{
+		{"empty chain", hierarchy.Chain{}, hierarchy.ErrEmptyChain},
+		{"count-only retention", countOnly, ErrCountOnlyRetention},
+	} {
+		if _, err := New(tc.chain); !errors.Is(err, tc.want) {
+			t.Errorf("%s: New = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -50,13 +63,13 @@ func TestRunGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(0); err == nil {
+	if err := s.RunFrom(0, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if err := s.Run(units.Week); err != nil {
+	if err := s.RunFrom(0, units.Week); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(units.Week); err == nil {
+	if err := s.RunFrom(0, units.Week); err == nil {
 		t.Error("second Run accepted")
 	}
 }
@@ -327,7 +340,7 @@ func TestOutageValidation(t *testing.T) {
 	if err := s.AddOutage(Outage{Level: 2, From: outageEnd - outage, To: outageEnd}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(26 * units.Week); err != nil {
+	if err := s.RunFrom(0, 26*units.Week); err != nil {
 		t.Fatal(err)
 	}
 	healthy, ok := c.WorstCaseLoss(2, 0)
@@ -365,7 +378,7 @@ func TestAddOutageValidation(t *testing.T) {
 	if err := s.AddOutage(Outage{Level: 1, From: -time.Hour, To: time.Hour}); err == nil {
 		t.Error("negative start accepted")
 	}
-	if err := s.Run(units.Week); err != nil {
+	if err := s.RunFrom(0, units.Week); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddOutage(Outage{Level: 1, From: 0, To: time.Hour}); err == nil {
@@ -396,7 +409,7 @@ func TestOverlappingCompoundOutages(t *testing.T) {
 	if len(s.Outages()) != 2 {
 		t.Fatalf("Outages() = %d, want 2", len(s.Outages()))
 	}
-	if err := s.Run(30 * units.Week); err != nil {
+	if err := s.RunFrom(0, 30*units.Week); err != nil {
 		t.Fatal(err)
 	}
 	outages := []hierarchy.LevelOutage{
@@ -442,7 +455,7 @@ func TestAbortInFlightDropsPropagation(t *testing.T) {
 		if err := s.AddOutage(o); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(8 * units.Week); err != nil {
+		if err := s.RunFrom(0, 8*units.Week); err != nil {
 			t.Fatal(err)
 		}
 		rps, err := s.RPs(2)
