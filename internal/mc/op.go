@@ -62,12 +62,13 @@ func (r *runner) maxCycle() time.Duration {
 // the stream for follow-on shape draws. The stream consumes one
 // uniform per arrival attempt plus the shape draws made by the caller
 // in arrival order, so schedules are reproducible from (seed, trial)
-// alone.
+// alone. A process that is off has no arrivals, so its stream is
+// neither seeded nor returned: callers draw shapes only per arrival.
 func (r *runner) opArrivals(tseed int64, stream int, ratePerYear float64) ([]time.Duration, *rand.Rand) {
-	er := rng.Run(tseed, stream)
 	if ratePerYear <= 0 {
-		return nil, er
+		return nil, nil
 	}
+	er := rng.Run(tseed, stream)
 	missionYears := float64(r.mission) / float64(units.Year)
 	var ats []time.Duration
 	for t := expGap(er, ratePerYear); t < missionYears; t += expGap(er, ratePerYear) {

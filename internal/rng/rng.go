@@ -3,6 +3,44 @@
 // deterministic stream per run/trial from one campaign seed; keeping
 // the derivation in a single place guarantees the two engines can never
 // drift apart, and that committed digests stay replayable.
+//
+// # Streams
+//
+// Run's stream is draw for draw identical to
+// rand.New(rand.NewSource(SubSeed(seed, run))), through every rand.Rand
+// method and across Seed. Every pinned digest, campaign number and chaos
+// seed therefore holds; only the cost of seeding differs.
+//
+// math/rand's source is an additive lagged Fibonacci generator with a
+// 607-word register and tap 273. Seeding fills the register from a
+// Park-Miller LCG, x_j = 48271^j·x0 mod (2^31-1), xored with a constant
+// table, which costs about 12 µs and 5 KB. A Monte Carlo trial seeds up
+// to ten streams and draws a few dozen numbers from each, so the fill
+// dominated it.
+//
+// Draw k < 273 reads two register words that no earlier draw has
+// written. It is therefore a closed form in x0: the sum of two seeded
+// words, each built from three powers of 48271 times x0 and one table
+// constant. Seeding is a fold of the seed, and a draw costs six modular
+// products. Draw 273 is the first to read a word a draw wrote. There
+// the stream seeds a real math/rand source, skips the 273 draws already
+// made and hands it every later draw, so a long stream (chaos case
+// generation) costs what a math/rand stream costs.
+//
+// Both tables are built at init from the standard library: the powers
+// of 48271 directly, and the constant table, which math/rand does not
+// export, from the first 607 draws of seed 1 (see source.go).
+// TestRunMatchesMathRand and FuzzRunMatchesMathRand hold the contract.
+//
+// # Seed fold
+//
+// math/rand reduces every seed mod 2^31-1 before seeding, so a stream
+// has only 2^31-1 distinct states however many bits SubSeed mixes in,
+// and distinct (campaign seed, trial, stream) triples can share one
+// stream. Among n streams about n²/2^32 pairs collide: 100k trials of an
+// async mirror (10 streams each) hold about 220 streams whose folded
+// seed repeats an earlier one. Widening the fold would move every pinned
+// digest, so it waits for a deliberate re-pin.
 package rng
 
 import "math/rand"
@@ -24,7 +62,9 @@ func SubSeed(seed int64, run int) int64 {
 	return int64(SplitMix64(uint64(seed) ^ SplitMix64(uint64(run))))
 }
 
-// Run returns the deterministic random stream for one campaign run.
+// Run returns the deterministic random stream for one campaign run:
+// the stream of rand.NewSource(SubSeed(seed, run)), without its seeding
+// cost (see the package doc).
 func Run(seed int64, run int) *rand.Rand {
-	return rand.New(rand.NewSource(SubSeed(seed, run)))
+	return rand.New(newSource(SubSeed(seed, run)))
 }
