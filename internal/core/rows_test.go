@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"stordep/internal/casestudy"
@@ -71,14 +72,18 @@ func changeEachField(t *testing.T, path string, v reflect.Value, seen map[reflec
 }
 
 // TestDiffReportsEveryField: Diff's typed equality decides which levels
-// both fast paths (the compiled search and DeltaAssessor) re-extract, so
-// a field it ignores would let a changed design reuse the base's cached
-// numbers. Every field of every compared type — the techniques with
-// their nested hierarchy.Policy and WindowSet, the primary copy, the
-// facility, the requirements and the workload — is changed one at a
-// time on a clone, and Diff must report each change: either the level
-// shows up as touched or the change is refused outright. A field added
-// to any of these types without extending the comparison fails here.
+// and specs both fast paths (the compiled search and DeltaAssessor)
+// re-extract, and which ones opt's compile restores on its
+// reset-in-place design, so a field it ignores would let a changed
+// design reuse the base's cached numbers. Every field of every compared
+// type — the techniques with their nested hierarchy.Policy and
+// WindowSet, the placed devices with their specs and placements, the
+// primary copy, the facility, the requirements, the workload and the
+// design name — is changed one at a time on a clone, and Diff must
+// report each change: either the level or device spec shows up as
+// touched or the change is refused outright. A placement or a name
+// change must be refused. A field added to any of these types without
+// extending the comparison fails here.
 func TestDiffReportsEveryField(t *testing.T) {
 	seen := map[reflect.Type]bool{}
 	for _, base := range []*core.Design{
@@ -113,6 +118,20 @@ func TestDiffReportsEveryField(t *testing.T) {
 				t.Errorf("%s: change accepted as representable", path)
 			}
 		}
+		for i := range d.Devices {
+			path := fmt.Sprintf("%s: device %d", base.Name, i)
+			spec := path + ".Spec."
+			changeEachField(t, path, reflect.ValueOf(&d.Devices[i]).Elem(), seen, func(path string) {
+				if !strings.HasPrefix(path, spec) {
+					refused(path) // a placement: the kernel froze it
+					return
+				}
+				if kern.Diff(d, &touch) && !slices.Contains(touch.Devices, i) {
+					t.Errorf("%s: change not reported (touched devices %v)", path, touch.Devices)
+				}
+			})
+		}
+		changeEachField(t, base.Name+": name", reflect.ValueOf(&d.Name).Elem(), seen, refused)
 		changeEachField(t, base.Name+": primary", reflect.ValueOf(d.Primary).Elem(), seen, refused)
 		changeEachField(t, base.Name+": facility", reflect.ValueOf(d.Facility).Elem(), seen, refused)
 		changeEachField(t, base.Name+": requirements", reflect.ValueOf(&d.Requirements).Elem(), seen, refused)
@@ -122,6 +141,7 @@ func TestDiffReportsEveryField(t *testing.T) {
 		"protect.SplitMirror", "protect.Snapshot", "protect.Mirror", "protect.Backup",
 		"protect.Vaulting", "hierarchy.Policy", "hierarchy.WindowSet", "protect.Primary",
 		"core.Facility", "cost.Requirements", "workload.Workload", "workload.BatchPoint",
+		"core.PlacedDevice", "device.Spec", "failure.Placement",
 	} {
 		found := false
 		for typ := range seen {

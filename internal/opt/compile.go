@@ -9,6 +9,7 @@ import (
 	"stordep/internal/device"
 	"stordep/internal/failure"
 	"stordep/internal/parallel"
+	"stordep/internal/protect"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
 )
@@ -29,6 +30,19 @@ import (
 // Filling a candidate row is then a table lookup plus core's fold
 // (core.Assembler.Fold) in exactly Build's order, so the results are
 // bit-identical to the legacy clone-and-build path.
+//
+// Compilation itself applies options to one private copy of the base
+// design per worker, reset in place rather than cloned per option:
+// after Diff accepts an option's result, each level it reported is
+// replaced by a fresh CloneTechnique of the base level and each device
+// spec it reported is copied back from the base. Diff compares every
+// field of the design, its devices and its techniques, so the reset
+// copy equals a fresh clone wherever a knob or the fragment extraction
+// can look. When an Apply errors or Diff refuses the result (the cases
+// that mark an option or an entry suspect), nothing says what changed,
+// so the copy is dropped and cloned again. Nothing in the copy is
+// shared with the caller's design, and knobs install nothing shared
+// into it (Knob.Apply), so no option's writes outlive its reset.
 //
 // Anything the tables cannot represent exactly is handled by falling
 // back, at one of three granularities:
@@ -103,6 +117,10 @@ type compiledSpace struct {
 	knobs []Knob
 	scs   []failure.Scenario
 	kern  *core.BatchKernel
+	// cloneEach makes compilation clone the base for every option and
+	// entry instead of reusing its reset copy: the reference the tests
+	// compare the reset against.
+	cloneEach bool
 
 	nLevels  int
 	nDevices int
@@ -140,6 +158,44 @@ func newFillScratch(cs *compiledSpace) *fillScratch {
 	}
 	return fs
 }
+
+// workDesign is one compile worker's private copy of the base design.
+// Options are applied to it in place; restore readies it for the next
+// option.
+type workDesign struct {
+	cs *compiledSpace
+	d  *core.Design // nil after drop: the next get clones the base
+}
+
+// get returns the copy, cloning the base when none is held.
+func (w *workDesign) get() (*core.Design, error) {
+	if w.d == nil || w.cs.cloneEach {
+		d, err := Clone(w.cs.base)
+		if err != nil {
+			return nil, err
+		}
+		w.d = d
+	}
+	return w.d, nil
+}
+
+// restore returns the copy to the base state after Diff reported t:
+// each reported level becomes a fresh clone of the base level and each
+// reported spec is copied back. Diff accepted everything else as equal
+// to the base.
+func (w *workDesign) restore(t *core.Touch) {
+	for _, j := range t.Levels {
+		// Clone succeeded on the base, so every base level is a Cloner.
+		w.d.Levels[j] = w.cs.base.Levels[j].(protect.Cloner).CloneTechnique()
+	}
+	for _, di := range t.Devices {
+		w.d.Devices[di].Spec = w.cs.base.Devices[di].Spec
+	}
+}
+
+// drop discards the copy after an apply error or a refused Diff, when
+// nothing says which of its parts changed.
+func (w *workDesign) drop() { w.d = nil }
 
 // compileSpace builds the compiled form or reports why it cannot. A nil
 // error means the space passed probe verification; any error means the
@@ -190,12 +246,13 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	touchL := make([][]int, nk)
 	touchD := make([][]int, nk)
 	var t core.Touch
+	w := workDesign{cs: cs}
 	for k := range cs.knobs {
 		opts := cs.knobs[k].Options
 		cs.knobSuspect[k] = make([]bool, len(opts))
 		lset, dset := map[int]bool{}, map[int]bool{}
 		for o := range opts {
-			d, err := Clone(cs.base)
+			d, err := w.get()
 			if err != nil {
 				return err
 			}
@@ -203,10 +260,12 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 				// The legacy path aborts the whole search on an apply
 				// error; the slow path reproduces exactly that.
 				cs.knobSuspect[k][o] = true
+				w.drop()
 				continue
 			}
 			if !cs.kern.Diff(d, &t) {
 				cs.knobSuspect[k][o] = true
+				w.drop()
 				continue
 			}
 			for _, j := range t.Levels {
@@ -215,6 +274,7 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 			for _, di := range t.Devices {
 				dset[di] = true
 			}
+			w.restore(&t)
 		}
 		touchL[k] = sortedKeys(lset)
 		touchD[k] = sortedKeys(dset)
@@ -314,24 +374,37 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	return nil
 }
 
+// extractor is one extraction worker's state: its core.Assembler, its
+// reset-in-place copy of the base, and an entry's diff and member
+// options.
+type extractor struct {
+	asm   *core.Assembler
+	work  workDesign
+	touch core.Touch
+	opts  []int
+}
+
 // extractGroups fills each group's joint-option table by applying the
-// member knobs (in knob order, on a fresh clone per combination) and
-// re-diffing against the base. Combinations whose effects stray outside
-// the group's footprint, or fail any validation, are marked suspect.
-// Extraction is the expensive part of compilation, so it runs on the
-// worker pool, each worker extracting on its own core.Assembler.
+// member knobs (in knob order) to the worker's reset-in-place copy of
+// the base and re-diffing against the base. Combinations whose effects
+// stray outside the group's footprint, or fail any validation, are
+// marked suspect. Extraction is the expensive part of compilation, so
+// it runs on the worker pool, each worker extracting on its own
+// extractor.
 func (cs *compiledSpace) extractGroups(workers int) error {
-	type extractor struct {
-		asm   *core.Assembler
-		touch core.Touch
+	acc := func() *extractor {
+		return &extractor{
+			asm:  cs.kern.NewAssembler(),
+			work: workDesign{cs: cs},
+			opts: make([]int, len(cs.knobs)),
+		}
 	}
-	acc := func() *extractor { return &extractor{asm: cs.kern.NewAssembler()} }
 	keep := func(a, _ *extractor) *extractor { return a }
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
 		g.entries = make([]groupEntry, g.size)
 		_, err := parallel.Reduce(workers, g.size, acc, func(x *extractor, t int) (*extractor, error) {
-			ok, err := cs.extractEntry(x.asm, &x.touch, gi, t)
+			ok, err := cs.extractEntry(x, gi, t)
 			g.entries[t].suspect = !ok
 			return x, err
 		}, keep)
@@ -344,9 +417,9 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 
 // extractEntry fills entry t of group gi, reporting false when that
 // option combination is unrepresentable (its candidates go slow).
-func (cs *compiledSpace) extractEntry(asm *core.Assembler, touch *core.Touch, gi, t int) (bool, error) {
+func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 	g := &cs.groups[gi]
-	opts := make([]int, len(g.members))
+	opts := x.opts[:len(g.members)]
 	rem := t
 	for mi := len(g.members) - 1; mi >= 0; mi-- {
 		opts[mi] = rem % g.radix[mi]
@@ -357,24 +430,27 @@ func (cs *compiledSpace) extractEntry(asm *core.Assembler, touch *core.Touch, gi
 			return false, nil
 		}
 	}
-	d, err := Clone(cs.base)
+	d, err := x.work.get()
 	if err != nil {
 		return false, err
 	}
 	for mi, k := range g.members {
 		if cs.knobs[k].Apply(d, opts[mi]) != nil {
+			x.work.drop()
 			return false, nil
 		}
 	}
-	if !cs.kern.Diff(d, touch) {
+	if !cs.kern.Diff(d, &x.touch) {
+		x.work.drop()
 		return false, nil
 	}
-	for _, j := range touch.Levels {
+	defer x.work.restore(&x.touch)
+	for _, j := range x.touch.Levels {
 		if cs.levelOwner[j] != gi {
 			return false, nil
 		}
 	}
-	for _, di := range touch.Devices {
+	for _, di := range x.touch.Devices {
 		if cs.specOwner[di] != gi {
 			return false, nil
 		}
@@ -382,7 +458,7 @@ func (cs *compiledSpace) extractEntry(asm *core.Assembler, touch *core.Touch, gi
 	e := &g.entries[t]
 	e.frags = make([]core.Fragment, len(g.levels))
 	for li, j := range g.levels {
-		if e.frags[li], err = asm.Fragment(d.Levels[j], nil); err != nil {
+		if e.frags[li], err = x.asm.Fragment(d.Levels[j], nil); err != nil {
 			return false, nil
 		}
 	}

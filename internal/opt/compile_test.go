@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"stordep/internal/casestudy"
 	"stordep/internal/core"
@@ -34,6 +36,166 @@ func compiledKnobs() []Knob {
 			Apply:      func(*core.Design, int) error { return nil },
 			Revertible: true,
 		},
+	}
+}
+
+// referenceTables builds a knob set's compile tables on a fresh clone
+// of the base per option and per entry (groupKnobs and extractGroups
+// with cloneEach set): the tables the reset-in-place copy must
+// reproduce exactly.
+func referenceTables(t *testing.T, base *core.Design, knobs []Knob, workers int) *compiledSpace {
+	t.Helper()
+	sys, err := core.Build(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := core.NewBatchKernel(sys, scenarios())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &compiledSpace{
+		base:      base,
+		knobs:     knobs,
+		scs:       scenarios(),
+		kern:      kern,
+		cloneEach: true,
+		nLevels:   kern.Levels(),
+		nDevices:  kern.Devices(),
+	}
+	if err := cs.groupKnobs(maxCompileWork); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.extractGroups(workers); err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// findDevice returns the index of the named device spec in d.
+func findDevice(d *core.Design, name string) (int, error) {
+	for di := range d.Devices {
+		if d.Devices[di].Spec.Name == name {
+			return di, nil
+		}
+	}
+	return 0, fmt.Errorf("design has no device %q", name)
+}
+
+// TestCompileTablesMatchFreshClone: compiling on one reset-in-place
+// copy of the base per worker builds exactly the tables a fresh clone
+// per option and per entry builds — suspects, group footprints, and
+// every entry's fragments and specs — and leaves the caller's base
+// untouched. The knob sets cover each way an option can leave the copy:
+// a policy clamp that reads what the previous entry wrote (AccW's
+// propW), a replaced technique (PiT), a rewritten and a read-and-scaled
+// device spec, and an option that writes the level and then errors or
+// renames the design, so a dropped copy is followed by good entries.
+func TestCompileTablesMatchFreshClone(t *testing.T) {
+	// writeVault rewrites the vaulting level's hold window, so every
+	// option of the knob below touches the level before deciding.
+	writeVault := func(d *core.Design) (hierarchy.Policy, error) {
+		li, err := findLevel(d, "vaulting")
+		if err != nil {
+			return hierarchy.Policy{}, err
+		}
+		pol := d.Levels[li].Level().Policy
+		pol.Primary.HoldW += time.Hour
+		return pol, setPolicy(d, "vaulting", pol)
+	}
+	boom := errors.New("boom")
+	vaultTrouble := Knob{
+		Name:    "vault trouble",
+		Options: []string{"keep", "fail", "rename", "fail at 8", "rename at 4"},
+		Apply: func(d *core.Design, i int) error {
+			if i == 0 {
+				return nil
+			}
+			pol, err := writeVault(d)
+			if err != nil {
+				return err
+			}
+			switch {
+			case i == 1, i == 3 && pol.RetCnt == 8:
+				return boom
+			case i == 2, i == 4 && pol.RetCnt == 4:
+				d.Name += " (renamed)"
+			}
+			return nil
+		},
+	}
+	tapePrice := Knob{
+		Name:    "tape price",
+		Options: []string{"list", "double"},
+		Apply: func(d *core.Design, i int) error {
+			di, err := findDevice(d, "tape-library")
+			if err != nil {
+				return err
+			}
+			if i == 1 {
+				d.Devices[di].Spec.Cost.Fixed *= 2
+			}
+			return nil
+		},
+	}
+	sets := map[string][]Knob{
+		"compiled": compiledKnobs(),
+		"accW clamp": {
+			AccWKnob("vaulting", []time.Duration{12 * time.Hour, units.Week, 4 * units.Week, units.Day}),
+			RetCntKnob("vaulting", []int{2, 13, 39}),
+		},
+		"PiT": {
+			PiTKnob("split-mirror"),
+			RetCntKnob("split-mirror", []int{2, 4, 8}),
+		},
+		"device spec": {
+			LinkCountKnob("tape-library", []int{2, 4, 8, 16}),
+			tapePrice,
+			RetCntKnob("backup", []int{7, 14}),
+		},
+		"dropped copy": {
+			RetCntKnob("vaulting", []int{2, 4, 8, 13}),
+			vaultTrouble,
+		},
+	}
+	for name, knobs := range sets {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s, workers %d", name, workers)
+			base := casestudy.Baseline()
+			before, err := Clone(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := compileSpace(base, knobs, scenarios(), workers)
+			if err != nil {
+				t.Fatalf("%s: compileSpace: %v", label, err)
+			}
+			if !reflect.DeepEqual(base, before) {
+				t.Errorf("%s: compile changed the caller's base design", label)
+			}
+			ref := referenceTables(t, before, knobs, workers)
+			if !reflect.DeepEqual(cs.knobSuspect, ref.knobSuspect) {
+				t.Errorf("%s: knob suspects %v, fresh clones %v", label, cs.knobSuspect, ref.knobSuspect)
+			}
+			if len(cs.groups) != len(ref.groups) {
+				t.Fatalf("%s: %d groups, fresh clones %d", label, len(cs.groups), len(ref.groups))
+			}
+			for gi := range cs.groups {
+				g, r := &cs.groups[gi], &ref.groups[gi]
+				if !reflect.DeepEqual(g.members, r.members) || !reflect.DeepEqual(g.levels, r.levels) ||
+					!reflect.DeepEqual(g.devices, r.devices) {
+					t.Errorf("%s: group %d members/levels/devices %v/%v/%v, fresh clones %v/%v/%v",
+						label, gi, g.members, g.levels, g.devices, r.members, r.levels, r.devices)
+					continue
+				}
+				for e := range g.entries {
+					got, want := &g.entries[e], &r.entries[e]
+					if got.suspect != want.suspect || !reflect.DeepEqual(got.frags, want.frags) ||
+						!reflect.DeepEqual(got.specs, want.specs) {
+						t.Errorf("%s: group %d entry %d: %+v, fresh clones %+v", label, gi, e, *got, *want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -344,6 +506,61 @@ func TestExhaustiveBatchedAllocBudget(t *testing.T) {
 	if perCandidate > 2 {
 		t.Errorf("batched search allocates %.2f objects per candidate (%.0f over %d), budget 2",
 			perCandidate, allocs, space)
+	}
+}
+
+// wideCompileKnobs is compiledKnobs with the vaulting retention knob
+// widened to 1..512: 36,864 candidates over 1031 table entries, so the
+// per-entry cost of compilation dominates its fixed set-up.
+func wideCompileKnobs() []Knob {
+	knobs := compiledKnobs()
+	ret := make([]int, 512)
+	for i := range ret {
+		ret[i] = i + 1
+	}
+	knobs[1] = RetCntKnob("vaulting", ret)
+	return knobs
+}
+
+// TestCompileAllocBudget: compile applies options to a copy of the base
+// that it resets in place instead of cloning per option and entry, so
+// the whole one-time pass, table fragments and probes included, costs
+// at most 8 allocations per table entry on wideCompileKnobs' space.
+func TestCompileAllocBudget(t *testing.T) {
+	base := casestudy.Baseline()
+	knobs := wideCompileKnobs()
+	scs := scenarios()
+	entries := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		cs, err := compileSpace(base, knobs, scs, 1)
+		if err != nil {
+			t.Fatalf("compileSpace: %v", err)
+		}
+		entries = 0
+		for gi := range cs.groups {
+			entries += len(cs.groups[gi].entries)
+		}
+	})
+	if entries != 1031 {
+		t.Fatalf("compiled %d table entries, want 1031", entries)
+	}
+	if perEntry := allocs / float64(entries); perEntry > 8 {
+		t.Errorf("compile allocates %.1f objects per table entry (%.0f over %d), budget 8",
+			perEntry, allocs, entries)
+	}
+}
+
+// BenchmarkCompile times one compile of wideCompileKnobs' space on one
+// worker.
+func BenchmarkCompile(b *testing.B) {
+	base := casestudy.Baseline()
+	knobs := wideCompileKnobs()
+	scs := scenarios()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := compileSpace(base, knobs, scs, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

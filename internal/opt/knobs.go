@@ -59,7 +59,9 @@ func PolicyKnob(level string, names []string, policies []hierarchy.Policy) Knob 
 			if i < 0 || i >= len(policies) {
 				return fmt.Errorf("opt: policy option %d out of range", i)
 			}
-			return setPolicy(d, level, policies[i])
+			// A clone, so the design never shares the option's
+			// secondary window set with the table or another design.
+			return setPolicy(d, level, policies[i].Clone())
 		},
 		// Overwrites the level's whole policy from the option table —
 		// nothing read from the design survives into the result.

@@ -12,15 +12,20 @@
 // full pass yields no improvement. The analytic models evaluate a design
 // in tens of microseconds, so even broad grids are interactive.
 //
-// Two things keep the inner loop fast: candidates are built with a
-// structural deep copy (core.Design.Clone) instead of a config-JSON
-// round trip — about a 10x cut in per-candidate cost, since the clone
-// used to dominate the evaluation — and every option of the knob under
-// sweep is scored concurrently on a bounded worker pool. A memo keyed by
-// the knob-choice vector means coordinate descent never re-scores an
-// incumbent across sweeps. Parallel and serial searches return
-// byte-identical Solutions: ties break to the lowest choice index, and
-// the memo makes the evaluation set independent of the worker count.
+// Candidates on the slow path — coordinate descent's, the legacy
+// exhaustive fold's, and any a compiled space cannot carry — are built
+// with a structural deep copy (core.Design.Clone) instead of a
+// config-JSON round trip, about a 10x cut in per-candidate cost, since
+// the clone used to dominate the evaluation. A compiled exhaustive
+// search builds no design per candidate, and its one-time compile
+// applies every knob option to one copy of the base per worker, reset
+// in place between options (compile.go). Every option of the knob
+// under sweep is scored concurrently on a bounded worker pool. A memo
+// keyed by the knob-choice vector means coordinate descent never
+// re-scores an incumbent across sweeps. Parallel and serial searches
+// return byte-identical Solutions: ties break to the lowest choice
+// index, and the memo makes the evaluation set independent of the
+// worker count.
 package opt
 
 import (
@@ -49,7 +54,11 @@ type Knob struct {
 	// Apply rewrites the design in place for option i. It must tolerate
 	// any design produced by the other knobs, and must be safe to call
 	// on distinct designs concurrently (rewrite only the design it is
-	// given — every built-in knob constructor qualifies).
+	// given — every built-in knob constructor qualifies). What it writes
+	// must belong to the design alone: a pointer it installs as is
+	// would be shared by every design picking the option, and compile
+	// reuses one design across options (PolicyKnob clones its policies
+	// for this reason).
 	Apply func(d *core.Design, i int) error
 	// Revertible declares that Apply fully overwrites the state it
 	// controls without reading anything another application of this

@@ -78,6 +78,65 @@ func table7Knobs() []Knob {
 	}
 }
 
+// TestPolicyKnobDoesNotAlias: a design that picks a PolicyKnob option
+// owns its policy. Two designs given the F+I backup option, and a
+// winner returned by ExhaustiveOpts, each hold their own secondary
+// window set: changing one leaves the other design and the caller's
+// option table as they were.
+func TestPolicyKnobDoesNotAlias(t *testing.T) {
+	secondary := func(d *core.Design) *hierarchy.WindowSet {
+		t.Helper()
+		li, err := findLevel(d, "backup")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := d.Levels[li].Level().Policy.Secondary
+		if sec == nil {
+			t.Fatal("backup level has no secondary window set")
+		}
+		return sec
+	}
+
+	backup := table7Knobs()[1] // weekly full, F+I, daily full
+	var designs [2]*core.Design
+	for i := range designs {
+		d, err := Clone(casestudy.Baseline())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backup.Apply(d, 1); err != nil {
+			t.Fatal(err)
+		}
+		designs[i] = d
+	}
+	secondary(designs[0]).AccW = 72 * time.Hour
+	if got := secondary(designs[1]).AccW; got != 24*time.Hour {
+		t.Errorf("second design's incremental accW = %v after changing the first's, want 24h", got)
+	}
+
+	fi := casestudy.BackupPolicy()
+	fi.Primary.AccW = 48 * time.Hour
+	fi.Primary.PropW = 48 * time.Hour
+	fi.Secondary = &hierarchy.WindowSet{
+		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
+		Rep: hierarchy.RepPartial,
+	}
+	fi.CycleCnt = 5
+	policies := []hierarchy.Policy{fi}
+	knobs := []Knob{
+		PolicyKnob("backup", []string{"F+I"}, policies),
+		RetCntKnob("vaulting", []int{2, 4, 8}),
+	}
+	sol, err := ExhaustiveOpts(casestudy.Baseline(), knobs, scenarios(), nil, ExhaustiveOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondary(sol.Design).AccW = 72 * time.Hour
+	if got := policies[0].Secondary.AccW; got != 24*time.Hour {
+		t.Errorf("option table's incremental accW = %v after changing the winner's, want 24h", got)
+	}
+}
+
 // TestTuneRediscoversTable7 is the headline optimizer test: starting from
 // the paper's baseline with the Table 7 moves exposed as knobs — vaulting
 // cadence, backup policy, PiT technique — coordinate descent must land on
