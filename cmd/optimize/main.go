@@ -25,19 +25,21 @@
 // knob product is. -prune turns on branch-and-bound subtree pruning
 // (internal/opt/bound.go): admissible lower bounds from the compiled
 // group tables retire whole index ranges whose bound exceeds the best
-// score achieved so far. The printed solution is byte-identical to the
-// unpruned run — only the assessed/pruned split changes, reported on a
-// "Pruned:" line. -pareto sweeps the same space but returns the full
-// recovery-time/data-loss/outlay non-dominated surface instead of one
-// argmin (opt.Frontier); it runs locally only and ignores -objective,
-// since the frontier is what a decision-maker picks from before
-// committing to a single objective. -budget caps the space size
-// (0 = unbounded); -shard
-// k/m (0-based) evaluates only the k-th of m contiguous slices, so a big
-// space can be split across processes or hosts — each shard prints its
-// winner's global candidate index, and the overall optimum is the lowest
-// score across shards with ties to the lowest candidate index
-// (opt.MergeShards applies the same rule programmatically).
+// score achieved so far. The bounds need those tables, so a slice of 16
+// or fewer candidates, which is never compiled, runs unpruned. The
+// printed solution is byte-identical to the unpruned run — only the
+// assessed/pruned split changes, reported on a "Pruned:" line. -pareto
+// sweeps the same space but returns the full recovery-time/data-loss/
+// outlay non-dominated surface instead of one argmin (opt.Frontier); it
+// runs locally only, assesses every candidate (so it takes no -prune)
+// and ignores -objective, since the frontier is what a decision-maker
+// picks from before committing to a single objective. -budget caps the
+// space size (0 = unbounded); -shard k/m (0-based) evaluates only the
+// k-th of m contiguous slices, so a big space can be split across
+// processes or hosts — each shard prints its winner's global candidate
+// index, and the overall optimum is the lowest score across shards with
+// ties to the lowest candidate index (opt.MergeShards applies the same
+// rule programmatically).
 //
 // Sharded runs compose offline or online. Offline, -out writes each
 // shard's wire Result (internal/dist schema) and -merge combines the
@@ -137,7 +139,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "campaign seed for -trials; all candidates share it (common random numbers)")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent candidate evaluations (0 = all CPUs); any worker count returns the same solution")
 	flag.BoolVar(&o.exhaustive, "exhaustive", false, "enumerate every knob combination (streaming; no space cap) instead of coordinate descent")
-	flag.BoolVar(&o.prune, "prune", false, "bound-guided subtree pruning for -exhaustive / -pareto; identical answer, fewer candidates assessed")
+	flag.BoolVar(&o.prune, "prune", false, "bound-guided subtree pruning for -exhaustive; identical answer, fewer candidates assessed")
 	flag.BoolVar(&o.pareto, "pareto", false, "sweep the space for the full RT/DL/cost non-dominated surface instead of a single optimum")
 	flag.StringVar(&o.shard, "shard", "", "evaluate one slice k/m (0-based) of the exhaustive space; implies -exhaustive")
 	flag.IntVar(&o.budget, "budget", 0, "refuse exhaustive spaces larger than this many combinations (0 = unbounded)")
@@ -258,6 +260,9 @@ func run(w io.Writer, o options) error {
 		if o.out != "" {
 			return fmt.Errorf("-out writes scalar shard results; it has no frontier form, drop it with -pareto")
 		}
+		if o.prune {
+			return fmt.Errorf("-pareto assesses every candidate; drop -prune")
+		}
 		return runPareto(w, o, base, knobs, scenarios, shard)
 	}
 	if o.prune && !o.exhaustive && o.shard == "" && o.coordinator == "" {
@@ -358,23 +363,18 @@ func runMC(w io.Writer, o options, base *core.Design, knobs []opt.Knob) error {
 
 // runPareto sweeps the knob space for the full non-dominated surface
 // and prints it cheapest-first. The surface is byte-identical for every
-// -workers value and unchanged by -prune.
+// -workers value.
 func runPareto(w io.Writer, o options, base *core.Design, knobs []opt.Knob, scenarios []failure.Scenario, shard opt.Shard) error {
 	fmt.Fprintf(w, "Pareto sweep of %q over %d knobs: worst-case RT / worst-case DL / annual outlays\n", base.Name, len(knobs))
 	fr, err := opt.Frontier(base, knobs, scenarios, opt.FrontierOpts{
 		Workers: o.workers,
 		Budget:  o.budget,
 		Shard:   shard,
-		Prune:   o.prune,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n%d non-dominated designs (%d candidates assessed", len(fr.Points), fr.Evaluations)
-	if fr.CandidatesPruned > 0 {
-		fmt.Fprintf(w, ", %d pruned", fr.CandidatesPruned)
-	}
-	fmt.Fprintf(w, ")\n")
+	fmt.Fprintf(w, "\n%d non-dominated designs (%d candidates assessed)\n", len(fr.Points), fr.Evaluations)
 	for _, p := range fr.Points {
 		fmt.Fprintf(w, "\n  candidate #%-6d outlays %-12v RT %-10v DL %v\n",
 			p.CandidateIndex, p.Outlays, p.RecoveryTime.Round(time.Minute), p.DataLoss.Round(time.Minute))

@@ -184,6 +184,34 @@ func TestRunWorkerCountsAgree(t *testing.T) {
 	}
 }
 
+// TestRunPareto: -pareto prints the identical surface for any worker
+// count — the 4 non-dominated designs of the default 12-candidate space
+// — and, since the sweep assesses every candidate, refuses -prune.
+func TestRunPareto(t *testing.T) {
+	var serial, par strings.Builder
+	if err := run(&serial, options{objective: "worst", pareto: true, workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&par, options{objective: "worst", pareto: true, workers: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if serial.String() != par.String() {
+		t.Errorf("worker counts disagree:\n%s\n---\n%s", serial.String(), par.String())
+	}
+	out := serial.String()
+	if !strings.Contains(out, "4 non-dominated designs (12 candidates assessed)\n") {
+		t.Errorf("missing surface header:\n%s", out)
+	}
+	if n := strings.Count(out, "candidate #"); n != 4 {
+		t.Errorf("%d designs listed, want 4:\n%s", n, out)
+	}
+	var buf strings.Builder
+	err := run(&buf, options{objective: "worst", pareto: true, prune: true})
+	if err == nil || !strings.Contains(err.Error(), "-pareto") || !strings.Contains(err.Error(), "-prune") {
+		t.Errorf("-pareto -prune: err = %v, want an error naming both flags", err)
+	}
+}
+
 // TestRunMCTrials: -trials swaps the analytic expected objective for
 // the Monte Carlo one; the run reports the winner's nines table and is
 // deterministic (seeded, worker-count-independent).

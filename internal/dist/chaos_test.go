@@ -297,7 +297,8 @@ func TestCoordinatorQuarantineRedispatchesInFlightVotes(t *testing.T) {
 }
 
 // TestCoordinatorAdoptsWorkerAddedMidRun: a worker registered while the
-// run is already executing joins the dispatch pool.
+// run is already executing joins the dispatch pool. The run has a
+// deadline, so a missed worker fails the test instead of hanging it.
 func TestCoordinatorAdoptsWorkerAddedMidRun(t *testing.T) {
 	job := testJob(t)
 	oracle := singleProcessOracle(t, job)
@@ -326,7 +327,9 @@ func TestCoordinatorAdoptsWorkerAddedMidRun(t *testing.T) {
 		<-started
 		reg.Add(&Loopback{Name: "late"}) //nolint:errcheck
 	}()
-	sol, err := c.Run(context.Background(), job)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sol, err := c.Run(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}

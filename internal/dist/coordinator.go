@@ -452,11 +452,11 @@ func (c *Coordinator) dispatch(ctx context.Context, job *Job, space int) ([]*Res
 			go c.workerLoop(rctx, w, st, job, shards)
 		}
 	}
-	for _, w := range members {
-		launch(w)
-	}
 	// Membership changes wake blocked dispatch loops and adopt workers
-	// added mid-run.
+	// added mid-run. The watch is registered before the first launch,
+	// which reads a fresh membership: a worker added after the snapshot
+	// above is then launched by one of the two (launch is idempotent per
+	// worker), never by neither.
 	unwatch := c.reg.Watch(func() {
 		for _, w := range c.reg.Members() {
 			launch(w)
@@ -464,6 +464,9 @@ func (c *Coordinator) dispatch(ctx context.Context, job *Job, space int) ([]*Res
 		st.cond.Broadcast()
 	})
 	defer unwatch()
+	for _, w := range c.reg.Members() {
+		launch(w)
+	}
 
 	st.mu.Lock()
 	for st.remaining > 0 && st.err == nil {

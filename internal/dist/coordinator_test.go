@@ -11,7 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"stordep/internal/casestudy"
+	"stordep/internal/failure"
+	"stordep/internal/hierarchy"
 	"stordep/internal/opt"
+	"stordep/internal/units"
 )
 
 // runCoordinator drives one distributed search over loopback workers and
@@ -422,6 +426,89 @@ func TestCoordinatorRetryAccountingExact(t *testing.T) {
 	}
 	if got := m.ShardsCompleted.Load(); got != 1 {
 		t.Errorf("ShardsCompleted = %d, want 1", got)
+	}
+}
+
+// table7WideJob is cmd/optimize's Table 7 knob space (vault policy,
+// backup policy, PiT technique) widened with a vault retention sweep
+// over 1..512: the 6144-candidate space of cmd/bench's pruned/large case
+// and perfbench's search workload, under the worst-total objective.
+func table7WideJob(t *testing.T) *Job {
+	t.Helper()
+	weeklyVault := casestudy.VaultPolicy()
+	weeklyVault.Primary.AccW = units.Week
+	weeklyVault.Primary.HoldW = 12 * time.Hour
+	weeklyVault.RetCnt = 156
+	fi := casestudy.BackupPolicy()
+	fi.Primary.AccW = 48 * time.Hour
+	fi.Primary.PropW = 48 * time.Hour
+	fi.Secondary = &hierarchy.WindowSet{
+		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
+		Rep: hierarchy.RepPartial,
+	}
+	fi.CycleCnt = 5
+	dailyF := casestudy.BackupPolicy()
+	dailyF.Primary.AccW = 24 * time.Hour
+	dailyF.Primary.PropW = 12 * time.Hour
+	dailyF.RetCnt = 28
+
+	vault, err := PolicyKnobSpec("vaulting", []string{"4-weekly", "weekly"},
+		[]hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup, err := PolicyKnobSpec("backup", []string{"weekly full", "F+I", "daily full"},
+		[]hierarchy.Policy{casestudy.BackupPolicy(), fi, dailyF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ret := make([]int, 512)
+	for i := range ret {
+		ret[i] = i + 1
+	}
+	specs := []KnobSpec{vault, backup, PiTKnobSpec("split-mirror"), RetCntKnobSpec("vaulting", ret)}
+	scs := ScenarioSpecs([]failure.Scenario{{Scope: failure.ScopeArray}, {Scope: failure.ScopeSite}})
+	job, err := NewJob(casestudy.Baseline(), specs, scs, ObjectiveSpec{Kind: "worst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// TestCoordinatorPrunesLargeSpace: on table7WideJob's 6144 candidates a
+// pruning fleet prunes, returns the unpruned answer, retires every
+// candidate exactly once, and reports the merged pruning counters in its
+// metrics. How much is pruned depends on the schedule, but never drops
+// to zero: each shard's own seed probes already set an incumbent that
+// prunes 1024, 1024 and 256 candidates of the 4, 8 and 16 shards that
+// 1, 2 and 4 workers split the space into, and a coordinator incumbent
+// or a score achieved mid-shard only lowers the incumbent further.
+func TestCoordinatorPrunesLargeSpace(t *testing.T) {
+	job := table7WideJob(t)
+	oracle := singleProcessOracle(t, job)
+	const space = 2 * 3 * 2 * 512
+	pjob := *job
+	pjob.Prune = true
+	for _, n := range []int{1, 2, 4} {
+		workers := make([]Worker, n)
+		for i := range workers {
+			workers[i] = &Loopback{Name: fmt.Sprintf("w%d", i)}
+		}
+		label := fmt.Sprintf("%d pruning workers", n)
+		sol, m := runCoordinator(t, workers, Options{}, &pjob)
+		requireAnswerIdentical(t, label, oracle, sol)
+		if sol.CandidatesPruned == 0 {
+			t.Errorf("%s: pruned none of %d candidates (%d bounds)", label, space, sol.BoundsComputed)
+		}
+		if sol.Evaluations+sol.CandidatesPruned != space {
+			t.Errorf("%s: assessed %d + pruned %d != space %d",
+				label, sol.Evaluations, sol.CandidatesPruned, space)
+		}
+		if m.CandidatesPruned.Load() != int64(sol.CandidatesPruned) || m.BoundsComputed.Load() != int64(sol.BoundsComputed) {
+			t.Errorf("%s: metrics pruned %d / bounds %d, merged solution %d / %d", label,
+				m.CandidatesPruned.Load(), m.BoundsComputed.Load(), sol.CandidatesPruned, sol.BoundsComputed)
+		}
+		t.Logf("%s: pruned %d of %d, %d bounds", label, sol.CandidatesPruned, space, sol.BoundsComputed)
 	}
 }
 

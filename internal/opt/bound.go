@@ -12,8 +12,8 @@ import (
 	"stordep/internal/whatif"
 )
 
-// This file implements the branch-and-bound layer over the compiled
-// batched search (compile.go): before a batch of candidates is filled
+// This file implements the branch-and-bound layer over the batched
+// sweep of a compiled space (sweep.go, compile.go): before a batch of candidates is filled
 // and assessed, an admissible lower bound on every candidate's objective
 // score in that contiguous index range is computed from the compiled
 // group tables, and the whole batch is pruned when the bound exceeds the
@@ -57,7 +57,7 @@ import (
 // cannot represent keep their exact error semantics: a batch whose index
 // range can reach any suspect knob option or suspect group entry is
 // never bounded. Candidates that fail the duplicate-level-name or
-// device-capacity checks score +Inf through the legacy path, which no
+// device-capacity checks score +Inf through the slow path, which no
 // finite bound can exceed. Finally the prune test is strict with a
 // relative slack (boundSlack) absorbing float non-associativity between
 // the floor's fold order and fill's, and the incumbent is only ever an
@@ -963,7 +963,7 @@ func (p *pruner) noteScore(s units.Money) { p.incumbent.min(s) }
 // achieved score, so enumeration order cannot delay pruning (a good
 // candidate in the last shard half would otherwise leave early batches
 // unbounded). Slow-path probes are skipped — seeding is an accelerator
-// and must not duplicate the legacy path's error semantics. Probe
+// and must not duplicate the slow path's error semantics. Probe
 // scores are achieved scores, so seeding never changes the argmin; the
 // probes are not counted as Evaluations.
 func (p *pruner) seed(objective Objective, lo, hi int) {

@@ -48,7 +48,9 @@ func prunedIdentical(t *testing.T, label string, want, got *Solution) {
 // objective that has a floor, worker counts {1,2,8}, and shard splits,
 // the bound-guided search returns the exhaustive argmin with the
 // exhaustive tie-break, and retires every candidate exactly once
-// (assessed + pruned == slice size).
+// (assessed + pruned == slice size). Each search runs under the compile
+// rule (batch 0) and with forced tables (batch 64), since most of these
+// spaces are too small for the rule to compile, and so to prune.
 func TestPrunedMatchesExhaustiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	base := casestudy.Baseline()
@@ -71,30 +73,32 @@ func TestPrunedMatchesExhaustiveProperty(t *testing.T) {
 		o := objectives[trial%len(objectives)]
 		ref, refErr := sliceExhaustive(base, knobs, scenarios(), o.obj)
 		for _, workers := range []int{1, 2, 8} {
-			label := fmt.Sprintf("trial %d %s workers %d (%d candidates)", trial, o.name, workers, space)
-			var stats SearchStats
-			sol, err := ExhaustiveOpts(base, knobs, scenarios(), o.obj, ExhaustiveOptions{
-				Workers: workers,
-				Prune:   true,
-				Floor:   o.floor,
-				Stats:   &stats,
-			})
-			if refErr != nil {
-				if !errors.Is(err, refErr) && (err == nil || err.Error() != refErr.Error()) {
-					t.Errorf("%s: err = %v, oracle err = %v", label, err, refErr)
+			for _, batch := range []int{0, defaultBatchSize} {
+				label := fmt.Sprintf("trial %d %s workers %d batch %d (%d candidates)", trial, o.name, workers, batch, space)
+				var stats SearchStats
+				sol, err := exhaustive(base, knobs, scenarios(), o.obj, ExhaustiveOptions{
+					Workers: workers,
+					Prune:   true,
+					Floor:   o.floor,
+					Stats:   &stats,
+				}, batch)
+				if refErr != nil {
+					if !errors.Is(err, refErr) && (err == nil || err.Error() != refErr.Error()) {
+						t.Errorf("%s: err = %v, oracle err = %v", label, err, refErr)
+					}
+					continue
 				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			prunedIdentical(t, label, ref, sol)
-			if stats.Assessed+stats.Pruned != space {
-				t.Errorf("%s: assessed %d + pruned %d != space %d", label, stats.Assessed, stats.Pruned, space)
-			}
-			if sol.Evaluations != stats.Assessed || sol.CandidatesPruned != stats.Pruned {
-				t.Errorf("%s: Solution counts (%d, %d) disagree with Stats (%d, %d)",
-					label, sol.Evaluations, sol.CandidatesPruned, stats.Assessed, stats.Pruned)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				prunedIdentical(t, label, ref, sol)
+				if stats.Assessed+stats.Pruned != space {
+					t.Errorf("%s: assessed %d + pruned %d != space %d", label, stats.Assessed, stats.Pruned, space)
+				}
+				if sol.Evaluations != stats.Assessed || sol.CandidatesPruned != stats.Pruned {
+					t.Errorf("%s: Solution counts (%d, %d) disagree with Stats (%d, %d)",
+						label, sol.Evaluations, sol.CandidatesPruned, stats.Assessed, stats.Pruned)
+				}
 			}
 		}
 	}
@@ -112,7 +116,7 @@ func TestPrunedShardSplitsMergeIdentically(t *testing.T) {
 		LinkCountKnob("tape-library", []int{8, 12, 16}),
 	}
 	const space = 2 * 4 * 3 * 3
-	whole, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 1})
+	whole, err := sliceExhaustive(base, knobs, scenarios(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestPrunedIncumbentSeed(t *testing.T) {
 		RetCntKnob("backup", []int{7, 14, 28}),
 		LinkCountKnob("tape-library", []int{8, 12, 16}),
 	}
-	ref, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 1})
+	ref, err := sliceExhaustive(base, knobs, scenarios(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +197,9 @@ func TestPrunedIncumbentSeed(t *testing.T) {
 // assessment. This is the in-tree sibling of the bench prune-ratio gate.
 func TestPrunedActuallyPrunes(t *testing.T) {
 	base := casestudy.Baseline()
-	knobs := []Knob{
-		PolicyKnob("vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair()),
-		RetCntKnob("vaulting", []int{2, 4, 8, 13, 26, 52, 104, 156}),
-		RetCntKnob("backup", []int{7, 14, 28}),
-		LinkCountKnob("tape-library", []int{4, 8, 12, 16}),
-	}
+	knobs := pruneTestKnobs()
 	const space = 2 * 8 * 3 * 4
-	ref, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 1})
+	ref, err := sliceExhaustive(base, knobs, scenarios(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,8 @@ func TestPruneWithoutFloorIsExhaustive(t *testing.T) {
 
 // TestExpectedFloorRejectsBadFrequencies: a negative frequency makes the
 // expected-cost floor inadmissible; the pruner must disable itself (never
-// prune) rather than risk a wrong argmin.
+// prune) rather than risk a wrong argmin. The 12-candidate space is below
+// the compile rule, so the pruned search forces the tables it bounds from.
 func TestExpectedFloorRejectsBadFrequencies(t *testing.T) {
 	base := casestudy.Baseline()
 	knobs := []Knob{
@@ -271,8 +271,8 @@ func TestExpectedFloorRejectsBadFrequencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats SearchStats
-	sol, err := ExhaustiveOpts(base, knobs, scenarios(), ExpectedObjective(whatif.TypicalFrequencies()),
-		ExhaustiveOptions{Workers: 1, Prune: true, Floor: ExpectedFloor(freqs), Stats: &stats})
+	sol, err := exhaustive(base, knobs, scenarios(), ExpectedObjective(whatif.TypicalFrequencies()),
+		ExhaustiveOptions{Workers: 1, Prune: true, Floor: ExpectedFloor(freqs), Stats: &stats}, defaultBatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +313,18 @@ func vaultPolicyPair() []hierarchy.Policy {
 	weeklyVault.Primary.AccW = units.Week
 	weeklyVault.RetCnt = 156
 	return []hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault}
+}
+
+// pruneTestKnobs is a 192-candidate space with an expensive half:
+// weekly vaulting with deep retention is dominated by the 4-weekly
+// optimum on worst total.
+func pruneTestKnobs() []Knob {
+	return []Knob{
+		PolicyKnob("vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair()),
+		RetCntKnob("vaulting", []int{2, 4, 8, 13, 26, 52, 104, 156}),
+		RetCntKnob("backup", []int{7, 14, 28}),
+		LinkCountKnob("tape-library", []int{4, 8, 12, 16}),
+	}
 }
 
 // TestPrunerSeedHugeSpace: seed spreads its probes over its slice. Over

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"stordep/internal/core"
@@ -10,8 +9,6 @@ import (
 	"stordep/internal/failure"
 	"stordep/internal/parallel"
 	"stordep/internal/protect"
-	"stordep/internal/units"
-	"stordep/internal/whatif"
 )
 
 // This file compiles a knob space into flat per-candidate parameter
@@ -29,7 +26,7 @@ import (
 // indices, demand lists) and device specs that combination produces.
 // Filling a candidate row is then a table lookup plus core's fold
 // (core.Assembler.Fold) in exactly Build's order, so the results are
-// bit-identical to the legacy clone-and-build path.
+// bit-identical to the clone-and-build path.
 //
 // Compilation itself applies options to one private copy of the base
 // design per worker, reset in place rather than cloned per option:
@@ -51,11 +48,11 @@ import (
 //     (moved devices, changed spare/facility/multi-sited configuration,
 //     apply errors, unknown device references, invalid policies,
 //     duplicate level names) mark just those candidates "slow"; slow
-//     candidates take the legacy clone+build path inside the batched
-//     fold and stay byte-identical by construction.
+//     candidates take the clone+build path inside the batched sweep
+//     (sweep.go) and stay byte-identical by construction.
 //   - per compilation: oversized groups, base designs that will not
-//     build, or a probe mismatch abort the compilation; the search runs
-//     the legacy fold for the whole space.
+//     build, or a probe mismatch refuse the compilation; the sweep then
+//     runs every candidate of the slice as a slow row.
 //   - probes: before a compiled space is trusted, a spread of candidate
 //     indices is evaluated both ways and compared field by field
 //     (core.Probe).
@@ -70,13 +67,7 @@ import (
 // exactly. The probe pass is the safety net for exotic knobs.
 
 const (
-	// minCompileSpace is the smallest shard slice worth compiling: below
-	// it the one-time diff/extraction pass costs more than it saves.
-	// ExhaustiveOptions.BatchSize > 0 forces compilation regardless, so
-	// tests can exercise the compiled path on tiny spaces.
-	minCompileSpace = 512
-	// defaultBatchSize is the candidate count per batched fold step when
-	// ExhaustiveOptions.BatchSize is zero.
+	// defaultBatchSize is the candidate count per batched sweep step.
 	defaultBatchSize = 64
 	// maxGroupOptions caps one group's joint-option product; interacting
 	// knobs beyond it abort compilation rather than explode the tables.
@@ -85,7 +76,7 @@ const (
 	// compilation (per-knob diffs plus all group tables).
 	maxCompileWork = 16384
 	// compileProbes is how many spread candidate indices are verified
-	// against the legacy path before a compiled space is trusted.
+	// against the clone-and-build path before a compiled space is trusted.
 	compileProbes = 16
 )
 
@@ -199,7 +190,7 @@ func (w *workDesign) drop() { w.d = nil }
 
 // compileSpace builds the compiled form or reports why it cannot. A nil
 // error means the space passed probe verification; any error means the
-// caller must use the legacy fold (the error is diagnostic only).
+// caller runs every candidate slow (the error is diagnostic only).
 func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, workers int) (*compiledSpace, error) {
 	work := 0
 	for _, k := range knobs {
@@ -257,8 +248,8 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 				return err
 			}
 			if err := cs.knobs[k].Apply(d, o); err != nil {
-				// The legacy path aborts the whole search on an apply
-				// error; the slow path reproduces exactly that.
+				// Candidates choosing the option go slow, where the
+				// apply error aborts the search exactly as it should.
 				cs.knobSuspect[k][o] = true
 				w.drop()
 				continue
@@ -472,7 +463,7 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 // fill resolves candidate `choice` into Cols row `row`: each group's
 // table entry supplies the fragments and specs it owns, and core's fold
 // does the demand, check and outlay folds in exactly Build's order.
-// Returns true when the candidate must take the legacy slow path (the
+// Returns true when the candidate must take the slow path (the
 // row is marked invalid). Allocation-free.
 func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice []int) bool {
 	for k, o := range choice {
@@ -503,10 +494,10 @@ func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice 
 }
 
 // verify evaluates a spread of candidate indices through both the
-// compiled tables and the legacy clone+build path and compares every
+// compiled tables and the clone+build path and compares every
 // output field (core.Probe). Any mismatch rejects the compilation.
 // Slow-path candidates are exact by construction and only checked for
-// agreement about *being* slow when the legacy path errors.
+// agreement about *being* slow when the clone+build path errors.
 func (cs *compiledSpace) verify() error {
 	space, err := spaceSize(cs.knobs)
 	if err != nil {
@@ -552,211 +543,6 @@ func spreadIndex(p, n, size int) int {
 	}
 	q, r := (size-1)/(n-1), (size-1)%(n-1)
 	return p*q + p*r/(n-1)
-}
-
-// batchAcc is one worker's state in the compiled batched fold: the
-// legacy argmin fields plus the columnar block, kernel scratch and
-// slow-row machinery.
-type batchAcc struct {
-	bestScore units.Money
-	bestIdx   int
-	evals     int
-	pruned    int
-	bounds    int
-	choice    []int
-	cols      *core.Cols
-	bscratch  core.BatchScratch
-	fs        *fillScratch
-	slow      []bool
-	ps        *pruneScratch // non-nil only when pruning
-	scratch   *core.Design  // slow-path reuse when all knobs are revertible
-	eval      whatif.Evaluator
-	res       whatif.Result
-}
-
-// searchTally is the candidate accounting of one compiled search:
-// assessed candidates, candidates pruned wholesale, and subtree bounds
-// computed.
-type searchTally struct {
-	evals  int
-	pruned int
-	bounds int
-}
-
-// search runs the batched fold over global candidate range [lo, hi):
-// each fold step fills up to `batch` rows, assesses them in one
-// AssessBatch call, and folds the argmin. Rows are scored in ascending
-// global order within a batch, and batches keep parallel.Reduce's
-// lowest-index-first error semantics, so errors and the argmin are
-// byte-identical to the legacy per-candidate fold.
-//
-// A non-nil pr enables branch-and-bound: the incumbent is seeded from
-// spread probes, each batch is bounded before being filled, and batches
-// whose bound exceeds the incumbent are retired wholesale without
-// assessment. Pruned candidates score strictly worse than an achieved
-// score, so the argmin (and its tie-break) is unchanged — only the
-// tally's assessed/pruned split depends on scheduling.
-func (cs *compiledSpace) search(lo, hi, batch int, objective Objective, opts ExhaustiveOptions, reuse bool, pr *pruner) (units.Money, int, searchTally, error) {
-	n := hi - lo
-	nb := (n + batch - 1) / batch
-	ns := len(cs.scs)
-
-	if pr != nil {
-		if profilingEnabled() {
-			doPhase(labelsPrune, func() { pr.seed(objective, lo, hi) })
-		} else {
-			pr.seed(objective, lo, hi)
-		}
-	}
-
-	acc := func() *batchAcc {
-		a := &batchAcc{
-			bestScore: units.Money(math.Inf(1)),
-			bestIdx:   -1,
-			choice:    make([]int, len(cs.knobs)),
-			cols:      cs.kern.NewCols(batch),
-			fs:        newFillScratch(cs),
-			slow:      make([]bool, batch),
-		}
-		if pr != nil {
-			a.ps = pr.newScratch()
-		}
-		return a
-	}
-	fillAndAssess := func(a *batchAcc, blo, m int) {
-		for r := 0; r < m; r++ {
-			decodeChoice(a.choice, cs.knobs, blo+r)
-			a.slow[r] = cs.fill(a.fs, a.cols, r, a.choice)
-		}
-		cs.kern.AssessBatch(m, a.cols, &a.bscratch)
-	}
-	fold := func(a *batchAcc, bi int) (*batchAcc, error) {
-		blo := lo + bi*batch
-		m := batch
-		if blo+m > hi {
-			m = hi - blo
-		}
-		if pr != nil {
-			var computed, pruned bool
-			if profilingEnabled() {
-				doPhase(labelsPrune, func() { computed, pruned = pr.pruneBatch(a.ps, blo, blo+m) })
-			} else {
-				computed, pruned = pr.pruneBatch(a.ps, blo, blo+m)
-			}
-			if computed {
-				a.bounds++
-			}
-			if pruned {
-				a.pruned += m
-				if opts.Progress != nil {
-					opts.Progress.Add(int64(m))
-				}
-				return a, nil
-			}
-		}
-		if profilingEnabled() {
-			doPhase(labelsBatch, func() { fillAndAssess(a, blo, m) })
-		} else {
-			fillAndAssess(a, blo, m)
-		}
-		for r := 0; r < m; r++ {
-			global := blo + r
-			var s units.Money
-			if a.slow[r] {
-				decodeChoice(a.choice, cs.knobs, global)
-				d := a.scratch
-				if d == nil {
-					fresh, err := Clone(cs.base)
-					if err != nil {
-						return a, err
-					}
-					d = fresh
-					if reuse {
-						a.scratch = fresh
-					}
-				}
-				if profilingEnabled() {
-					var applyErr error
-					doPhase(labelsBuild, func() { applyErr = applyChoiceTo(d, cs.knobs, a.choice) })
-					if applyErr != nil {
-						return a, applyErr
-					}
-					doPhase(labelsAssess, func() { a.eval.EvaluateInto(d, cs.scs, &a.res) })
-				} else {
-					if err := applyChoiceTo(d, cs.knobs, a.choice); err != nil {
-						return a, err
-					}
-					a.eval.EvaluateInto(d, cs.scs, &a.res)
-				}
-				s = objective(a.res)
-			} else {
-				// Knobs that could rename the design are unrepresentable,
-				// so fast-path candidates keep the base name — exactly
-				// what the legacy evaluator would record.
-				a.res.SetBriefs(cs.base.Name, a.cols.OutlaysTotal[r], cs.scs, a.bscratch.Briefs[r*ns:(r+1)*ns])
-				s = objective(a.res)
-			}
-			a.evals++
-			if s < a.bestScore {
-				a.bestScore = s
-				a.bestIdx = global
-			}
-		}
-		if pr != nil && a.bestIdx >= 0 {
-			pr.noteScore(a.bestScore)
-		}
-		if opts.Progress != nil {
-			opts.Progress.Add(int64(m))
-		}
-		return a, nil
-	}
-	merge := func(a, b *batchAcc) *batchAcc {
-		a.evals += b.evals
-		a.pruned += b.pruned
-		a.bounds += b.bounds
-		if b.bestIdx >= 0 && (a.bestIdx < 0 || b.bestScore < a.bestScore ||
-			(b.bestScore == a.bestScore && b.bestIdx < a.bestIdx)) {
-			a.bestScore, a.bestIdx = b.bestScore, b.bestIdx
-		}
-		return a
-	}
-	mergePhase := merge
-	if profilingEnabled() {
-		mergePhase = func(a, b *batchAcc) *batchAcc {
-			doPhase(labelsReduce, func() { a = merge(a, b) })
-			return a
-		}
-	}
-	final, err := parallel.Reduce(opts.Workers, nb, acc, fold, mergePhase)
-	if err != nil {
-		return 0, 0, searchTally{}, err
-	}
-	tally := searchTally{evals: final.evals, pruned: final.pruned, bounds: final.bounds}
-	return final.bestScore, final.bestIdx, tally, nil
-}
-
-// maybeCompile decides whether to compile the space for this search and
-// returns nil (meaning: use the legacy fold) on any compile failure —
-// the compiled path is an exactness-preserving accelerator, never a
-// correctness dependency.
-func maybeCompile(base *core.Design, knobs []Knob, scenarios []failure.Scenario, shardSize int, opts ExhaustiveOptions) *compiledSpace {
-	if shardSize <= 0 {
-		return nil
-	}
-	if opts.BatchSize <= 0 && shardSize < minCompileSpace && !(opts.Prune && opts.Floor != nil) {
-		return nil
-	}
-	var cs *compiledSpace
-	var err error
-	if profilingEnabled() {
-		doPhase(labelsCompile, func() { cs, err = compileSpace(base, knobs, scenarios, opts.Workers) })
-	} else {
-		cs, err = compileSpace(base, knobs, scenarios, opts.Workers)
-	}
-	if err != nil {
-		return nil
-	}
-	return cs
 }
 
 func sortedKeys(m map[int]bool) []int {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,7 +202,7 @@ func TestCompileTablesMatchFreshClone(t *testing.T) {
 
 // TestExhaustiveBatchedMatchesSliceOracle: the acceptance grid of the
 // batch kernel — on randomized knob spaces, the compiled batched search
-// (BatchSize > 0 forces compilation) returns byte-identical Solutions
+// (a batch size forces compilation) returns byte-identical Solutions
 // to the slice-based oracle for batch sizes {1, 7, 64, space} x workers
 // {1, 2, 8}.
 func TestExhaustiveBatchedMatchesSliceOracle(t *testing.T) {
@@ -217,10 +218,7 @@ func TestExhaustiveBatchedMatchesSliceOracle(t *testing.T) {
 		for _, batch := range []int{1, 7, 64, space} {
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("trial %d batch %d workers %d (space %d)", trial, batch, workers, space)
-				sol, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{
-					Workers:   workers,
-					BatchSize: batch,
-				})
+				sol, err := exhaustive(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: workers}, batch)
 				if refErr != nil {
 					if !errors.Is(err, refErr) && (err == nil || err.Error() != refErr.Error()) {
 						t.Errorf("%s: err = %v, oracle err = %v", label, err, refErr)
@@ -289,7 +287,7 @@ func TestCompiledSpaceMatchesLegacyPerCandidate(t *testing.T) {
 }
 
 // TestExhaustiveBatchedShardsMergeIdentically: compiled shard searches
-// merge to exactly the unsharded (and legacy) Solution — the
+// merge to exactly the unsharded (and slice-oracle) Solution — the
 // sharded/distributed ledger path stays deterministic through the batch
 // kernel.
 func TestExhaustiveBatchedShardsMergeIdentically(t *testing.T) {
@@ -299,23 +297,22 @@ func TestExhaustiveBatchedShardsMergeIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 1})
+	oracle, err := sliceExhaustive(base, knobs, scenarios(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 2, BatchSize: 7})
+	whole, err := exhaustive(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: 2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solutionsIdentical(t, "compiled vs legacy", legacy, whole)
+	solutionsIdentical(t, "compiled vs slice oracle", oracle, whole)
 	for _, m := range []int{2, 3, 5} {
 		sols := make([]*Solution, m)
 		for k := 0; k < m; k++ {
-			sol, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{
-				Workers:   2,
-				BatchSize: 16,
-				Shard:     Shard{Index: k, Count: m},
-			})
+			sol, err := exhaustive(base, knobs, scenarios(), nil, ExhaustiveOptions{
+				Workers: 2,
+				Shard:   Shard{Index: k, Count: m},
+			}, 16)
 			switch {
 			case err == nil:
 				sols[k] = sol
@@ -382,8 +379,8 @@ func TestCompileSpaceGroupsInteractingKnobs(t *testing.T) {
 }
 
 // TestCompiledFallbacks: options the tables cannot represent — design
-// renames, device moves, apply errors — degrade per candidate (slow
-// path) or per search (legacy fold), never silently diverge.
+// renames, device moves, apply errors — degrade per candidate to slow
+// rows, never silently diverge.
 func TestCompiledFallbacks(t *testing.T) {
 	base := casestudy.Baseline()
 	scs := scenarios()
@@ -414,7 +411,7 @@ func TestCompiledFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{Workers: 2, BatchSize: 3})
+		sol, err := exhaustive(base, knobs, scs, nil, ExhaustiveOptions{Workers: 2}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +440,7 @@ func TestCompiledFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{Workers: 1, BatchSize: 2})
+		sol, err := exhaustive(base, knobs, scs, nil, ExhaustiveOptions{Workers: 1}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,11 +466,84 @@ func TestCompiledFallbacks(t *testing.T) {
 		if refErr == nil {
 			t.Fatal("oracle did not error")
 		}
-		_, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{Workers: 2, BatchSize: 2})
+		_, err := exhaustive(base, knobs, scs, nil, ExhaustiveOptions{Workers: 2}, 2)
 		if err == nil || err.Error() != refErr.Error() {
 			t.Errorf("batched err = %v, oracle %v", err, refErr)
 		}
 	})
+}
+
+// TestRefusedCompilationRunsSlow: a slice of more than compileProbes
+// candidates whose compilation is refused runs every candidate as a slow
+// row and still returns the oracles' answers, assessing every candidate
+// once and advancing Progress once per candidate.
+func TestRefusedCompilationRunsSlow(t *testing.T) {
+	scs := scenarios()
+	unbuildable := casestudy.Baseline()
+	// A negative slot count fails Build; every option of the link-count
+	// knob below repairs it, so only the base refuses to compile.
+	if err := LinkCountKnob("tape-library", []int{-1}).Apply(unbuildable, 0); err != nil {
+		t.Fatal(err)
+	}
+	ret := make([]int, maxGroupOptions/2+1)
+	for i := range ret {
+		ret[i] = i + 1
+	}
+	cases := []struct {
+		name  string
+		base  *core.Design
+		knobs []Knob
+	}{
+		{"unbuildable base", unbuildable, []Knob{
+			PolicyKnob("vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair()),
+			RetCntKnob("vaulting", []int{2, 4, 8, 13}),
+			LinkCountKnob("tape-library", []int{4, 8, 12, 16}),
+		}},
+		{"oversized group", casestudy.Baseline(), []Knob{
+			PolicyKnob("vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair()),
+			RetCntKnob("vaulting", ret),
+		}},
+	}
+	for _, c := range cases {
+		space, err := SpaceSize(c.knobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if space <= compileProbes {
+			t.Fatalf("%s: %d candidates would not be compiled", c.name, space)
+		}
+		if _, err := compileSpace(c.base, c.knobs, scs, 1); err == nil {
+			t.Fatalf("%s: compileSpace accepted the space", c.name)
+		}
+		ref, err := sliceExhaustive(c.base, c.knobs, scs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := frontierOracle(t, c.base, c.knobs, scs)
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s, workers %d", c.name, workers)
+			var progress atomic.Int64
+			sol, err := ExhaustiveOpts(c.base, c.knobs, scs, nil, ExhaustiveOptions{Workers: workers, Progress: &progress})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			solutionsIdentical(t, label, ref, sol)
+			if sol.CandidateIndex != ref.CandidateIndex {
+				t.Errorf("%s: candidate index %d, oracle %d", label, sol.CandidateIndex, ref.CandidateIndex)
+			}
+			if sol.Evaluations != space || progress.Load() != int64(sol.Evaluations) {
+				t.Errorf("%s: evaluations %d, progress %d, want %d", label, sol.Evaluations, progress.Load(), space)
+			}
+			fr, err := Frontier(c.base, c.knobs, scs, FrontierOpts{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: frontier: %v", label, err)
+			}
+			frontierEquals(t, label, front, fr, c.knobs)
+			if fr.Evaluations != space {
+				t.Errorf("%s: frontier evaluated %d, want %d", label, fr.Evaluations, space)
+			}
+		}
+	}
 }
 
 // TestExhaustiveBatchedAllocBudget: the ISSUE 7 gate — once a space is
@@ -493,15 +563,15 @@ func TestExhaustiveBatchedAllocBudget(t *testing.T) {
 		t.Fatalf("compileSpace: %v", err)
 	}
 	objective := WorstTotalObjective()
-	// Warm-up, then measure full batched search passes over the space.
-	if _, _, _, err := cs.search(0, space, defaultBatchSize, objective, ExhaustiveOptions{Workers: 1}, true, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, _, err := cs.search(0, space, defaultBatchSize, objective, ExhaustiveOptions{Workers: 1}, true, nil); err != nil {
+	sw := &sweep{base: base, knobs: knobs, scs: scs, workers: 1, hi: space, reuse: true, cs: cs, batch: defaultBatchSize}
+	search := func() {
+		if _, _, err := sw.run(func() accumulator { return newArgmin(sw, objective, nil) }); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	// Warm-up, then measure full batched search passes over the space.
+	search()
+	allocs := testing.AllocsPerRun(5, search)
 	perCandidate := allocs / float64(space)
 	if perCandidate > 2 {
 		t.Errorf("batched search allocates %.2f objects per candidate (%.0f over %d), budget 2",
@@ -564,6 +634,30 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkExhaustiveCompileRule times a single-worker search on each
+// side of the compile rule: table7Knobs' 12 candidates stay uncompiled
+// and run as slow rows, pruneTestKnobs' 192 candidates compile.
+func BenchmarkExhaustiveCompileRule(b *testing.B) {
+	base := casestudy.Baseline()
+	scs := scenarios()
+	for _, c := range []struct {
+		name  string
+		knobs []Knob
+	}{
+		{"12-uncompiled", table7Knobs()},
+		{"192-compiled", pruneTestKnobs()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ExhaustiveOpts(base, c.knobs, scs, nil, ExhaustiveOptions{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // hugeSpaceKnobs spans 2^60 candidates: four vault retention counts,
 // then 58 two-option tie-breakers that touch nothing.
 func hugeSpaceKnobs() []Knob {
@@ -583,7 +677,7 @@ func hugeSpaceKnobs() []Knob {
 // space, not just the searched shard. On a 2^60-candidate space the
 // product p*(space-1) overflows int, which decodes negative options and
 // panics inside fill. A 1024-candidate shard of that space must compile
-// and return the legacy winner.
+// and return the slow path's winner.
 func TestCompileVerifyHugeSpace(t *testing.T) {
 	base := casestudy.Baseline()
 	knobs := hugeSpaceKnobs()

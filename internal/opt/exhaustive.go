@@ -8,7 +8,6 @@ import (
 
 	"stordep/internal/core"
 	"stordep/internal/failure"
-	"stordep/internal/parallel"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
 )
@@ -97,30 +96,25 @@ type ExhaustiveOptions struct {
 	// — evaluated, or pruned wholesale when Prune is set — and may be
 	// read concurrently: a live counter for progress reporting and
 	// heartbeats (internal/dist streams it to the coordinator). It does
-	// not affect the search. The batched compiled path advances it once
-	// per batch rather than per candidate; the final total equals
-	// Evaluations plus CandidatesPruned.
+	// not affect the search. It advances once per work item of the
+	// sweep: per candidate on a slice without compiled tables, per batch
+	// on a compiled one. The final total equals Evaluations plus
+	// CandidatesPruned.
 	Progress *atomic.Int64
-	// BatchSize is the candidate count per batched assessment step on
-	// the compiled fast path. 0 picks the default (64) and only compiles
-	// spaces large enough to amortize the compilation pass; any positive
-	// value forces a compilation attempt regardless of space size (the
-	// search still falls back to the legacy fold when the space cannot
-	// be compiled). The result is byte-identical for every batch size.
-	BatchSize int
-	// Prune enables bound-guided subtree pruning on the compiled batched
-	// path: before a batch is assessed, an admissible lower bound on
-	// every candidate in its index range is computed from the compiled
-	// group tables (see bound.go), and the batch is skipped wholesale
-	// when the bound exceeds the best score achieved so far. Requires
-	// Floor; a Prune search also forces a compilation attempt, and runs
-	// unpruned (still exact) whenever the space cannot be compiled or
-	// the bound tables fail their admissibility verification. Pruning
-	// never changes the returned Solution — score, CandidateIndex,
-	// Choices and Design are byte-identical to the unpruned search —
-	// only Evaluations/CandidatesPruned accounting differs. Up to 16
-	// spread candidates are pre-assessed to seed the incumbent; they are
-	// not counted in Evaluations.
+	// Prune enables bound-guided subtree pruning: before a batch is
+	// assessed, an admissible lower bound on every candidate in its index
+	// range is computed from the compiled group tables (see bound.go),
+	// and the batch is skipped wholesale when the bound exceeds the best
+	// score achieved so far. Requires Floor. Pruning needs the tables, so
+	// it runs only on a slice that compiles (more than 16 candidates);
+	// the search runs unpruned (still exact) on a smaller slice, on one
+	// whose compilation is refused, and when the bound tables fail their
+	// admissibility verification. Pruning never
+	// changes the returned Solution — score, CandidateIndex, Choices and
+	// Design are byte-identical to the unpruned search — only
+	// Evaluations/CandidatesPruned accounting differs. Up to 16 spread
+	// candidates are pre-assessed to seed the incumbent; they are not
+	// counted in Evaluations.
 	Prune bool
 	// Floor derives an objective lower bound from a subtree's component
 	// floors. It must be the admissible counterpart of the search's
@@ -203,20 +197,6 @@ func allRevertible(knobs []Knob) bool {
 	return true
 }
 
-// exhAcc is one worker's streaming-argmin state: the best (score, global
-// index) seen so far plus the reusable per-worker machinery — the choice
-// decode buffer, the optional scratch design, and the allocation-lean
-// evaluator with its Result buffer.
-type exhAcc struct {
-	bestScore units.Money
-	bestIdx   int // global candidate index; -1 = none yet
-	evals     int
-	choice    []int
-	scratch   *core.Design // reused across candidates when all knobs are revertible
-	eval      whatif.Evaluator
-	res       whatif.Result
-}
-
 // Exhaustive evaluates every knob combination on all CPUs and returns
 // the global optimum; see ExhaustiveOpts.
 func Exhaustive(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective) (*Solution, error) {
@@ -238,88 +218,79 @@ func ExhaustiveWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scen
 // their global index on the fly (mixed-radix, last knob least
 // significant) and folded into per-worker argmin accumulators, so memory
 // stays O(workers) however large the space is — there is no materialized
-// combination list and no score slice. When every knob declares itself
-// Revertible, each worker also reuses a single cloned design across all
-// its candidates instead of cloning per candidate.
+// combination list and no score slice.
 //
-// Large spaces (or any search with Options.BatchSize set) first try to
-// compile the knob space into flat parameter tables (see compile.go)
-// and assess candidates in batches through core.BatchKernel — the same
-// argmin over the same scores with near-zero steady-state allocation.
-// Compilation is strictly an accelerator: candidates the tables cannot
-// represent take the legacy clone+build path row by row, and any
-// compile-time doubt (probe mismatch, oversized groups) falls back to
-// the legacy fold for the whole space.
+// The search runs the one batched sweep it shares with Frontier
+// (sweep.go). A slice of more than 16 candidates is first compiled into
+// flat parameter tables (see compile.go) and assessed in batches
+// through core.BatchKernel, with near-zero steady-state allocation.
+// Compilation is strictly an accelerator: candidates the
+// tables cannot represent — and every candidate of a slice that was not
+// compiled, because it is small or compilation refused it — are slow
+// rows, built by cloning the base, applying the knobs and evaluating.
+// When every knob declares itself Revertible, each worker reuses a
+// single cloned design across its slow rows instead of cloning per
+// candidate.
 //
-// The result is byte-identical for every worker count and batch size,
-// and across slice-based, streaming, batched and sharded searches: the
-// optimum is the lowest score with ties broken to the lowest global
-// candidate index, a rule that is insensitive to how the index space
-// was partitioned. Candidates scoring +Inf (unbuildable or infeasible)
-// are never selected; if nothing scores below +Inf the search returns
+// The result is byte-identical for every worker count, and across
+// slice-based, streaming, batched and sharded searches: the optimum is
+// the lowest score with ties broken to the lowest global candidate
+// index, a rule that is insensitive to how the index space was
+// partitioned. Candidates scoring +Inf (unbuildable or infeasible) are
+// never selected; if nothing scores below +Inf the search returns
 // ErrNoFeasible.
 func ExhaustiveOpts(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, opts ExhaustiveOptions) (*Solution, error) {
+	return exhaustive(base, knobs, scenarios, objective, opts, 0)
+}
+
+// exhaustive is ExhaustiveOpts with newSweep's batch hook for tests.
+func exhaustive(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, opts ExhaustiveOptions, batch int) (*Solution, error) {
 	objective, err := validate(knobs, scenarios, objective)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.Shard.Validate(); err != nil {
-		return nil, err
-	}
-	space, err := spaceSize(knobs)
+	sw, err := newSweep(base, knobs, scenarios, opts.Workers, opts.Budget, opts.Shard, batch)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Budget > 0 && space > opts.Budget {
-		return nil, fmt.Errorf("%w: %d combinations > budget %d; raise the budget, shard the space, or use Tune",
-			ErrSpaceTooLarge, space, opts.Budget)
+	var pr *pruner
+	if opts.Prune && sw.cs != nil {
+		pr = newPruner(sw.cs, opts.Floor, opts.Incumbent)
 	}
-	lo, hi := opts.Shard.bounds(space)
-	reuse := allRevertible(knobs)
-
-	var bestScore units.Money
-	var bestIdx int
-	var tally searchTally
-	if cs := maybeCompile(base, knobs, scenarios, hi-lo, opts); cs != nil {
-		batch := opts.BatchSize
-		if batch <= 0 {
-			batch = defaultBatchSize
+	if pr != nil {
+		if profilingEnabled() {
+			doPhase(labelsPrune, func() { pr.seed(objective, sw.lo, sw.hi) })
+		} else {
+			pr.seed(objective, sw.lo, sw.hi)
 		}
-		if batch > hi-lo {
-			batch = hi - lo
-		}
-		var pr *pruner
-		if opts.Prune {
-			pr = newPruner(cs, opts.Floor, opts.Incumbent)
-		}
-		bestScore, bestIdx, tally, err = cs.search(lo, hi, batch, objective, opts, reuse, pr)
-	} else {
-		bestScore, bestIdx, tally.evals, err = exhaustiveFold(base, knobs, scenarios, objective, opts, lo, hi, reuse)
 	}
+	sw.progress = opts.Progress
+	acc, tally, err := sw.run(func() accumulator { return newArgmin(sw, objective, pr) })
 	if opts.Stats != nil {
-		*opts.Stats = SearchStats{Assessed: tally.evals, Pruned: tally.pruned, BoundsComputed: tally.bounds}
+		*opts.Stats = tally
 	}
 	if err != nil {
 		return nil, err
 	}
-	if bestIdx < 0 || math.IsInf(float64(bestScore), 1) {
+	best := acc.(*argmin)
+	if best.idx < 0 || math.IsInf(float64(best.score), 1) {
 		return nil, ErrNoFeasible
 	}
 
 	choice := make([]int, len(knobs))
-	decodeChoice(choice, knobs, bestIdx)
+	decodeChoice(choice, knobs, best.idx)
 	tuned, err := applyChoice(base, knobs, choice)
 	if err != nil {
 		return nil, err
 	}
 	sol := &Solution{
 		Design:           tuned,
-		Score:            bestScore,
-		Evaluations:      tally.evals,
+		Score:            best.score,
+		Evaluations:      tally.Assessed,
 		Passes:           1,
-		CandidateIndex:   bestIdx,
-		CandidatesPruned: tally.pruned,
-		BoundsComputed:   tally.bounds,
+		CandidateIndex:   best.idx,
+		CandidatesPruned: tally.Pruned,
+		BoundsComputed:   tally.BoundsComputed,
 	}
 	for i, k := range knobs {
 		sol.Choices = append(sol.Choices, Choice{Knob: k.Name, Option: k.Options[choice[i]]})
@@ -327,80 +298,55 @@ func ExhaustiveOpts(base *core.Design, knobs []Knob, scenarios []failure.Scenari
 	return sol, nil
 }
 
-// exhaustiveFold is the legacy per-candidate streaming fold: one clone
-// (or scratch reuse) + build + assess per candidate. It remains the
-// reference semantics the compiled batched path must match bit for bit,
-// and the fallback whenever compilation is skipped or rejected.
-func exhaustiveFold(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, opts ExhaustiveOptions, lo, hi int, reuse bool) (units.Money, int, int, error) {
-	acc := func() *exhAcc {
-		return &exhAcc{
-			bestScore: units.Money(math.Inf(1)),
-			bestIdx:   -1,
-			choice:    make([]int, len(knobs)),
-		}
-	}
-	fold := func(a *exhAcc, i int) (*exhAcc, error) {
-		global := lo + i
-		decodeChoice(a.choice, knobs, global)
-		d := a.scratch
-		if d == nil {
-			fresh, err := Clone(base)
-			if err != nil {
-				return a, err
-			}
-			d = fresh
-			if reuse {
-				a.scratch = fresh
-			}
-		}
-		// The profiled and unprofiled paths are spelled out separately so
-		// the common (disabled) case pays neither closure allocations nor
-		// a pprof.Do call per candidate.
-		if profilingEnabled() {
-			var applyErr error
-			doPhase(labelsBuild, func() { applyErr = applyChoiceTo(d, knobs, a.choice) })
-			if applyErr != nil {
-				return a, applyErr
-			}
-			doPhase(labelsAssess, func() { a.eval.EvaluateInto(d, scenarios, &a.res) })
-		} else {
-			if err := applyChoiceTo(d, knobs, a.choice); err != nil {
-				return a, err
-			}
-			a.eval.EvaluateInto(d, scenarios, &a.res)
-		}
-		s := objective(a.res)
-		a.evals++
-		if opts.Progress != nil {
-			opts.Progress.Add(1)
-		}
-		if s < a.bestScore {
-			a.bestScore = s
-			a.bestIdx = global
-		}
-		return a, nil
-	}
-	merge := func(a, b *exhAcc) *exhAcc {
-		a.evals += b.evals
-		if b.bestIdx >= 0 && (a.bestIdx < 0 || b.bestScore < a.bestScore ||
-			(b.bestScore == a.bestScore && b.bestIdx < a.bestIdx)) {
-			a.bestScore, a.bestIdx = b.bestScore, b.bestIdx
-		}
-		return a
-	}
-	mergePhase := merge
-	if profilingEnabled() {
-		mergePhase = func(a, b *exhAcc) *exhAcc {
-			doPhase(labelsReduce, func() { a = merge(a, b) })
-			return a
-		}
-	}
+// argmin is ExhaustiveOpts' sweep accumulator: the lowest score a
+// worker has seen and its global index, plus the bound pruner and the
+// worker's bound scratch when the search prunes.
+type argmin struct {
+	worker
+	objective Objective
+	score     units.Money
+	idx       int // -1 = none yet
+	pr        *pruner
+	ps        *pruneScratch
+}
 
-	final, err := parallel.Reduce(opts.Workers, hi-lo, acc, fold, mergePhase)
-	if err != nil {
-		return 0, 0, 0, err
+func newArgmin(sw *sweep, objective Objective, pr *pruner) *argmin {
+	a := &argmin{worker: worker{sw: sw}, objective: objective, score: units.Money(math.Inf(1)), idx: -1, pr: pr}
+	if pr != nil {
+		a.ps = pr.newScratch()
 	}
-	return final.bestScore, final.bestIdx, final.evals, nil
+	return a
+}
+
+// prune bounds the batch [lo, hi) against the shared incumbent.
+func (a *argmin) prune(lo, hi int) (bounded, pruned bool) {
+	if a.pr == nil {
+		return false, false
+	}
+	if profilingEnabled() {
+		doPhase(labelsPrune, func() { bounded, pruned = a.pr.pruneBatch(a.ps, lo, hi) })
+		return bounded, pruned
+	}
+	return a.pr.pruneBatch(a.ps, lo, hi)
+}
+
+// addResult scores one candidate; a new best also tightens the
+// pruner's shared incumbent.
+func (a *argmin) addResult(idx int, res *whatif.Result) {
+	if s := a.objective(*res); s < a.score {
+		a.score, a.idx = s, idx
+		if a.pr != nil {
+			a.pr.noteScore(s)
+		}
+	}
+}
+
+// merge keeps the lower score, ties to the lower global index.
+func (a *argmin) merge(o accumulator) {
+	b := o.(*argmin)
+	if b.idx >= 0 && (a.idx < 0 || b.score < a.score || (b.score == a.score && b.idx < a.idx)) {
+		a.score, a.idx = b.score, b.idx
+	}
 }
 
 // MergeShards combines the per-shard Solutions of one sharded exhaustive

@@ -134,7 +134,7 @@ func frontierEquals(t *testing.T, label string, want []oraclePt, got *FrontierRe
 }
 
 // TestFrontierMatchesOracleProperty: across random knob spaces, worker
-// counts {1,2,8} and both enumeration paths (legacy fold and forced
+// counts {1,2,8} and batch sizes (0 for the compile rule, else forced
 // compilation), Frontier returns exactly the oracle's non-dominated
 // subset of the exhaustive sweep, and accounts for every candidate.
 func TestFrontierMatchesOracleProperty(t *testing.T) {
@@ -150,14 +150,13 @@ func TestFrontierMatchesOracleProperty(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, batch := range []int{0, 1, 7} {
 				label := fmt.Sprintf("trial %d workers %d batch %d (%d candidates)", trial, workers, batch, space)
-				fr, err := Frontier(base, knobs, scenarios(), FrontierOpts{Workers: workers, BatchSize: batch})
+				fr, err := frontier(base, knobs, scenarios(), FrontierOpts{Workers: workers}, batch)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				frontierEquals(t, label, want, fr, knobs)
-				if fr.Evaluations != space || fr.CandidatesPruned != 0 {
-					t.Errorf("%s: evaluated %d, pruned %d, want %d / 0",
-						label, fr.Evaluations, fr.CandidatesPruned, space)
+				if fr.Evaluations != space {
+					t.Errorf("%s: evaluated %d, want %d", label, fr.Evaluations, space)
 				}
 			}
 		}
@@ -202,39 +201,23 @@ func TestFrontierShardMerge(t *testing.T) {
 	}
 }
 
-// TestFrontierPrunedIdentical: dominance pruning must not change the
-// surface — only shift candidates from assessed to pruned — and every
-// candidate must still be retired exactly once.
+// TestFrontierPrunedIdentical: on the 192-candidate prune-test space,
+// which compiles, Frontier returns exactly the oracle's surface for
+// every worker count and assesses every candidate once.
 func TestFrontierPrunedIdentical(t *testing.T) {
 	base := casestudy.Baseline()
-	knobs := []Knob{
-		PolicyKnob("vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair()),
-		RetCntKnob("vaulting", []int{2, 4, 8, 13, 26, 52, 104, 156}),
-		RetCntKnob("backup", []int{7, 14, 28}),
-		LinkCountKnob("tape-library", []int{4, 8, 12, 16}),
-	}
+	knobs := pruneTestKnobs()
 	const space = 2 * 8 * 3 * 4
-	plain, err := Frontier(base, knobs, scenarios(), FrontierOpts{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := frontierOracle(t, base, knobs, scenarios())
-	frontierEquals(t, "unpruned", want, plain, knobs)
 	for _, workers := range []int{1, 2, 8} {
-		label := fmt.Sprintf("pruned workers %d", workers)
-		pruned, err := Frontier(base, knobs, scenarios(), FrontierOpts{Workers: workers, Prune: true})
+		label := fmt.Sprintf("workers %d", workers)
+		fr, err := Frontier(base, knobs, scenarios(), FrontierOpts{Workers: workers})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		frontierEquals(t, label, want, pruned, knobs)
-		if pruned.Evaluations+pruned.CandidatesPruned != space {
-			t.Errorf("%s: evaluated %d + pruned %d != space %d",
-				label, pruned.Evaluations, pruned.CandidatesPruned, space)
-		}
-		if workers == 1 {
-			t.Logf("%s: pruned %d / %d (%.0f%%), %d bounds",
-				label, pruned.CandidatesPruned, space,
-				100*float64(pruned.CandidatesPruned)/float64(space), pruned.BoundsComputed)
+		frontierEquals(t, label, want, fr, knobs)
+		if fr.Evaluations != space {
+			t.Errorf("%s: evaluated %d, want %d", label, fr.Evaluations, space)
 		}
 	}
 }
@@ -303,51 +286,6 @@ func TestFrontierSetAdd(t *testing.T) {
 				t.Errorf("%s: kept index %d, want set %v", name, p.idx, want)
 			}
 		}
-	}
-}
-
-// TestFrontierPruneAgainst pins the batch-elimination rule on synthetic
-// floors: certain loss prunes unconditionally, a strictly cheaper
-// achieved point at or below the floor's worst-case RT/DL prunes, and
-// anything weaker must not.
-func TestFrontierPruneAgainst(t *testing.T) {
-	scs := scenarios()
-	mkFloor := func(out units.Money, rt, dl time.Duration) *SubtreeFloor {
-		fl := &SubtreeFloor{
-			Outlays:      out,
-			Scenarios:    scs,
-			RecoveryTime: make([]time.Duration, len(scs)),
-			DataLoss:     make([]time.Duration, len(scs)),
-			Penalties:    make([]units.Money, len(scs)),
-			Lost:         make([]bool, len(scs)),
-		}
-		fl.RecoveryTime[0] = rt
-		fl.DataLoss[0] = dl
-		return fl
-	}
-	var s frontierSet
-	s.add(fpoint{idx: 0, rt: 10 * time.Hour, dl: time.Hour, out: 500})
-
-	if !s.pruneAgainst(mkFloor(1000, 20*time.Hour, 2*time.Hour)) {
-		t.Error("achieved point strictly dominates the floor; batch must prune")
-	}
-	if s.pruneAgainst(mkFloor(1000, 5*time.Hour, 2*time.Hour)) {
-		t.Error("floor RT below the achieved point's; batch may hold a faster candidate")
-	}
-	if s.pruneAgainst(mkFloor(400, 20*time.Hour, 2*time.Hour)) {
-		t.Error("floor outlays below the achieved point's; batch may hold a cheaper candidate")
-	}
-	if s.pruneAgainst(mkFloor(500, 20*time.Hour, 2*time.Hour)) {
-		t.Error("equal outlays is not strict dominance; batch must not prune")
-	}
-	lost := mkFloor(100, 0, 0)
-	lost.Lost[1] = true
-	if !lost.Lost[1] || !s.pruneAgainst(lost) {
-		t.Error("certain whole-object loss excludes every candidate; batch must prune")
-	}
-	var empty frontierSet
-	if empty.pruneAgainst(lost) != true {
-		t.Error("certain loss prunes even with no achieved points")
 	}
 }
 

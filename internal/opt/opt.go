@@ -12,14 +12,15 @@
 // full pass yields no improvement. The analytic models evaluate a design
 // in tens of microseconds, so even broad grids are interactive.
 //
-// Candidates on the slow path — coordinate descent's, the legacy
-// exhaustive fold's, and any a compiled space cannot carry — are built
-// with a structural deep copy (core.Design.Clone) instead of a
-// config-JSON round trip, about a 10x cut in per-candidate cost, since
-// the clone used to dominate the evaluation. A compiled exhaustive
-// search builds no design per candidate, and its one-time compile
-// applies every knob option to one copy of the base per worker, reset
-// in place between options (compile.go). Every option of the knob
+// Candidates on the slow path — coordinate descent's, and the slow rows
+// of the exhaustive and frontier sweep (every candidate of a slice too
+// small to compile, or whose compilation is refused, plus any a
+// compiled space cannot carry) — are built with a structural deep copy
+// (core.Design.Clone) instead of a config-JSON round trip, about a 10x
+// cut in per-candidate cost, since the clone used to dominate the
+// evaluation. A compiled sweep builds no design per candidate, and its
+// one-time compile applies every knob option to one copy of the base
+// per worker, reset in place between options (compile.go). Every option of the knob
 // under sweep is scored concurrently on a bounded worker pool. A memo
 // keyed by the knob-choice vector means coordinate descent never
 // re-scores an incumbent across sweeps. Parallel and serial searches

@@ -30,8 +30,9 @@ func TuneExhaustive(base *Design, knobs []Knob, scenarios []Scenario, objective 
 	return opt.Exhaustive(base, knobs, scenarios, objective)
 }
 
-// CloneDesign deep-copies a design (via its JSON form), so it can be
-// mutated without touching the original.
+// CloneDesign deep-copies a design with a structural copy
+// (core.Design.Clone), so it can be mutated without touching the
+// original.
 func CloneDesign(d *Design) (*Design, error) { return opt.Clone(d) }
 
 // WorstTotalObjective minimizes the worst-scenario total cost.
