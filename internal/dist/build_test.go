@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"stordep/internal/casestudy"
 	"stordep/internal/failure"
+	"stordep/internal/hierarchy"
 	"stordep/internal/opt"
 	"stordep/internal/units"
 )
@@ -349,4 +351,52 @@ func TestExecuteJobPrunedInfeasibleKeepsTotalsHonest(t *testing.T) {
 		t.Errorf("infeasible pruned shard: assessed %d + pruned %d != slice size %d",
 			res.Evaluations, res.Pruned, want)
 	}
+}
+
+// TestExecuteJobPrunedWrappingShardsMatchUnpruned: five pruned shards of
+// a 320-candidate space merge to the unpruned answer. Each shard is one
+// 64-candidate batch, and the vault policy digit (two options of weight
+// 40) wraps inside shards 1 and 3 without a whole cycle, so a bound
+// that misses the wrapped policy would prune shard 3's winner (#201).
+func TestExecuteJobPrunedWrappingShardsMatchUnpruned(t *testing.T) {
+	weekly := casestudy.VaultPolicy()
+	weekly.Primary.AccW = units.Week
+	weekly.RetCnt = 156
+	pol, err := PolicyKnobSpec("vaulting", []string{"4-weekly", "weekly"},
+		[]hierarchy.Policy{casestudy.VaultPolicy(), weekly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ret := make([]int, 40)
+	for i := range ret {
+		ret[i] = i + 1
+	}
+	specs := []KnobSpec{RetCntKnobSpec("backup", []int{28, 14, 7, 56}), pol, RetCntKnobSpec("vaulting", ret)}
+	scs := ScenarioSpecs([]failure.Scenario{{Scope: failure.ScopeArray}, {Scope: failure.ScopeSite}})
+	job, err := NewJob(casestudy.Baseline(), specs, scs, ObjectiveSpec{Kind: "worst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards, space = 5, 320
+	merge := func(prune bool) *opt.Solution {
+		results := make([]*Result, shards)
+		for s := range results {
+			sub := *job
+			sub.Prune = prune
+			sub.Shard = ShardSpec{Index: s, Count: shards}
+			if results[s], err = ExecuteJob(&sub, nil); err != nil {
+				t.Fatalf("prune %v: shard %d: %v", prune, s, err)
+			}
+		}
+		merged, err := MergeResults(results)
+		if err != nil {
+			t.Fatalf("prune %v: %v", prune, err)
+		}
+		if merged.Evaluations+merged.CandidatesPruned != space {
+			t.Errorf("prune %v: merged assessed %d + pruned %d != space %d",
+				prune, merged.Evaluations, merged.CandidatesPruned, space)
+		}
+		return merged
+	}
+	requireAnswerIdentical(t, "pruned merge over wrapping shards", merge(false), merge(true))
 }

@@ -13,24 +13,32 @@ import (
 )
 
 // This file implements the branch-and-bound layer over the batched
-// sweep of a compiled space (sweep.go, compile.go): before a batch of candidates is filled
-// and assessed, an admissible lower bound on every candidate's objective
-// score in that contiguous index range is computed from the compiled
-// group tables, and the whole batch is pruned when the bound exceeds the
-// best score achieved so far (the incumbent, shared across workers via
-// an atomic).
+// sweep of a compiled space (sweep.go, compile.go): before a batch of
+// candidates is filled and assessed, an admissible lower bound on every
+// candidate's objective score in that contiguous index range is computed
+// from the compiled group tables, and the whole batch is pruned when the
+// bound exceeds the best score achieved so far (the incumbent, shared
+// across workers via an atomic).
+//
+// A bound visits only the group-table entries its batch can reach. A
+// knob's digit runs through its options in blocks of its weight (the
+// product of the radices after it), so a batch reaches, per knob, a
+// cyclic run of options: one per digit block it touches, at most all of
+// them (computeAllowed). Each group walks the product of its members'
+// runs with an odometer and folds every entry it visits. The folds are
+// minima, so the floor does not depend on the visit order.
 //
 // The bound exploits the paper's utility decomposition (§4.2): a
 // candidate's score is outlays (scenario-independent) plus penalties
 // that are monotone nondecreasing in recovery time and data loss. Three
-// component floors are assembled per subtree:
+// component floors are assembled per batch:
 //
 //   - Outlay floor: the candidate outlay total is a sum of per-device
 //     terms (fixed cost + per-demand marginal annual cost, spare and
 //     facility-retainer multipliers). Terms from the base design are
 //     constant; terms a knob group controls are tabulated per joint
-//     option entry, and the floor takes the cheapest entry reachable in
-//     the batch's index range, independently per group. Devices whose
+//     option entry, and the floor takes the cheapest entry the batch
+//     reaches, independently per group. Devices whose
 //     spec one group owns but whose demands another group feeds are
 //     dropped from the floor entirely (their contribution is verified
 //     nonnegative at construction).
@@ -193,14 +201,11 @@ func (a *atomicScore) min(v units.Money) {
 }
 
 // prunedGroup is one knob group's bound tables: per joint-option entry,
-// the member options (for the allowed-range test), the outlay floor
-// delta, and the owned levels' serve parameters.
+// the outlay floor delta and the owned levels' serve parameters.
 type prunedGroup struct {
 	members []int
 	radix   []int
 	size    int
-	// opts[t*len(members)+mi] is member mi's option index in entry t.
-	opts    []uint16
 	suspect []bool
 	// outlay[t] is entry t's exact additive contribution to the
 	// candidate outlay total (over the devices attributable to this
@@ -265,10 +270,12 @@ type pruner struct {
 
 // pruneScratch is one worker's reusable bound-computation state.
 type pruneScratch struct {
-	// Allowed option range per knob over the batch's index slice: all
-	// options, or the cyclic interval [a..b].
-	allAll     []bool
-	allA, allB []int
+	// runStart[k] and runLen[k] are knob k's reachable options over the
+	// batch: the cyclic run of runLen[k] options from runStart[k].
+	runStart, runLen []int
+	// step[mi] and opt[mi] are a group member's odometer position: how
+	// far along its run, and the option there.
+	step, opt []int
 
 	serve   []bool
 	minAccW []time.Duration
@@ -412,9 +419,9 @@ func fragSane(f *core.Fragment) bool {
 	return f.Lag >= 0 && f.AccW >= 0 && f.RetSpan >= 0
 }
 
-// buildGroups fills each group's member-option, suspect and owned-level
-// tables (outlay deltas are added by buildOutlays). Returns false on any
-// frag sanity violation.
+// buildGroups fills each group's suspect and owned-level tables (outlay
+// deltas are added by buildOutlays). Returns false on any frag sanity
+// violation.
 func (p *pruner) buildGroups() bool {
 	cs := p.cs
 	p.groups = make([]prunedGroup, len(cs.groups))
@@ -425,8 +432,7 @@ func (p *pruner) buildGroups() bool {
 		pg.radix = g.radix
 		pg.size = g.size
 		pg.levels = g.levels
-		nm, nl := len(g.members), len(g.levels)
-		pg.opts = make([]uint16, g.size*nm)
+		nl := len(g.levels)
 		pg.suspect = make([]bool, g.size)
 		pg.outlay = make([]units.Money, g.size)
 		pg.multi = make([]bool, nl)
@@ -438,11 +444,6 @@ func (p *pruner) buildGroups() bool {
 		pg.lag = make([]time.Duration, g.size*nl)
 		pg.readDelay = make([]time.Duration, g.size*nl)
 		for t := 0; t < g.size; t++ {
-			rem := t
-			for mi := nm - 1; mi >= 0; mi-- {
-				pg.opts[t*nm+mi] = uint16(rem % g.radix[mi])
-				rem /= g.radix[mi]
-			}
 			e := &g.entries[t]
 			pg.suspect[t] = e.suspect
 			if e.suspect {
@@ -710,14 +711,15 @@ func (p *pruner) newScratch() *pruneScratch {
 	nk := len(p.knobRadix)
 	n := p.ns * p.nLevels
 	return &pruneScratch{
-		allAll:  make([]bool, nk),
-		allA:    make([]int, nk),
-		allB:    make([]int, nk),
-		serve:   make([]bool, n),
-		minAccW: make([]time.Duration, n),
-		minSer:  make([]time.Duration, n),
-		minLag:  make([]time.Duration, p.nLevels),
-		cum:     make([]time.Duration, p.nLevels),
+		runStart: make([]int, nk),
+		runLen:   make([]int, nk),
+		step:     make([]int, nk),
+		opt:      make([]int, nk),
+		serve:    make([]bool, n),
+		minAccW:  make([]time.Duration, n),
+		minSer:   make([]time.Duration, n),
+		minLag:   make([]time.Duration, p.nLevels),
+		cum:      make([]time.Duration, p.nLevels),
 		fl: SubtreeFloor{
 			Scenarios:    p.cs.scs,
 			RecoveryTime: make([]time.Duration, p.ns),
@@ -728,67 +730,36 @@ func (p *pruner) newScratch() *pruneScratch {
 	}
 }
 
-// computeAllowed derives, per knob, the set of option values candidates
-// in [blo, bhi) can take: all options when the slice spans a full cycle
-// of the knob's digit, else the cyclic interval from the first to the
-// last index's digit (a superset of the values actually visited, which
-// keeps the bound admissible). Returns false — no bound — when any
-// reachable option is suspect, preserving the slow path's exact
-// apply-error semantics.
+// computeAllowed derives, per knob, the options candidates in
+// [blo, bhi) take (blo < bhi). Knob k's digit at index i is (i/w) mod n,
+// with w its weight and n its radix, and i/w takes every value from
+// blo/w to (bhi-1)/w: the batch touches (bhi-1)/w - blo/w + 1 digit
+// blocks. Its reachable options are therefore the cyclic run of
+// min(blocks, n) options starting at (blo/w) mod n: exactly the options
+// visited, also when the batch wraps the digit's cycle without spanning
+// all of it. bound walks each group's product of runs with an
+// odometer. Returns false — no bound — when any reachable option is
+// suspect, preserving the slow path's exact apply-error semantics.
 func (p *pruner) computeAllowed(ps *pruneScratch, blo, bhi int) bool {
-	span := bhi - blo
-	for k := range p.knobRadix {
-		n, w := p.knobRadix[k], p.knobWeight[k]
+	for k, n := range p.knobRadix {
+		w := p.knobWeight[k]
+		first := blo / w
+		a, m := first%n, min((bhi-1)/w-first+1, n)
+		ps.runStart[k], ps.runLen[k] = a, m
 		sus := p.cs.knobSuspect[k]
-		if span >= w*n {
-			ps.allAll[k] = true
-			for _, s := range sus {
-				if s {
-					return false
-				}
+		for o := a; m > 0; m-- {
+			if sus[o] {
+				return false
 			}
-			continue
-		}
-		ps.allAll[k] = false
-		a := (blo / w) % n
-		b := ((bhi - 1) / w) % n
-		ps.allA[k], ps.allB[k] = a, b
-		if a <= b {
-			for o := a; o <= b; o++ {
-				if sus[o] {
-					return false
-				}
-			}
-		} else {
-			for o := a; o < n; o++ {
-				if sus[o] {
-					return false
-				}
-			}
-			for o := 0; o <= b; o++ {
-				if sus[o] {
-					return false
-				}
+			if o++; o == n {
+				o = 0
 			}
 		}
 	}
 	return true
 }
 
-// allowed reports whether option o of knob k is reachable in the batch
-// whose ranges computeAllowed last derived.
-func (ps *pruneScratch) allowed(k, o int) bool {
-	if ps.allAll[k] {
-		return true
-	}
-	a, b := ps.allA[k], ps.allB[k]
-	if a <= b {
-		return o >= a && o <= b
-	}
-	return o >= a || o <= b
-}
-
-// bound computes the subtree objective floor for candidates [blo, bhi),
+// bound computes the batch objective floor for candidates [blo, bhi),
 // filling ps.fl. ok=false means no admissible bound exists for this
 // slice (a suspect option or entry is reachable); the batch must then be
 // assessed normally.
@@ -796,100 +767,106 @@ func (p *pruner) bound(ps *pruneScratch, blo, bhi int) (units.Money, bool) {
 	if !p.computeAllowed(ps, blo, bhi) {
 		return 0, false
 	}
-	ns, nL := p.ns, p.nLevels
+	p.resetFloors(ps)
+	outlay := p.outlayConst
+	for gi := range p.groups {
+		pg := &p.groups[gi]
+		last := len(pg.members) - 1
+		for mi, k := range pg.members {
+			ps.step[mi], ps.opt[mi] = 0, ps.runStart[k]
+		}
+		n, lastK := pg.radix[last], pg.members[last]
+		minOut := units.Money(math.Inf(1))
+		for {
+			// t0 is the entry of the other members' options with the
+			// last member at option 0; the last member's run follows.
+			t0 := 0
+			for mi := 0; mi < last; mi++ {
+				t0 = (t0 + ps.opt[mi]) * pg.radix[mi+1]
+			}
+			o := ps.runStart[lastK]
+			for m := ps.runLen[lastK]; m > 0; m-- {
+				t := t0 + o
+				if pg.suspect[t] {
+					return 0, false
+				}
+				minOut = min(minOut, pg.outlay[t])
+				p.foldEntry(ps, pg, t)
+				if o++; o == n {
+					o = 0
+				}
+			}
+			// Advance the other members' odometer: a member at the end of
+			// its run restarts it and carries into the one before.
+			mi := last - 1
+			for ; mi >= 0; mi-- {
+				k := pg.members[mi]
+				if ps.step[mi]++; ps.step[mi] < ps.runLen[k] {
+					if ps.opt[mi]++; ps.opt[mi] == pg.radix[mi] {
+						ps.opt[mi] = 0
+					}
+					break
+				}
+				ps.step[mi], ps.opt[mi] = 0, ps.runStart[k]
+			}
+			if mi < 0 {
+				break
+			}
+		}
+		outlay += minOut
+	}
+	return p.finishFloor(ps, outlay), true
+}
+
+// resetFloors readies ps's per-level floors for a new batch: levels no
+// group owns take their constant parameters, owned ones start unserved.
+func (p *pruner) resetFloors(ps *pruneScratch) {
 	copy(ps.serve, p.baseServe)
 	copy(ps.minAccW, p.baseAccW)
 	copy(ps.minSer, p.baseSer)
 	copy(ps.minLag, p.baseLag)
+}
 
-	outlay := p.outlayConst
-	for gi := range p.groups {
-		pg := &p.groups[gi]
-		nm, nl := len(pg.members), len(pg.levels)
-		minOut := units.Money(math.Inf(1))
-		found := false
-		for t := 0; t < pg.size; t++ {
-			reachable := true
-			for mi := 0; mi < nm; mi++ {
-				if !ps.allowed(pg.members[mi], int(pg.opts[t*nm+mi])) {
-					reachable = false
-					break
-				}
-			}
-			if !reachable {
-				continue
-			}
-			if pg.suspect[t] {
-				return 0, false
-			}
-			found = true
-			if pg.outlay[t] < minOut {
-				minOut = pg.outlay[t]
-			}
-			for li := 0; li < nl; li++ {
-				j := pg.levels[li]
-				accW := pg.accW[t*nl+li]
-				if lag := pg.lag[t*nl+li]; lag < ps.minLag[j] {
-					ps.minLag[j] = lag
-				}
-				if pg.multi[li] {
-					for si := 0; si < ns; si++ {
-						idx := si*nL + j
-						if !p.mServe[idx] {
-							continue
-						}
-						ser := p.mRead[idx]
-						if ser < 0 {
-							ser = pg.readDelay[t*nl+li]
-						}
-						if !ps.serve[idx] {
-							ps.serve[idx] = true
-							ps.minAccW[idx] = accW
-							ps.minSer[idx] = ser
-							continue
-						}
-						if accW < ps.minAccW[idx] {
-							ps.minAccW[idx] = accW
-						}
-						if ser < ps.minSer[idx] {
-							ps.minSer[idx] = ser
-						}
-					}
+// foldEntry lowers ps's per-level floors by entry t of group pg: its
+// owned levels' transfer lags, and per scenario in which a level may
+// serve, its accumulation window and read delay. Owned levels start at
+// Forever (resetFloors), so the first serving entry sets them.
+func (p *pruner) foldEntry(ps *pruneScratch, pg *prunedGroup, t int) {
+	nL, nl := p.nLevels, len(pg.levels)
+	for li, j := range pg.levels {
+		e := t*nl + li
+		accW, read := pg.accW[e], pg.readDelay[e]
+		ps.minLag[j] = min(ps.minLag[j], pg.lag[e])
+		ci := int(pg.copyIdx[e])
+		for si := 0; si < p.ns; si++ {
+			idx := si*nL + j
+			ser := read
+			if pg.multi[li] {
+				if !p.mServe[idx] {
 					continue
 				}
-				ci := int(pg.copyIdx[t*nl+li])
-				ser := pg.readDelay[t*nl+li]
-				for si := 0; si < ns; si++ {
-					if !p.intact[si*p.nDevices+ci] {
-						continue
-					}
-					idx := si*nL + j
-					if !ps.serve[idx] {
-						ps.serve[idx] = true
-						ps.minAccW[idx] = accW
-						ps.minSer[idx] = ser
-						continue
-					}
-					if accW < ps.minAccW[idx] {
-						ps.minAccW[idx] = accW
-					}
-					if ser < ps.minSer[idx] {
-						ps.minSer[idx] = ser
-					}
+				if d := p.mRead[idx]; d >= 0 {
+					ser = d
 				}
+			} else if !p.intact[si*p.nDevices+ci] {
+				continue
 			}
+			ps.serve[idx] = true
+			ps.minAccW[idx] = min(ps.minAccW[idx], accW)
+			ps.minSer[idx] = min(ps.minSer[idx], ser)
 		}
-		if !found {
-			return 0, false
-		}
-		outlay += minOut
 	}
+}
 
+// finishFloor assembles ps.fl from the folded per-level floors and the
+// outlay floor, and returns the objective floor.
+func (p *pruner) finishFloor(ps *pruneScratch, outlay units.Money) units.Money {
+	ns, nL := p.ns, p.nLevels
 	// Lag prefix sums: the kernel accumulates every level's transfer lag
 	// in level order before the serving level, so the per-level data-loss
 	// floor under a TargetAge-0 scenario is this prefix plus the level's
-	// own accumulation-window floor. Every group found a reachable entry
-	// above, so owned levels' minLag is finite.
+	// own accumulation-window floor. Every group folded at least one
+	// entry, so owned levels' minLag is finite.
 	var cum time.Duration
 	for j := 0; j < nL; j++ {
 		cum += ps.minLag[j]
@@ -936,7 +913,7 @@ func (p *pruner) bound(ps *pruneScratch, blo, bhi int) (units.Money, bool) {
 		fl.DataLoss[si] = minAccW
 		fl.Penalties[si] = p.cs.kern.PenaltyFloor(rt, minAccW)
 	}
-	return p.floor(fl), true
+	return p.floor(fl)
 }
 
 // pruneBatch decides whether every candidate in [blo, bhi) can be

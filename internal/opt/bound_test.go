@@ -12,6 +12,7 @@ import (
 
 	"stordep/internal/casestudy"
 	"stordep/internal/config"
+	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
@@ -349,3 +350,343 @@ func TestPrunerSeedHugeSpace(t *testing.T) {
 		t.Error("seeding found no incumbent")
 	}
 }
+
+// wrapKnobs is a 320-candidate space whose 64-candidate batches can wrap
+// the vault policy's digit cycle. The policy digit has weight 40 and two
+// options, so the batch [192, 256) touches policy blocks 4, 5 and 6:
+// both policies, although its first and last index share the digit.
+func wrapKnobs() []Knob {
+	ret := make([]int, 40)
+	for i := range ret {
+		ret[i] = i + 1
+	}
+	return []Knob{
+		RetCntKnob("backup", []int{28, 14, 7, 56}),
+		PolicyKnob("vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair()),
+		RetCntKnob("vaulting", ret),
+	}
+}
+
+// TestPrunedWrappingBatchMatchesExhaustive: a batch that wraps a knob's
+// digit cycle without spanning a whole cycle must still be bounded from
+// every option it reaches. A bound over the cyclic interval from its
+// first to its last digit would see only the 4-weekly policy in
+// [192, 256), overestimate that batch and prune the exhaustive winner
+// (#201).
+func TestPrunedWrappingBatchMatchesExhaustive(t *testing.T) {
+	base := casestudy.Baseline()
+	knobs := wrapKnobs()
+	const space = 4 * 2 * 40
+	ref, err := sliceExhaustive(base, knobs, scenarios(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, sol *Solution, stats SearchStats) {
+		t.Helper()
+		prunedIdentical(t, label, ref, sol)
+		if stats.Assessed+stats.Pruned != space {
+			t.Errorf("%s: assessed %d + pruned %d != space %d", label, stats.Assessed, stats.Pruned, space)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{0, 7, defaultBatchSize} {
+			label := fmt.Sprintf("workers %d batch %d", workers, batch)
+			var stats SearchStats
+			sol, err := exhaustive(base, knobs, scenarios(), nil, ExhaustiveOptions{
+				Workers: workers, Prune: true, Floor: WorstTotalFloor(), Stats: &stats,
+			}, batch)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			check(label, sol, stats)
+		}
+		for _, m := range []int{2, 3, 5, 7} {
+			label := fmt.Sprintf("workers %d, %d shards", workers, m)
+			sols := make([]*Solution, m)
+			var total SearchStats
+			for k := range sols {
+				var stats SearchStats
+				sol, err := ExhaustiveOpts(base, knobs, scenarios(), nil, ExhaustiveOptions{
+					Workers: workers,
+					Shard:   Shard{Index: k, Count: m},
+					Prune:   true,
+					Floor:   WorstTotalFloor(),
+					Stats:   &stats,
+				})
+				if err != nil && !errors.Is(err, ErrNoFeasible) {
+					t.Fatalf("%s: shard %d: %v", label, k, err)
+				}
+				sols[k] = sol
+				total.Assessed += stats.Assessed
+				total.Pruned += stats.Pruned
+			}
+			merged, err := MergeShards(sols)
+			if err != nil {
+				t.Fatalf("%s: merge: %v", label, err)
+			}
+			check(label, merged, total)
+		}
+	}
+}
+
+// boundScan is the reference for bound: it scans every group-table
+// entry and admits one when every member's option is one the batch
+// visits, found by decoding every index of [blo, bhi). Each admitted
+// entry is folded with the first serving entry setting a level's
+// floors, where bound min-folds from Forever.
+func boundScan(p *pruner, ps *pruneScratch, knobs []Knob, blo, bhi int) (units.Money, bool) {
+	visited := make([][]bool, len(knobs))
+	for k := range knobs {
+		visited[k] = make([]bool, len(knobs[k].Options))
+	}
+	choice := make([]int, len(knobs))
+	for idx := blo; idx < bhi; idx++ {
+		decodeChoice(choice, knobs, idx)
+		for k, o := range choice {
+			if p.cs.knobSuspect[k][o] {
+				return 0, false
+			}
+			visited[k][o] = true
+		}
+	}
+	ns, nL := p.ns, p.nLevels
+	p.resetFloors(ps)
+	outlay := p.outlayConst
+	for gi := range p.groups {
+		pg := &p.groups[gi]
+		nl := len(pg.levels)
+		minOut := units.Money(math.Inf(1))
+		for t := 0; t < pg.size; t++ {
+			reachable := true
+			rem := t
+			for mi := len(pg.members) - 1; mi >= 0; mi-- {
+				if !visited[pg.members[mi]][rem%pg.radix[mi]] {
+					reachable = false
+				}
+				rem /= pg.radix[mi]
+			}
+			if !reachable {
+				continue
+			}
+			if pg.suspect[t] {
+				return 0, false
+			}
+			if pg.outlay[t] < minOut {
+				minOut = pg.outlay[t]
+			}
+			for li := 0; li < nl; li++ {
+				j := pg.levels[li]
+				accW := pg.accW[t*nl+li]
+				if lag := pg.lag[t*nl+li]; lag < ps.minLag[j] {
+					ps.minLag[j] = lag
+				}
+				for si := 0; si < ns; si++ {
+					idx := si*nL + j
+					ser := pg.readDelay[t*nl+li]
+					if pg.multi[li] {
+						if !p.mServe[idx] {
+							continue
+						}
+						if d := p.mRead[idx]; d >= 0 {
+							ser = d
+						}
+					} else if !p.intact[si*p.nDevices+int(pg.copyIdx[t*nl+li])] {
+						continue
+					}
+					if !ps.serve[idx] {
+						ps.serve[idx] = true
+						ps.minAccW[idx] = accW
+						ps.minSer[idx] = ser
+						continue
+					}
+					if accW < ps.minAccW[idx] {
+						ps.minAccW[idx] = accW
+					}
+					if ser < ps.minSer[idx] {
+						ps.minSer[idx] = ser
+					}
+				}
+			}
+		}
+		outlay += minOut
+	}
+	return p.finishFloor(ps, outlay), true
+}
+
+// sameFloor reports the first field in which two batch floors differ
+// bit for bit, or "" when they agree.
+func sameFloor(a, b *SubtreeFloor) string {
+	bits := func(m units.Money) uint64 { return math.Float64bits(float64(m)) }
+	if bits(a.Outlays) != bits(b.Outlays) {
+		return fmt.Sprintf("outlays %v vs %v", a.Outlays, b.Outlays)
+	}
+	for si := range a.Scenarios {
+		switch {
+		case a.RecoveryTime[si] != b.RecoveryTime[si]:
+			return fmt.Sprintf("scenario %d recovery time %v vs %v", si, a.RecoveryTime[si], b.RecoveryTime[si])
+		case a.DataLoss[si] != b.DataLoss[si]:
+			return fmt.Sprintf("scenario %d data loss %v vs %v", si, a.DataLoss[si], b.DataLoss[si])
+		case bits(a.Penalties[si]) != bits(b.Penalties[si]):
+			return fmt.Sprintf("scenario %d penalties %v vs %v", si, a.Penalties[si], b.Penalties[si])
+		case a.Lost[si] != b.Lost[si]:
+			return fmt.Sprintf("scenario %d lost %v vs %v", si, a.Lost[si], b.Lost[si])
+		}
+	}
+	return ""
+}
+
+// TestBoundMatchesScanAndTrueMinimum: over several spaces, every
+// objective with a floor, and ranges of 1, 7 and 64 candidates and a
+// whole shard slice starting at shard offsets, bound equals the
+// full-table scan bit for bit (value, ok and every SubtreeFloor field),
+// and where it holds, the slacked bound never exceeds the lowest
+// objective of a candidate in the range.
+func TestBoundMatchesScanAndTrueMinimum(t *testing.T) {
+	base := casestudy.Baseline()
+	scs := append(scenarios(), failure.Scenario{
+		Name: "object", Scope: failure.ScopeObject, TargetAge: 24 * time.Hour, RecoverSize: units.MB,
+	})
+	rto := whatif.Objectives{RTO: 48 * time.Hour, RPO: 28 * 24 * time.Hour}
+	objectives := []struct {
+		name  string
+		obj   Objective
+		floor ObjectiveFloor
+	}{
+		{"worst-total", WorstTotalObjective(), WorstTotalFloor()},
+		{"expected", ExpectedObjective(whatif.TypicalFrequencies()), ExpectedFloor(whatif.TypicalFrequencies())},
+		{"constrained", ConstrainedOutlayObjective(rto), ConstrainedOutlayFloor(rto)},
+	}
+	type space struct {
+		name   string
+		knobs  []Knob
+		splits []int
+	}
+	spaces := []space{
+		{"prune-test", pruneTestKnobs(), []int{1, 3, 7}},
+		{"wrap", wrapKnobs(), []int{1, 2, 3, 5, 7}},
+		// Slices of 512 and 64 keep the candidate scoring cheap.
+		{"wide-compile", wideCompileKnobs(), []int{72, 576}},
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 6; i++ {
+		spaces = append(spaces, space{fmt.Sprintf("random %d", i), randomKnobs(rng), []int{1, 3, 7}})
+	}
+	checked := 0
+	for _, sp := range spaces {
+		size, err := SpaceSize(sp.knobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := compileSpace(base, sp.knobs, scs, 1)
+		if err != nil {
+			t.Logf("%s: not compiled: %v", sp.name, err)
+			continue
+		}
+		// results memoizes each candidate's evaluation, as scoreCandidate
+		// builds and assesses it, across objectives and ranges.
+		results := map[int]*whatif.Result{}
+		choice := make([]int, len(sp.knobs))
+		for _, o := range objectives {
+			pr := newPruner(cs, o.floor, 0)
+			if pr == nil {
+				t.Fatalf("%s %s: no pruner", sp.name, o.name)
+			}
+			ps, ref := pr.newScratch(), pr.newScratch()
+			lowest := func(lo, hi int) units.Money {
+				best := units.Money(math.Inf(1))
+				for idx := lo; idx < hi; idx++ {
+					res, ok := results[idx]
+					if !ok {
+						decodeChoice(choice, sp.knobs, idx)
+						d, err := applyChoice(base, sp.knobs, choice)
+						if err != nil {
+							t.Fatalf("%s: candidate %d: %v", sp.name, idx, err)
+						}
+						r := whatif.EvaluateOne(d, scs)
+						res = &r
+						results[idx] = res
+					}
+					best = min(best, o.obj(*res))
+				}
+				return best
+			}
+			for _, m := range sp.splits {
+				for k := 0; k < m; k++ {
+					if m > 7 && k > 1 && k != m/2 && k != m-1 {
+						continue
+					}
+					lo, hi := Shard{Index: k, Count: m}.Bounds(size)
+					if lo == hi {
+						continue
+					}
+					for _, n := range []int{1, 7, defaultBatchSize, hi - lo} {
+						blo, bhi := lo, min(lo+n, hi)
+						label := fmt.Sprintf("%s %s [%d, %d)", sp.name, o.name, blo, bhi)
+						v, ok := pr.bound(ps, blo, bhi)
+						w, wok := boundScan(pr, ref, sp.knobs, blo, bhi)
+						if ok != wok {
+							t.Fatalf("%s: bound ok %v, scan ok %v", label, ok, wok)
+						}
+						if !ok {
+							continue
+						}
+						checked++
+						if math.Float64bits(float64(v)) != math.Float64bits(float64(w)) {
+							t.Fatalf("%s: bound %v, scan %v", label, v, w)
+						}
+						if diff := sameFloor(&ps.fl, &ref.fl); diff != "" {
+							t.Fatalf("%s: floors differ: %s", label, diff)
+						}
+						if low := lowest(blo, bhi); float64(v)*(1-boundSlack) > float64(low) {
+							t.Fatalf("%s: bound %v exceeds the range's lowest objective %v", label, v, low)
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no range was bounded")
+	}
+	t.Logf("%d bounded ranges checked", checked)
+}
+
+// BenchmarkPrunerBound times one bound call on a 64-candidate batch of
+// the 6144-candidate space of table7Knobs plus vault retention counts
+// 1..512, cycling through the space's 96 batches.
+func BenchmarkPrunerBound(b *testing.B) {
+	ret := make([]int, 512)
+	for i := range ret {
+		ret[i] = i + 1
+	}
+	knobs := append(table7Knobs(), RetCntKnob("vaulting", ret))
+	cs, err := compileSpace(casestudy.Baseline(), knobs, scenarios(), 1)
+	if err != nil {
+		b.Fatalf("compileSpace: %v", err)
+	}
+	pr := newPruner(cs, WorstTotalFloor(), 0)
+	if pr == nil {
+		b.Fatal("no pruner for the space")
+	}
+	ps := pr.newScratch()
+	space, err := SpaceSize(knobs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := space / defaultBatchSize
+	for i := 0; i < batches; i++ {
+		if _, ok := pr.bound(ps, i*defaultBatchSize, (i+1)*defaultBatchSize); !ok {
+			b.Fatalf("batch %d has no bound", i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blo := i % batches * defaultBatchSize
+		v, _ := pr.bound(ps, blo, blo+defaultBatchSize)
+		boundSink += v
+	}
+}
+
+// boundSink keeps BenchmarkPrunerBound's calls from being optimized away.
+var boundSink units.Money

@@ -379,9 +379,10 @@ type extractor struct {
 // member knobs (in knob order) to the worker's reset-in-place copy of
 // the base and re-diffing against the base. Combinations whose effects
 // stray outside the group's footprint, or fail any validation, are
-// marked suspect. Extraction is the expensive part of compilation, so
-// it runs on the worker pool, each worker extracting on its own
-// extractor.
+// marked suspect. Each group's fragments and specs are allocated once,
+// and every entry gets a capped window of them. Extraction is the
+// expensive part of compilation, so it runs on the worker pool, each
+// worker extracting on its own extractor.
 func (cs *compiledSpace) extractGroups(workers int) error {
 	acc := func() *extractor {
 		return &extractor{
@@ -394,6 +395,13 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
 		g.entries = make([]groupEntry, g.size)
+		nl, nd := len(g.levels), len(g.devices)
+		frags := make([]core.Fragment, g.size*nl)
+		specs := make([]device.Spec, g.size*nd)
+		for t := range g.entries {
+			g.entries[t].frags = frags[t*nl : (t+1)*nl : (t+1)*nl]
+			g.entries[t].specs = specs[t*nd : (t+1)*nd : (t+1)*nd]
+		}
 		_, err := parallel.Reduce(workers, g.size, acc, func(x *extractor, t int) (*extractor, error) {
 			ok, err := cs.extractEntry(x, gi, t)
 			g.entries[t].suspect = !ok
@@ -447,13 +455,14 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 		}
 	}
 	e := &g.entries[t]
-	e.frags = make([]core.Fragment, len(g.levels))
 	for li, j := range g.levels {
-		if e.frags[li], err = x.asm.Fragment(d.Levels[j], nil); err != nil {
+		// Size the demand list like the base level's, which most
+		// options keep.
+		buf := make([]core.IndexedDemand, 0, len(cs.kern.BaseFragment(j).Demands))
+		if e.frags[li], err = x.asm.Fragment(d.Levels[j], buf); err != nil {
 			return false, nil
 		}
 	}
-	e.specs = make([]device.Spec, len(g.devices))
 	for si, di := range g.devices {
 		e.specs[si] = d.Devices[di].Spec
 	}

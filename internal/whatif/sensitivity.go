@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"stordep/internal/config"
 	"stordep/internal/core"
 	"stordep/internal/failure"
 	"stordep/internal/units"
@@ -79,11 +78,7 @@ func Sensitivity(d *core.Design, sc failure.Scenario, swing float64) ([]Sensitiv
 		return nil, fmt.Errorf("whatif: swing must be in (0,1), got %g", swing)
 	}
 	totalAt := func(p sensitivityParam, f float64) (units.Money, error) {
-		data, err := config.Marshal(d)
-		if err != nil {
-			return 0, fmt.Errorf("whatif: %w", err)
-		}
-		clone, err := config.Unmarshal(data)
+		clone, err := d.Clone()
 		if err != nil {
 			return 0, fmt.Errorf("whatif: %w", err)
 		}

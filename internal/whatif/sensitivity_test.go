@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"stordep/internal/casestudy"
+	"stordep/internal/config"
+	"stordep/internal/core"
 	"stordep/internal/failure"
+	"stordep/internal/units"
 )
 
 func TestSensitivityBaseline(t *testing.T) {
@@ -78,5 +81,53 @@ func TestSensitivityValidation(t *testing.T) {
 	}
 	if _, err := Sensitivity(casestudy.Baseline(), sc, 1); err == nil {
 		t.Error("unit swing accepted")
+	}
+}
+
+// TestSensitivityMatchesJSONCopy: Sensitivity perturbs a structural
+// copy of the design. Its rows must equal the totals of the config JSON
+// round trip it used to copy through, for every what-if case study
+// under array and site loss.
+func TestSensitivityMatchesJSONCopy(t *testing.T) {
+	const swing = 0.5
+	totalAt := func(d *core.Design, sc failure.Scenario, p sensitivityParam, f float64) units.Money {
+		data, err := config.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := config.Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.apply(clone, f)
+		results, err := Evaluate([]*core.Design{clone}, []failure.Scenario{sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := results[0]
+		if r.Err != nil || r.Outcomes[0].Lost {
+			return units.Money(math.Inf(1))
+		}
+		return r.Outcomes[0].Total
+	}
+	for _, d := range casestudy.WhatIfDesigns() {
+		for _, sc := range []failure.Scenario{{Scope: failure.ScopeArray}, {Scope: failure.ScopeSite}} {
+			rows, err := Sensitivity(d, sc, swing)
+			if err != nil {
+				t.Fatalf("%s %s: %v", d.Name, sc.Scope, err)
+			}
+			byName := map[string]SensitivityRow{}
+			for _, r := range rows {
+				byName[r.Parameter] = r
+			}
+			for _, p := range sensitivityParams() {
+				got := byName[p.name]
+				low, high := totalAt(d, sc, p, 1-swing), totalAt(d, sc, p, 1+swing)
+				if got.Low != low || got.High != high {
+					t.Errorf("%s %s %s: rows (%v, %v), JSON copy (%v, %v)",
+						d.Name, sc.Scope, p.name, got.Low, got.High, low, high)
+				}
+			}
+		}
 	}
 }
