@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"stordep/internal/casestudy"
+	"stordep/internal/opt"
 )
 
 // TestNewSnapshotRecordsEnvironment: snapshots carry the schema version
@@ -110,4 +113,35 @@ func TestReadSnapshotSchemaV1(t *testing.T) {
 	if got.SchemaVersion != 0 || got.GOMAXPROCS != 0 || got.NumCPU != 1 {
 		t.Errorf("v1 snapshot = %+v", got)
 	}
+}
+
+// TestPrunedLargeRatio: the pruned/large case searches on one worker,
+// so which batches its bound retires does not depend on the host. Run
+// as that case runs it, the search must retire at least 90% of its 6144
+// candidates (the floor CI's -min-prune applies to the timed case) and
+// return the unpruned search's answer.
+func TestPrunedLargeRatio(t *testing.T) {
+	base, knobs, scs := casestudy.Baseline(), largeKnobs(), scenarios()
+	want, err := opt.ExhaustiveOpts(base, knobs, scs, nil, opt.ExhaustiveOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats opt.SearchStats
+	got, err := opt.ExhaustiveOpts(base, knobs, scs, nil, opt.ExhaustiveOptions{
+		Workers: 1, Prune: true, Floor: opt.WorstTotalFloor(), Stats: &stats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Score != want.Score || got.CandidateIndex != want.CandidateIndex {
+		t.Errorf("pruned answer #%d %v, unpruned #%d %v", got.CandidateIndex, got.Score, want.CandidateIndex, want.Score)
+	}
+	const space = 6144
+	if stats.Assessed+stats.Pruned != space {
+		t.Fatalf("assessed %d + pruned %d != %d", stats.Assessed, stats.Pruned, space)
+	}
+	if ratio := float64(stats.Pruned) / space; ratio < 0.9 {
+		t.Errorf("pruned %d of %d candidates (%.1f%%), want at least 90%%", stats.Pruned, space, 100*ratio)
+	}
+	t.Logf("pruned %d of %d, %d bounds", stats.Pruned, space, stats.BoundsComputed)
 }

@@ -226,13 +226,9 @@ func (k *BatchKernel) PrimaryResolution(si int) (lost bool, provision time.Durat
 // decided by fragment placement, not the candidate's copy device).
 func (k *BatchKernel) MultiLevel(j int) bool { return k.multiLevel[j] }
 
-// MultiServe reports a multi-sited level's survival under scenario si
-// and the device index serving reads (-1 when no fragment site
-// survives). Only meaningful when MultiLevel(j) is true.
-func (k *BatchKernel) MultiServe(si, j int) (survives bool, readIdx int) {
-	m := &k.multi[si*k.nLevels+j]
-	return m.survives, int(m.readIdx)
-}
+// MultiServe reports whether a multi-sited level's survival threshold
+// holds under scenario si. Only meaningful when MultiLevel(j) is true.
+func (k *BatchKernel) MultiServe(si, j int) bool { return k.multi[si*k.nLevels+j].survives }
 
 // DeviceFixedDelay returns device di's fixed access delay (Spec.Delay),
 // the serial term assessOne charges for every read through the device.
@@ -245,6 +241,57 @@ func (k *BatchKernel) DeviceFixedDelay(di int) time.Duration { return k.devDelay
 // NonNegativeRates).
 func (k *BatchKernel) PenaltyFloor(rt, dl time.Duration) units.Money {
 	return cost.Assess(k.reqs, rt, dl).Total()
+}
+
+// RecoveryFloor lower-bounds the recovery time assessOne reports when
+// level j, carrying fragment f, serves under scenario si, given that
+// each device d transfers at most ceil[d]. It follows assessOne's restore
+// path: the reader is f.Read or, for a multi-sited level, the first
+// surviving fragment site; the fixed part is the larger of the media
+// return (when f's copy and reader differ) and the reader's and the
+// destination's provisioning, plus the reader's access delay; the
+// transfer moves the scenario's RecoverSize, or f.Restore when that is
+// not positive, at the smaller ceiling of reader and primary array.
+// assessOne's rate is at most that (available bandwidth is at most the
+// spec's, an intra-array copy gets half, and an interconnect only lowers
+// it), and an interconnect only adds delay, so the floor holds whenever
+// ceil[d] >= the MaxBandwidth of every spec device d can take. It is
+// Forever when the reader or the destination resolves to no device
+// (assessOne then reports the object lost); sums saturate at Forever.
+func (k *BatchKernel) RecoveryFloor(si, j int, f *Fragment, ceil []units.Rate) time.Duration {
+	base := si * k.nDevices
+	dest := &k.res[base+k.primary]
+	readIdx := int(f.Read)
+	if k.multiLevel[j] {
+		if m := k.multi[si*k.nLevels+j]; m.readIdx >= 0 {
+			readIdx = int(m.readIdx)
+		}
+	}
+	read := &k.res[base+readIdx]
+	if dest.kind == resNone || read.kind == resNone {
+		return units.Forever
+	}
+	rt := max(read.provision, dest.provision)
+	if f.Copy != f.Read && f.Transport >= 0 {
+		rt = max(rt, k.devDelay[f.Transport])
+	}
+	rt = addSat(rt, k.devDelay[readIdx])
+	size := k.scs[si].RecoverSize
+	if size <= 0 {
+		size = f.Restore
+	}
+	if size > 0 {
+		rt = addSat(rt, units.Div(size, min(ceil[readIdx], ceil[k.primary])))
+	}
+	return rt
+}
+
+// addSat adds two durations, saturating at units.Forever.
+func addSat(a, b time.Duration) time.Duration {
+	if b > 0 && a > units.Forever-b {
+		return units.Forever
+	}
+	return a + b
 }
 
 // NonNegativeRates reports whether both penalty rates are >= 0, the

@@ -7,6 +7,7 @@ import (
 	"stordep/internal/casestudy"
 	"stordep/internal/core"
 	"stordep/internal/failure"
+	"stordep/internal/units"
 )
 
 // batchDesigns collects every design shape the kernel must replicate:
@@ -61,6 +62,61 @@ func TestAssessBatchMatchesAssessBrief(t *testing.T) {
 				t.Errorf("%s/%s: invalid row produced %+v, want zero", d.Name, sc.DisplayName(), got)
 			}
 		}
+	}
+}
+
+// TestRecoveryFloorAdmissible: with each device's bandwidth ceiling at
+// its spec's MaxBandwidth, the least RecoveryFloor over the levels that
+// may serve a scenario (those whose copy survives, or whose multi-sited
+// fragments do) never exceeds the recovery time AssessBatch reports,
+// for every design shape and scenario the kernel replicates.
+func TestRecoveryFloorAdmissible(t *testing.T) {
+	scs := briefScenarios()
+	checked := 0
+	for _, d := range batchDesigns() {
+		sys, err := core.Build(d)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		kern, err := core.NewBatchKernel(sys, scs)
+		if err != nil {
+			t.Fatalf("%s: kernel: %v", d.Name, err)
+		}
+		cols := kern.NewCols(1)
+		if !kern.NewAssembler().Row(d, cols, 0) {
+			t.Fatalf("%s: row refused", d.Name)
+		}
+		var scratch core.BatchScratch
+		kern.AssessBatch(1, cols, &scratch)
+		ceil := make([]units.Rate, kern.Devices())
+		for di := range ceil {
+			ceil[di] = kern.BaseSpec(di).MaxBandwidth()
+		}
+		for si, sc := range scs {
+			b := scratch.Briefs[si]
+			if b.WholeObjectLost {
+				continue
+			}
+			floor := units.Forever
+			for j := 0; j < kern.Levels(); j++ {
+				f := kern.BaseFragment(j)
+				serve := kern.DeviceIntact(si, int(f.Copy))
+				if kern.MultiLevel(j) {
+					serve = kern.MultiServe(si, j)
+				}
+				if serve {
+					floor = min(floor, kern.RecoveryFloor(si, j, f, ceil))
+				}
+			}
+			if floor > b.RecoveryTime {
+				t.Errorf("%s/%s: recovery floor %v exceeds the recovery time %v",
+					d.Name, sc.DisplayName(), floor, b.RecoveryTime)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every scenario lost the object")
 	}
 }
 

@@ -42,10 +42,13 @@ import (
 //     spec one group owns but whose demands another group feeds are
 //     dropped from the floor entirely (their contribution is verified
 //     nonnegative at construction).
-//   - Recovery-time floor, per scenario: assessOne's recovery time is at
-//     least the destination's provisioning delay plus the read device's
-//     fixed access delay, so the floor is destProvision + min over
-//     may-serve levels of the serving device's delay.
+//   - Recovery-time floor, per scenario: core's RecoveryFloor charges a
+//     serving level's restore path as assessOne does — the larger of the
+//     media return and the reader's and destination's provisioning, the
+//     reader's access delay, and the transfer at the smaller of the two
+//     devices' bandwidth ceilings (the most bandwidth any spec the
+//     device can take offers). It is tabulated per group entry, owned
+//     level and scenario, and the floor is its min over may-serve levels.
 //   - Data-loss floor, per scenario: every loss assessOne can report for
 //     a level is at least the level's accumulation window (cumulative
 //     lags are nonnegative), so the floor is the min accW over may-serve
@@ -59,19 +62,20 @@ import (
 //
 // Admissibility discipline: the floors rely on every folded component
 // being nonnegative (penalty rates, cost marginals, fixed costs,
-// discounts, policy lags and windows, device delays). newPruner verifies
-// all of them numerically and refuses to build a pruner — disabling
-// pruning, never correctness — on any violation. Candidates the tables
-// cannot represent keep their exact error semantics: a batch whose index
-// range can reach any suspect knob option or suspect group entry is
-// never bounded. Candidates that fail the duplicate-level-name or
-// device-capacity checks score +Inf through the slow path, which no
-// finite bound can exceed. Finally the prune test is strict with a
-// relative slack (boundSlack) absorbing float non-associativity between
-// the floor's fold order and fill's, and the incumbent is only ever an
-// achieved candidate score — so a pruned candidate scores strictly worse
-// than the incumbent and can never be the argmin nor tie with it. The
-// pruned search's Solution is byte-identical to the exhaustive one.
+// discounts, policy lags and windows, device delays, provisioning times
+// and bandwidth ceilings). newPruner verifies all of them numerically
+// and refuses to build a pruner — disabling pruning, never correctness
+// — on any violation. Candidates the tables cannot represent keep their
+// exact error semantics: a batch whose index range can reach any
+// suspect knob option or suspect group entry is never bounded.
+// Candidates that fail the duplicate-level-name or device-capacity
+// checks score +Inf through the slow path, which no finite bound can
+// exceed. Finally the prune test is strict with a relative slack
+// (boundSlack) absorbing float non-associativity between the floor's
+// fold order and fill's, and the incumbent is only ever an achieved
+// candidate score — so a pruned candidate scores strictly worse than
+// the incumbent and can never be the argmin nor tie with it. The pruned
+// search's Solution is byte-identical to the exhaustive one.
 
 const (
 	// boundSlack is the relative slack applied to a subtree bound before
@@ -88,9 +92,13 @@ const (
 // SubtreeFloor carries admissible per-component lower bounds holding for
 // every candidate in one contiguous slice of the enumeration: any
 // candidate's outlay total is >= Outlays, and under scenario si its
-// recovery time, data loss and penalties are >= the si-th entries.
-// Lost[si] means every candidate in the slice loses the object under
-// scenario si (certain loss, not merely possible loss).
+// recovery time, data loss and penalties are >= the si-th entries. The
+// recovery-time floor charges the serving level's whole restore path
+// (media return, provisioning, access delay and the transfer at the
+// devices' bandwidth ceilings); the data-loss floor charges its
+// accumulation window and, for a zero target age, the transfer lags up
+// to it. Lost[si] means every candidate in the slice loses the object
+// under scenario si (certain loss, not merely possible loss).
 type SubtreeFloor struct {
 	Outlays   units.Money
 	Scenarios []failure.Scenario
@@ -212,14 +220,15 @@ type prunedGroup struct {
 	// group); nonnegativity is verified at construction.
 	outlay []units.Money
 	// levels lists the group's owned level indices; multi marks
-	// kernel-resolved multi-sited ones. copyIdx/accW/lag/readDelay are
-	// flattened [t*len(levels)+li].
-	levels    []int
-	multi     []bool
-	copyIdx   []int32
-	accW      []time.Duration
-	lag       []time.Duration
-	readDelay []time.Duration
+	// kernel-resolved multi-sited ones. copyIdx/accW/lag are flattened
+	// [t*len(levels)+li], rec (core's RecoveryFloor per scenario) is
+	// [(t*len(levels)+li)*ns+si].
+	levels  []int
+	multi   []bool
+	copyIdx []int32
+	accW    []time.Duration
+	lag     []time.Duration
+	rec     []time.Duration
 }
 
 // pruner holds every precomputed table the per-batch bound needs. Built
@@ -243,17 +252,11 @@ type pruner struct {
 	// so a straight copy initializes a batch's scan state.
 	baseServe []bool
 	baseAccW  []time.Duration
-	baseSer   []time.Duration
+	baseRec   []time.Duration
 
-	// Multi-sited survival per (scenario, level); mRead is the surviving
-	// fragment reader's fixed delay, or -1 meaning "the level's own read
-	// device serves" (use the entry's readDelay).
-	mServe []bool
-	mRead  []time.Duration
-
+	mServe   []bool // [si*nLevels+j]: multi-sited level j survives si
 	intact   []bool // [si*nDevices+di]: device survives untouched
 	destLost []bool
-	destProv []time.Duration
 	lostPen  units.Money
 
 	// baseLag[j] is level j's transfer-lag floor when no group owns it
@@ -279,7 +282,7 @@ type pruneScratch struct {
 
 	serve   []bool
 	minAccW []time.Duration
-	minSer  []time.Duration
+	minRec  []time.Duration
 	minLag  []time.Duration // per level; cum holds its prefix sums
 	cum     []time.Duration
 
@@ -288,8 +291,9 @@ type pruneScratch struct {
 
 // newPruner builds the bound tables for a compiled space, returning nil
 // when any admissibility precondition fails — negative penalty rates,
-// negative cost components, negative policy windows — so pruning is
-// silently disabled rather than ever risking a wrong prune. incumbent
+// negative cost components, negative policy windows, negative or
+// unbounded delays and bandwidth ceilings — so pruning is silently
+// disabled rather than ever risking a wrong prune. incumbent
 // (> 0) pre-seeds the shared best score with an externally achieved
 // candidate score (e.g. another shard's winner).
 func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *pruner {
@@ -326,36 +330,49 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 		}
 	}
 	p.destLost = make([]bool, ns)
-	p.destProv = make([]time.Duration, ns)
 	for si := 0; si < ns; si++ {
 		lost, prov := kern.PrimaryResolution(si)
 		if prov < 0 {
 			return nil
 		}
 		p.destLost[si] = lost
-		p.destProv[si] = prov
 	}
+	// RecoveryFloor adds delays, provisioning times and transfers at the
+	// ceilings: all must be nonnegative, and none unbounded.
+	if f := cs.base.Facility; f != nil && !boundedDelay(f.ProvisionTime) {
+		return nil
+	}
+	ceil := make([]units.Rate, nD)
 	for di := 0; di < nD; di++ {
-		if kern.DeviceFixedDelay(di) < 0 {
+		sp := kern.BaseSpec(di)
+		if !boundedDelay(kern.DeviceFixedDelay(di)) || sp.HasSpare() && !boundedDelay(sp.Spare.ProvisionTime) {
+			return nil
+		}
+		// ceil[di] bounds the bandwidth device di offers any candidate:
+		// its base spec's, or the most among its owning group's entries.
+		if gi := cs.specOwner[di]; gi < 0 {
+			ceil[di] = sp.MaxBandwidth()
+		} else {
+			g := &cs.groups[gi]
+			for t := range g.entries {
+				if e := &g.entries[t]; !e.suspect {
+					ceil[di] = max(ceil[di], e.specs[cs.specSlot[di]].MaxBandwidth())
+				}
+			}
+		}
+		if c := float64(ceil[di]); !(c >= 0) || math.IsInf(c, 1) {
 			return nil
 		}
 	}
 	p.lostPen = kern.PenaltyFloor(units.Forever, units.Forever)
 
 	p.mServe = make([]bool, ns*nL)
-	p.mRead = make([]time.Duration, ns*nL)
 	for j := 0; j < nL; j++ {
 		if !kern.MultiLevel(j) {
 			continue
 		}
 		for si := 0; si < ns; si++ {
-			surv, ri := kern.MultiServe(si, j)
-			p.mServe[si*nL+j] = surv
-			if ri >= 0 {
-				p.mRead[si*nL+j] = kern.DeviceFixedDelay(ri)
-			} else {
-				p.mRead[si*nL+j] = -1
-			}
+			p.mServe[si*nL+j] = kern.MultiServe(si, j)
 		}
 	}
 
@@ -366,11 +383,11 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 
 	p.baseServe = make([]bool, ns*nL)
 	p.baseAccW = make([]time.Duration, ns*nL)
-	p.baseSer = make([]time.Duration, ns*nL)
+	p.baseRec = make([]time.Duration, ns*nL)
 	p.baseLag = make([]time.Duration, nL)
 	for i := range p.baseAccW {
 		p.baseAccW[i] = units.Forever
-		p.baseSer[i] = units.Forever
+		p.baseRec[i] = units.Forever
 	}
 	for j := 0; j < nL; j++ {
 		f := kern.BaseFragment(j)
@@ -384,21 +401,17 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 		p.baseLag[j] = f.Lag
 		for si := 0; si < ns; si++ {
 			idx := si*nL + j
-			ser := kern.DeviceFixedDelay(int(f.Read))
 			if kern.MultiLevel(j) {
 				p.baseServe[idx] = p.mServe[idx]
-				if d := p.mRead[idx]; d >= 0 {
-					ser = d
-				}
 			} else {
 				p.baseServe[idx] = p.intact[si*nD+int(f.Copy)]
 			}
 			p.baseAccW[idx] = f.AccW
-			p.baseSer[idx] = ser
+			p.baseRec[idx] = kern.RecoveryFloor(si, j, f, ceil)
 		}
 	}
 
-	if !p.buildGroups() {
+	if !p.buildGroups(ceil) {
 		return nil
 	}
 	if !p.buildOutlays() {
@@ -419,10 +432,15 @@ func fragSane(f *core.Fragment) bool {
 	return f.Lag >= 0 && f.AccW >= 0 && f.RetSpan >= 0
 }
 
+// boundedDelay reports whether a delay is nonnegative and below Forever,
+// so RecoveryFloor's sums over it stay floors of assessOne's.
+func boundedDelay(d time.Duration) bool { return d >= 0 && d < units.Forever }
+
 // buildGroups fills each group's suspect and owned-level tables (outlay
-// deltas are added by buildOutlays). Returns false on any frag sanity
-// violation.
-func (p *pruner) buildGroups() bool {
+// deltas are added by buildOutlays), with each entry's recovery-time
+// floors at the bandwidth ceilings ceil. Returns false on any frag
+// sanity violation.
+func (p *pruner) buildGroups(ceil []units.Rate) bool {
 	cs := p.cs
 	p.groups = make([]prunedGroup, len(cs.groups))
 	for gi := range cs.groups {
@@ -442,7 +460,7 @@ func (p *pruner) buildGroups() bool {
 		pg.copyIdx = make([]int32, g.size*nl)
 		pg.accW = make([]time.Duration, g.size*nl)
 		pg.lag = make([]time.Duration, g.size*nl)
-		pg.readDelay = make([]time.Duration, g.size*nl)
+		pg.rec = make([]time.Duration, g.size*nl*p.ns)
 		for t := 0; t < g.size; t++ {
 			e := &g.entries[t]
 			pg.suspect[t] = e.suspect
@@ -454,10 +472,13 @@ func (p *pruner) buildGroups() bool {
 				if !fragSane(f) {
 					return false
 				}
-				pg.copyIdx[t*nl+li] = f.Copy
-				pg.accW[t*nl+li] = f.AccW
-				pg.lag[t*nl+li] = f.Lag
-				pg.readDelay[t*nl+li] = cs.kern.DeviceFixedDelay(int(f.Read))
+				at := t*nl + li
+				pg.copyIdx[at] = f.Copy
+				pg.accW[at] = f.AccW
+				pg.lag[at] = f.Lag
+				for si := 0; si < p.ns; si++ {
+					pg.rec[at*p.ns+si] = cs.kern.RecoveryFloor(si, g.levels[li], f, ceil)
+				}
 			}
 		}
 	}
@@ -717,7 +738,7 @@ func (p *pruner) newScratch() *pruneScratch {
 		opt:      make([]int, nk),
 		serve:    make([]bool, n),
 		minAccW:  make([]time.Duration, n),
-		minSer:   make([]time.Duration, n),
+		minRec:   make([]time.Duration, n),
 		minLag:   make([]time.Duration, p.nLevels),
 		cum:      make([]time.Duration, p.nLevels),
 		fl: SubtreeFloor{
@@ -823,37 +844,33 @@ func (p *pruner) bound(ps *pruneScratch, blo, bhi int) (units.Money, bool) {
 func (p *pruner) resetFloors(ps *pruneScratch) {
 	copy(ps.serve, p.baseServe)
 	copy(ps.minAccW, p.baseAccW)
-	copy(ps.minSer, p.baseSer)
+	copy(ps.minRec, p.baseRec)
 	copy(ps.minLag, p.baseLag)
 }
 
 // foldEntry lowers ps's per-level floors by entry t of group pg: its
 // owned levels' transfer lags, and per scenario in which a level may
-// serve, its accumulation window and read delay. Owned levels start at
-// Forever (resetFloors), so the first serving entry sets them.
+// serve, its accumulation window and recovery-time floor. Owned levels
+// start at Forever (resetFloors), so the first serving entry sets them.
 func (p *pruner) foldEntry(ps *pruneScratch, pg *prunedGroup, t int) {
-	nL, nl := p.nLevels, len(pg.levels)
+	nL, nl, ns := p.nLevels, len(pg.levels), p.ns
 	for li, j := range pg.levels {
 		e := t*nl + li
-		accW, read := pg.accW[e], pg.readDelay[e]
+		accW, rec := pg.accW[e], pg.rec[e*ns:(e+1)*ns]
 		ps.minLag[j] = min(ps.minLag[j], pg.lag[e])
 		ci := int(pg.copyIdx[e])
-		for si := 0; si < p.ns; si++ {
+		for si := 0; si < ns; si++ {
 			idx := si*nL + j
-			ser := read
 			if pg.multi[li] {
 				if !p.mServe[idx] {
 					continue
-				}
-				if d := p.mRead[idx]; d >= 0 {
-					ser = d
 				}
 			} else if !p.intact[si*p.nDevices+ci] {
 				continue
 			}
 			ps.serve[idx] = true
 			ps.minAccW[idx] = min(ps.minAccW[idx], accW)
-			ps.minSer[idx] = min(ps.minSer[idx], ser)
+			ps.minRec[idx] = min(ps.minRec[idx], rec[si])
 		}
 	}
 }
@@ -877,7 +894,7 @@ func (p *pruner) finishFloor(ps *pruneScratch, outlay units.Money) units.Money {
 	fl.Outlays = outlay
 	for si := 0; si < ns; si++ {
 		lost := p.destLost[si]
-		minSer := units.Forever
+		minRec := units.Forever
 		minAccW := units.Forever
 		if !lost {
 			any := false
@@ -887,9 +904,7 @@ func (p *pruner) finishFloor(ps *pruneScratch, outlay units.Money) units.Money {
 					continue
 				}
 				any = true
-				if ps.minSer[idx] < minSer {
-					minSer = ps.minSer[idx]
-				}
+				minRec = min(minRec, ps.minRec[idx])
 				loss := ps.minAccW[idx]
 				if p.tgtZero[si] {
 					loss += ps.cum[j]
@@ -907,11 +922,10 @@ func (p *pruner) finishFloor(ps *pruneScratch, outlay units.Money) units.Money {
 			fl.Penalties[si] = p.lostPen
 			continue
 		}
-		rt := p.destProv[si] + minSer
 		fl.Lost[si] = false
-		fl.RecoveryTime[si] = rt
+		fl.RecoveryTime[si] = minRec
 		fl.DataLoss[si] = minAccW
-		fl.Penalties[si] = p.cs.kern.PenaltyFloor(rt, minAccW)
+		fl.Penalties[si] = p.cs.kern.PenaltyFloor(minRec, minAccW)
 	}
 	return p.floor(fl)
 }

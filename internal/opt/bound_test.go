@@ -12,6 +12,7 @@ import (
 
 	"stordep/internal/casestudy"
 	"stordep/internal/config"
+	"stordep/internal/core"
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/units"
@@ -316,6 +317,26 @@ func vaultPolicyPair() []hierarchy.Policy {
 	return []hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault}
 }
 
+// tapeEnclosureKnob sets the tape library's enclosure bandwidth to the
+// base's 240 MB/s or to 480 MB/s, which doubles its MaxBandwidth when
+// it has at least eight drives.
+func tapeEnclosureKnob() Knob {
+	bw := []units.Rate{240 * units.MBPerSec, 480 * units.MBPerSec}
+	return Knob{
+		Name:    "tape enclosure",
+		Options: []string{"240 MB/s", "480 MB/s"},
+		Apply: func(d *core.Design, i int) error {
+			di, err := findDevice(d, "tape-library")
+			if err != nil {
+				return err
+			}
+			d.Devices[di].Spec.EnclBW = bw[i]
+			return nil
+		},
+		Revertible: true,
+	}
+}
+
 // pruneTestKnobs is a 192-candidate space with an expensive half:
 // weekly vaulting with deep retention is dominated by the 4-weekly
 // optimum on worst total.
@@ -433,7 +454,8 @@ func TestPrunedWrappingBatchMatchesExhaustive(t *testing.T) {
 // entry and admits one when every member's option is one the batch
 // visits, found by decoding every index of [blo, bhi). Each admitted
 // entry is folded with the first serving entry setting a level's
-// floors, where bound min-folds from Forever.
+// floors (accumulation window and RecoveryFloor), where bound min-folds
+// from Forever.
 func boundScan(p *pruner, ps *pruneScratch, knobs []Knob, blo, bhi int) (units.Money, bool) {
 	visited := make([][]bool, len(knobs))
 	for k := range knobs {
@@ -482,13 +504,10 @@ func boundScan(p *pruner, ps *pruneScratch, knobs []Knob, blo, bhi int) (units.M
 				}
 				for si := 0; si < ns; si++ {
 					idx := si*nL + j
-					ser := pg.readDelay[t*nl+li]
+					rec := pg.rec[(t*nl+li)*ns+si]
 					if pg.multi[li] {
 						if !p.mServe[idx] {
 							continue
-						}
-						if d := p.mRead[idx]; d >= 0 {
-							ser = d
 						}
 					} else if !p.intact[si*p.nDevices+int(pg.copyIdx[t*nl+li])] {
 						continue
@@ -496,14 +515,14 @@ func boundScan(p *pruner, ps *pruneScratch, knobs []Knob, blo, bhi int) (units.M
 					if !ps.serve[idx] {
 						ps.serve[idx] = true
 						ps.minAccW[idx] = accW
-						ps.minSer[idx] = ser
+						ps.minRec[idx] = rec
 						continue
 					}
 					if accW < ps.minAccW[idx] {
 						ps.minAccW[idx] = accW
 					}
-					if ser < ps.minSer[idx] {
-						ps.minSer[idx] = ser
+					if rec < ps.minRec[idx] {
+						ps.minRec[idx] = rec
 					}
 				}
 			}
@@ -566,6 +585,15 @@ func TestBoundMatchesScanAndTrueMinimum(t *testing.T) {
 		{"wrap", wrapKnobs(), []int{1, 2, 3, 5, 7}},
 		// Slices of 512 and 64 keep the candidate scoring cheap.
 		{"wide-compile", wideCompileKnobs(), []int{72, 576}},
+		// Most entries double the tape library's MaxBandwidth over the
+		// base spec's, so the reader's ceiling must come from the
+		// group's entries. No other knob feeds the library, whose cost
+		// the outlay floor then charges exactly.
+		{"tape enclosure", []Knob{
+			RetCntKnob("split-mirror", []int{2, 4, 8}),
+			LinkCountKnob("tape-library", []int{4, 8, 12, 16}),
+			tapeEnclosureKnob(),
+		}, []int{1, 3, 7}},
 	}
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 6; i++ {
@@ -651,15 +679,87 @@ func TestBoundMatchesScanAndTrueMinimum(t *testing.T) {
 	t.Logf("%d bounded ranges checked", checked)
 }
 
-// BenchmarkPrunerBound times one bound call on a 64-candidate batch of
-// the 6144-candidate space of table7Knobs plus vault retention counts
-// 1..512, cycling through the space's 96 batches.
-func BenchmarkPrunerBound(b *testing.B) {
+// prunerBoundKnobs is table7Knobs plus vault retention counts 1..512:
+// 6144 candidates, 96 batches of defaultBatchSize.
+func prunerBoundKnobs() []Knob {
 	ret := make([]int, 512)
 	for i := range ret {
 		ret[i] = i + 1
 	}
-	knobs := append(table7Knobs(), RetCntKnob("vaulting", ret))
+	return append(table7Knobs(), RetCntKnob("vaulting", ret))
+}
+
+// TestRecoveryFloorTight: a site disaster restores Baseline from
+// vaulted tape, so its recovery time is the air-shipped media return,
+// then the tape library's access delay and the transfer into the
+// facility's array. The floor charges all of it at the bandwidth
+// ceilings, which the facility's fresh hardware reaches: in every batch
+// of prunerBoundKnobs' space the site floor equals the least site
+// recovery time of the batch's candidates, each assessed through
+// Build. A floor charging only provisioning and access delay left 1024
+// of the 6144 candidates to a worst-total pruned search; this one must
+// leave fewer, and the search must still return the exhaustive answer.
+func TestRecoveryFloorTight(t *testing.T) {
+	const site = 1 // scenarios()[1]
+	base := casestudy.Baseline()
+	knobs := prunerBoundKnobs()
+	scs := scenarios()
+	cs, err := compileSpace(base, knobs, scs, 1)
+	if err != nil {
+		t.Fatalf("compileSpace: %v", err)
+	}
+	pr := newPruner(cs, WorstTotalFloor(), 0)
+	if pr == nil {
+		t.Fatal("no pruner for the space")
+	}
+	ps := pr.newScratch()
+	space, err := SpaceSize(knobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	choice := make([]int, len(knobs))
+	for blo := 0; blo < space; blo += defaultBatchSize {
+		bhi := blo + defaultBatchSize
+		if _, ok := pr.bound(ps, blo, bhi); !ok {
+			t.Fatalf("batch [%d, %d) has no bound", blo, bhi)
+		}
+		least := units.Forever
+		for idx := blo; idx < bhi; idx++ {
+			decodeChoice(choice, knobs, idx)
+			d, err := applyChoice(base, knobs, choice)
+			if err != nil {
+				t.Fatalf("candidate %d: %v", idx, err)
+			}
+			least = min(least, whatif.EvaluateOne(d, scs).Outcomes[site].RecoveryTime)
+		}
+		if got := ps.fl.RecoveryTime[site]; got != least {
+			t.Errorf("batch [%d, %d): site floor %v, least site recovery time %v", blo, bhi, got, least)
+		}
+	}
+
+	ref, err := sliceExhaustive(base, knobs, scs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats SearchStats
+	sol, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{
+		Workers: 1, Prune: true, Floor: WorstTotalFloor(), Stats: &stats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prunedIdentical(t, "worst total", ref, sol)
+	if stats.Assessed >= 1024 {
+		t.Errorf("assessed %d of %d candidates, want fewer than 1024", stats.Assessed, space)
+	}
+	t.Logf("assessed %d, pruned %d, %d bounds", stats.Assessed, stats.Pruned, stats.BoundsComputed)
+}
+
+// BenchmarkPrunerBound times one bound call on a 64-candidate batch of
+// prunerBoundKnobs' 6144-candidate space, cycling through its 96
+// batches.
+func BenchmarkPrunerBound(b *testing.B) {
+	knobs := prunerBoundKnobs()
 	cs, err := compileSpace(casestudy.Baseline(), knobs, scenarios(), 1)
 	if err != nil {
 		b.Fatalf("compileSpace: %v", err)

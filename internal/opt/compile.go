@@ -41,6 +41,15 @@ import (
 // shared with the caller's design, and knobs install nothing shared
 // into it (Knob.Apply), so no option's writes outlive its reset.
 //
+// Revertible knobs skip the reset. A group whose members are all
+// Revertible re-applies every member over the previous entry's copy,
+// and the footprint pass applies a Revertible knob's options one over
+// the other, resetting once after the last. Revertible promises that
+// applying the knobs over any earlier application leaves the state a
+// fresh clone would have, and no other knob has written the copy, so
+// each entry and option sees exactly a fresh clone's state. An entry
+// whose diff strays outside its group is still reset.
+//
 // Anything the tables cannot represent exactly is handled by falling
 // back, at one of three granularities:
 //
@@ -69,6 +78,9 @@ import (
 const (
 	// defaultBatchSize is the candidate count per batched sweep step.
 	defaultBatchSize = 64
+	// arenaChunk is the fewest demand records an extractor's arena
+	// allocates at once.
+	arenaChunk = 256
 	// maxGroupOptions caps one group's joint-option product; interacting
 	// knobs beyond it abort compilation rather than explode the tables.
 	maxGroupOptions = 4096
@@ -98,6 +110,9 @@ type knobGroup struct {
 	levels  []int // touched level indices, ascending
 	devices []int // touched device indices, ascending
 	entries []groupEntry
+	// revertible: every member is Revertible, so entries are applied
+	// over the previous entry's copy without a reset.
+	revertible bool
 }
 
 // compiledSpace is the compiled form of (base design, knob set,
@@ -243,6 +258,9 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 		cs.knobSuspect[k] = make([]bool, len(opts))
 		lset, dset := map[int]bool{}, map[int]bool{}
 		for o := range opts {
+			// A Revertible knob's next option overwrites this one's
+			// writes, so only the last is reset.
+			reset := o == len(opts)-1 || !cs.knobs[k].Revertible
 			d, err := w.get()
 			if err != nil {
 				return err
@@ -265,7 +283,9 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 			for _, di := range t.Devices {
 				dset[di] = true
 			}
-			w.restore(&t)
+			if reset {
+				w.restore(&t)
+			}
 		}
 		touchL[k] = sortedKeys(lset)
 		touchD[k] = sortedKeys(dset)
@@ -314,11 +334,12 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 		r := find(k)
 		g, ok := byRoot[r]
 		if !ok {
-			g = &knobGroup{}
+			g = &knobGroup{revertible: true}
 			byRoot[r] = g
 			roots = append(roots, r)
 		}
 		g.members = append(g.members, k)
+		g.revertible = g.revertible && cs.knobs[k].Revertible
 		g.levels = append(g.levels, touchL[k]...)
 		g.devices = append(g.devices, touchD[k]...)
 	}
@@ -366,13 +387,30 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 }
 
 // extractor is one extraction worker's state: its core.Assembler, its
-// reset-in-place copy of the base, and an entry's diff and member
-// options.
+// reset-in-place copy of the base, an entry's diff and member options,
+// and its demand buffers: buf captures one fragment's demands, which
+// are then copied into arena, the chunk the table's fragments share.
 type extractor struct {
-	asm   *core.Assembler
-	work  workDesign
-	touch core.Touch
-	opts  []int
+	asm        *core.Assembler
+	work       workDesign
+	touch      core.Touch
+	opts       []int
+	buf, arena []core.IndexedDemand
+}
+
+// keep copies demand records into the arena and returns the capped
+// window holding them (nil for none, as a fresh capture gives).
+func (x *extractor) keep(recs []core.IndexedDemand) []core.IndexedDemand {
+	n := len(recs)
+	if n == 0 {
+		return nil
+	}
+	if cap(x.arena)-len(x.arena) < n {
+		x.arena = make([]core.IndexedDemand, 0, max(n, arenaChunk))
+	}
+	lo := len(x.arena)
+	x.arena = append(x.arena, recs...)
+	return x.arena[lo : lo+n : lo+n]
 }
 
 // extractGroups fills each group's joint-option table by applying the
@@ -380,7 +418,8 @@ type extractor struct {
 // the base and re-diffing against the base. Combinations whose effects
 // stray outside the group's footprint, or fail any validation, are
 // marked suspect. Each group's fragments and specs are allocated once,
-// and every entry gets a capped window of them. Extraction is the
+// and every entry gets a capped window of them; fragment demands go to
+// the extractor's arena. Extraction is the
 // expensive part of compilation, so it runs on the worker pool, each
 // worker extracting on its own extractor.
 func (cs *compiledSpace) extractGroups(workers int) error {
@@ -443,25 +482,30 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 		x.work.drop()
 		return false, nil
 	}
-	defer x.work.restore(&x.touch)
 	for _, j := range x.touch.Levels {
 		if cs.levelOwner[j] != gi {
+			x.work.restore(&x.touch)
 			return false, nil
 		}
 	}
 	for _, di := range x.touch.Devices {
 		if cs.specOwner[di] != gi {
+			x.work.restore(&x.touch)
 			return false, nil
 		}
 	}
+	if !g.revertible {
+		defer x.work.restore(&x.touch)
+	}
 	e := &g.entries[t]
 	for li, j := range g.levels {
-		// Size the demand list like the base level's, which most
-		// options keep.
-		buf := make([]core.IndexedDemand, 0, len(cs.kern.BaseFragment(j).Demands))
-		if e.frags[li], err = x.asm.Fragment(d.Levels[j], buf); err != nil {
+		f, err := x.asm.Fragment(d.Levels[j], x.buf[:0])
+		x.buf = f.Demands
+		if err != nil {
 			return false, nil
 		}
+		f.Demands = x.keep(f.Demands)
+		e.frags[li] = f
 	}
 	for si, di := range g.devices {
 		e.specs[si] = d.Devices[di].Spec

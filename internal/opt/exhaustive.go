@@ -255,13 +255,15 @@ func exhaustive(base *core.Design, knobs []Knob, scenarios []failure.Scenario, o
 	}
 	var pr *pruner
 	if opts.Prune && sw.cs != nil {
-		pr = newPruner(sw.cs, opts.Floor, opts.Incumbent)
-	}
-	if pr != nil {
+		build := func() {
+			if pr = newPruner(sw.cs, opts.Floor, opts.Incumbent); pr != nil {
+				pr.seed(objective, sw.lo, sw.hi)
+			}
+		}
 		if profilingEnabled() {
-			doPhase(labelsPrune, func() { pr.seed(objective, sw.lo, sw.hi) })
+			doPhase(labelsPrune, build)
 		} else {
-			pr.seed(objective, sw.lo, sw.hi)
+			build()
 		}
 	}
 	sw.progress = opts.Progress

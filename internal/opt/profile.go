@@ -12,7 +12,8 @@ import (
 // merge, "compile" the one-time knob-space compilation (diffing,
 // group-table extraction, probe verification), "batch" the compiled
 // path's fill+AssessBatch step, and "prune" the branch-and-bound layer
-// (incumbent seeding plus per-subtree bound computation). With labels
+// (bound-table build, incumbent seeding and per-subtree bound
+// computation). With labels
 // on, `go tool pprof -tagfocus phase=batch` isolates where an
 // optimization run actually spends its time.
 var (
