@@ -7,11 +7,14 @@ import (
 	"stordep/internal/casestudy"
 	"stordep/internal/core"
 	"stordep/internal/failure"
+	"stordep/internal/units"
 )
 
 // briefScenarios covers the brief path's branches: recoverable failures
-// at several scopes, an unrecoverable wide-scope failure, and an aged
-// recovery target.
+// at several scopes, an unrecoverable wide-scope failure, an aged
+// recovery target, and a site restore whose transfer at Baseline's
+// 240 MB/s ends an hour short of units.Forever, so the media return
+// ahead of it must saturate the sum rather than wrap it negative.
 func briefScenarios() []failure.Scenario {
 	return []failure.Scenario{
 		{Scope: failure.ScopeObject},
@@ -20,6 +23,7 @@ func briefScenarios() []failure.Scenario {
 		{Scope: failure.ScopeSite},
 		{Scope: failure.ScopeRegion},
 		{Scope: failure.ScopeArray, TargetAge: 36 * time.Hour},
+		{Scope: failure.ScopeSite, RecoverSize: (240 * units.MBPerSec).Over(units.Forever - time.Hour)},
 	}
 }
 
@@ -75,23 +79,28 @@ func TestAssessBriefRejectsInvalidScenario(t *testing.T) {
 
 // TestAssessBriefAllocBudget: with a warmed Scratch, assessing a
 // scenario allocates nothing — the contract the streaming optimizer's
-// inner loop depends on.
+// inner loop depends on — including when no level retains a target ten
+// years old and the object is lost.
 func TestAssessBriefAllocBudget(t *testing.T) {
 	sys, err := core.Build(casestudy.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch core.Scratch
-	sc := failure.Scenario{Scope: failure.ScopeSite}
-	if _, err := sys.AssessBrief(sc, &scratch); err != nil { // warm the buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := sys.AssessBrief(sc, &scratch); err != nil {
+	for _, sc := range []failure.Scenario{
+		{Scope: failure.ScopeSite},
+		{Scope: failure.ScopeArray, TargetAge: 10 * units.Year},
+	} {
+		var scratch core.Scratch
+		if _, err := sys.AssessBrief(sc, &scratch); err != nil { // warm the buffers
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("AssessBrief allocates %.1f objects per call with warm scratch, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := sys.AssessBrief(sc, &scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: AssessBrief allocates %.1f objects per call with warm scratch, want 0", sc.DisplayName(), allocs)
+		}
 	}
 }

@@ -205,21 +205,14 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 		objects: make(map[string]*System, len(md.Objects)),
 	}
 	for _, obj := range md.Objects {
-		d := md.ObjectDesign(obj)
-		if err := d.Primary.ApplyDemands(d.Workload, devs); err != nil {
+		if err := obj.Primary.ApplyDemands(obj.Workload, devs); err != nil {
 			return nil, fmt.Errorf("core: object %s: %w", obj.Name, err)
 		}
-		for i, tech := range d.Levels {
-			if err := tech.ApplyDemands(d.Workload, devs); err != nil {
+		for i, tech := range obj.Levels {
+			if err := tech.ApplyDemands(obj.Workload, devs); err != nil {
 				return nil, fmt.Errorf("core: object %s level %d: %w", obj.Name, i+1, err)
 			}
 		}
-		ms.objects[obj.Name] = &System{
-			design:  d,
-			devices: devs,
-			chain:   d.Chain(),
-		}
-		ms.order = append(ms.order, obj.Name)
 	}
 	for _, dev := range ordered {
 		if err := dev.Check(); err != nil {
@@ -228,10 +221,11 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 	}
 	// Outlays are computed once over the shared fleet; facility retainer
 	// piggybacks on the first object's placement view (the fleet and
-	// facility are shared).
+	// facility are shared). Every object view carries them.
 	ms.outlays = collectOutlays(md.ObjectDesign(md.Objects[0]), ordered)
-	for name := range ms.objects {
-		ms.objects[name].outlays = ms.outlays
+	for _, obj := range md.Objects {
+		ms.objects[obj.Name] = newSystem(md.ObjectDesign(obj), devs, ms.outlays)
+		ms.order = append(ms.order, obj.Name)
 	}
 	return ms, nil
 }

@@ -244,3 +244,39 @@ func TestMultiUnrecoverableObjectPropagates(t *testing.T) {
 		t.Errorf("service should be unrecoverable: RT %v DL %v", sa.RecoveryTime, sa.DataLoss)
 	}
 }
+
+// TestMultiSingleObjectMatchesBuild: a one-object MultiDesign over
+// Baseline's fleet is Baseline, so its object view must brief exactly as
+// Build(Baseline) does under every case-study scenario — dedicated
+// spares stand in before the facility, and Total carries the outlays.
+func TestMultiSingleObjectMatchesBuild(t *testing.T) {
+	d := casestudy.Baseline()
+	sys, err := core.Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := core.BuildMulti(&core.MultiDesign{
+		Name:         d.Name,
+		Requirements: d.Requirements,
+		Devices:      d.Devices,
+		Facility:     d.Facility,
+		Objects:      []core.ObjectSpec{{Name: "cello", Workload: d.Workload, Primary: d.Primary, Levels: d.Levels}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := ms.Object("cello")
+	for _, sc := range failure.CaseStudyScenarios() {
+		want, err := sys.AssessBrief(sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := view.AssessBrief(sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: object view %+v, Build %+v", sc.DisplayName(), got, want)
+		}
+	}
+}

@@ -527,8 +527,8 @@ type eventContext struct {
 	// steps is the analytic recovery path (nil when the analytic model
 	// deems the scenario unrecoverable even healthy).
 	steps []recovery.Step
-	// analyticSize is the worst-case restore volume the analytic plan
-	// charges on data-bearing steps.
+	// rtBound is the analytic recovery-time bound (units.Forever when
+	// the analytic model cannot recover).
 	rtBound time.Duration
 }
 
@@ -574,32 +574,23 @@ func (r *runner) context(sc failure.Scenario, effOuts []hierarchy.LevelOutage, c
 // eventRT estimates the event's recovery time: the analytic worst-case
 // recovery path with its data-bearing steps scaled down to the restore
 // volume the simulator actually needs (full base plus unique bytes
-// since the serving RP's base full). The scaling is min(), so the
-// estimate never exceeds the analytic worst case; when the analytic
-// model is unrecoverable the event charges the rest of the window.
+// since the serving RP's base full), folded by recovery.Time. The
+// scaling is min(), so the estimate never exceeds the analytic worst
+// case; when the analytic model is unrecoverable the event charges the
+// rest of the window.
 func (r *runner) eventRT(s *sim.Simulator, ctx *eventContext, sc failure.Scenario, at time.Duration) time.Duration {
 	if ctx.steps == nil {
 		return units.Forever
 	}
-	vol := units.ByteSize(-1)
+	var buf [2]recovery.Step // a restore has at most two hops
+	steps := append(buf[:0], ctx.steps...)
 	if plan, ok := s.Plan(ctx.surviving, at, sc.TargetAge); ok {
-		vol = plan.Volume(r.c.Design.Workload)
+		vol := plan.Volume(r.c.Design.Workload)
+		for i := range steps {
+			steps[i].Size = min(steps[i].Size, vol)
+		}
 	}
-	var rt time.Duration
-	for _, st := range ctx.steps {
-		if vol >= 0 && st.Size > vol {
-			st.Size = vol
-		}
-		if st.ParFix > rt {
-			rt = st.ParFix
-		}
-		d := st.Duration()
-		if d == units.Forever {
-			return units.Forever
-		}
-		rt += d
-	}
-	return rt
+	return recovery.Time(steps)
 }
 
 // sampleDevice draws one device's down intervals over [0, horizon) as

@@ -42,13 +42,12 @@ import (
 //     spec one group owns but whose demands another group feeds are
 //     dropped from the floor entirely (their contribution is verified
 //     nonnegative at construction).
-//   - Recovery-time floor, per scenario: core's RecoveryFloor charges a
-//     serving level's restore path as assessOne does — the larger of the
-//     media return and the reader's and destination's provisioning, the
-//     reader's access delay, and the transfer at the smaller of the two
-//     devices' bandwidth ceilings (the most bandwidth any spec the
-//     device can take offers). It is tabulated per group entry, owned
-//     level and scenario, and the floor is its min over may-serve levels.
+//   - Recovery-time floor, per scenario: core's RecoveryFloor is the
+//     restore assessOne evaluates for a serving level, with every device
+//     at its bandwidth ceiling (the most bandwidth any spec the device
+//     can take offers); the restore time never rises with a bandwidth.
+//     It is tabulated per group entry, owned level and scenario, and the
+//     floor is its min over may-serve levels.
 //   - Data-loss floor, per scenario: every loss assessOne can report for
 //     a level is at least the level's accumulation window (cumulative
 //     lags are nonnegative), so the floor is the min accW over may-serve
