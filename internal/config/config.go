@@ -2,6 +2,13 @@
 // designs can be versioned, shared and evaluated from the command line.
 // Quantities use human-readable strings ("1360GB", "799KB/s", "4wk12h")
 // in the units idiom of the paper's tables.
+//
+// Unmarshal decodes the canonical form Marshal writes with a one-pass
+// reader that needs no reflection. The reader declines any other input,
+// malformed input included, to encoding/json, which alone defines the
+// format, its lenient cases and its error texts. FuzzUnmarshalMatchesJSON
+// checks that whatever the reader accepts, encoding/json decodes to the
+// same value.
 package config
 
 import (
@@ -180,8 +187,13 @@ func Marshal(d *core.Design) ([]byte, error) {
 // call core.Build (or Design.Validate) before use.
 func Unmarshal(data []byte) (*core.Design, error) {
 	var dj designJSON
-	if err := json.Unmarshal(data, &dj); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadDesign, err)
+	if !readCanonical(data, &dj) {
+		// encoding/json merges into existing values, so it must not see
+		// the reader's partial decode.
+		dj = designJSON{}
+		if err := json.Unmarshal(data, &dj); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadDesign, err)
+		}
 	}
 	return decodeDesign(&dj)
 }

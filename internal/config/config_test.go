@@ -136,6 +136,30 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsNonFinite: a size or rate that is not a finite
+// number fails to decode. NaN compares false against every check, so such
+// a design used to validate and build, with NaN or negative results.
+func TestUnmarshalRejectsNonFinite(t *testing.T) {
+	data, err := Marshal(casestudy.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []struct{ old, new string }{
+		{`"dataCap": "1360GB"`, `"dataCap": "NaNGB"`},
+		{`"slotCap": "73GB"`, `"slotCap": "NaNGB"`},
+		{`"slotCap": "73GB"`, `"slotCap": "InfGB"`},
+		{`"enclBW": "512MB/s"`, `"enclBW": "NaNMB/s"`},
+	} {
+		js := strings.Replace(string(data), sub.old, sub.new, 1)
+		if js == string(data) {
+			t.Fatalf("Baseline's JSON has no %s", sub.old)
+		}
+		if _, err := Unmarshal([]byte(js)); !errors.Is(err, ErrBadDesign) {
+			t.Errorf("%s: Unmarshal = %v, want ErrBadDesign", sub.new, err)
+		}
+	}
+}
+
 const validWorkload = `{"workload":{"dataCap":"1GB","avgAccessRate":"1MB/s","avgUpdateRate":"1MB/s"}`
 
 func TestDecodeDefaults(t *testing.T) {
@@ -169,8 +193,9 @@ func TestMarshalRejectsIncompleteDesign(t *testing.T) {
 	}
 }
 
-func TestErasureRoundTrip(t *testing.T) {
-	js := `{"workload":{"dataCap":"100GB","avgAccessRate":"1MB/s","avgUpdateRate":"1MB/s","burstMult":2,
+// erasureDesign has an erasure-code level spreading fragments over
+// three sites.
+const erasureDesign = `{"workload":{"dataCap":"100GB","avgAccessRate":"1MB/s","avgUpdateRate":"1MB/s","burstMult":2,
 	    "batchCurve":[{"window":"1h","rate":"0.5MB/s"}]},
 	  "primary":{"array":"a0"},
 	  "devices":[
@@ -183,7 +208,9 @@ func TestErasureRoundTrip(t *testing.T) {
 	  "levels":[{"type":"erasure-code","fragments":3,"threshold":2,
 	    "sites":["f1","f2","f3"],"links":"wan",
 	    "policy":{"accW":"1h","propW":"1h","retCnt":2,"retW":"2h"}}]}`
-	d, err := Unmarshal([]byte(js))
+
+func TestErasureRoundTrip(t *testing.T) {
+	d, err := Unmarshal([]byte(erasureDesign))
 	if err != nil {
 		t.Fatal(err)
 	}

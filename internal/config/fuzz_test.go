@@ -60,6 +60,10 @@ func FuzzDistributionRoundTrip(f *testing.F) {
 	f.Add(int8(2), int64(52*7*24*time.Hour), 0.7, int8(1), int64(8*time.Hour), 0.0)
 	f.Add(int8(0), int64(0), 0.0, int8(0), int64(0), 0.0)
 	f.Add(int8(2), int64(time.Second), 1e308, int8(1), int64(-5), 0.0)
+	// A 200-year mean, whose hours once reparsed in exponent form.
+	f.Add(int8(1), int64(200*52*7*24*time.Hour), 0.0, int8(1), int64(8*time.Hour), 0.0)
+	// A 2051 s mean, whose fractional minutes once read back 1 ns short.
+	f.Add(int8(1), int64(time.Hour), 0.0, int8(1), int64(2051*time.Second), 0.0)
 
 	f.Fuzz(func(t *testing.T, fKind int8, fMean int64, fShape float64,
 		rKind int8, rMean int64, rShape float64) {

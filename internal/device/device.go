@@ -162,7 +162,8 @@ func (s *Spec) Validate() error {
 	if s.Kind < KindStorage || s.Kind > KindTransport {
 		return fmt.Errorf("%w: %d", ErrBadKind, int(s.Kind))
 	}
-	if s.MaxCapSlots < 0 || s.SlotCap < 0 || s.MaxBWSlots < 0 || s.SlotBW < 0 || s.EnclBW < 0 || s.Delay < 0 {
+	// The size and rate comparisons are written to fail on NaN.
+	if s.MaxCapSlots < 0 || !(s.SlotCap >= 0) || s.MaxBWSlots < 0 || !(s.SlotBW >= 0) || !(s.EnclBW >= 0) || s.Delay < 0 {
 		return fmt.Errorf("%w (%s)", ErrNegative, s.Name)
 	}
 	if s.CapOverhead != 0 && s.CapOverhead < 1 {

@@ -24,6 +24,9 @@ func TestSpecValidate(t *testing.T) {
 		{"negative slot cap", func(s *Spec) { s.SlotCap = -1 }, ErrNegative},
 		{"negative bw", func(s *Spec) { s.SlotBW = -1 }, ErrNegative},
 		{"negative delay", func(s *Spec) { s.Delay = -time.Second }, ErrNegative},
+		{"NaN slot cap", func(s *Spec) { s.SlotCap = units.ByteSize(math.NaN()) }, ErrNegative},
+		{"NaN slot bw", func(s *Spec) { s.SlotBW = units.Rate(math.NaN()) }, ErrNegative},
+		{"NaN enclosure bw", func(s *Spec) { s.EnclBW = units.Rate(math.NaN()) }, ErrNegative},
 		{"overhead below one", func(s *Spec) { s.CapOverhead = 0.5 }, ErrBadOverhead},
 		{"bad spare kind", func(s *Spec) { s.Spare.Kind = 42 }, ErrBadSpare},
 		{"negative spare time", func(s *Spec) {

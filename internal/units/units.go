@@ -210,7 +210,8 @@ var sizeSuffixes = []struct {
 }
 
 // ParseByteSize parses strings such as "1360GB", "73 GB", "1.5TB" or "512B".
-// Unit suffixes are case-insensitive; binary multiples are used.
+// Unit suffixes are case-insensitive; binary multiples are used. A size
+// that is not finite, such as "NaNGB" or "InfTB", is an error.
 func ParseByteSize(s string) (ByteSize, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -226,7 +227,11 @@ func ParseByteSize(s string) (ByteSize, error) {
 		if err != nil {
 			return 0, fmt.Errorf("units: bad size %q: %w", s, err)
 		}
-		return ByteSize(v) * sf.unit, nil
+		b := ByteSize(v) * sf.unit
+		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+			return 0, fmt.Errorf("units: size %q is not finite", s)
+		}
+		return b, nil
 	}
 	return 0, fmt.Errorf("units: size %q has no recognized unit suffix", s)
 }
@@ -248,45 +253,131 @@ func ParseRate(s string) (Rate, error) {
 // ParseDuration parses time.ParseDuration syntax extended with day ("d"),
 // week ("w" or "wk") and year ("y" or "yr") units, e.g. "12h", "2d", "4wk",
 // "3yr", "4wk12h". Units may be chained just as in time.ParseDuration.
+//
+// Each component is read as a float64, scaled to hours for the calendar
+// units and counted in minutes for "min", and converted to nanoseconds as
+// time.ParseDuration converts that scaled number's shortest decimal
+// digits: the integer digits exactly and the fraction through float64,
+// with its overflow rules. Only the first component may be negative.
 func ParseDuration(s string) (time.Duration, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, errEmpty
 	}
-	// Replace extended units with stdlib-parsable equivalents. Order
-	// matters: "wk" before "w", "yr" before "y", "min" before "m".
-	replacements := []struct {
-		unit   string
-		factor float64
-		out    string
-	}{
-		{"yr", Year.Hours(), "h"}, {"y", Year.Hours(), "h"},
-		{"wk", Week.Hours(), "h"}, {"w", Week.Hours(), "h"},
-		{"d", Day.Hours(), "h"},
-		{"min", 1, "m"},
-	}
-	var out strings.Builder
-	rest := s
-	for rest != "" {
+	var (
+		d   uint64
+		neg bool
+		buf [32]byte
+	)
+	for rest := s; rest != ""; {
 		num, unit, tail, err := nextDurationComponent(rest)
 		if err != nil {
 			return 0, fmt.Errorf("units: bad duration %q: %w", s, err)
 		}
-		rest = tail
-		lower := strings.ToLower(unit)
-		replaced := false
-		for _, rep := range replacements {
-			if lower == rep.unit {
-				fmt.Fprintf(&out, "%g%s", num*rep.factor, rep.out)
-				replaced = true
-				break
-			}
+		factor, ns, ok := durationUnit(unit)
+		if !ok {
+			return 0, fmt.Errorf("units: bad duration %q: unknown unit %q", s, unit)
 		}
-		if !replaced {
-			fmt.Fprintf(&out, "%g%s", num, unit)
+		x := num * factor
+		if math.Signbit(x) {
+			// Only the first component, at the start of s, takes a sign.
+			if rest != s {
+				return 0, fmt.Errorf("units: bad duration %q: only the first component may be negative", s)
+			}
+			neg, x = true, -x
+		}
+		rest = tail
+		// The shortest decimal of a float64 at or above 2^63 has an
+		// integer part above 2^63, which overflows; below it, one that
+		// fits. Rejecting it here spares formatting up to 309 digits.
+		if x >= 1<<63 {
+			return 0, fmt.Errorf("units: duration %q out of range", s)
+		}
+		v, ok := decimalNanos(strconv.AppendFloat(buf[:0], x, 'f', -1, 64), ns)
+		if d += v; !ok || d > 1<<63 {
+			return 0, fmt.Errorf("units: duration %q out of range", s)
 		}
 	}
-	return time.ParseDuration(out.String())
+	if neg {
+		return -time.Duration(d), nil
+	}
+	if d > math.MaxInt64 {
+		return 0, fmt.Errorf("units: duration %q out of range", s)
+	}
+	return time.Duration(d), nil
+}
+
+// durationUnit returns the factor a component's number is scaled by and
+// the nanoseconds in one unit of the scaled number. Calendar units and
+// "min" match in any case, time.ParseDuration's own units exactly.
+func durationUnit(unit string) (factor float64, ns uint64, ok bool) {
+	switch strings.ToLower(unit) {
+	case "yr", "y":
+		return Year.Hours(), uint64(time.Hour), true
+	case "wk", "w":
+		return Week.Hours(), uint64(time.Hour), true
+	case "d":
+		return Day.Hours(), uint64(time.Hour), true
+	case "min":
+		return 1, uint64(time.Minute), true
+	}
+	switch unit {
+	case "ns":
+		return 1, uint64(time.Nanosecond), true
+	case "us", "\u00b5s", "\u03bcs": // micro sign and Greek mu, as in time
+		return 1, uint64(time.Microsecond), true
+	case "ms":
+		return 1, uint64(time.Millisecond), true
+	case "s":
+		return 1, uint64(time.Second), true
+	case "m":
+		return 1, uint64(time.Minute), true
+	case "h":
+		return 1, uint64(time.Hour), true
+	}
+	return 0, 0, false
+}
+
+// decimalNanos converts the unsigned decimal digits of a count of units
+// of ns nanoseconds as time.ParseDuration does: the integer part must fit
+// in 2^63 exactly, the fraction keeps as many digits as fit in a uint64
+// and is scaled through float64. It reports false on overflow.
+func decimalNanos(digits []byte, ns uint64) (uint64, bool) {
+	var v uint64
+	i := 0
+	for ; i < len(digits) && digits[i] != '.'; i++ {
+		if v > 1<<63/10 {
+			return 0, false
+		}
+		if v = v*10 + uint64(digits[i]-'0'); v > 1<<63 {
+			return 0, false
+		}
+	}
+	var f uint64
+	scale := 1.0
+	if i < len(digits) {
+		for _, c := range digits[i+1:] {
+			if f > (1<<63-1)/10 {
+				break
+			}
+			y := f*10 + uint64(c-'0')
+			if y > 1<<63 {
+				break
+			}
+			f, scale = y, scale*10
+		}
+	}
+	if v > 1<<63/ns {
+		return 0, false
+	}
+	v *= ns
+	if f > 0 {
+		v += uint64(float64(f) * (float64(ns) / scale))
+		if v > 1<<63 {
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // nextDurationComponent splits the leading "<number><unit>" component off a
@@ -320,6 +411,7 @@ func nextDurationComponent(s string) (num float64, unit, tail string, err error)
 // FormatDuration renders a duration compactly in the paper's idiom: "12h",
 // "2d", "4wk", "4wk12h", "3yr". It picks the largest calendar unit that
 // divides the duration exactly, falling back to fractional hours.
+// ParseDuration reads any whole number of seconds back exactly.
 func FormatDuration(d time.Duration) string {
 	if d == Forever {
 		return "forever"
@@ -343,7 +435,16 @@ func FormatDuration(d time.Duration) string {
 		if d%time.Minute == 0 {
 			return fmt.Sprintf("%s%dmin", neg, d/time.Minute)
 		}
-		return fmt.Sprintf("%s%gmin", neg, d.Minutes())
+		// Fractional minutes ("1.5min") are kept where ParseDuration
+		// reads their decimal back as d; elsewhere, such as 2051s,
+		// whose 34.18333333333333min reads back a nanosecond short,
+		// whole minutes precede the seconds ("34min11s").
+		var buf [32]byte
+		digits := strconv.AppendFloat(buf[:0], d.Minutes(), 'f', -1, 64)
+		if v, ok := decimalNanos(digits, uint64(time.Minute)); ok && v == uint64(d) {
+			return neg + string(digits) + "min"
+		}
+		return fmt.Sprintf("%s%dmin%s", neg, d/time.Minute, FormatDuration(d%time.Minute))
 	}
 	type unit struct {
 		span time.Duration

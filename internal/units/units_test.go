@@ -2,6 +2,8 @@ package units
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -173,6 +175,11 @@ func TestParseByteSize(t *testing.T) {
 		{"12", 0, true},
 		{"GB", 0, true},
 		{"x12GB", 0, true},
+		{"NaNGB", 0, true},
+		{"nanKB", 0, true},
+		{"InfGB", 0, true},
+		{"-infinityTB", 0, true},
+		{"1e308PB", 0, true},
 	}
 	for _, tt := range tests {
 		got, err := ParseByteSize(tt.in)
@@ -198,6 +205,8 @@ func TestParseRate(t *testing.T) {
 		{"1028KB/s", 1028 * KBPerSec, false},
 		{"10MB", 0, true},
 		{"", 0, true},
+		{"NaNMB/s", 0, true},
+		{"+Inf KB/s", 0, true},
 	}
 	for _, tt := range tests {
 		got, err := ParseRate(tt.in)
@@ -230,6 +239,9 @@ func TestParseDuration(t *testing.T) {
 		{"1min", time.Minute, false},
 		{"5min", 5 * time.Minute, false},
 		{"30s", 30 * time.Second, false},
+		{"200yr", 200 * Year, false},
+		{"1000000s", 1000000 * time.Second, false},
+		{"0.00001h", 36 * time.Millisecond, false},
 		{"", 0, true},
 		{"abc", 0, true},
 		{"12", 0, true},
@@ -265,6 +277,9 @@ func TestFormatDuration(t *testing.T) {
 		{90 * time.Second, "1.5min"},
 		{-30 * time.Second, "-30s"},
 		{45 * time.Minute, "45min"},
+		{72 * time.Second, "1.2min"},
+		{2051 * time.Second, "34min11s"},
+		{-2051 * time.Second, "-34min11s"},
 	}
 	for _, tt := range tests {
 		if got := FormatDuration(tt.in); got != tt.want {
@@ -273,19 +288,22 @@ func TestFormatDuration(t *testing.T) {
 	}
 }
 
-// Property: FormatDuration output always reparses to the same duration for
-// whole-hour inputs (the policy-window domain the framework uses).
+// Property: FormatDuration output reparses to the same duration for any
+// whole number of seconds below Forever in magnitude. The shift spreads
+// the magnitudes from seconds to centuries.
 func TestFormatParseRoundTrip(t *testing.T) {
-	f := func(hours uint16) bool {
-		d := time.Duration(hours) * time.Hour
+	f := func(secs int64, shift uint8) bool {
+		n := secs >> (shift % 64) % (int64(Forever/time.Second) + 1)
+		d := time.Duration(n) * time.Second
 		s := FormatDuration(d)
 		got, err := ParseDuration(s)
 		if err != nil {
+			t.Logf("%v formats as %q: %v", d, s, err)
 			return false
 		}
 		return got == d
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -334,4 +352,73 @@ func TestMoneyStringSpecials(t *testing.T) {
 	if got := Money(math.NaN()).String(); got != "NaN" {
 		t.Errorf("nan money = %q", got)
 	}
+}
+
+// referenceParseDuration is ParseDuration as first written: each
+// component re-formatted in time.ParseDuration's units, the calendar
+// units as hours, and the joined string parsed by time.ParseDuration.
+// Its %g is replaced by 'f' formatting, which prints the same digits
+// wherever %g prints no exponent.
+func referenceParseDuration(s string) (time.Duration, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, errEmpty
+	}
+	replacements := []struct {
+		unit   string
+		factor float64
+		out    string
+	}{
+		{"yr", Year.Hours(), "h"}, {"y", Year.Hours(), "h"},
+		{"wk", Week.Hours(), "h"}, {"w", Week.Hours(), "h"},
+		{"d", Day.Hours(), "h"},
+		{"min", 1, "m"},
+	}
+	var out strings.Builder
+	rest := s
+	for rest != "" {
+		num, unit, tail, err := nextDurationComponent(rest)
+		if err != nil {
+			return 0, err
+		}
+		rest = tail
+		lower := strings.ToLower(unit)
+		replaced := false
+		for _, rep := range replacements {
+			if lower == rep.unit {
+				out.WriteString(strconv.FormatFloat(num*rep.factor, 'f', -1, 64) + rep.out)
+				replaced = true
+				break
+			}
+		}
+		if !replaced {
+			out.WriteString(strconv.FormatFloat(num, 'f', -1, 64) + unit)
+		}
+	}
+	return time.ParseDuration(out.String())
+}
+
+// FuzzParseDuration checks ParseDuration against the reference: the same
+// value on every input, and an error exactly where the reference errors.
+func FuzzParseDuration(f *testing.F) {
+	for _, s := range []string{
+		"12h", "2d", "4wk12h", "3yr", "1.2min", "34min11s", "0h", "-1h30m",
+		"1h+30m", "1h-30m", "-0h5m", "200yr", "1000000s", "0.00001h",
+		"1.5D", "1MIN", "1H", "5µs", "2μs", "3us", "7ns", "1.000000001ms",
+		"9223372036854775807ns", "-9223372036854775808ns", "2562047h47m16.854775807s",
+		"1e5h", "1.2.3h", ".5h", "5.h", "1h 30m", " 2wk ",
+		"0.1d", "106751.99116730064d", "15250.28445247152wk",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseDuration(s)
+		want, werr := referenceParseDuration(s)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("ParseDuration(%q) = %v, %v; reference %v, %v", s, got, err, want, werr)
+		}
+		if err == nil && got != want {
+			t.Fatalf("ParseDuration(%q) = %v, reference %v", s, got, want)
+		}
+	})
 }

@@ -78,10 +78,11 @@ var (
 // (directly or via core.Design.Validate) before the workload is used in a
 // model evaluation.
 func (w *Workload) Validate() error {
-	if w.DataCap <= 0 {
+	// Comparisons are written to fail on NaN.
+	if !(w.DataCap > 0) {
 		return fmt.Errorf("%w (got %v)", ErrNoCapacity, w.DataCap)
 	}
-	if w.AvgAccessRate < 0 || w.AvgUpdateRate < 0 {
+	if !(w.AvgAccessRate >= 0 && w.AvgUpdateRate >= 0) {
 		return ErrNegativeRate
 	}
 	if w.BurstMult < 1 {
@@ -102,7 +103,7 @@ func (w *Workload) Validate() error {
 			return fmt.Errorf("%w (window %v: %v > %v)",
 				ErrCurveIncrease, p.Window, p.Rate, pts[i-1].Rate)
 		}
-		if p.Rate > w.AvgUpdateRate {
+		if !(p.Rate <= w.AvgUpdateRate) {
 			return fmt.Errorf("%w (window %v: %v > %v)",
 				ErrCurveExceeds, p.Window, p.Rate, w.AvgUpdateRate)
 		}

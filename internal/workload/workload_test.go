@@ -44,6 +44,9 @@ func TestValidateErrors(t *testing.T) {
 		{"negative capacity", func(w *Workload) { w.DataCap = -units.GB }, ErrNoCapacity},
 		{"negative access", func(w *Workload) { w.AvgAccessRate = -1 }, ErrNegativeRate},
 		{"negative update", func(w *Workload) { w.AvgUpdateRate = -1 }, ErrNegativeRate},
+		{"NaN capacity", func(w *Workload) { w.DataCap = units.ByteSize(math.NaN()) }, ErrNoCapacity},
+		{"NaN access", func(w *Workload) { w.AvgAccessRate = units.Rate(math.NaN()) }, ErrNegativeRate},
+		{"NaN update", func(w *Workload) { w.AvgUpdateRate = units.Rate(math.NaN()) }, ErrNegativeRate},
 		{"burst below one", func(w *Workload) { w.BurstMult = 0.5 }, ErrBurstBelowOne},
 		{"empty curve", func(w *Workload) { w.BatchCurve = nil }, ErrEmptyCurve},
 		{"increasing curve", func(w *Workload) {
@@ -63,6 +66,9 @@ func TestValidateErrors(t *testing.T) {
 		}, ErrCurveBadWindow},
 		{"curve exceeds avg", func(w *Workload) {
 			w.BatchCurve = []BatchPoint{{Window: time.Minute, Rate: 50 * units.MBPerSec}}
+		}, ErrCurveExceeds},
+		{"NaN curve rate", func(w *Workload) {
+			w.BatchCurve = []BatchPoint{{Window: time.Minute, Rate: units.Rate(math.NaN())}}
 		}, ErrCurveExceeds},
 	}
 	for _, tt := range tests {
