@@ -65,37 +65,25 @@ func run(w io.Writer, seed int64, runs int, reproDir, replay string, workers int
 	return nil
 }
 
-// replayFile sniffs the repro format (multi files carry a "multiDesign"
-// key) and re-runs the matching invariant battery.
+// replayFile decodes a repro file of either kind and re-runs its
+// invariant battery.
 func replayFile(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("chaos: %w", err)
 	}
-	var (
-		violations []chaos.Violation
-		meta       chaos.ReproMeta
-	)
-	if chaos.IsMultiRepro(data) {
-		mcs, m, err := chaos.DecodeMultiRepro(data)
-		if err != nil {
-			return err
-		}
-		meta = m
-		fmt.Fprintf(w, "replaying %s (multi, seed %d run %d, invariant %s)\n", path, meta.Seed, meta.Run, meta.Invariant)
-		if violations, err = chaos.ReplayMulti(mcs); err != nil {
-			return err
-		}
-	} else {
-		cs, m, err := chaos.DecodeRepro(data)
-		if err != nil {
-			return err
-		}
-		meta = m
-		fmt.Fprintf(w, "replaying %s (seed %d run %d, invariant %s)\n", path, meta.Seed, meta.Run, meta.Invariant)
-		if violations, err = chaos.Replay(cs); err != nil {
-			return err
-		}
+	t, meta, err := chaos.DecodeRepro(data)
+	if err != nil {
+		return err
+	}
+	kind := ""
+	if _, ok := t.(*chaos.MultiCase); ok {
+		kind = "multi, "
+	}
+	fmt.Fprintf(w, "replaying %s (%sseed %d run %d, invariant %s)\n", path, kind, meta.Seed, meta.Run, meta.Invariant)
+	violations, err := chaos.Replay(t)
+	if err != nil {
+		return err
 	}
 	if len(violations) == 0 {
 		fmt.Fprintln(w, "no violations reproduced")

@@ -112,8 +112,9 @@ func TestRunMultiDeterministicOutput(t *testing.T) {
 
 func TestReplayMultiRepro(t *testing.T) {
 	// A hand-written multi repro (two objects over the case-study fleet,
-	// orders depending on catalog) is sniffed by its "multiDesign" key and
-	// replays through the multi battery with no violations.
+	// orders depending on catalog) decodes as a multi case by its
+	// "multiDesign" key and replays through the multi battery with no
+	// violations.
 	base := casestudy.Baseline()
 	small := &workload.Workload{
 		Name:          "catalog",
@@ -160,7 +161,7 @@ func TestReplayMultiRepro(t *testing.T) {
 		Horizon:  40 * units.Week,
 	}
 	path := filepath.Join(t.TempDir(), "multi-repro.json")
-	if err := chaos.SaveMultiRepro(path, mcs, chaos.ReproMeta{Invariant: "multi-dep-order", Seed: 9}); err != nil {
+	if err := chaos.SaveRepro(path, mcs, chaos.ReproMeta{Invariant: "multi-dep-order", Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder

@@ -45,6 +45,20 @@ type Case struct {
 	Outages []sim.Outage
 }
 
+// Trial is a chaos case of either kind, a *Case or a *MultiCase. Its
+// methods are unexported, so only this package implements it. The
+// campaign checks, shrinks, saves and replays both kinds through it;
+// each kind supplies only what differs between them.
+type Trial interface {
+	// check runs the kind's invariant battery.
+	check() (*runResult, error)
+	// mutations returns the candidate simplifications, coarsest first;
+	// the order decides which minimal case a shrink returns.
+	mutations() []Trial
+	// viable reports whether a mutated case is still well-formed.
+	viable() bool
+}
+
 // Violation records one failed invariant check.
 type Violation struct {
 	// Run is the campaign run index the violation surfaced in.
@@ -172,26 +186,28 @@ func (c *Campaign) Run() (*Summary, error) {
 	// writing — happens in the serial merge below, in run order, keeping
 	// the Summary byte-identical to a serial campaign.
 	type runOutcome struct {
-		cs        *Case
-		mcs       *MultiCase
+		trial     Trial
 		res       *runResult
 		resamples int
 	}
 	outcomes, err := parallel.Map(c.Workers, c.Runs, func(run int) (runOutcome, error) {
+		var (
+			t         Trial
+			name      string
+			resamples int
+		)
 		if c.Multi || c.Correlated {
-			mcs, resamples := genMultiCase(runRNG(c.Seed, run), run, attempts, c.Correlated)
-			res, err := checkMultiCase(mcs)
-			if err != nil {
-				return runOutcome{}, fmt.Errorf("chaos: run %d (%s): %w", run, mcs.Design.Name, err)
-			}
-			return runOutcome{mcs: mcs, res: res, resamples: resamples}, nil
+			mcs, n := genMultiCase(runRNG(c.Seed, run), run, attempts, c.Correlated)
+			t, name, resamples = mcs, mcs.Design.Name, n
+		} else {
+			cs, n := genCase(runRNG(c.Seed, run), run, attempts)
+			t, name, resamples = cs, cs.Design.Name, n
 		}
-		cs, resamples := genCase(runRNG(c.Seed, run), run, attempts)
-		res, err := checkCase(cs)
+		res, err := t.check()
 		if err != nil {
-			return runOutcome{}, fmt.Errorf("chaos: run %d (%s): %w", run, cs.Design.Name, err)
+			return runOutcome{}, fmt.Errorf("chaos: run %d (%s): %w", run, name, err)
 		}
-		return runOutcome{cs: cs, res: res, resamples: resamples}, nil
+		return runOutcome{trial: t, res: res, resamples: resamples}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -199,7 +215,7 @@ func (c *Campaign) Run() (*Summary, error) {
 
 	digest := fnv.New64a()
 	for run, out := range outcomes {
-		cs, res := out.cs, out.res
+		res := out.res
 		sum.Resamples += out.resamples
 		for name, n := range res.counts {
 			sum.Checks[name] += n
@@ -220,16 +236,9 @@ func (c *Campaign) Run() (*Summary, error) {
 				Run:       run,
 			}
 			reproPath = filepath.Join(c.ReproDir, fmt.Sprintf("repro-seed%d-run%d.json", c.Seed, run))
-			var saveErr error
-			if out.mcs != nil {
-				shrunk := shrinkMultiCase(out.mcs, meta.Invariant, maxShrink)
-				saveErr = SaveMultiRepro(reproPath, shrunk, meta)
-			} else {
-				shrunk := shrinkCase(cs, meta.Invariant, maxShrink)
-				saveErr = SaveRepro(reproPath, shrunk, meta)
-			}
-			if saveErr != nil {
-				return nil, fmt.Errorf("chaos: run %d: writing repro: %w", run, saveErr)
+			shrunk := shrinkInvariant(out.trial, meta.Invariant, maxShrink)
+			if err := SaveRepro(reproPath, shrunk, meta); err != nil {
+				return nil, fmt.Errorf("chaos: run %d: writing repro: %w", run, err)
 			}
 		}
 		for i, v := range res.violations {

@@ -1,11 +1,22 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"stordep/internal/casestudy"
+	"stordep/internal/core"
+	"stordep/internal/device"
+	"stordep/internal/failure"
+	"stordep/internal/protect"
+	"stordep/internal/units"
 )
 
 func TestCampaignDeterministic(t *testing.T) {
@@ -146,7 +157,7 @@ func TestShrinkWith(t *testing.T) {
 	if len(shrunk.Outages) != 1 {
 		t.Errorf("shrunk to %d outages, want 1", len(shrunk.Outages))
 	}
-	if !viable(shrunk) {
+	if !shrunk.viable() {
 		t.Error("shrunk case not viable")
 	}
 	if len(shrunk.Design.Levels) > len(cs.Design.Levels) {
@@ -155,6 +166,63 @@ func TestShrinkWith(t *testing.T) {
 	// The original case is never mutated.
 	if len(cs.Outages) < 2 {
 		t.Error("shrinker mutated the original case")
+	}
+}
+
+// erasureSites returns three economy arrays in three regions and the
+// GigE links between them, with a 2-of-3 erasure-coded level whose
+// fragments they hold.
+func erasureSites() ([]core.PlacedDevice, *protect.ErasureCode) {
+	var devs []core.PlacedDevice
+	var sites []string
+	for i, region := range []string{"north", "south", "east"} {
+		spec := device.EconomyArray()
+		spec.Name = fmt.Sprintf("frag-%d", i+1)
+		sites = append(sites, spec.Name)
+		devs = append(devs, core.PlacedDevice{Spec: spec, Placement: failure.Placement{
+			Array: spec.Name, Building: "colo-" + region, Site: "colo-" + region, Region: region,
+		}})
+	}
+	devs = append(devs, core.PlacedDevice{Spec: device.GigELinks(2)})
+	return devs, &protect.ErasureCode{
+		Fragments: 3, Threshold: 2, Sites: sites, Links: device.NameGigELinks,
+		Pol: casestudy.SplitMirrorPolicy(),
+	}
+}
+
+func hasErasureLevel(levels []protect.Technique) bool {
+	for _, t := range levels {
+		if _, ok := t.(*protect.ErasureCode); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// TestShrinkKeepsFragmentSites: truncating the hierarchy behind an
+// erasure-coded level keeps every fragment site and the links, so the
+// shrinker can drop the levels after it. A pruner that kept only each
+// level's first site left the design referencing unknown devices.
+func TestShrinkKeepsFragmentSites(t *testing.T) {
+	d := casestudy.Baseline()
+	devs, ec := erasureSites()
+	d.Devices = append(d.Devices, devs...)
+	d.Levels = append([]protect.Technique{ec}, d.Levels...)
+	cs := &Case{Design: d, Scenario: failure.Scenario{Scope: failure.ScopeArray}, Horizon: 7 * units.Year}
+	if !cs.viable() {
+		t.Fatal("starting case not viable")
+	}
+	shrunk := shrinkWith(cs, 200, func(c *Case) bool { return hasErasureLevel(c.Design.Levels) })
+	if got := len(shrunk.Design.Levels); got != 1 {
+		t.Errorf("shrunk to %d levels, want the erasure level alone", got)
+	}
+	var kept []string
+	for _, pd := range shrunk.Design.Devices {
+		kept = append(kept, pd.Spec.Name)
+	}
+	want := []string{device.NameDiskArray, "frag-1", "frag-2", "frag-3", device.NameGigELinks}
+	if !reflect.DeepEqual(kept, want) {
+		t.Errorf("shrunk fleet %v, want %v", kept, want)
 	}
 }
 
@@ -183,9 +251,10 @@ func TestReproRoundTrip(t *testing.T) {
 	if err := SaveRepro(path, cs, meta); err != nil {
 		t.Fatal(err)
 	}
-	got, gotMeta, err := LoadRepro(path)
-	if err != nil {
-		t.Fatal(err)
+	loaded, gotMeta := readRepro(t, path)
+	got, ok := loaded.(*Case)
+	if !ok {
+		t.Fatalf("single-object repro decoded as %T", loaded)
 	}
 	if gotMeta != meta {
 		t.Errorf("meta round-trip: %+v != %+v", gotMeta, meta)
@@ -214,16 +283,103 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadReproErrors(t *testing.T) {
-	if _, _, err := LoadRepro(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("absent file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
+// readRepro reads and decodes a repro file.
+func readRepro(t *testing.T, path string) (Trial, ReproMeta) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadRepro(bad); err == nil {
-		t.Error("corrupt file accepted")
+	got, meta, err := DecodeRepro(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, meta
+}
+
+// TestLoadReproErrors: the decoder refuses corrupt JSON, and a file whose
+// keys do not name exactly one kind of case.
+func TestLoadReproErrors(t *testing.T) {
+	cs, _ := genCase(runRNG(19, 1), 1, 40)
+	single, err := encodeRepro(cs, ReproMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(single, &fields); err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(edit func(map[string]json.RawMessage)) []byte {
+		m := make(map[string]json.RawMessage, len(fields))
+		for k, v := range fields {
+			m[k] = v
+		}
+		edit(m)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for name, data := range map[string][]byte{
+		"corrupt": []byte("{"),
+		"neither": mutate(func(m map[string]json.RawMessage) { delete(m, "design") }),
+		"both":    mutate(func(m map[string]json.RawMessage) { m["multiDesign"] = m["design"] }),
+		"events":  mutate(func(m map[string]json.RawMessage) { m["faultScenario"] = json.RawMessage(`{}`) }),
+		"object": mutate(func(m map[string]json.RawMessage) {
+			m["outages"] = json.RawMessage(`[{"object":"a","level":1,"from":"1h","to":"2h"}]`)
+		}),
+		"bad scope": mutate(func(m map[string]json.RawMessage) { m["scope"] = json.RawMessage(`"galaxy"`) }),
+		"bad age":   mutate(func(m map[string]json.RawMessage) { m["targetAge"] = json.RawMessage(`"soon"`) }),
+	} {
+		if _, _, err := DecodeRepro(data); err == nil {
+			t.Errorf("%s: repro accepted", name)
+		}
+	}
+	if _, _, err := DecodeRepro(mutate(func(map[string]json.RawMessage) {})); err != nil {
+		t.Errorf("unedited repro refused: %v", err)
+	}
+}
+
+// TestReproFixtures pins the repro format across versions. Each file
+// under testdata was written by an earlier version of the codec; it must
+// still decode to its kind, replay without violations and re-encode to
+// the committed bytes.
+func TestReproFixtures(t *testing.T) {
+	for _, tc := range []struct {
+		file              string
+		multi, correlated bool
+	}{
+		{"repro-single.json", false, false},
+		{"repro-multi.json", true, false},
+		{"repro-correlated.json", true, true},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, meta, err := DecodeRepro(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		mcs, multi := got.(*MultiCase)
+		if multi != tc.multi || multi && (len(mcs.Events) > 0 && len(mcs.OpFaults) > 0) != tc.correlated {
+			t.Errorf("%s decoded as the wrong kind of case: %T", tc.file, got)
+		}
+		violations, err := Replay(got)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if len(violations) != 0 {
+			t.Errorf("%s: replay violations: %+v", tc.file, violations)
+		}
+		enc, err := encodeRepro(got, meta)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if !bytes.Equal(append(enc, '\n'), data) {
+			t.Errorf("%s: re-encoding differs from the committed bytes:\n%s", tc.file, enc)
+		}
 	}
 }
 

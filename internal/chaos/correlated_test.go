@@ -86,19 +86,20 @@ func genCorrelatedCase(t *testing.T, seed int64) *MultiCase {
 func TestCorrelatedReproRoundTrip(t *testing.T) {
 	mcs := genCorrelatedCase(t, 17)
 	meta := ReproMeta{Invariant: invOpDetection, Detail: "round trip", Seed: 17, Run: 1}
-	enc, err := EncodeMultiRepro(mcs, meta)
+	enc, err := encodeRepro(mcs, meta)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !IsMultiRepro(enc) {
-		t.Fatal("correlated repro not recognized as multi")
 	}
 	if !bytes.Contains(enc, []byte(`"faultScenario"`)) {
 		t.Fatal("correlated repro omits the fault scenario")
 	}
-	dec, gotMeta, err := DecodeMultiRepro(enc)
+	decoded, gotMeta, err := DecodeRepro(enc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	dec, ok := decoded.(*MultiCase)
+	if !ok {
+		t.Fatalf("correlated repro decoded as %T", decoded)
 	}
 	if gotMeta != meta {
 		t.Errorf("meta changed in round trip: %+v != %+v", gotMeta, meta)
@@ -107,14 +108,14 @@ func TestCorrelatedReproRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost scenario entries: %d/%d events, %d/%d faults",
 			len(dec.Events), len(mcs.Events), len(dec.OpFaults), len(mcs.OpFaults))
 	}
-	enc2, err := EncodeMultiRepro(dec, gotMeta)
+	enc2, err := encodeRepro(dec, gotMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, enc2) {
 		t.Fatalf("repro encoding is not a fixed point:\n%s\n---\n%s", enc, enc2)
 	}
-	violations, err := ReplayMulti(dec)
+	violations, err := Replay(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestShrinkCorrelatedMinimality(t *testing.T) {
 	if !fails(mcs) {
 		t.Fatal("starting correlated case does not satisfy the predicate")
 	}
-	shrunk := shrinkMultiWith(mcs, 400, fails)
+	shrunk := shrinkWith(mcs, 400, fails)
 	if !fails(shrunk) {
 		t.Fatal("shrunken case no longer satisfies the predicate")
 	}
@@ -361,33 +362,33 @@ func TestShrinkCorrelatedMinimality(t *testing.T) {
 	// event, any remaining operator fault, or any remaining object must
 	// break the predicate (otherwise the shrinker would have dropped it).
 	for i := range shrunk.Events {
-		c, err := copyMultiCase(shrunk)
+		c, err := copyTrial(shrunk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Events = append(c.Events[:i:i], c.Events[i+1:]...)
-		if multiViable(c) && fails(c) {
+		if c.viable() && fails(c) {
 			t.Errorf("dropping event %d keeps the predicate: not 1-minimal", i)
 		}
 	}
 	for i := range shrunk.OpFaults {
-		c, err := copyMultiCase(shrunk)
+		c, err := copyTrial(shrunk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.OpFaults = append(c.OpFaults[:i:i], c.OpFaults[i+1:]...)
-		if multiViable(c) && fails(c) {
+		if c.viable() && fails(c) {
 			t.Errorf("dropping op fault %d keeps the predicate: not 1-minimal", i)
 		}
 	}
 	if len(shrunk.Design.Objects) > 1 {
 		for i := range shrunk.Design.Objects {
-			c, err := copyMultiCase(shrunk)
+			c, err := copyTrial(shrunk)
 			if err != nil {
 				t.Fatal(err)
 			}
 			dropObject(c, c.Design.Objects[i].Name, i)
-			if multiViable(c) && fails(c) {
+			if c.viable() && fails(c) {
 				t.Errorf("dropping object %d keeps the predicate: not 1-minimal", i)
 			}
 		}

@@ -38,12 +38,6 @@ func EffectiveOutages(chain hierarchy.Chain, outs []sim.Outage) []hierarchy.Leve
 	return effectiveOutages(chain, outs)
 }
 
-// RawOutages sums a schedule per level without inflation, for
-// model-vs-model degraded comparisons.
-func RawOutages(chain hierarchy.Chain, outs []sim.Outage) []hierarchy.LevelOutage {
-	return rawOutages(chain, outs)
-}
-
 // Quantize truncates to whole minutes with a one-minute floor — the
 // resolution every schedule generator emits so repro files round-trip
 // bit-identically through internal/config.

@@ -57,6 +57,8 @@ func (r *runResult) violate(name, format string, args ...any) {
 	r.violations = append(r.violations, Violation{Invariant: name, Detail: fmt.Sprintf(format, args...)})
 }
 
+func (cs *Case) check() (*runResult, error) { return checkCase(cs) }
+
 // checkCase runs the full invariant battery on one case.
 func checkCase(cs *Case) (*runResult, error) {
 	res := &runResult{counts: make(map[string]int)}

@@ -38,6 +38,8 @@ func multiInvariantNames() []string {
 		invMultiDepOrder, invMultiCritPath, invMultiUtilSum, invMultiCostSum)
 }
 
+func (mcs *MultiCase) check() (*runResult, error) { return checkMultiCase(mcs) }
+
 // checkMultiCase runs the multi-object battery on one case: the full
 // single-object battery per object (each object's hierarchy must hold
 // its own invariants under its own outage schedule), then the

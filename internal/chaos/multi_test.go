@@ -3,8 +3,16 @@ package chaos
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"stordep/internal/casestudy"
+	"stordep/internal/core"
+	"stordep/internal/device"
+	"stordep/internal/failure"
+	"stordep/internal/protect"
+	"stordep/internal/units"
 )
 
 func TestMultiCampaignClean(t *testing.T) {
@@ -129,23 +137,24 @@ func TestMultiReproRoundTrip(t *testing.T) {
 		t.Fatal("no generated multi case with outages and >=3 objects")
 	}
 	meta := ReproMeta{Invariant: invMultiDepOrder, Detail: "synthetic", Seed: 17, Run: 4}
-	data, err := EncodeMultiRepro(mcs, meta)
+	data, err := encodeRepro(mcs, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsMultiRepro(data) {
-		t.Error("multi repro not recognized as multi")
-	}
-	got, gotMeta, err := DecodeMultiRepro(data)
+	decoded, gotMeta, err := DecodeRepro(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	got, ok := decoded.(*MultiCase)
+	if !ok {
+		t.Fatalf("multi repro decoded as %T", decoded)
 	}
 	if gotMeta != meta {
 		t.Errorf("meta round-trip: %+v != %+v", gotMeta, meta)
 	}
 	// The decoded case re-encodes bit-identically: counterexamples replay
 	// from JSON with nothing lost.
-	data2, err := EncodeMultiRepro(got, gotMeta)
+	data2, err := encodeRepro(got, gotMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +173,7 @@ func TestMultiReproRoundTrip(t *testing.T) {
 		}
 	}
 	// A replay of the loaded case runs the full multi battery cleanly.
-	violations, err := ReplayMulti(got)
+	violations, err := Replay(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,27 +186,25 @@ func TestMultiReproSaveLoadAndSniffing(t *testing.T) {
 	mcs, _ := genMultiCase(runRNG(19, 0), 0, 40, false)
 	path := filepath.Join(t.TempDir(), "repro.json")
 	meta := ReproMeta{Invariant: invMultiUtilSum, Detail: "synthetic", Seed: 19}
-	if err := SaveMultiRepro(path, mcs, meta); err != nil {
+	if err := SaveRepro(path, mcs, meta); err != nil {
 		t.Fatal(err)
 	}
-	got, gotMeta, err := LoadMultiRepro(path)
-	if err != nil {
-		t.Fatal(err)
+	loaded, gotMeta := readRepro(t, path)
+	got, ok := loaded.(*MultiCase)
+	if !ok {
+		t.Fatalf("multi repro decoded as %T", loaded)
 	}
 	if gotMeta != meta || got.Design.Name != mcs.Design.Name {
 		t.Errorf("loaded %+v / %q", gotMeta, got.Design.Name)
 	}
-	// Single-object repro files must not sniff as multi.
+	// The same decoder reads a single-object repro as a *Case.
 	cs, _ := genCase(runRNG(19, 1), 1, 40)
-	single, err := EncodeRepro(cs, meta)
-	if err != nil {
+	if err := SaveRepro(path, cs, meta); err != nil {
 		t.Fatal(err)
 	}
-	if IsMultiRepro(single) {
-		t.Error("single-object repro recognized as multi")
-	}
-	if IsMultiRepro([]byte("{")) {
-		t.Error("corrupt JSON recognized as multi")
+	loaded, _ = readRepro(t, path)
+	if _, ok := loaded.(*Case); !ok {
+		t.Errorf("single-object repro decoded as %T", loaded)
 	}
 }
 
@@ -247,11 +254,11 @@ func TestShrinkMultiMinimality(t *testing.T) {
 		}
 	}
 	fails := func(c *MultiCase) bool { return hasEdge(c, from, to) }
-	shrunk := shrinkMultiWith(mcs, 400, fails)
+	shrunk := shrinkWith(mcs, 400, fails)
 	if !fails(shrunk) {
 		t.Fatal("shrinker returned a passing case")
 	}
-	if !multiViable(shrunk) {
+	if !shrunk.viable() {
 		t.Fatal("shrunk case not viable")
 	}
 	if got := len(shrunk.Design.Objects); got != 2 {
@@ -266,7 +273,7 @@ func TestShrinkMultiMinimality(t *testing.T) {
 	// 1-minimality: every single-object drop and every single-edge drop
 	// makes the failure disappear.
 	for i := range shrunk.Design.Objects {
-		c, err := copyMultiCase(shrunk)
+		c, err := copyTrial(shrunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +284,7 @@ func TestShrinkMultiMinimality(t *testing.T) {
 	}
 	for i, obj := range shrunk.Design.Objects {
 		for k := range obj.DependsOn {
-			c, err := copyMultiCase(shrunk)
+			c, err := copyTrial(shrunk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,27 +314,83 @@ func TestShrunkMultiReproReplays(t *testing.T) {
 		}
 	}
 	fails := func(c *MultiCase) bool { return hasEdge(c, from, to) }
-	shrunk := shrinkMultiWith(mcs, 400, fails)
+	shrunk := shrinkWith(mcs, 400, fails)
 	path := filepath.Join(t.TempDir(), "repro.json")
-	if err := SaveMultiRepro(path, shrunk, ReproMeta{Invariant: invMultiDepOrder}); err != nil {
+	if err := SaveRepro(path, shrunk, ReproMeta{Invariant: invMultiDepOrder}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadMultiRepro(path)
-	if err != nil {
-		t.Fatal(err)
+	decoded, _ := readRepro(t, path)
+	loaded, ok := decoded.(*MultiCase)
+	if !ok {
+		t.Fatalf("multi repro decoded as %T", decoded)
 	}
 	if !fails(loaded) {
 		t.Error("reloaded counterexample no longer fails")
 	}
-	if !multiViable(loaded) {
+	if !loaded.viable() {
 		t.Error("reloaded counterexample not viable")
 	}
 }
 
 func TestShrinkMultiKeepsOriginalWhenNothingReproduces(t *testing.T) {
 	mcs, _ := genMultiCase(runRNG(13, 0), 0, 40, false)
-	shrunk := shrinkMultiWith(mcs, 50, func(*MultiCase) bool { return false })
+	shrunk := shrinkWith(mcs, 50, func(*MultiCase) bool { return false })
 	if shrunk != mcs {
 		t.Error("shrinker replaced the case although no mutation failed")
+	}
+}
+
+// TestShrinkMultiKeepsFragmentSites: with one object carrying an
+// erasure-coded level, the shrinker can still drop the other objects,
+// because pruning the fleet keeps every fragment site the remaining
+// levels use.
+func TestShrinkMultiKeepsFragmentSites(t *testing.T) {
+	devs, ec := erasureSites()
+	base := casestudy.Baseline()
+	backup := func(name string) protect.Technique {
+		return &protect.Backup{InstanceName: name, SourceArray: device.NameDiskArray,
+			Target: device.NameTapeLibrary, Pol: casestudy.BackupPolicy()}
+	}
+	object := func(name string, deps []string, levels ...protect.Technique) core.ObjectSpec {
+		return core.ObjectSpec{
+			Name: name, Workload: genObjectWorkload(runRNG(1, 0), name),
+			Primary: &protect.Primary{Array: device.NameDiskArray}, DependsOn: deps, Levels: levels,
+		}
+	}
+	mcs := &MultiCase{
+		Design: &core.MultiDesign{
+			Name:         "erasure-service",
+			Requirements: base.Requirements,
+			Devices:      append(base.Devices, devs...),
+			Objects: []core.ObjectSpec{
+				object("catalog", nil, backup("catalog-backup")),
+				object("archive", []string{"catalog"}, ec),
+				object("orders", []string{"catalog"}, backup("orders-backup")),
+			},
+		},
+		Scenario: failure.Scenario{Scope: failure.ScopeArray},
+		Horizon:  40 * units.Week,
+	}
+	if !mcs.viable() {
+		t.Fatal("starting case not viable")
+	}
+	shrunk := shrinkWith(mcs, 200, func(c *MultiCase) bool {
+		for _, obj := range c.Design.Objects {
+			if hasErasureLevel(obj.Levels) {
+				return true
+			}
+		}
+		return false
+	})
+	if got := len(shrunk.Design.Objects); got != 1 || shrunk.Design.Objects[0].Name != "archive" {
+		t.Fatalf("shrunk to %d objects, want the archive alone", got)
+	}
+	var kept []string
+	for _, pd := range shrunk.Design.Devices {
+		kept = append(kept, pd.Spec.Name)
+	}
+	want := []string{device.NameDiskArray, "frag-1", "frag-2", "frag-3", device.NameGigELinks}
+	if !reflect.DeepEqual(kept, want) {
+		t.Errorf("shrunk fleet %v, want %v", kept, want)
 	}
 }

@@ -2,10 +2,10 @@ package chaos
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"stordep/internal/config"
 	"stordep/internal/failure"
@@ -15,8 +15,11 @@ import (
 
 // Repro files make a violating case replayable: the full design (the
 // internal/config JSON schema, embedded verbatim) plus the fault schedule
-// and scenario. Loading one reconstructs the exact Case; Replay re-runs
-// the invariant battery on it.
+// and scenario. A single-object case stores its design under "design"; a
+// multi-object case stores it under "multiDesign", tags each outage with
+// its object and may carry a "faultScenario" of correlated events and
+// operator faults. The design key tells DecodeRepro which kind a file
+// holds; Replay re-runs that kind's invariant battery.
 
 // ReproMeta records why a repro was written.
 type ReproMeta struct {
@@ -27,12 +30,17 @@ type ReproMeta struct {
 }
 
 type reproOutage struct {
+	Object        string `json:"object,omitempty"`
 	Level         int    `json:"level"`
 	From          string `json:"from"`
 	To            string `json:"to"`
 	AbortInFlight bool   `json:"abortInFlight,omitempty"`
 }
 
+// reproFile is the on-disk form of both kinds. With this field order a
+// single-object file holds exactly the keys of "design" files and a
+// multi-object file exactly those of "multiDesign" files, so either kind
+// encodes byte for byte as its own format always has.
 type reproFile struct {
 	ReproMeta
 	Scope       string          `json:"scope"`
@@ -40,86 +48,149 @@ type reproFile struct {
 	RecoverSize int64           `json:"recoverSizeBytes,omitempty"`
 	Horizon     string          `json:"horizon"`
 	Outages     []reproOutage   `json:"outages,omitempty"`
-	Design      json.RawMessage `json:"design"`
+	Design      json.RawMessage `json:"design,omitempty"`
+	// FaultScenario embeds the internal/config scenario JSON (correlated
+	// events plus operator faults) verbatim, like MultiDesign.
+	FaultScenario json.RawMessage `json:"faultScenario,omitempty"`
+	MultiDesign   json.RawMessage `json:"multiDesign,omitempty"`
 }
 
-// EncodeRepro serializes a case and its violation metadata to JSON. The
-// design round-trips through internal/config, so durations must be whole
-// seconds (the generator emits whole minutes).
-func EncodeRepro(cs *Case, meta ReproMeta) ([]byte, error) {
-	design, err := config.Marshal(cs.Design)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: marshaling design: %w", err)
+func newReproOutage(object string, o sim.Outage) reproOutage {
+	return reproOutage{
+		Object:        object,
+		Level:         o.Level,
+		From:          units.FormatDuration(o.From),
+		To:            units.FormatDuration(o.To),
+		AbortInFlight: o.AbortInFlight,
 	}
-	rf := reproFile{
-		ReproMeta:   meta,
-		Scope:       cs.Scenario.Scope.String(),
-		TargetAge:   units.FormatDuration(cs.Scenario.TargetAge),
-		RecoverSize: int64(cs.Scenario.RecoverSize),
-		Horizon:     units.FormatDuration(cs.Horizon),
-		Design:      design,
+}
+
+// encodeRepro serializes a case and its violation metadata to JSON. The
+// design round-trips through internal/config, whose durations
+// units.FormatDuration writes exactly.
+func encodeRepro(t Trial, meta ReproMeta) ([]byte, error) {
+	rf := reproFile{ReproMeta: meta}
+	var (
+		sc  failure.Scenario
+		err error
+	)
+	switch c := t.(type) {
+	case *Case:
+		sc = c.Scenario
+		rf.Horizon = units.FormatDuration(c.Horizon)
+		for _, o := range c.Outages {
+			rf.Outages = append(rf.Outages, newReproOutage("", o))
+		}
+		if rf.Design, err = config.Marshal(c.Design); err != nil {
+			return nil, fmt.Errorf("chaos: marshaling design: %w", err)
+		}
+	case *MultiCase:
+		sc = c.Scenario
+		rf.Horizon = units.FormatDuration(c.Horizon)
+		for _, o := range c.Outages {
+			rf.Outages = append(rf.Outages, newReproOutage(o.Object, o.Outage))
+		}
+		if rf.MultiDesign, err = config.MarshalMulti(c.Design); err != nil {
+			return nil, fmt.Errorf("chaos: marshaling multi design: %w", err)
+		}
+		if len(c.Events)+len(c.OpFaults) > 0 {
+			if rf.FaultScenario, err = config.MarshalScenario(c.Events, c.OpFaults); err != nil {
+				return nil, fmt.Errorf("chaos: marshaling fault scenario: %w", err)
+			}
+		}
 	}
-	for _, o := range cs.Outages {
-		rf.Outages = append(rf.Outages, reproOutage{
-			Level:         o.Level,
-			From:          units.FormatDuration(o.From),
-			To:            units.FormatDuration(o.To),
-			AbortInFlight: o.AbortInFlight,
-		})
-	}
+	rf.Scope = sc.Scope.String()
+	rf.TargetAge = units.FormatDuration(sc.TargetAge)
+	rf.RecoverSize = int64(sc.RecoverSize)
 	return json.MarshalIndent(rf, "", "  ")
 }
 
-// DecodeRepro reconstructs a case (and its metadata) from repro JSON.
-func DecodeRepro(data []byte) (*Case, ReproMeta, error) {
+// DecodeRepro reconstructs a case (and its metadata) from repro JSON: a
+// *Case when the file holds "design", a *MultiCase when it holds
+// "multiDesign". A file with both keys or neither is an error.
+func DecodeRepro(data []byte) (Trial, ReproMeta, error) {
 	var rf reproFile
 	if err := json.Unmarshal(data, &rf); err != nil {
 		return nil, ReproMeta{}, fmt.Errorf("chaos: parsing repro: %w", err)
 	}
-	d, err := config.Unmarshal(rf.Design)
+	t, err := rf.trial()
 	if err != nil {
-		return nil, ReproMeta{}, fmt.Errorf("chaos: repro design: %w", err)
+		return nil, ReproMeta{}, fmt.Errorf("chaos: repro: %w", err)
+	}
+	return t, rf.ReproMeta, nil
+}
+
+// trial rebuilds the case a decoded file describes.
+func (rf *reproFile) trial() (Trial, error) {
+	single, multi := len(rf.Design) > 0, len(rf.MultiDesign) > 0
+	if single == multi {
+		return nil, errors.New(`want exactly one of "design" and "multiDesign"`)
 	}
 	scope, err := failure.ParseScope(rf.Scope)
 	if err != nil {
-		return nil, ReproMeta{}, fmt.Errorf("chaos: repro scenario: %w", err)
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	age, err := units.ParseDuration(rf.TargetAge)
 	if err != nil {
-		return nil, ReproMeta{}, fmt.Errorf("chaos: repro target age: %w", err)
+		return nil, fmt.Errorf("target age: %w", err)
 	}
 	horizon, err := units.ParseDuration(rf.Horizon)
 	if err != nil {
-		return nil, ReproMeta{}, fmt.Errorf("chaos: repro horizon: %w", err)
+		return nil, fmt.Errorf("horizon: %w", err)
 	}
-	cs := &Case{
-		Design: d,
-		Scenario: failure.Scenario{
-			Scope:       scope,
-			TargetAge:   age,
-			RecoverSize: units.ByteSize(rf.RecoverSize),
-		},
-		Horizon: horizon,
-	}
-	for _, o := range rf.Outages {
+	sc := failure.Scenario{Scope: scope, TargetAge: age, RecoverSize: units.ByteSize(rf.RecoverSize)}
+	outs := make([]ObjectOutage, len(rf.Outages))
+	for i, o := range rf.Outages {
 		from, err := units.ParseDuration(o.From)
 		if err != nil {
-			return nil, ReproMeta{}, fmt.Errorf("chaos: repro outage: %w", err)
+			return nil, fmt.Errorf("outage: %w", err)
 		}
 		to, err := units.ParseDuration(o.To)
 		if err != nil {
-			return nil, ReproMeta{}, fmt.Errorf("chaos: repro outage: %w", err)
+			return nil, fmt.Errorf("outage: %w", err)
 		}
-		cs.Outages = append(cs.Outages, sim.Outage{
-			Level: o.Level, From: from, To: to, AbortInFlight: o.AbortInFlight,
-		})
+		if single && o.Object != "" {
+			return nil, fmt.Errorf("outage names object %q in a single-object case", o.Object)
+		}
+		outs[i] = ObjectOutage{
+			Object: o.Object,
+			Outage: sim.Outage{Level: o.Level, From: from, To: to, AbortInFlight: o.AbortInFlight},
+		}
 	}
-	return cs, rf.ReproMeta, nil
+
+	if single {
+		if len(rf.FaultScenario) > 0 {
+			return nil, errors.New(`a fault scenario needs a "multiDesign"`)
+		}
+		d, err := config.Unmarshal(rf.Design)
+		if err != nil {
+			return nil, fmt.Errorf("design: %w", err)
+		}
+		cs := &Case{Design: d, Scenario: sc, Horizon: horizon}
+		for _, o := range outs {
+			cs.Outages = append(cs.Outages, o.Outage)
+		}
+		return cs, nil
+	}
+	md, err := config.UnmarshalMulti(rf.MultiDesign)
+	if err != nil {
+		return nil, fmt.Errorf("multi design: %w", err)
+	}
+	mcs := &MultiCase{Design: md, Scenario: sc, Horizon: horizon}
+	if len(outs) > 0 {
+		mcs.Outages = outs
+	}
+	if len(rf.FaultScenario) > 0 {
+		if mcs.Events, mcs.OpFaults, err = config.UnmarshalScenario(rf.FaultScenario); err != nil {
+			return nil, fmt.Errorf("fault scenario: %w", err)
+		}
+	}
+	return mcs, nil
 }
 
 // SaveRepro writes a repro file, creating the directory if needed.
-func SaveRepro(path string, cs *Case, meta ReproMeta) error {
-	data, err := EncodeRepro(cs, meta)
+func SaveRepro(path string, t Trial, meta ReproMeta) error {
+	data, err := encodeRepro(t, meta)
 	if err != nil {
 		return err
 	}
@@ -131,53 +202,27 @@ func SaveRepro(path string, cs *Case, meta ReproMeta) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadRepro reads a repro file back into a replayable case.
-func LoadRepro(path string) (*Case, ReproMeta, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, ReproMeta{}, fmt.Errorf("chaos: %w", err)
-	}
-	return DecodeRepro(data)
-}
-
-// Replay re-runs the invariant battery on a case and returns any
-// violations (with Run left zero).
-func Replay(cs *Case) ([]Violation, error) {
-	res, err := checkCase(cs)
+// Replay re-runs a case's invariant battery and returns any violations
+// (with Run left zero).
+func Replay(t Trial) ([]Violation, error) {
+	res, err := t.check()
 	if err != nil {
 		return nil, err
 	}
 	return res.violations, nil
 }
 
-// copyCase deep-copies a case by round-tripping it through the repro
+// copyTrial deep-copies a case by round-tripping it through the repro
 // encoding, guaranteeing the shrinker never aliases the original.
-func copyCase(cs *Case) (*Case, error) {
-	data, err := EncodeRepro(cs, ReproMeta{})
+func copyTrial[T Trial](t T) (T, error) {
+	var zero T
+	data, err := encodeRepro(t, ReproMeta{})
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	out, _, err := DecodeRepro(data)
-	return out, err
-}
-
-// horizonFloor is the smallest horizon a case may shrink to while keeping
-// the sampling window meaningful: past warm-up and past every outage,
-// with a cycle of slack.
-func horizonFloor(cs *Case) (time.Duration, error) {
-	sys, err := coreBuild(cs)
 	if err != nil {
-		return 0, err
+		return zero, err
 	}
-	sm, err := sim.New(sys.Chain())
-	if err != nil {
-		return 0, err
-	}
-	floor := sm.WarmUp()
-	for _, o := range cs.Outages {
-		if o.To > floor {
-			floor = o.To
-		}
-	}
-	return floor + 2*chainMaxCycle(sys.Chain()), nil
+	return out.(T), nil
 }

@@ -1,26 +1,28 @@
 package chaos
 
 import (
+	"time"
+
 	"stordep/internal/core"
 	"stordep/internal/hierarchy"
 	"stordep/internal/protect"
+	"stordep/internal/sim"
 )
 
 // The shrinker reduces a violating case to a minimal counterexample by
-// greedy mutation: a candidate simplification is kept only if the design
-// still validates and builds AND the same invariant still fails. The
-// mutation order drops whole dimensions first (outages, hierarchy levels)
+// greedy mutation: a candidate simplification is kept only if the case
+// is still viable (the design validates and builds) AND the same
+// invariant still fails. Each kind orders its mutations to drop whole
+// dimensions first (objects, edges, events, outages, hierarchy levels)
 // before fine-grained simplifications (horizon, facility, secondary
 // windows, hold windows).
 
-func coreBuild(cs *Case) (*core.System, error) { return core.Build(cs.Design) }
-
-// shrinkCase returns the smallest case it can find (within maxSteps
+// shrinkInvariant returns the smallest case it can find (within maxSteps
 // battery evaluations) that still violates the named invariant. The
 // original case is returned unchanged if nothing smaller reproduces it.
-func shrinkCase(cs *Case, invariant string, maxSteps int) *Case {
-	return shrinkWith(cs, maxSteps, func(c *Case) bool {
-		res, err := checkCase(c)
+func shrinkInvariant(t Trial, invariant string, maxSteps int) Trial {
+	return shrinkWith(t, maxSteps, func(c Trial) bool {
+		res, err := c.check()
 		if err != nil {
 			return false
 		}
@@ -34,21 +36,22 @@ func shrinkCase(cs *Case, invariant string, maxSteps int) *Case {
 }
 
 // shrinkWith runs the greedy reduction against an arbitrary
-// still-failing predicate.
-func shrinkWith(cs *Case, maxSteps int, fails func(*Case) bool) *Case {
-	best := cs
+// still-failing predicate. Each kind's mutations are of that kind, so
+// the predicate may take the concrete *Case or *MultiCase.
+func shrinkWith[T Trial](t T, maxSteps int, fails func(T) bool) T {
+	best := t
 	steps := 0
 	for steps < maxSteps {
 		improved := false
-		for _, cand := range mutations(best) {
+		for _, m := range best.mutations() {
 			if steps >= maxSteps {
 				break
 			}
-			if cand == nil || !viable(cand) {
+			if !m.viable() {
 				continue
 			}
 			steps++
-			if fails(cand) {
+			if cand := m.(T); fails(cand) {
 				best = cand
 				improved = true
 				break
@@ -64,30 +67,47 @@ func shrinkWith(cs *Case, maxSteps int, fails func(*Case) bool) *Case {
 // viable reports whether a mutated case is still well-formed: the design
 // validates and builds, and the horizon leaves a sampling window past
 // warm-up and every outage.
-func viable(cs *Case) bool {
+func (cs *Case) viable() bool {
 	if cs.Design.Validate() != nil {
 		return false
 	}
-	floor, err := horizonFloor(cs)
+	sys, err := core.Build(cs.Design)
 	if err != nil {
 		return false
 	}
-	return cs.Horizon > floor
+	floor, err := chainHorizonFloor(sys.Chain(), cs.Outages, 0)
+	return err == nil && cs.Horizon > floor
+}
+
+// chainHorizonFloor is the smallest horizon one chain's simulation may
+// shrink to while keeping the sampling window meaningful: past warm-up,
+// every outage and the end of any fleet-wide event window (evEnd), with
+// two cycles of slack.
+func chainHorizonFloor(chain hierarchy.Chain, outs []sim.Outage, evEnd time.Duration) (time.Duration, error) {
+	sm, err := sim.New(chain)
+	if err != nil {
+		return 0, err
+	}
+	floor := max(sm.WarmUp(), evEnd)
+	for _, o := range outs {
+		floor = max(floor, o.To)
+	}
+	return floor + 2*chainMaxCycle(chain), nil
 }
 
 // mutations builds the ordered candidate simplifications of a case.
-func mutations(cs *Case) []*Case {
-	var out []*Case
+func (cs *Case) mutations() []Trial {
+	var out []Trial
 	// Drop each outage in turn.
 	for i := range cs.Outages {
-		if c, err := copyCase(cs); err == nil {
+		if c, err := copyTrial(cs); err == nil {
 			c.Outages = append(c.Outages[:i], c.Outages[i+1:]...)
 			out = append(out, c)
 		}
 	}
 	// Truncate the hierarchy from the end (dependencies point backward).
 	if len(cs.Design.Levels) > 1 {
-		if c, err := copyCase(cs); err == nil {
+		if c, err := copyTrial(cs); err == nil {
 			c.Design.Levels = c.Design.Levels[:len(c.Design.Levels)-1]
 			kept := c.Outages[:0]
 			for _, o := range c.Outages {
@@ -96,18 +116,19 @@ func mutations(cs *Case) []*Case {
 				}
 			}
 			c.Outages = kept
-			dropUnusedDevices(c)
+			c.Design.Devices = usedDevices(c.Design.Devices,
+				core.ObjectSpec{Primary: c.Design.Primary, Levels: c.Design.Levels})
 			out = append(out, c)
 		}
 	}
 	// Shorten the horizon.
-	if c, err := copyCase(cs); err == nil {
+	if c, err := copyTrial(cs); err == nil {
 		c.Horizon = quantize(c.Horizon * 3 / 4)
 		out = append(out, c)
 	}
 	// Drop the recovery facility.
 	if cs.Design.Facility != nil {
-		if c, err := copyCase(cs); err == nil {
+		if c, err := copyTrial(cs); err == nil {
 			c.Design.Facility = nil
 			out = append(out, c)
 		}
@@ -117,7 +138,7 @@ func mutations(cs *Case) []*Case {
 		if pol := levelPolicy(cs.Design.Levels[i]); pol == nil || pol.Secondary == nil {
 			continue
 		}
-		if c, err := copyCase(cs); err == nil {
+		if c, err := copyTrial(cs); err == nil {
 			pol := levelPolicy(c.Design.Levels[i])
 			pol.Secondary = nil
 			pol.CycleCnt = 0
@@ -129,7 +150,7 @@ func mutations(cs *Case) []*Case {
 		if pol := levelPolicy(cs.Design.Levels[i]); pol == nil || pol.Primary.HoldW == 0 {
 			continue
 		}
-		if c, err := copyCase(cs); err == nil {
+		if c, err := copyTrial(cs); err == nil {
 			pol := levelPolicy(c.Design.Levels[i])
 			pol.Primary.HoldW = 0
 			if pol.Secondary != nil {
@@ -160,21 +181,26 @@ func levelPolicy(t protect.Technique) *hierarchy.Policy {
 	return nil
 }
 
-// dropUnusedDevices removes devices no remaining level references.
-func dropUnusedDevices(cs *Case) {
-	used := map[string]bool{cs.Design.Primary.Array: true}
-	for _, t := range cs.Design.Levels {
-		used[t.CopyDevice()] = true
-		used[t.ReadDevice()] = true
-		if n := t.TransportDevice(); n != "" {
-			used[n] = true
+// usedDevices returns the devices, in fleet order, that some object's
+// primary array or protection level uses. A level uses every device
+// core.LevelDeviceNames lists (each fragment site of a multi-sited level
+// and its transport) plus the device it restores from.
+func usedDevices(devices []core.PlacedDevice, objects ...core.ObjectSpec) []core.PlacedDevice {
+	used := make(map[string]bool)
+	for _, obj := range objects {
+		used[obj.Primary.Array] = true
+		for _, t := range obj.Levels {
+			used[t.ReadDevice()] = true
+			for _, name := range core.LevelDeviceNames(t) {
+				used[name] = true
+			}
 		}
 	}
-	kept := cs.Design.Devices[:0]
-	for _, pd := range cs.Design.Devices {
+	kept := devices[:0:0]
+	for _, pd := range devices {
 		if used[pd.Spec.Name] {
 			kept = append(kept, pd)
 		}
 	}
-	cs.Design.Devices = kept
+	return kept
 }

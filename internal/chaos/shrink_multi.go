@@ -5,65 +5,20 @@ import (
 
 	"stordep/internal/core"
 	"stordep/internal/failure"
-	"stordep/internal/sim"
 )
 
-// The multi-object shrinker extends the greedy reduction with the two
-// dimensions that only exist in a service: whole objects and dependency
-// edges. Mutation order again drops coarse structure first — objects,
-// edges, outages, levels — before fine-grained simplifications.
+// A multi-object case shrinks along the dimensions that only exist in a
+// service as well: whole objects, dependency edges, correlated events
+// and operator faults. Mutation order again drops coarse structure
+// first — objects, edges, events, faults, outages, levels — before
+// fine-grained simplifications.
 
-// shrinkMultiCase returns the smallest multi case (within maxSteps
-// battery evaluations) that still violates the named invariant.
-func shrinkMultiCase(mcs *MultiCase, invariant string, maxSteps int) *MultiCase {
-	return shrinkMultiWith(mcs, maxSteps, func(c *MultiCase) bool {
-		res, err := checkMultiCase(c)
-		if err != nil {
-			return false
-		}
-		for _, v := range res.violations {
-			if v.Invariant == invariant {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// shrinkMultiWith runs the greedy reduction against an arbitrary
-// still-failing predicate.
-func shrinkMultiWith(mcs *MultiCase, maxSteps int, fails func(*MultiCase) bool) *MultiCase {
-	best := mcs
-	steps := 0
-	for steps < maxSteps {
-		improved := false
-		for _, cand := range multiMutations(best) {
-			if steps >= maxSteps {
-				break
-			}
-			if cand == nil || !multiViable(cand) {
-				continue
-			}
-			steps++
-			if fails(cand) {
-				best = cand
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return best
-}
-
-// multiViable reports whether a mutated multi case is still well-formed:
-// the design validates and builds, the horizon leaves a sampling window
-// past every object's warm-up, outage and correlated-event window, every
+// viable reports whether a mutated multi case is still well-formed: the
+// design validates and builds, the horizon leaves a sampling window past
+// every object's warm-up, outage and correlated-event window, every
 // correlated event still affects at least one object, and every operator
 // fault still targets a real object and level.
-func multiViable(mcs *MultiCase) bool {
+func (mcs *MultiCase) viable() bool {
 	if mcs.Design.Validate() != nil {
 		return false
 	}
@@ -75,11 +30,26 @@ func multiViable(mcs *MultiCase) bool {
 	if !opFaultsViable(mcs) {
 		return false
 	}
-	floor, err := multiHorizonFloor(mcs)
+	ms, err := core.BuildMulti(mcs.Design)
 	if err != nil {
 		return false
 	}
-	return mcs.Horizon > floor
+	// Correlated events and operator faults apply fleet-wide, so their
+	// window ends raise every object's floor.
+	var evEnd time.Duration
+	for _, e := range mcs.Events {
+		evEnd = max(evEnd, e.To)
+	}
+	for _, f := range mcs.OpFaults {
+		evEnd = max(evEnd, f.To, f.At+time.Minute)
+	}
+	for _, obj := range mcs.Design.Objects {
+		floor, err := chainHorizonFloor(ms.Object(obj.Name).Chain(), mcs.outagesFor(obj.Name), evEnd)
+		if err != nil || mcs.Horizon <= floor {
+			return false
+		}
+	}
+	return true
 }
 
 // opFaultsViable checks every operator fault against the (possibly
@@ -109,60 +79,15 @@ func opFaultsViable(mcs *MultiCase) bool {
 	return true
 }
 
-// multiHorizonFloor is the largest per-object horizon floor. Correlated
-// events and operator faults apply fleet-wide, so their window ends
-// raise every object's floor.
-func multiHorizonFloor(mcs *MultiCase) (time.Duration, error) {
-	ms, err := core.BuildMulti(mcs.Design)
-	if err != nil {
-		return 0, err
-	}
-	var evEnd time.Duration
-	for _, e := range mcs.Events {
-		if e.To > evEnd {
-			evEnd = e.To
-		}
-	}
-	for _, f := range mcs.OpFaults {
-		if f.To > evEnd {
-			evEnd = f.To
-		}
-		if end := f.At + time.Minute; end > evEnd {
-			evEnd = end
-		}
-	}
-	var floor time.Duration
-	for _, obj := range mcs.Design.Objects {
-		chain := ms.Object(obj.Name).Chain()
-		sm, err := sim.New(chain)
-		if err != nil {
-			return 0, err
-		}
-		f := sm.WarmUp()
-		for _, o := range mcs.outagesFor(obj.Name) {
-			if o.To > f {
-				f = o.To
-			}
-		}
-		if evEnd > f {
-			f = evEnd
-		}
-		if f += 2 * chainMaxCycle(chain); f > floor {
-			floor = f
-		}
-	}
-	return floor, nil
-}
-
-// multiMutations builds the ordered candidate simplifications of a multi
+// mutations builds the ordered candidate simplifications of a multi
 // case.
-func multiMutations(mcs *MultiCase) []*MultiCase {
-	var out []*MultiCase
+func (mcs *MultiCase) mutations() []Trial {
+	var out []Trial
 	// Drop each object in turn: its outages go with it and every edge
 	// pointing at it is removed from the survivors.
 	if len(mcs.Design.Objects) > 1 {
 		for i := range mcs.Design.Objects {
-			c, err := copyMultiCase(mcs)
+			c, err := copyTrial(mcs)
 			if err != nil {
 				continue
 			}
@@ -173,7 +98,7 @@ func multiMutations(mcs *MultiCase) []*MultiCase {
 	// Drop each dependency edge in turn.
 	for i, obj := range mcs.Design.Objects {
 		for k := range obj.DependsOn {
-			c, err := copyMultiCase(mcs)
+			c, err := copyTrial(mcs)
 			if err != nil {
 				continue
 			}
@@ -184,21 +109,21 @@ func multiMutations(mcs *MultiCase) []*MultiCase {
 	}
 	// Drop each correlated event in turn.
 	for i := range mcs.Events {
-		if c, err := copyMultiCase(mcs); err == nil {
+		if c, err := copyTrial(mcs); err == nil {
 			c.Events = append(c.Events[:i:i], c.Events[i+1:]...)
 			out = append(out, c)
 		}
 	}
 	// Drop each operator fault in turn.
 	for i := range mcs.OpFaults {
-		if c, err := copyMultiCase(mcs); err == nil {
+		if c, err := copyTrial(mcs); err == nil {
 			c.OpFaults = append(c.OpFaults[:i:i], c.OpFaults[i+1:]...)
 			out = append(out, c)
 		}
 	}
 	// Drop each outage in turn.
 	for i := range mcs.Outages {
-		if c, err := copyMultiCase(mcs); err == nil {
+		if c, err := copyTrial(mcs); err == nil {
 			c.Outages = append(c.Outages[:i:i], c.Outages[i+1:]...)
 			out = append(out, c)
 		}
@@ -208,7 +133,7 @@ func multiMutations(mcs *MultiCase) []*MultiCase {
 		if len(obj.Levels) <= 1 {
 			continue
 		}
-		c, err := copyMultiCase(mcs)
+		c, err := copyTrial(mcs)
 		if err != nil {
 			continue
 		}
@@ -229,17 +154,17 @@ func multiMutations(mcs *MultiCase) []*MultiCase {
 			faults = append(faults, f)
 		}
 		c.OpFaults = faults
-		dropUnusedMultiDevices(c)
+		c.Design.Devices = usedDevices(c.Design.Devices, c.Design.Objects...)
 		out = append(out, c)
 	}
 	// Shorten the horizon.
-	if c, err := copyMultiCase(mcs); err == nil {
+	if c, err := copyTrial(mcs); err == nil {
 		c.Horizon = quantize(c.Horizon * 3 / 4)
 		out = append(out, c)
 	}
 	// Drop the recovery facility.
 	if mcs.Design.Facility != nil {
-		if c, err := copyMultiCase(mcs); err == nil {
+		if c, err := copyTrial(mcs); err == nil {
 			c.Design.Facility = nil
 			out = append(out, c)
 		}
@@ -248,7 +173,7 @@ func multiMutations(mcs *MultiCase) []*MultiCase {
 	for i, obj := range mcs.Design.Objects {
 		for j := range obj.Levels {
 			if pol := levelPolicy(obj.Levels[j]); pol != nil && pol.Secondary != nil {
-				if c, err := copyMultiCase(mcs); err == nil {
+				if c, err := copyTrial(mcs); err == nil {
 					pol := levelPolicy(c.Design.Objects[i].Levels[j])
 					pol.Secondary = nil
 					pol.CycleCnt = 0
@@ -256,7 +181,7 @@ func multiMutations(mcs *MultiCase) []*MultiCase {
 				}
 			}
 			if pol := levelPolicy(obj.Levels[j]); pol != nil && pol.Primary.HoldW != 0 {
-				if c, err := copyMultiCase(mcs); err == nil {
+				if c, err := copyTrial(mcs); err == nil {
 					pol := levelPolicy(c.Design.Objects[i].Levels[j])
 					pol.Primary.HoldW = 0
 					if pol.Secondary != nil {
@@ -300,27 +225,5 @@ func dropObject(c *MultiCase, name string, i int) {
 		faults = append(faults, f)
 	}
 	c.OpFaults = faults
-	dropUnusedMultiDevices(c)
-}
-
-// dropUnusedMultiDevices removes fleet devices no object references.
-func dropUnusedMultiDevices(c *MultiCase) {
-	used := make(map[string]bool)
-	for _, obj := range c.Design.Objects {
-		used[obj.Primary.Array] = true
-		for _, t := range obj.Levels {
-			used[t.CopyDevice()] = true
-			used[t.ReadDevice()] = true
-			if n := t.TransportDevice(); n != "" {
-				used[n] = true
-			}
-		}
-	}
-	kept := c.Design.Devices[:0:0]
-	for _, pd := range c.Design.Devices {
-		if used[pd.Spec.Name] {
-			kept = append(kept, pd)
-		}
-	}
-	c.Design.Devices = kept
+	c.Design.Devices = usedDevices(c.Design.Devices, c.Design.Objects...)
 }

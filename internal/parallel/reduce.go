@@ -93,17 +93,3 @@ func Reduce[A any](workers, n int, acc func() A, fold func(a A, i int) (A, error
 	}
 	return out, nil
 }
-
-// MapReduce is Reduce with the per-index computation separated from the
-// fold: fn(i) produces a value, fold incorporates it into the
-// accumulator. Convenient when the expensive step returns a result the
-// aggregation merely inspects.
-func MapReduce[T, A any](workers, n int, fn func(i int) (T, error), acc func() A, fold func(a A, i int, v T) A, merge func(a, b A) A) (A, error) {
-	return Reduce(workers, n, acc, func(a A, i int) (A, error) {
-		v, err := fn(i)
-		if err != nil {
-			return a, err
-		}
-		return fold(a, i, v), nil
-	}, merge)
-}

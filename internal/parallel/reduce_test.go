@@ -127,21 +127,3 @@ func TestReduceEmpty(t *testing.T) {
 		t.Errorf("empty reduce = %d, %v; want 42, nil", got, err)
 	}
 }
-
-// TestMapReduce: the map/fold split composes to the same aggregate.
-func TestMapReduce(t *testing.T) {
-	const n = 257
-	for _, workers := range []int{1, 5} {
-		got, err := MapReduce(workers, n,
-			func(i int) (float64, error) { return float64(i % 17), nil },
-			newArgmin,
-			foldArgmin,
-			mergeArgmin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.idx != 0 || got.val != 0 {
-			t.Errorf("workers=%d: argmin = %+v, want idx 0", workers, got)
-		}
-	}
-}

@@ -410,8 +410,10 @@ func nextDurationComponent(s string) (num float64, unit, tail string, err error)
 
 // FormatDuration renders a duration compactly in the paper's idiom: "12h",
 // "2d", "4wk", "4wk12h", "3yr". It picks the largest calendar unit that
-// divides the duration exactly, falling back to fractional hours.
-// ParseDuration reads any whole number of seconds back exactly.
+// divides the duration exactly; a sub-hour duration may use fractional
+// minutes ("1.5min"), and any other sub-minute remainder is written as
+// exact decimal seconds ("1h0.5s"). ParseDuration reads every output
+// back exactly.
 func FormatDuration(d time.Duration) string {
 	if d == Forever {
 		return "forever"
@@ -426,10 +428,7 @@ func FormatDuration(d time.Duration) string {
 	// Sub-hour durations use minutes and seconds (policy windows such as a
 	// one-minute mirroring batch).
 	if d < time.Minute {
-		if d%time.Second == 0 {
-			return fmt.Sprintf("%s%ds", neg, d/time.Second)
-		}
-		return fmt.Sprintf("%s%gs", neg, d.Seconds())
+		return neg + formatSeconds(d)
 	}
 	if d < time.Hour {
 		if d%time.Minute == 0 {
@@ -444,7 +443,7 @@ func FormatDuration(d time.Duration) string {
 		if v, ok := decimalNanos(digits, uint64(time.Minute)); ok && v == uint64(d) {
 			return neg + string(digits) + "min"
 		}
-		return fmt.Sprintf("%s%dmin%s", neg, d/time.Minute, FormatDuration(d%time.Minute))
+		return fmt.Sprintf("%s%dmin%s", neg, d/time.Minute, formatSeconds(d%time.Minute))
 	}
 	type unit struct {
 		span time.Duration
@@ -452,7 +451,7 @@ func FormatDuration(d time.Duration) string {
 	}
 	unitsDesc := []unit{
 		{Year, "yr"}, {Week, "wk"}, {Day, "d"},
-		{time.Hour, "h"}, {time.Minute, "min"}, {time.Second, "s"},
+		{time.Hour, "h"}, {time.Minute, "min"},
 	}
 	var parts []string
 	rem := d
@@ -470,7 +469,18 @@ func FormatDuration(d time.Duration) string {
 		}
 	}
 	if rem > 0 {
-		parts = append(parts, fmt.Sprintf("%gs", rem.Seconds()))
+		parts = append(parts, formatSeconds(rem))
 	}
 	return neg + strings.Join(parts, "")
+}
+
+// formatSeconds writes a non-negative duration below one minute as exact
+// decimal seconds: whole seconds, then up to nine fractional digits with
+// trailing zeros trimmed ("30s", "54.90166726s", "0.000000001s").
+func formatSeconds(d time.Duration) string {
+	s := strconv.FormatInt(int64(d/time.Second), 10)
+	if frac := d % time.Second; frac != 0 {
+		s += strings.TrimRight(fmt.Sprintf(".%09d", frac), "0")
+	}
+	return s + "s"
 }

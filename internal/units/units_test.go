@@ -280,6 +280,10 @@ func TestFormatDuration(t *testing.T) {
 		{72 * time.Second, "1.2min"},
 		{2051 * time.Second, "34min11s"},
 		{-2051 * time.Second, "-34min11s"},
+		{time.Hour + time.Nanosecond, "1h0.000000001s"},
+		{50 * time.Microsecond, "0.00005s"},
+		{12*time.Minute + 54901667260*time.Nanosecond, "12min54.90166726s"},
+		{-(4*Week + 90*time.Second + 250*time.Millisecond), "-4wk1min30.25s"},
 	}
 	for _, tt := range tests {
 		if got := FormatDuration(tt.in); got != tt.want {
@@ -289,12 +293,14 @@ func TestFormatDuration(t *testing.T) {
 }
 
 // Property: FormatDuration output reparses to the same duration for any
-// whole number of seconds below Forever in magnitude. The shift spreads
-// the magnitudes from seconds to centuries.
+// duration below Forever in magnitude. The shift spreads the magnitudes
+// from nanoseconds to centuries.
 func TestFormatParseRoundTrip(t *testing.T) {
-	f := func(secs int64, shift uint8) bool {
-		n := secs >> (shift % 64) % (int64(Forever/time.Second) + 1)
-		d := time.Duration(n) * time.Second
+	f := func(ns int64, shift uint8) bool {
+		d := time.Duration(ns >> (shift % 64))
+		if d <= -Forever || d >= Forever {
+			return true
+		}
 		s := FormatDuration(d)
 		got, err := ParseDuration(s)
 		if err != nil {

@@ -97,77 +97,14 @@ func Evaluate(designs []*core.Design, scenarios []failure.Scenario) ([]Result, e
 }
 
 // EvaluateWorkers is Evaluate on a bounded worker pool: workers > 0 caps
-// the evaluation goroutines, anything else means runtime.NumCPU(). It is
-// EvaluateSeq buffered into a slice — callers that reduce results as they
-// arrive should use EvaluateSeq directly and skip the buffer.
+// the evaluation goroutines, anything else means runtime.NumCPU().
 func EvaluateWorkers(designs []*core.Design, scenarios []failure.Scenario, workers int) ([]Result, error) {
-	out := make([]Result, 0, len(designs))
-	err := EvaluateSeq(len(designs), func(i int) *core.Design { return designs[i] },
-		scenarios, workers, func(_ int, r Result) error {
-			// The yielded Result's Outcomes alias a chunk-slot buffer that
-			// the next chunk overwrites; buffering requires a copy.
-			r.Outcomes = append([]Outcome(nil), r.Outcomes...)
-			out = append(out, r)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EvaluateSeq streams an evaluation sweep: design(i) supplies the i-th of
-// n candidates, results are evaluated on at most workers goroutines
-// (anything < 1 means runtime.NumCPU()) and delivered to yield in input
-// order — the same results EvaluateWorkers returns, without ever holding
-// more than O(workers) of them in memory. A sweep over millions of
-// candidates therefore runs in constant space as long as the caller's
-// yield reduces instead of buffering. yield returning a non-nil error
-// stops the sweep and returns that error.
-//
-// Delivery is chunked: a block of candidates is evaluated concurrently,
-// then the block's results are yielded in order before the next block
-// starts. Workers are idle while yield runs, so a slow yield bounds
-// throughput; the chunk size (a small multiple of the worker count)
-// keeps that barrier cost amortized without unbounded reorder buffering.
-//
-// Each chunk slot keeps a persistent Evaluator and Result, so steady
-// state reuses the model scratch and Outcomes storage instead of
-// reallocating them per candidate. Consequently the yielded Result
-// (including its Outcomes slice) is valid only for the duration of the
-// yield call — a yield that retains results past its return must copy
-// the Outcomes slice, as EvaluateWorkers does.
-func EvaluateSeq(n int, design func(i int) *core.Design, scenarios []failure.Scenario, workers int, yield func(i int, r Result) error) error {
 	if len(scenarios) == 0 {
-		return ErrNoScenarios
+		return nil, ErrNoScenarios
 	}
-	if n <= 0 {
-		return nil
-	}
-	chunk := 4 * parallel.Workers(workers)
-	if chunk > n {
-		chunk = n
-	}
-	buf := make([]Result, chunk)
-	evals := make([]Evaluator, chunk)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if err := parallel.ForEach(workers, hi-lo, func(j int) error {
-			evals[j].EvaluateInto(design(lo+j), scenarios, &buf[j])
-			return nil
-		}); err != nil {
-			return err
-		}
-		for j := 0; j < hi-lo; j++ {
-			if err := yield(lo+j, buf[j]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return parallel.Map(workers, len(designs), func(i int) (Result, error) {
+		return EvaluateOne(designs[i], scenarios), nil
+	})
 }
 
 // EvaluateOne builds and assesses a single candidate — the shared inner
