@@ -92,6 +92,9 @@ func run(w io.Writer, o options) error {
 		if err != nil {
 			return fmt.Errorf("bad -mission: %w", err)
 		}
+		if d <= 0 {
+			return fmt.Errorf("bad -mission %s: must be positive", o.mission)
+		}
 		mission = d
 	}
 	scenarios := []failure.Scenario{

@@ -83,8 +83,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&buf, options{design: "nope", trials: 10}); err == nil || !strings.Contains(err.Error(), "unknown design") {
 		t.Errorf("unknown design: %v", err)
 	}
-	if err := run(&buf, options{trials: 10, mission: "zzz"}); err == nil || !strings.Contains(err.Error(), "-mission") {
-		t.Errorf("bad mission: %v", err)
+	for _, mission := range []string{"zzz", "-26wk", "0h"} {
+		if err := run(&buf, options{trials: 10, mission: mission}); err == nil || !strings.Contains(err.Error(), "-mission") {
+			t.Errorf("mission %q: %v", mission, err)
+		}
 	}
 	if err := run(&buf, options{design: "Baseline", trials: 0}); err == nil {
 		t.Error("zero trials accepted")

@@ -45,7 +45,7 @@ type Assessment struct {
 // or infinite recovery time rather than an error; errors indicate invalid
 // input.
 func (s *System) Assess(sc failure.Scenario) (*Assessment, error) {
-	return s.assessWithChain(sc, s.chain)
+	return s.assess(sc, nil)
 }
 
 // AssessDegraded evaluates the scenario in degraded mode: the named
@@ -57,11 +57,7 @@ func (s *System) AssessDegraded(sc failure.Scenario, levelName string, outage ti
 	if idx == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownLevel, levelName)
 	}
-	chain, err := s.chain.Degraded(idx, outage)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return s.assessWithChain(sc, chain)
+	return s.assess(sc, []hierarchy.LevelOutage{{Level: idx, Outage: outage}})
 }
 
 // AssessDegradedCompound evaluates the scenario while several protection
@@ -69,15 +65,32 @@ func (s *System) AssessDegraded(sc failure.Scenario, levelName string, outage ti
 // vault courier is also unavailable). Each named level has been out of
 // service for its outage duration when the failure strikes.
 func (s *System) AssessDegradedCompound(sc failure.Scenario, outages []hierarchy.LevelOutage) (*Assessment, error) {
-	chain, err := s.chain.DegradedCompound(outages)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return s.assessWithChain(sc, chain)
+	return s.assess(sc, outages)
 }
 
-func (s *System) assessWithChain(sc failure.Scenario, chain hierarchy.Chain) (*Assessment, error) {
+// PlanDegradedCompound resolves the scenario's recovery plan while every
+// listed level is degraded (nil outages: the healthy chain), without the
+// report-only fields an Assessment adds. lost reports the §3.3.3
+// whole-object-lost case; otherwise the plan's Time and Loss are the
+// worst-case recovery time and data loss AssessDegradedCompound reports.
+func (s *System) PlanDegradedCompound(sc failure.Scenario, outages []hierarchy.LevelOutage) (plan recovery.Plan, lost bool, err error) {
+	chain := s.chain
+	if outages != nil {
+		if chain, err = s.chain.DegradedCompound(outages); err != nil {
+			return recovery.Plan{}, false, fmt.Errorf("core: %w", err)
+		}
+	}
 	if err := sc.Validate(); err != nil {
+		return recovery.Plan{}, false, err
+	}
+	plan, lost = s.resolvePlan(sc, chain, true, nil)
+	return plan, lost, nil
+}
+
+// assess builds the full report on PlanDegradedCompound's plan.
+func (s *System) assess(sc failure.Scenario, outages []hierarchy.LevelOutage) (*Assessment, error) {
+	plan, lost, err := s.PlanDegradedCompound(sc, outages)
+	if err != nil {
 		return nil, err
 	}
 	a := &Assessment{
@@ -85,7 +98,6 @@ func (s *System) assessWithChain(sc failure.Scenario, chain hierarchy.Chain) (*A
 		Utilization: s.Utilization(),
 		Warnings:    s.Warnings(),
 	}
-	plan, lost := s.resolvePlan(sc, chain, true, nil)
 	if lost {
 		s.finishLost(a)
 		return a, nil

@@ -20,14 +20,15 @@ import (
 // observation sequence, and MergeMC proves it did via per-shard digests.
 
 // NewMCJob assembles an unsharded Monte Carlo job for a campaign over
-// the design. mission <= 0 means the engine default (one year).
+// the design. mission 0 means the engine default (one year); a negative
+// mission is rejected.
 func NewMCJob(design *core.Design, seed int64, trials int, mission time.Duration) (*Job, error) {
 	data, err := config.Marshal(design)
 	if err != nil {
 		return nil, fmt.Errorf("%w: design: %v", ErrBadJob, err)
 	}
 	spec := &MCSpec{Seed: seed, Trials: trials}
-	if mission > 0 {
+	if mission != 0 {
 		spec.Mission = units.FormatDuration(mission)
 	}
 	j := &Job{Version: Version, Design: data, MC: spec}

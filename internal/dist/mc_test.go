@@ -9,6 +9,7 @@ import (
 
 	"stordep/internal/casestudy"
 	"stordep/internal/mc"
+	"stordep/internal/units"
 )
 
 const (
@@ -181,6 +182,18 @@ func TestMCJobWire(t *testing.T) {
 	}
 	if _, err := DecodeJob(data); !errors.Is(err, ErrBadJob) {
 		t.Errorf("zero-trial job decoded: %v", err)
+	}
+
+	bad.MC = &MCSpec{Seed: 1, Trials: 5, Mission: "-26wk"}
+	data, err = bad.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeJob(data); !errors.Is(err, ErrBadJob) || !errors.Is(err, mc.ErrBadMission) {
+		t.Errorf("negative-mission job decoded: %v", err)
+	}
+	if _, err := NewMCJob(casestudy.Baseline(), 1, 5, -26*units.Week); !errors.Is(err, mc.ErrBadMission) {
+		t.Errorf("NewMCJob with a negative mission: %v", err)
 	}
 
 	mixed := *job

@@ -112,7 +112,8 @@ type MCSpec struct {
 	// the contiguous range this worker samples.
 	Trials int `json:"trials"`
 	// Mission is the per-trial mission window in the units duration
-	// syntax; empty means the engine default (one year).
+	// syntax; empty or zero means the engine default (one year), and a
+	// negative window is rejected.
 	Mission string `json:"mission,omitempty"`
 }
 
@@ -122,8 +123,12 @@ func (s *MCSpec) Validate() error {
 		return fmt.Errorf("%w: Monte Carlo job needs a positive trial count, got %d", ErrBadJob, s.Trials)
 	}
 	if s.Mission != "" {
-		if _, err := units.ParseDuration(s.Mission); err != nil {
+		mission, err := units.ParseDuration(s.Mission)
+		if err != nil {
 			return fmt.Errorf("%w: Monte Carlo mission: %v", ErrBadJob, err)
+		}
+		if mission < 0 {
+			return fmt.Errorf("%w: Monte Carlo mission %s: %w", ErrBadJob, s.Mission, mc.ErrBadMission)
 		}
 	}
 	return nil

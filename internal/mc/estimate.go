@@ -103,21 +103,23 @@ func (c *Campaign) Estimate(obs []Obs) (*Report, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("%w: no observations", ErrBadTrials)
 	}
-	r, err := c.runner()
+	sys, err := c.build()
 	if err != nil {
 		return nil, err
 	}
 	n := len(obs)
 	rep := &Report{
-		Design:  c.Design.Name,
-		Seed:    c.Seed,
-		Trials:  n,
-		Mission: r.mission,
-		Outlay:  r.sys.Outlays().Total(),
-		Digest:  Digest(obs),
+		Design: c.Design.Name,
+		Seed:   c.Seed,
+		Trials: n,
+		Outlay: sys.Outlays().Total(),
+		Digest: Digest(obs),
 	}
-	annual := float64(units.Year) / float64(r.mission)
-	mission := float64(r.mission)
+	if rep.Mission, err = c.mission(); err != nil {
+		return nil, err
+	}
+	annual := float64(units.Year) / float64(rep.Mission)
+	mission := float64(rep.Mission)
 	// Downtime/loss sums accumulate in float64: a time.Duration sum
 	// overflows at ~292 trial-years (a 1000-trial campaign where every
 	// trial is down for the whole mission exceeds that), and the mean is
@@ -148,8 +150,8 @@ func (c *Campaign) Estimate(obs []Obs) (*Report, error) {
 		availSum += 1 - float64(o.Downtime)/mission
 		availExSum += 1 - float64(exOpDown(o))/mission
 		perfDown := o.Downtime + o.DegTime
-		if perfDown > r.mission {
-			perfDown = r.mission
+		if perfDown > rep.Mission {
+			perfDown = rep.Mission
 		}
 		perfSum += 1 - float64(perfDown)/mission
 		penaltySum += o.Penalty * annual
@@ -176,8 +178,8 @@ func (c *Campaign) Estimate(obs []Obs) (*Report, error) {
 		x := 1 - float64(exOpDown(o))/mission - availExMean
 		availExSq += x * x
 		perfDown := o.Downtime + o.DegTime
-		if perfDown > r.mission {
-			perfDown = r.mission
+		if perfDown > rep.Mission {
+			perfDown = rep.Mission
 		}
 		p := 1 - float64(perfDown)/mission - perfMean
 		perfSq += p * p

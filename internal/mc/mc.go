@@ -128,10 +128,35 @@ type Obs struct {
 
 // Campaign validation errors.
 var (
-	ErrNoDesign  = errors.New("mc: campaign needs a design")
-	ErrBadTrials = errors.New("mc: trials must be positive")
-	ErrBadRange  = errors.New("mc: invalid trial range")
+	ErrNoDesign   = errors.New("mc: campaign needs a design")
+	ErrBadTrials  = errors.New("mc: trials must be positive")
+	ErrBadRange   = errors.New("mc: invalid trial range")
+	ErrBadMission = errors.New("mc: mission must not be negative")
 )
+
+// build builds the campaign's design.
+func (c *Campaign) build() (*core.System, error) {
+	if c.Design == nil {
+		return nil, ErrNoDesign
+	}
+	sys, err := core.Build(c.Design)
+	if err != nil {
+		return nil, fmt.Errorf("mc: %w", err)
+	}
+	return sys, nil
+}
+
+// mission returns the per-trial mission window: Mission, or
+// DefaultMission when it is zero.
+func (c *Campaign) mission() (time.Duration, error) {
+	switch {
+	case c.Mission < 0:
+		return 0, fmt.Errorf("%w: %v", ErrBadMission, c.Mission)
+	case c.Mission == 0:
+		return DefaultMission, nil
+	}
+	return c.Mission, nil
+}
 
 // Run samples every trial and estimates the dependability report.
 func (c *Campaign) Run() (*Report, error) {
@@ -186,21 +211,18 @@ type runner struct {
 }
 
 func (c *Campaign) runner() (*runner, error) {
-	if c.Design == nil {
-		return nil, ErrNoDesign
-	}
-	sys, err := core.Build(c.Design)
+	sys, err := c.build()
 	if err != nil {
-		return nil, fmt.Errorf("mc: %w", err)
+		return nil, err
 	}
 	chain := sys.Chain()
 	s, err := sim.New(chain)
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
-	mission := c.Mission
-	if mission <= 0 {
-		mission = DefaultMission
+	mission, err := c.mission()
+	if err != nil {
+		return nil, err
 	}
 	rates := c.Rates
 	if rates == nil {
@@ -307,13 +329,15 @@ func (r *runner) trial(trial int) (Obs, error) {
 	silents := r.sampleSilentFaults(tseed)
 	wrongs := r.sampleWrongRecoveries(tseed)
 
-	// 4. Replay the RP history the trial's queries can observe: its event
+	// 4. Lay out the RP history the trial's queries can observe: its event
 	// instants, each silent fault's probe grid and its wrong recoveries.
-	// When silent faults are present a clean shadow history (same
-	// outages, no silents) anchors the cross-model bound ledger and
-	// detection baselines: the analytic bound is fault-unaware by design,
-	// so comparing it against the faulted history would conflate model
-	// violations with the detection channel.
+	// A window replays on its first query, so the windows after the
+	// query that ends the trial cost nothing, and a replay error fails
+	// the trial there. When silent faults are present a clean shadow
+	// history (same outages, no silents) anchors the cross-model bound
+	// ledger and detection baselines: the analytic bound is fault-unaware
+	// by design, so comparing it against the faulted history would
+	// conflate model violations with the detection channel.
 	ats := make([]time.Duration, 0, len(evs)+len(wrongs))
 	for _, ev := range evs {
 		ats = append(ats, ev.at)
@@ -324,8 +348,8 @@ func (r *runner) trial(trial int) (Obs, error) {
 	for _, wr := range wrongs {
 		ats = append(ats, wr.at)
 	}
-	hist, err := r.replay(ats, outs, silents)
-	if err != nil {
+	hist := r.replay(ats, outs, silents)
+	fail := func(err error) (Obs, error) {
 		return Obs{}, fmt.Errorf("mc: trial %d: %w", trial, err)
 	}
 
@@ -345,7 +369,10 @@ func (r *runner) trial(trial int) (Obs, error) {
 	for _, ev := range evs {
 		sc := scenarioFor(ev.scope)
 		ctx := r.context(sc, effOuts, actx)
-		h := hist.at(ev.at)
+		h, err := hist.at(ev.at)
+		if err != nil {
+			return fail(err)
+		}
 		o.Events++
 
 		// Cross-model invariant: per surviving level, simulated loss
@@ -409,13 +436,19 @@ func (r *runner) trial(trial int) (Obs, error) {
 	// the trial later loses its data); wrong recoveries after an
 	// unrecoverable event have nothing left to restore.
 	for _, f := range silents {
-		r.classifySilentFault(&o, hist, outs, f)
+		if err := r.classifySilentFault(&o, &hist, outs, f); err != nil {
+			return fail(err)
+		}
 	}
 	for _, wr := range wrongs {
 		if wr.at >= lostAt {
 			break
 		}
-		r.applyWrongRecovery(&o, hist.at(wr.at).clean, outs, effOuts, actx, wr)
+		h, err := hist.at(wr.at)
+		if err != nil {
+			return fail(err)
+		}
+		r.applyWrongRecovery(&o, h.clean, outs, effOuts, actx, wr)
 	}
 	if o.Downtime > r.mission {
 		o.Downtime = r.mission
@@ -428,59 +461,72 @@ type event struct {
 	scope failure.Scope
 }
 
-// history is the replayed RP history of one query window: the faulted
-// run and its clean shadow (the same simulator when the trial has no
-// silent faults).
+// history is the RP history of one query window: the faulted run and
+// its clean shadow (the same simulator when the trial has no silent
+// faults), both nil until the window's first query replays them.
 type history struct {
 	from, to time.Duration
 	s, clean *sim.Simulator
 }
 
-// histories are a trial's query windows in time order, disjoint.
-type histories []history
-
-// at returns the history of the window holding query instant t: the
-// first window that ends at or after it.
-func (h histories) at(t time.Duration) *history {
-	i := 0
-	for i < len(h)-1 && h[i].to < t {
-		i++
-	}
-	return &h[i]
+// histories are a trial's query windows in time order, disjoint, with
+// the faults every window replays under.
+type histories struct {
+	r       *runner
+	outs    []sim.Outage
+	silents []sim.SilentFault
+	wins    []history
 }
 
-// replay runs the RP history each query instant can observe. A query at
-// T reads nothing that fired before T-lookback (sim.Simulator.Lookback
-// gives the proof), so each instant needs the window [max(0,
-// T-lookback), T], clamped to the mission end. Overlapping windows merge
-// and each merged window is replayed once, plus once more without the
-// silent faults for the clean history when there are any.
-func (r *runner) replay(ats []time.Duration, outs []sim.Outage, silents []sim.SilentFault) (histories, error) {
+// at returns the history of the window holding query instant t, the
+// first window that ends at or after it, replaying the window on its
+// first query. A trial's queries often read few of its windows: an async
+// mirror's first object-scope event is unrecoverable and ends the event
+// loop. A replay error does not depend on the window: the simulator
+// rejects the chain or a fault, and every window registers them all.
+func (h *histories) at(t time.Duration) (*history, error) {
+	i := 0
+	for i < len(h.wins)-1 && h.wins[i].to < t {
+		i++
+	}
+	w := &h.wins[i]
+	if w.s != nil {
+		return w, nil
+	}
+	s, err := h.r.simulate(w.from, w.to, h.outs, h.silents)
+	if err != nil {
+		return nil, err
+	}
+	clean := s
+	if len(h.silents) > 0 {
+		if clean, err = h.r.simulate(w.from, w.to, h.outs, nil); err != nil {
+			return nil, err
+		}
+	}
+	w.s, w.clean = s, clean
+	return w, nil
+}
+
+// replay lays out the RP history windows the query instants can observe;
+// histories.at replays each on its first query. A query at T reads
+// nothing that fired before T-lookback (sim.Simulator.Lookback gives the
+// proof), so each instant needs the window [max(0, T-lookback), T],
+// clamped to the mission end. Overlapping windows merge, and each merged
+// window is replayed at most once, plus once more without the silent
+// faults for the clean history when there are any.
+func (r *runner) replay(ats []time.Duration, outs []sim.Outage, silents []sim.SilentFault) histories {
 	slices.Sort(ats)
-	var hist histories
+	h := histories{r: r, outs: outs, silents: silents, wins: make([]history, 0, len(ats))}
 	for _, at := range ats {
 		to := min(at, r.end)
 		from := max(0, to-r.lookback)
-		if n := len(hist); n > 0 && from <= hist[n-1].to {
-			hist[n-1].to = to
+		if n := len(h.wins); n > 0 && from <= h.wins[n-1].to {
+			h.wins[n-1].to = to
 			continue
 		}
-		hist = append(hist, history{from: from, to: to})
+		h.wins = append(h.wins, history{from: from, to: to})
 	}
-	for i := range hist {
-		h := &hist[i]
-		var err error
-		if h.s, err = r.simulate(h.from, h.to, outs, silents); err != nil {
-			return nil, err
-		}
-		h.clean = h.s
-		if len(silents) > 0 {
-			if h.clean, err = r.simulate(h.from, h.to, outs, nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return hist, nil
+	return h
 }
 
 // simulate replays the RP history over [from, to] under the given
@@ -545,27 +591,28 @@ func scenarioFor(scope failure.Scope) failure.Scenario {
 }
 
 // context resolves (and caches) the analytic context for a scope. The
-// recovery-time bound is the degraded analytic assessment under the
-// trial's effective outages; when that is unrecoverable the healthy
-// assessment stands in (the degraded model's inflated outage totals can
+// recovery-time bound is the time of the degraded analytic recovery plan
+// under the trial's effective outages; when that is unrecoverable the
+// healthy plan stands in (the degraded model's inflated outage totals can
 // push every level past conservative retention even though RPs exist —
 // the same optimism gap the chaos engine documents), and when even the
-// healthy model cannot recover, recovery time is unbounded.
+// healthy model cannot recover, recovery time is unbounded. Only the plan
+// is resolved: the report fields of a core.Assessment are design
+// constants no trial reads.
 func (r *runner) context(sc failure.Scenario, effOuts []hierarchy.LevelOutage, cache map[failure.Scope]*eventContext) *eventContext {
 	if ctx, ok := cache[sc.Scope]; ok {
 		return ctx
 	}
 	ctx := &eventContext{surviving: r.sys.SurvivingLevels(sc), rtBound: units.Forever}
-	a, err := r.sys.AssessDegradedCompound(sc, effOuts)
-	if err != nil || a.WholeObjectLost || a.RecoveryTime == units.Forever {
-		a, err = r.sys.Assess(sc)
-		if err != nil || a.WholeObjectLost || a.RecoveryTime == units.Forever {
-			a = nil
-		}
+	plan, lost, err := r.sys.PlanDegradedCompound(sc, effOuts)
+	if err != nil || lost || plan.Time() == units.Forever {
+		plan, lost, err = r.sys.PlanDegradedCompound(sc, nil)
 	}
-	if a != nil {
-		ctx.steps = a.Plan.Steps
-		ctx.rtBound = a.RecoveryTime
+	if err == nil && !lost {
+		if rt := plan.Time(); rt < units.Forever {
+			ctx.steps = plan.Steps
+			ctx.rtBound = rt
+		}
 	}
 	cache[sc.Scope] = ctx
 	return ctx

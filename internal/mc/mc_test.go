@@ -3,6 +3,9 @@ package mc
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,6 +193,14 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := c.Estimate(nil); !errors.Is(err, ErrBadTrials) {
 		t.Errorf("empty estimate: got %v", err)
 	}
+	// A negative mission is an error, not the default one-year window.
+	neg := &Campaign{Design: casestudy.Baseline(), Trials: 5, Mission: -26 * units.Week}
+	if _, err := neg.Run(); !errors.Is(err, ErrBadMission) {
+		t.Errorf("negative mission: Run got %v", err)
+	}
+	if _, err := neg.Estimate(make([]Obs, 5)); !errors.Is(err, ErrBadMission) {
+		t.Errorf("negative mission: Estimate got %v", err)
+	}
 	// A vault retained by count alone validates, and the analytic model
 	// keeps its cycles, but the simulator cannot replay it: the campaign
 	// must refuse rather than report every site disaster as a loss.
@@ -198,6 +209,36 @@ func TestCampaignValidation(t *testing.T) {
 	site := whatif.Frequencies{failure.ScopeSite: 2}
 	if _, err := (&Campaign{Design: countOnly, Trials: 30, Rates: site}).Run(); !errors.Is(err, sim.ErrCountOnlyRetention) {
 		t.Errorf("count-only vault retention: got %v", err)
+	}
+}
+
+// TestTrialReplayError: a window replays on its first query, and a
+// simulator error there fails the trial with the trial's wrapping. Every
+// trial with a window queries one, so no trial that has one succeeds.
+func TestTrialReplayError(t *testing.T) {
+	r, err := (&Campaign{Design: casestudy.AsyncBMirror(4), Seed: 3, Trials: 20}).runner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A chain the simulator rejects; the built system keeps the valid one.
+	r.chain = slices.Clone(r.chain)
+	r.chain[0].Policy.RetW = 0
+	var failed int
+	for i := 0; i < 20; i++ {
+		o, err := r.trial(i)
+		if err == nil {
+			if o.Events+o.OpEvents > 0 {
+				t.Errorf("trial %d queried a history without replaying it: %+v", i, o)
+			}
+			continue
+		}
+		failed++
+		if !errors.Is(err, sim.ErrCountOnlyRetention) || !strings.HasPrefix(err.Error(), fmt.Sprintf("mc: trial %d: ", i)) {
+			t.Errorf("trial %d: %v", i, err)
+		}
+	}
+	if failed == 0 {
+		t.Error("no trial queried a history")
 	}
 }
 

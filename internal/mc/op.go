@@ -154,14 +154,17 @@ func (r *runner) sampleWrongRecoveries(tseed int64) []wrongRecovery {
 // caught and re-synced (protection was degraded for the window), an
 // escaped window is latent exposure the estimator surfaces only through
 // events that happen to land in it.
-func (r *runner) classifySilentFault(o *Obs, hist histories, outs []sim.Outage, f sim.SilentFault) {
+func (r *runner) classifySilentFault(o *Obs, hist *histories, outs []sim.Outage, f sim.SilentFault) error {
 	all := make([]int, len(r.chain))
 	for i := range all {
 		all[i] = i + 1
 	}
 	detected := false
 	for _, at := range r.probes(f) {
-		h := hist.at(at)
+		h, err := hist.at(at)
+		if err != nil {
+			return err
+		}
 		floss, _, fok := h.s.Loss(all, at, 0)
 		closs, _, cok := h.clean.Loss(all, at, 0)
 		if cok && !fok {
@@ -189,6 +192,7 @@ func (r *runner) classifySilentFault(o *Obs, hist histories, outs []sim.Outage, 
 	} else {
 		o.OpEscapes++
 	}
+	return nil
 }
 
 // probes returns the instants at which a silent fault's consequences are

@@ -56,8 +56,9 @@ func (s *Simulator) Plan(surviving []int, failAt, targetAge time.Duration) (Rest
 		if j < 1 || j > len(s.chain) {
 			continue
 		}
-		for i, rp := range s.levels[j-1] {
-			if rp.Cut <= target && (index < 0 || rp.Cut > best.Serving.Cut) && s.usableAt(j, i, failAt) {
+		lo, hi := s.span(j, failAt)
+		for i := lo; i < hi; i++ {
+			if rp := s.levels[j-1][i]; rp.Cut <= target && (index < 0 || rp.Cut > best.Serving.Cut) && s.usableAt(j, i, failAt) {
 				best = RestorePlan{Serving: rp, Level: j}
 				index = i
 			}

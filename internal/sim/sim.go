@@ -148,7 +148,7 @@ func (f SilentFault) contains(at time.Duration) bool {
 // Simulator replays RP propagation for a hierarchy chain.
 type Simulator struct {
 	chain   hierarchy.Chain
-	levels  [][]RP // retained and expired RPs per level, in cut order
+	levels  [][]RP // retained and expired RPs per level, in fire order (span relies on it)
 	outages []Outage
 	silents []SilentFault
 	ran     time.Duration
@@ -384,13 +384,49 @@ func (s *Simulator) newest(level int, at time.Duration) (RP, bool) {
 	found := false
 	// RPs are appended in window-close order, which is not availability
 	// order for cyclic policies (a slow full can land after a later fast
-	// incremental), so scan the whole list.
-	for _, rp := range s.levels[level-1] {
+	// incremental), so scan every RP that can cover the instant.
+	lo, hi := s.span(level, at)
+	for _, rp := range s.levels[level-1][lo:hi] {
 		if rp.Covers(at) && (!found || rp.Cut > best.Cut) {
 			best, found = rp, true
 		}
 	}
 	return best, found
+}
+
+// span returns the index range [lo, hi) of the level's RPs that can
+// cover instant at: those fired in (at-D_j, at], where D_j = RetW_j +
+// TransferLag_j is Lookback's per-level term. An RP fired at f lands by
+// f + TransferLag_j and expires RetW_j after landing, so one fired at or
+// before at-D_j has expired by at, and one fired after at has not
+// landed. RPs are appended in fire order, and an RP's fire instant is its
+// AvailableAt less its window's HoldW + PropW, so two binary searches
+// find the range without storing the instants.
+func (s *Simulator) span(level int, at time.Duration) (lo, hi int) {
+	pol := &s.chain[level-1].Policy
+	rps := s.levels[level-1]
+	hi = firedAfter(rps, pol, at)
+	lo = firedAfter(rps[:hi], pol, at-pol.RetW-pol.TransferLag())
+	return lo, hi
+}
+
+// firedAfter returns the index of the first RP fired after t, in a list
+// of the policy's RPs in fire order.
+func firedAfter(rps []RP, pol *hierarchy.Policy, t time.Duration) int {
+	lo, hi := 0, len(rps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		win := &pol.Primary
+		if rps[m].Secondary {
+			win = pol.Secondary
+		}
+		if rps[m].AvailableAt-win.TransferLag() <= t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Available returns the RPs usable at observation time `at` on a level.
@@ -402,7 +438,8 @@ func (s *Simulator) Available(level int, at time.Duration) ([]RP, error) {
 		return nil, fmt.Errorf("sim: level %d out of range", level)
 	}
 	var out []RP
-	for _, rp := range s.levels[level-1] {
+	lo, hi := s.span(level, at)
+	for _, rp := range s.levels[level-1][lo:hi] {
 		if rp.Covers(at) {
 			out = append(out, rp)
 		}
@@ -464,8 +501,9 @@ func (s *Simulator) Loss(surviving []int, failAt, targetAge time.Duration) (loss
 		if j < 1 || j > len(s.chain) {
 			continue
 		}
-		for i, rp := range s.levels[j-1] {
-			if rp.Cut <= target && rp.Cut > bestCut && s.usableAt(j, i, failAt) {
+		lo, hi := s.span(j, failAt)
+		for i := lo; i < hi; i++ {
+			if rp := s.levels[j-1][i]; rp.Cut <= target && rp.Cut > bestCut && s.usableAt(j, i, failAt) {
 				bestCut, bestLevel = rp.Cut, j
 			}
 		}
