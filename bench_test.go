@@ -200,10 +200,11 @@ func BenchmarkSimulationValidation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.RunFrom(0, 20*units.Week); err != nil {
+		h, err := s.Run(nil, nil, 0, 20*units.Week)
+		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := s.LossStudy([]int{2, 3}, 0, 12*units.Week, 19*units.Week, time.Hour)
+		st, err := h.LossStudy([]int{2, 3}, 0, 12*units.Week, 19*units.Week, time.Hour)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -194,6 +194,12 @@ func run(w io.Writer, o options) error {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
 	}
+	if o.trials < 0 {
+		return fmt.Errorf("-trials must be non-negative, got %d", o.trials)
+	}
+	if o.budget < 0 {
+		return fmt.Errorf("-budget must be non-negative, got %d", o.budget)
+	}
 	shard, err := parseShard(o.shard)
 	if err != nil {
 		return err
@@ -221,7 +227,7 @@ func run(w io.Writer, o options) error {
 		{Scope: failure.ScopeSite},
 	}
 
-	objective, floor, objLabel, err := buildObjective(o.objective, o.rto, o.rpo)
+	objective, floor, objLabel, err := buildObjective(o)
 	if err != nil {
 		return err
 	}
@@ -558,9 +564,8 @@ func writeResult(path string, res *dist.Result) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// objectiveSpec mirrors buildObjective for the wire: explicit RTO/RPO
-// turn the objective into the constrained-outlay rule, exactly as the
-// local path does.
+// objectiveSpec is the wire form of the objective flags: explicit
+// RTO/RPO turn the objective into the constrained-outlay rule.
 func objectiveSpec(o options) dist.ObjectiveSpec {
 	if o.rto != "" || o.rpo != "" {
 		return dist.ObjectiveSpec{Kind: "constrained", RTO: o.rto, RPO: o.rpo}
@@ -568,38 +573,27 @@ func objectiveSpec(o options) dist.ObjectiveSpec {
 	return dist.ObjectiveSpec{Kind: o.objective}
 }
 
-// buildObjective resolves the objective flags into the scoring closure,
-// its admissible pruning floor (the -prune counterpart, see
-// opt.ObjectiveFloor), and a display label.
-func buildObjective(name, rto, rpo string) (opt.Objective, opt.ObjectiveFloor, string, error) {
-	if rto != "" || rpo != "" {
-		obj := whatif.Objectives{RTO: units.Forever, RPO: units.Forever}
-		if rto != "" {
-			d, err := units.ParseDuration(rto)
-			if err != nil {
-				return nil, nil, "", fmt.Errorf("bad -rto: %w", err)
-			}
-			obj.RTO = d
-		}
-		if rpo != "" {
-			d, err := units.ParseDuration(rpo)
-			if err != nil {
-				return nil, nil, "", fmt.Errorf("bad -rpo: %w", err)
-			}
-			obj.RPO = d
-		}
-		return opt.ConstrainedOutlayObjective(obj), opt.ConstrainedOutlayFloor(obj),
-			fmt.Sprintf("cheapest outlays meeting RTO %s / RPO %s", orAny(rto), orAny(rpo)), nil
-	}
-	switch name {
-	case "worst":
-		return opt.WorstTotalObjective(), opt.WorstTotalFloor(), "minimize worst-scenario total cost", nil
-	case "expected":
-		return opt.ExpectedObjective(whatif.TypicalFrequencies()), opt.ExpectedFloor(whatif.TypicalFrequencies()),
-			"minimize expected annual cost (typical failure frequencies)", nil
+// buildObjective resolves the objective flags into the scoring closure
+// and its admissible pruning floor (the -prune counterpart, see
+// opt.ObjectiveFloor), built from objectiveSpec exactly as a distributed
+// worker builds them, and a display label.
+func buildObjective(o options) (opt.Objective, opt.ObjectiveFloor, string, error) {
+	var label string
+	switch {
+	case o.rto != "" || o.rpo != "":
+		label = fmt.Sprintf("cheapest outlays meeting RTO %s / RPO %s", orAny(o.rto), orAny(o.rpo))
+	case o.objective == "worst":
+		label = "minimize worst-scenario total cost"
+	case o.objective == "expected":
+		label = "minimize expected annual cost (typical failure frequencies)"
 	default:
-		return nil, nil, "", fmt.Errorf("unknown objective %q", name)
+		return nil, nil, "", fmt.Errorf("unknown objective %q", o.objective)
 	}
+	objective, floor, err := dist.BuildObjective(objectiveSpec(o))
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("bad -rto/-rpo: %w", err)
+	}
+	return objective, floor, label, nil
 }
 
 func orAny(s string) string {

@@ -142,11 +142,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&buf, options{objective: "alien"}); err == nil {
 		t.Error("unknown objective accepted")
 	}
-	if err := run(&buf, options{objective: "worst", rto: "zzz"}); err == nil {
-		t.Error("bad rto accepted")
+	if err := run(&buf, options{objective: "worst", rto: "zzz"}); err == nil || !strings.Contains(err.Error(), "-rto") {
+		t.Errorf("bad rto: err = %v", err)
 	}
-	if err := run(&buf, options{objective: "worst", rpo: "zzz"}); err == nil {
-		t.Error("bad rpo accepted")
+	if err := run(&buf, options{objective: "worst", rpo: "zzz"}); err == nil || !strings.Contains(err.Error(), "-rpo") {
+		t.Errorf("bad rpo: err = %v", err)
 	}
 	// Infeasible constraints surface opt.ErrNoFeasible.
 	if err := run(&buf, options{objective: "worst", links: true, rto: "1m", rpo: "1m"}); err == nil {
@@ -154,6 +154,12 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(&buf, options{objective: "worst", workers: -1}); err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Errorf("negative workers: err = %v", err)
+	}
+	if err := run(&buf, options{objective: "expected", trials: -5}); err == nil || !strings.Contains(err.Error(), "-trials") {
+		t.Errorf("negative trials: err = %v", err)
+	}
+	if err := run(&buf, options{objective: "worst", exhaustive: true, budget: -1}); err == nil || !strings.Contains(err.Error(), "-budget") {
+		t.Errorf("negative budget: err = %v", err)
 	}
 	for _, bad := range []string{"1", "a/b", "1/", "/2", "2/1x"} {
 		if err := run(&buf, options{objective: "worst", shard: bad}); err == nil || !strings.Contains(err.Error(), "-shard") {

@@ -100,10 +100,13 @@ func run(w io.Writer, designPath, scope, target string, weeks int, step, outage 
 		return err
 	}
 	from := horizon * 2 / 3
-	for _, o := range outages {
-		if err := simulator.AddOutage(sim.Outage{Level: o.Level, From: from - o.Outage, To: from}); err != nil {
-			return err
-		}
+	outs := make([]sim.Outage, len(outages))
+	for i, o := range outages {
+		outs[i] = sim.Outage{Level: o.Level, From: from - o.Outage, To: from}
+	}
+	hist, err := simulator.Run(outs, nil, 0, horizon)
+	if err != nil {
+		return err
 	}
 	analytic := time.Duration(-1)
 	for _, j := range surviving {
@@ -121,12 +124,9 @@ func run(w io.Writer, designPath, scope, target string, weeks int, step, outage 
 
 	fmt.Fprintf(w, "Simulating %d weeks of RP propagation for %q (%s)\n",
 		weeks, design.Name, chain)
-	if err := simulator.RunFrom(0, horizon); err != nil {
-		return err
-	}
 
 	to := horizon - units.Week
-	st, err := simulator.LossStudy(surviving, sc.TargetAge, from, to, stepDur)
+	st, err := hist.LossStudy(surviving, sc.TargetAge, from, to, stepDur)
 	if err != nil {
 		return err
 	}
@@ -162,7 +162,7 @@ func run(w io.Writer, designPath, scope, target string, weeks int, step, outage 
 		}
 		xfer := a.Plan.Steps[len(a.Plan.Steps)-1]
 		fixed := a.RecoveryTime - units.Div(xfer.Size, xfer.Bandwidth)
-		rs, err := simulator.RTStudy(design.Workload, surviving, sc.TargetAge,
+		rs, err := hist.RTStudy(design.Workload, surviving, sc.TargetAge,
 			from, to, stepDur, xfer.Bandwidth, fixed)
 		if err != nil {
 			return err

@@ -37,7 +37,8 @@ func main() {
 	horizon := 30 * stordep.Week
 	fmt.Printf("Simulating %v of RP propagation for: %s\n\n",
 		horizon, chain)
-	if err := simulator.RunFrom(0, horizon); err != nil {
+	hist, err := simulator.Run(nil, nil, 0, horizon)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -54,6 +55,7 @@ func main() {
 	tbl := report.NewTable("Worst-case data loss: analytic bound vs discrete-event simulation",
 		"Failure", "Analytic", "Simulated max", "Simulated mean", "Samples")
 	from, to, step := 20*stordep.Week, horizon-stordep.Week, time.Hour
+	violated := false
 	for _, tc := range cases {
 		// The analytic bound: loss at the best surviving level.
 		bound := time.Duration(-1)
@@ -62,7 +64,7 @@ func main() {
 				bound = loss
 			}
 		}
-		st, err := simulator.LossStudy(tc.surviving, tc.targetAge, from, to, step)
+		st, err := hist.LossStudy(tc.surviving, tc.targetAge, from, to, step)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,6 +74,7 @@ func main() {
 		verdict := "OK (within bound)"
 		if st.Max > bound {
 			verdict = "VIOLATION"
+			violated = true
 		}
 		tbl.AddRow(
 			tc.name,
@@ -82,13 +85,16 @@ func main() {
 		)
 	}
 	fmt.Println(tbl.String())
+	if violated {
+		log.Fatal("a simulated loss exceeds its analytic bound")
+	}
 
 	// Show the guaranteed range holding in practice for the mirrors.
 	r := chain.GuaranteedRange(1)
 	fmt.Printf("Split-mirror guaranteed range %v: probing a failure at week 25...\n", r)
 	failAt := 25 * stordep.Week
 	for _, age := range []time.Duration{r.Newest, (r.Newest + r.Oldest) / 2, r.Oldest} {
-		_, lvl, ok := simulator.Loss([]int{1}, failAt, age)
+		_, lvl, ok := hist.Loss([]int{1}, failAt, age)
 		fmt.Printf("  target now-%v: recoverable=%v (level %d)\n", age, ok, lvl)
 	}
 }

@@ -396,13 +396,13 @@ func TestRunRNGDeterministic(t *testing.T) {
 }
 
 func TestQuantize(t *testing.T) {
-	if got := quantize(90*time.Second + 300*time.Millisecond); got != time.Minute {
-		t.Errorf("quantize(90.3s) = %v, want 1m", got)
+	if got := Quantize(90*time.Second + 300*time.Millisecond); got != time.Minute {
+		t.Errorf("Quantize(90.3s) = %v, want 1m", got)
 	}
-	if got := quantize(10 * time.Second); got != time.Minute {
-		t.Errorf("quantize floors to one minute, got %v", got)
+	if got := Quantize(10 * time.Second); got != time.Minute {
+		t.Errorf("Quantize floors to one minute, got %v", got)
 	}
-	if got := ceilMinute(61 * time.Second); got != 2*time.Minute {
-		t.Errorf("ceilMinute(61s) = %v, want 2m", got)
+	if got := CeilMinute(61 * time.Second); got != 2*time.Minute {
+		t.Errorf("CeilMinute(61s) = %v, want 2m", got)
 	}
 }

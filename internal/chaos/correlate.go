@@ -264,7 +264,7 @@ func independentAffected(md *core.MultiDesign, e failure.CorrEvent) map[affected
 // every silent capture fault aimed at the object.
 type objSims struct {
 	chain          hierarchy.Chain
-	clean, faulted *sim.Simulator
+	clean, faulted *sim.History
 	surv           []int
 	outs           []sim.Outage
 }
@@ -273,38 +273,25 @@ func buildObjSims(ms *core.MultiSystem, mcs *MultiCase, merged []ObjectOutage, s
 	sys := ms.Object(name)
 	chain := sys.Chain()
 	outs := outagesIn(merged, name)
-	mk := func(withSilents bool) (*sim.Simulator, error) {
-		s, err := sim.New(chain)
-		if err != nil {
-			return nil, err
+	var own []sim.SilentFault
+	for _, sf := range silents {
+		if sf.Object == name {
+			own = append(own, sf.SilentFault)
 		}
-		for _, o := range outs {
-			if err := s.AddOutage(o); err != nil {
-				return nil, err
-			}
-		}
-		if withSilents {
-			for _, sf := range silents {
-				if sf.Object != name {
-					continue
-				}
-				if err := s.AddSilentFault(sf.SilentFault); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := s.RunFrom(0, mcs.Horizon); err != nil {
-			return nil, err
-		}
-		return s, nil
 	}
-	clean, err := mk(false)
+	sm, err := sim.New(chain)
 	if err != nil {
 		return nil, err
 	}
-	faulted, err := mk(true)
+	clean, err := sm.Run(outs, nil, 0, mcs.Horizon)
 	if err != nil {
 		return nil, err
+	}
+	faulted := clean
+	if len(own) > 0 {
+		if faulted, err = sm.Run(outs, own, 0, mcs.Horizon); err != nil {
+			return nil, err
+		}
 	}
 	return &objSims{
 		chain:   chain,
@@ -367,11 +354,11 @@ func probeInstants(from, to, horizon, maxCycle time.Duration) []time.Duration {
 	if m := horizon - maxCycle/2; end > m {
 		end = m
 	}
-	start := ceilMinute(from)
+	start := CeilMinute(from)
 	if start >= end {
 		return nil
 	}
-	step := quantize((end - start) / 24)
+	step := Quantize((end - start) / 24)
 	var out []time.Duration
 	for t := start; t <= end; t += step {
 		out = append(out, t)
@@ -388,7 +375,7 @@ func probeInstants(from, to, horizon, maxCycle time.Duration) []time.Duration {
 // probe: a run with fewer usable RPs can never do better.
 func classifySilentWindow(res *runResult, mcs *MultiCase, os *objSims, sf ObjectSilent) {
 	age := mcs.Scenario.TargetAge
-	cycle := chainMaxCycle(os.chain)
+	cycle := MaxCycle(os.chain)
 	probes := probeInstants(sf.From, sf.To, mcs.Horizon, cycle)
 	res.check(invOpDetection)
 	detected := false
@@ -416,7 +403,7 @@ func classifySilentWindow(res *runResult, mcs *MultiCase, os *objSims, sf Object
 			continue
 		}
 		if okF {
-			if bound, ok := analyticBound(os.chain, os.outs, jF, age); ok && lossF > bound {
+			if bound, ok := AnalyticBound(os.chain, os.outs, jF, age); ok && lossF > bound {
 				detected = true
 			}
 		}
@@ -453,7 +440,7 @@ func classifyWrongRecovery(res *runResult, mcs *MultiCase, os *objSims, f failur
 				f.Object, f.At, f.StaleBy, lossActual, lossC)
 		}
 	}
-	if bound, ok := analyticBound(os.chain, os.outs, jServe, age); ok && lossActual > bound {
+	if bound, ok := AnalyticBound(os.chain, os.outs, jServe, age); ok && lossActual > bound {
 		res.opDetected++
 		return
 	}

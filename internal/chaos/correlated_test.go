@@ -454,13 +454,13 @@ func TestAnalyticBoundSkipReason(t *testing.T) {
 	chain := sys.Chain()
 
 	// Healthy chain, recover-to-now: a defended bound.
-	if bound, reason := analyticBoundReason(chain, nil, 2, 0); reason != SkipNone || bound <= 0 {
+	if bound, reason := AnalyticBoundReason(chain, nil, 2, 0); reason != SkipNone || bound <= 0 {
 		t.Errorf("healthy bound at age 0: bound %v reason %q, want positive bound with SkipNone", bound, reason)
 	}
 
 	// Healthy chain, target far past retention.
 	age := chain.GuaranteedRange(2).Oldest + 1000*time.Hour
-	if _, reason := analyticBoundReason(chain, nil, 2, age); reason != SkipPastRetention {
+	if _, reason := AnalyticBoundReason(chain, nil, 2, age); reason != SkipPastRetention {
 		t.Errorf("age past retention: reason %q, want %q", reason, SkipPastRetention)
 	}
 
@@ -469,13 +469,13 @@ func TestAnalyticBoundSkipReason(t *testing.T) {
 	// the degraded model would defend a bound ~7h under the simulated
 	// loss, so the comparison must be scoped out by name.
 	starve := []sim.Outage{{Level: 1, From: 5551*time.Hour + 2*time.Minute, To: 5963 * time.Hour}}
-	if _, reason := analyticBoundReason(chain, starve, 2, 0); reason != SkipDegradedStarvedBelow {
+	if _, reason := AnalyticBoundReason(chain, starve, 2, 0); reason != SkipDegradedStarvedBelow {
 		t.Errorf("starved backup level: reason %q, want %q", reason, SkipDegradedStarvedBelow)
 	}
 	// The mirror level itself has no level below to starve it: the
 	// degraded model shifts its range by the outage and defends a bound
 	// inflated past the outage duration.
-	if bound, reason := analyticBoundReason(chain, starve, 1, 0); reason != SkipNone || bound < 412*time.Hour {
+	if bound, reason := AnalyticBoundReason(chain, starve, 1, 0); reason != SkipNone || bound < 412*time.Hour {
 		t.Errorf("outaged mirror level: bound %v reason %q, want SkipNone with bound >= outage", bound, reason)
 	}
 
@@ -484,7 +484,7 @@ func TestAnalyticBoundSkipReason(t *testing.T) {
 	// the degraded lag sits inside the covered band where the model's
 	// retention accounting is optimistic.
 	short := []sim.Outage{{Level: 1, From: 100 * time.Hour, To: 102 * time.Hour}}
-	deg, err := chain.DegradedCompound(effectiveOutages(chain, short))
+	deg, err := chain.DegradedCompound(EffectiveOutages(chain, short))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestAnalyticBoundSkipReason(t *testing.T) {
 	if rg.Empty() || gapAge > rg.Oldest {
 		t.Fatalf("constructed gap age %v outside degraded range %+v", gapAge, rg)
 	}
-	if _, reason := analyticBoundReason(chain, short, 1, gapAge); reason != SkipDegradedRetentionGap {
+	if _, reason := AnalyticBoundReason(chain, short, 1, gapAge); reason != SkipDegradedRetentionGap {
 		t.Errorf("covered band under outage: reason %q, want %q", reason, SkipDegradedRetentionGap)
 	}
 
@@ -504,8 +504,8 @@ func TestAnalyticBoundSkipReason(t *testing.T) {
 	for _, outs := range [][]sim.Outage{nil, short, starve} {
 		for j := 1; j <= len(chain); j++ {
 			for _, a := range []time.Duration{0, 6 * time.Hour, gapAge, age} {
-				b1, ok := analyticBound(chain, outs, j, a)
-				b2, reason := analyticBoundReason(chain, outs, j, a)
+				b1, ok := AnalyticBound(chain, outs, j, a)
+				b2, reason := AnalyticBoundReason(chain, outs, j, a)
 				if b1 != b2 || ok != (reason == SkipNone) {
 					t.Errorf("bound views disagree at outs=%d j=%d age=%v: (%v,%v) vs (%v,%q)",
 						len(outs), j, a, b1, ok, b2, reason)

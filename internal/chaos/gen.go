@@ -45,8 +45,10 @@ func runRNG(seed int64, run int) *rand.Rand {
 	return rng.Run(seed, run)
 }
 
-// quantize truncates to whole minutes, with a one-minute floor.
-func quantize(d time.Duration) time.Duration {
+// Quantize truncates to whole minutes, with a one-minute floor: the
+// resolution every schedule generator emits, so repro files round-trip
+// bit-identically through internal/config.
+func Quantize(d time.Duration) time.Duration {
 	q := d.Truncate(time.Minute)
 	if q < time.Minute {
 		q = time.Minute
@@ -54,8 +56,8 @@ func quantize(d time.Duration) time.Duration {
 	return q
 }
 
-// ceilMinute rounds up to the next whole minute.
-func ceilMinute(d time.Duration) time.Duration {
+// CeilMinute rounds up to the next whole minute.
+func CeilMinute(d time.Duration) time.Duration {
 	q := d.Truncate(time.Minute)
 	if q < d {
 		q += time.Minute
@@ -245,7 +247,7 @@ func nearLinePolicy(r *rand.Rand) hierarchy.Policy {
 func mirrorPolicy(r *rand.Rand) hierarchy.Policy {
 	accW := []time.Duration{30 * time.Minute, time.Hour, 2 * time.Hour}[r.Intn(3)]
 	pol := hierarchy.Policy{
-		Primary: hierarchy.WindowSet{AccW: accW, PropW: quantize(accW / 2), Rep: hierarchy.RepFull},
+		Primary: hierarchy.WindowSet{AccW: accW, PropW: Quantize(accW / 2), Rep: hierarchy.RepFull},
 		CopyRep: hierarchy.RepFull,
 	}
 	finishRetention(&pol, 2)
@@ -276,7 +278,7 @@ func backupPolicy(r *rand.Rand, prevCycle time.Duration, misalign bool) hierarch
 	pol := hierarchy.Policy{
 		Primary: hierarchy.WindowSet{
 			AccW:  accW,
-			PropW: quantize(accW / time.Duration(2+r.Intn(3))),
+			PropW: Quantize(accW / time.Duration(2+r.Intn(3))),
 			HoldW: []time.Duration{0, time.Hour, 6 * time.Hour}[r.Intn(3)],
 			Rep:   hierarchy.RepFull,
 		},
@@ -286,7 +288,7 @@ func backupPolicy(r *rand.Rand, prevCycle time.Duration, misalign bool) hierarch
 		// Cyclic: incrementals on the lower grid between fulls.
 		pol.Secondary = &hierarchy.WindowSet{
 			AccW:  base,
-			PropW: quantize(base / 2),
+			PropW: Quantize(base / 2),
 			Rep:   hierarchy.RepPartial,
 		}
 		pol.CycleCnt = 2 + r.Intn(4)
@@ -306,7 +308,7 @@ func vaultPolicy(r *rand.Rand, below time.Duration) hierarchy.Policy {
 		Primary: hierarchy.WindowSet{
 			AccW:  accW,
 			PropW: []time.Duration{12 * time.Hour, 24 * time.Hour}[r.Intn(2)],
-			HoldW: []time.Duration{0, quantize(accW / 2), accW + 12*time.Hour}[r.Intn(3)],
+			HoldW: []time.Duration{0, Quantize(accW / 2), accW + 12*time.Hour}[r.Intn(3)],
 			Rep:   hierarchy.RepFull,
 		},
 		CopyRep: hierarchy.RepFull,
@@ -335,20 +337,20 @@ func genSchedule(r *rand.Rand, chain hierarchy.Chain, warm time.Duration) ([]sim
 	default:
 		n = 3
 	}
-	base := ceilMinute(warm) + time.Minute
+	base := CeilMinute(warm) + time.Minute
 	var outs []sim.Outage
 	for i := 0; i < n; i++ {
 		lvl := 1 + r.Intn(len(chain))
 		cyc := chain[lvl-1].Policy.CyclePeriod()
-		dur := quantize(time.Duration((0.3 + 2.2*r.Float64()) * float64(cyc)))
+		dur := Quantize(time.Duration((0.3 + 2.2*r.Float64()) * float64(cyc)))
 		var from time.Duration
 		if len(outs) > 0 && r.Intn(2) == 0 {
 			// Overlap or immediately follow a previous outage: compound
 			// faults during active propagation and recovery windows.
 			prev := outs[r.Intn(len(outs))]
-			from = prev.From + quantize(time.Duration(r.Float64()*float64(prev.To-prev.From)))
+			from = prev.From + Quantize(time.Duration(r.Float64()*float64(prev.To-prev.From)))
 		} else {
-			from = base + quantize(time.Duration(r.Float64()*float64(2*maxCycle)))
+			from = base + Quantize(time.Duration(r.Float64()*float64(2*maxCycle)))
 		}
 		outs = append(outs, sim.Outage{
 			Level:         lvl,
@@ -381,14 +383,14 @@ func genScenario(r *rand.Rand, chain hierarchy.Chain) failure.Scenario {
 		sc.TargetAge = time.Hour
 	case 3:
 		if !rg.Empty() {
-			sc.TargetAge = quantize(rg.Newest)
+			sc.TargetAge = Quantize(rg.Newest)
 		}
 	case 4:
 		if !rg.Empty() {
-			sc.TargetAge = quantize((rg.Newest + rg.Oldest) / 2)
+			sc.TargetAge = Quantize((rg.Newest + rg.Oldest) / 2)
 		}
 	default:
-		sc.TargetAge = quantize(chain.GuaranteedRange(len(chain)).Oldest + units.Week)
+		sc.TargetAge = Quantize(chain.GuaranteedRange(len(chain)).Oldest + units.Week)
 	}
 	if sc.Scope == failure.ScopeObject {
 		sc.RecoverSize = units.MB

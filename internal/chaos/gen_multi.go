@@ -110,12 +110,12 @@ func multiScheduleFor(r *rand.Rand, md *core.MultiDesign, correlated bool) *Mult
 		if w := sm.WarmUp(); w > warmMax {
 			warmMax = w
 		}
-		if c := chainMaxCycle(chain); c > cycleMax {
+		if c := MaxCycle(chain); c > cycleMax {
 			cycleMax = c
 		}
 	}
 	if correlated {
-		base := ceilMinute(warmMax) + time.Minute
+		base := CeilMinute(warmMax) + time.Minute
 		mcs.Events = genCorrEvents(r, md, base, cycleMax)
 		mcs.OpFaults = genOpFaults(r, md, base, cycleMax)
 		var evEnd time.Duration
@@ -205,8 +205,8 @@ func genCorrEvents(r *rand.Rand, md *core.MultiDesign, base, cycleMax time.Durat
 	}
 	var events []failure.CorrEvent
 	for i := 0; i < n; i++ {
-		from := base + quantize(time.Duration(r.Float64()*2*float64(cycleMax)))
-		dur := quantize(time.Duration((0.3 + 2.2*r.Float64()) * float64(cycleMax)))
+		from := base + Quantize(time.Duration(r.Float64()*2*float64(cycleMax)))
+		dur := Quantize(time.Duration((0.3 + 2.2*r.Float64()) * float64(cycleMax)))
 		e := failure.CorrEvent{From: from, To: from + dur}
 		switch r.Intn(3) {
 		case 0:
@@ -288,18 +288,18 @@ func genOpFaults(r *rand.Rand, md *core.MultiDesign, base, cycleMax time.Duratio
 	var faults []failure.OpFault
 	for i := 0; i < n; i++ {
 		obj := candidates[r.Intn(len(candidates))]
-		at := base + quantize(time.Duration(r.Float64()*2*float64(cycleMax)))
+		at := base + Quantize(time.Duration(r.Float64()*2*float64(cycleMax)))
 		switch r.Intn(kinds) {
 		case 0:
 			faults = append(faults, failure.OpFault{
 				Kind:    failure.OpWrongRecovery,
 				Object:  obj.Name,
 				At:      at,
-				StaleBy: quantize(time.Duration((0.5 + 2.5*r.Float64()) * float64(cycleMax))),
+				StaleBy: Quantize(time.Duration((0.5 + 2.5*r.Float64()) * float64(cycleMax))),
 			})
 		case 1:
-			from := base + quantize(time.Duration(r.Float64()*2*float64(cycleMax)))
-			dur := quantize(time.Duration((0.3 + 2.2*r.Float64()) * float64(cycleMax)))
+			from := base + Quantize(time.Duration(r.Float64()*2*float64(cycleMax)))
+			dur := Quantize(time.Duration((0.3 + 2.2*r.Float64()) * float64(cycleMax)))
 			faults = append(faults, failure.OpFault{
 				Kind:   failure.OpSilentNonWrite,
 				Object: obj.Name,

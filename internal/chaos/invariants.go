@@ -70,31 +70,23 @@ func checkCase(cs *Case) (*runResult, error) {
 		return nil, err
 	}
 	chain := sys.Chain()
-	healthy, err := sim.New(chain)
+	sm, err := sim.New(chain)
 	if err != nil {
 		return nil, err
 	}
-	if err := healthy.RunFrom(0, cs.Horizon); err != nil {
+	healthy, err := sm.Run(nil, nil, 0, cs.Horizon)
+	if err != nil {
 		return nil, err
 	}
 	degraded := healthy
 	if len(cs.Outages) > 0 {
-		degraded, err = sim.New(chain)
-		if err != nil {
-			return nil, err
-		}
-		for _, o := range cs.Outages {
-			if err := degraded.AddOutage(o); err != nil {
-				return nil, err
-			}
-		}
-		if err := degraded.RunFrom(0, cs.Horizon); err != nil {
+		if degraded, err = sm.Run(cs.Outages, nil, 0, cs.Horizon); err != nil {
 			return nil, err
 		}
 	}
-	warm := healthy.WarmUp()
-	from := ceilMinute(warm)
-	to := cs.Horizon - chainMaxCycle(chain)/2
+	warm := sm.WarmUp()
+	from := CeilMinute(warm)
+	to := cs.Horizon - MaxCycle(chain)/2
 	var samples []time.Duration
 	if from < to {
 		samples = sampleInstants(degraded, len(chain), from, to)
@@ -119,7 +111,9 @@ func checkCase(cs *Case) (*runResult, error) {
 	return res, nil
 }
 
-func chainMaxCycle(chain hierarchy.Chain) time.Duration {
+// MaxCycle returns the longest cycle period in the chain: the scale of
+// the fault windows the generators draw.
+func MaxCycle(chain hierarchy.Chain) time.Duration {
 	var max time.Duration
 	for _, lvl := range chain {
 		if c := lvl.Policy.CyclePeriod(); c > max {
@@ -133,8 +127,8 @@ func chainMaxCycle(chain hierarchy.Chain) time.Duration {
 // instants plus retention-expiry and propagation-completion edges (the
 // instant an RP becomes available, the nanosecond before — mid-propagation
 // — and the same pair around expiry), strided to a bounded count.
-func sampleInstants(s *sim.Simulator, levels int, from, to time.Duration) []time.Duration {
-	step := quantize((to - from) / 96)
+func sampleInstants(s *sim.History, levels int, from, to time.Duration) []time.Duration {
+	step := Quantize((to - from) / 96)
 	var out []time.Duration
 	for t := from; t <= to; t += step {
 		out = append(out, t)
@@ -163,13 +157,13 @@ func sampleInstants(s *sim.Simulator, levels int, from, to time.Duration) []time
 	return out
 }
 
-// effectiveOutages converts the simulated fault schedule into analytic
+// EffectiveOutages converts the simulated fault schedule into analytic
 // per-level outage durations. Each outage is inflated by one cycle period
 // (an outage shorter than a cycle still suppresses a whole window close,
 // and gaps under one cycle between back-to-back outages suppress closes
 // too) and, when in-flight transfers abort, by one transfer lag (the RP
 // destroyed mid-propagation was up to one lag from landing).
-func effectiveOutages(chain hierarchy.Chain, outs []sim.Outage) []hierarchy.LevelOutage {
+func EffectiveOutages(chain hierarchy.Chain, outs []sim.Outage) []hierarchy.LevelOutage {
 	return levelTotals(chain, outs, true)
 }
 
@@ -233,10 +227,10 @@ const (
 	SkipDegradedStarvedBelow SkipReason = "degraded-starved-below"
 )
 
-// analyticBoundReason returns the worst-case loss bound the model is
+// AnalyticBoundReason returns the worst-case loss bound the model is
 // prepared to defend for level j at the given target age under the fault
 // schedule, or the named reason the comparison is skipped.
-func analyticBoundReason(chain hierarchy.Chain, outs []sim.Outage, j int, age time.Duration) (time.Duration, SkipReason) {
+func AnalyticBoundReason(chain hierarchy.Chain, outs []sim.Outage, j int, age time.Duration) (time.Duration, SkipReason) {
 	if len(outs) == 0 {
 		var loss time.Duration
 		var ok bool
@@ -250,7 +244,7 @@ func analyticBoundReason(chain hierarchy.Chain, outs []sim.Outage, j int, age ti
 		}
 		return loss, SkipNone
 	}
-	eff := effectiveOutages(chain, outs)
+	eff := EffectiveOutages(chain, outs)
 	deg, err := chain.DegradedCompound(eff)
 	if err != nil {
 		return 0, SkipDegradedBuild
@@ -280,10 +274,14 @@ func analyticBoundReason(chain hierarchy.Chain, outs []sim.Outage, j int, age ti
 	return lag, SkipNone
 }
 
-// analyticBound is the boolean view of analyticBoundReason: ok=false
-// means the comparison is skipped for one of the named reasons.
-func analyticBound(chain hierarchy.Chain, outs []sim.Outage, j int, age time.Duration) (time.Duration, bool) {
-	bound, reason := analyticBoundReason(chain, outs, j, age)
+// AnalyticBound is the boolean view of AnalyticBoundReason: ok=false
+// means the comparison is skipped for one of the named reasons. The
+// Monte Carlo engine (internal/mc) checks its trials against this same
+// function, so the two campaign engines cannot drift on what "the
+// bound" means or on which comparisons the documented model-soundness
+// gaps skip.
+func AnalyticBound(chain hierarchy.Chain, outs []sim.Outage, j int, age time.Duration) (time.Duration, bool) {
+	bound, reason := AnalyticBoundReason(chain, outs, j, age)
 	return bound, reason == SkipNone
 }
 
@@ -292,11 +290,11 @@ func analyticBound(chain hierarchy.Chain, outs []sim.Outage, j int, age time.Dur
 // wherever the healthy guaranteed range covers the target age. Returns
 // the maximum simulated loss observed (for the campaign digest).
 func checkLossBounds(res *runResult, cs *Case, chain hierarchy.Chain,
-	healthy, degraded *sim.Simulator, surviving []int, samples []time.Duration) time.Duration {
+	healthy, degraded *sim.History, surviving []int, samples []time.Duration) time.Duration {
 	age := cs.Scenario.TargetAge
 	var maxLoss time.Duration
 	for _, j := range surviving {
-		bound, ok := analyticBound(chain, cs.Outages, j, age)
+		bound, ok := AnalyticBound(chain, cs.Outages, j, age)
 		if !ok {
 			res.skipped++
 		} else {
@@ -397,7 +395,7 @@ func checkAgeMonotone(res *runResult, chain hierarchy.Chain, outs []sim.Outage) 
 // checkRTSane verifies restore volumes and times on the healthy
 // simulation: every plan moves at least the data object, study aggregates
 // are ordered, and time is monotone in volume at fixed bandwidth.
-func checkRTSane(res *runResult, cs *Case, healthy *sim.Simulator,
+func checkRTSane(res *runResult, cs *Case, healthy *sim.History,
 	surviving []int, samples []time.Duration, from, to time.Duration) {
 	if len(surviving) == 0 || len(samples) == 0 {
 		return
@@ -439,7 +437,7 @@ func checkRTSane(res *runResult, cs *Case, healthy *sim.Simulator,
 				units.Div(maxVol, bw), units.Div(minVol, bw))
 		}
 	}
-	step := quantize((to - from) / 48)
+	step := Quantize((to - from) / 48)
 	st, err := healthy.RTStudy(w, surviving, age, from, to, step, bw, fixed)
 	if err != nil {
 		res.violate(invRTSane, "RTStudy failed: %v", err)
@@ -466,7 +464,7 @@ func checkRTSane(res *runResult, cs *Case, healthy *sim.Simulator,
 // pointwise in the simulator (same instant, same age), per level in the
 // analytic model, and end-to-end in assessments.
 func checkDegradedDominates(res *runResult, cs *Case, sys *core.System, chain hierarchy.Chain,
-	healthy, degraded *sim.Simulator, surviving []int, samples []time.Duration) {
+	healthy, degraded *sim.History, surviving []int, samples []time.Duration) {
 	if len(cs.Outages) == 0 {
 		return
 	}

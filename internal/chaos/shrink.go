@@ -92,7 +92,7 @@ func chainHorizonFloor(chain hierarchy.Chain, outs []sim.Outage, evEnd time.Dura
 	for _, o := range outs {
 		floor = max(floor, o.To)
 	}
-	return floor + 2*chainMaxCycle(chain), nil
+	return floor + 2*MaxCycle(chain), nil
 }
 
 // mutations builds the ordered candidate simplifications of a case.
@@ -123,7 +123,7 @@ func (cs *Case) mutations() []Trial {
 	}
 	// Shorten the horizon.
 	if c, err := copyTrial(cs); err == nil {
-		c.Horizon = quantize(c.Horizon * 3 / 4)
+		c.Horizon = Quantize(c.Horizon * 3 / 4)
 		out = append(out, c)
 	}
 	// Drop the recovery facility.

@@ -159,7 +159,7 @@ func (mcs *MultiCase) mutations() []Trial {
 	}
 	// Shorten the horizon.
 	if c, err := copyTrial(mcs); err == nil {
-		c.Horizon = quantize(c.Horizon * 3 / 4)
+		c.Horizon = Quantize(c.Horizon * 3 / 4)
 		out = append(out, c)
 	}
 	// Drop the recovery facility.

@@ -161,9 +161,9 @@ func ScenarioSpecs(scs []failure.Scenario) []ScenarioSpec {
 func BuildScenarios(specs []ScenarioSpec) ([]failure.Scenario, error) {
 	scs := make([]failure.Scenario, len(specs))
 	for i, s := range specs {
-		scope, err := parseScope(s.Scope)
+		scope, err := failure.ParseScope(s.Scope)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %d: %w", i, err)
+			return nil, fmt.Errorf("%w: scenario %d: %w", ErrBadJob, i, err)
 		}
 		sc := failure.Scenario{Name: s.Name, Scope: scope}
 		if s.TargetAge != "" {
@@ -179,15 +179,6 @@ func BuildScenarios(specs []ScenarioSpec) ([]failure.Scenario, error) {
 		scs[i] = sc
 	}
 	return scs, nil
-}
-
-func parseScope(name string) (failure.Scope, error) {
-	for _, sc := range failure.Scopes() {
-		if sc.String() == name {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: unknown failure scope %q", ErrBadJob, name)
 }
 
 // BuildObjective rebuilds the scoring rule from its wire spec, paired

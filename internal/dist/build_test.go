@@ -87,15 +87,22 @@ func TestScenarioSpecsRoundTrip(t *testing.T) {
 }
 
 func TestBuildScenariosRejects(t *testing.T) {
-	cases := []ScenarioSpec{
-		{Scope: "galaxy"},
-		{Scope: ""},
-		{Scope: failure.ScopeArray.String(), TargetAge: "soon"},
-		{Scope: failure.ScopeArray.String(), RecoverSize: "big"},
-	}
-	for i, spec := range cases {
-		if _, err := BuildScenarios([]ScenarioSpec{spec}); !errors.Is(err, ErrBadJob) {
-			t.Errorf("case %d (%+v): err = %v, want ErrBadJob", i, spec, err)
+	for i, tc := range []struct {
+		spec ScenarioSpec
+		// badScope marks an unknown scope, which is also
+		// failure.ParseScope's error. Names match exactly as
+		// Scope.String writes them.
+		badScope bool
+	}{
+		{ScenarioSpec{Scope: "galaxy"}, true},
+		{ScenarioSpec{Scope: ""}, true},
+		{ScenarioSpec{Scope: "Array"}, true},
+		{ScenarioSpec{Scope: failure.ScopeArray.String(), TargetAge: "soon"}, false},
+		{ScenarioSpec{Scope: failure.ScopeArray.String(), RecoverSize: "big"}, false},
+	} {
+		_, err := BuildScenarios([]ScenarioSpec{tc.spec})
+		if !errors.Is(err, ErrBadJob) || errors.Is(err, failure.ErrBadScope) != tc.badScope {
+			t.Errorf("case %d (%+v): err = %v, want ErrBadJob (unknown scope: %v)", i, tc.spec, err, tc.badScope)
 		}
 	}
 }

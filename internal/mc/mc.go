@@ -188,11 +188,13 @@ func (c *Campaign) Sample(lo, hi int) ([]Obs, error) {
 }
 
 // runner is the per-campaign immutable state shared by all trials: the
-// built system, the mission window, and the device/level wiring.
+// built system, its simulator, the mission window, and the device/level
+// wiring.
 type runner struct {
 	c       *Campaign
 	sys     *core.System
 	chain   hierarchy.Chain
+	sm      *sim.Simulator
 	start   time.Duration // mission window start (post warm-up)
 	end     time.Duration // mission window end = simulation horizon
 	mission time.Duration
@@ -204,10 +206,6 @@ type runner struct {
 	rel []device.Reliability
 	// sampled marks devices referenced by at least one level.
 	sampled []bool
-
-	// lookback is how far back of a query instant the RP history it can
-	// observe reaches.
-	lookback time.Duration
 }
 
 func (c *Campaign) runner() (*runner, error) {
@@ -216,7 +214,7 @@ func (c *Campaign) runner() (*runner, error) {
 		return nil, err
 	}
 	chain := sys.Chain()
-	s, err := sim.New(chain)
+	sm, err := sim.New(chain)
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
@@ -232,14 +230,14 @@ func (c *Campaign) runner() (*runner, error) {
 		c:       c,
 		sys:     sys,
 		chain:   chain,
-		start:   chaos.CeilMinute(s.WarmUp()),
+		sm:      sm,
+		start:   chaos.CeilMinute(sm.WarmUp()),
 		mission: mission,
 		rates:   rates,
 		rel:     make([]device.Reliability, len(c.Design.Devices)),
 		sampled: make([]bool, len(c.Design.Devices)),
 	}
 	r.end = r.start + mission
-	r.lookback = s.Lookback()
 	index := make(map[string]int, len(c.Design.Devices))
 	for i, pd := range c.Design.Devices {
 		index[pd.Spec.Name] = i
@@ -400,7 +398,7 @@ func (r *runner) trial(trial int) (Obs, error) {
 			}
 		}
 
-		loss, _, ok := h.s.Loss(ctx.surviving, ev.at, sc.TargetAge)
+		plan, ok := h.s.Plan(ctx.surviving, ev.at, sc.TargetAge)
 		if !ok {
 			// Unrecoverable: a durability failure. The service is down
 			// for the rest of the mission and the whole history at the
@@ -413,8 +411,8 @@ func (r *runner) trial(trial int) (Obs, error) {
 			lostAt = ev.at
 			break
 		}
-		o.LossTime += loss
-		rt := r.eventRT(h.s, ctx, sc, ev.at)
+		o.LossTime += plan.Loss
+		rt := r.eventRT(ctx, plan)
 		if rt > ctx.rtBound {
 			// By construction (data-bearing steps are scaled to at most
 			// the simulated restore volume) this cannot fire while the
@@ -428,7 +426,7 @@ func (r *runner) trial(trial int) (Obs, error) {
 			rt = r.end - ev.at // recovery runs past the mission window
 		}
 		o.Downtime += rt
-		o.Penalty += float64(cost.Assess(req, rt, loss).Total())
+		o.Penalty += float64(cost.Assess(req, rt, plan.Loss).Total())
 	}
 
 	// 6. Classify and charge the trial's operator faults. Silent windows
@@ -466,7 +464,7 @@ type event struct {
 // faults), both nil until the window's first query replays them.
 type history struct {
 	from, to time.Duration
-	s, clean *sim.Simulator
+	s, clean *sim.History
 }
 
 // histories are a trial's query windows in time order, disjoint, with
@@ -482,8 +480,8 @@ type histories struct {
 // first window that ends at or after it, replaying the window on its
 // first query. A trial's queries often read few of its windows: an async
 // mirror's first object-scope event is unrecoverable and ends the event
-// loop. A replay error does not depend on the window: the simulator
-// rejects the chain or a fault, and every window registers them all.
+// loop. A replay error does not depend on the window: Run rejects a
+// fault, and every window replays them all.
 func (h *histories) at(t time.Duration) (*history, error) {
 	i := 0
 	for i < len(h.wins)-1 && h.wins[i].to < t {
@@ -493,13 +491,13 @@ func (h *histories) at(t time.Duration) (*history, error) {
 	if w.s != nil {
 		return w, nil
 	}
-	s, err := h.r.simulate(w.from, w.to, h.outs, h.silents)
+	s, err := h.r.sm.Run(h.outs, h.silents, w.from, w.to)
 	if err != nil {
 		return nil, err
 	}
 	clean := s
 	if len(h.silents) > 0 {
-		if clean, err = h.r.simulate(w.from, w.to, h.outs, nil); err != nil {
+		if clean, err = h.r.sm.Run(h.outs, nil, w.from, w.to); err != nil {
 			return nil, err
 		}
 	}
@@ -516,10 +514,11 @@ func (h *histories) at(t time.Duration) (*history, error) {
 // faults for the clean history when there are any.
 func (r *runner) replay(ats []time.Duration, outs []sim.Outage, silents []sim.SilentFault) histories {
 	slices.Sort(ats)
+	lookback := r.sm.Lookback()
 	h := histories{r: r, outs: outs, silents: silents, wins: make([]history, 0, len(ats))}
 	for _, at := range ats {
 		to := min(at, r.end)
-		from := max(0, to-r.lookback)
+		from := max(0, to-lookback)
 		if n := len(h.wins); n > 0 && from <= h.wins[n-1].to {
 			h.wins[n-1].to = to
 			continue
@@ -527,26 +526,6 @@ func (r *runner) replay(ats []time.Duration, outs []sim.Outage, silents []sim.Si
 		h.wins = append(h.wins, history{from: from, to: to})
 	}
 	return h
-}
-
-// simulate replays the RP history over [from, to] under the given
-// outages and silent faults.
-func (r *runner) simulate(from, to time.Duration, outs []sim.Outage, silents []sim.SilentFault) (*sim.Simulator, error) {
-	s, err := sim.New(r.chain)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range outs {
-		if err := s.AddOutage(o); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range silents {
-		if err := s.AddSilentFault(f); err != nil {
-			return nil, err
-		}
-	}
-	return s, s.RunFrom(from, to)
 }
 
 // expGap draws one exponential inter-arrival gap in years for a process
@@ -619,23 +598,21 @@ func (r *runner) context(sc failure.Scenario, effOuts []hierarchy.LevelOutage, c
 }
 
 // eventRT estimates the event's recovery time: the analytic worst-case
-// recovery path with its data-bearing steps scaled down to the restore
-// volume the simulator actually needs (full base plus unique bytes
-// since the serving RP's base full), folded by recovery.Time. The
-// scaling is min(), so the estimate never exceeds the analytic worst
-// case; when the analytic model is unrecoverable the event charges the
-// rest of the window.
-func (r *runner) eventRT(s *sim.Simulator, ctx *eventContext, sc failure.Scenario, at time.Duration) time.Duration {
+// recovery path with its data-bearing steps scaled down to the volume
+// of the simulated restore plan (full base plus unique bytes since the
+// serving RP's base full), folded by recovery.Time. The scaling is
+// min(), so the estimate never exceeds the analytic worst case; when the
+// analytic model is unrecoverable the event charges the rest of the
+// window.
+func (r *runner) eventRT(ctx *eventContext, plan sim.RestorePlan) time.Duration {
 	if ctx.steps == nil {
 		return units.Forever
 	}
 	var buf [2]recovery.Step // a restore has at most two hops
 	steps := append(buf[:0], ctx.steps...)
-	if plan, ok := s.Plan(ctx.surviving, at, sc.TargetAge); ok {
-		vol := plan.Volume(r.c.Design.Workload)
-		for i := range steps {
-			steps[i].Size = min(steps[i].Size, vol)
-		}
+	vol := plan.Volume(r.c.Design.Workload)
+	for i := range steps {
+		steps[i].Size = min(steps[i].Size, vol)
 	}
 	return recovery.Time(steps)
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -213,18 +211,20 @@ func TestCampaignValidation(t *testing.T) {
 }
 
 // TestTrialReplayError: a window replays on its first query, and a
-// simulator error there fails the trial with the trial's wrapping. Every
-// trial with a window queries one, so no trial that has one succeeds.
+// simulator error there fails the trial with the trial's wrapping. A
+// level past the chain, wired to no device, is taken down by every
+// common-mode outage, and Run rejects the outage; at twenty a year every
+// trial has one, and every trial with a window queries one, so no trial
+// that has one succeeds.
 func TestTrialReplayError(t *testing.T) {
-	r, err := (&Campaign{Design: casestudy.AsyncBMirror(4), Seed: 3, Trials: 20}).runner()
+	c := &Campaign{Design: casestudy.AsyncBMirror(4), Seed: 3, Trials: 20, Op: OpRates{CommonOutage: 20}}
+	r, err := c.runner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A chain the simulator rejects; the built system keeps the valid one.
-	r.chain = slices.Clone(r.chain)
-	r.chain[0].Policy.RetW = 0
+	r.levelDevs = append(r.levelDevs, nil)
 	var failed int
-	for i := 0; i < 20; i++ {
+	for i := 0; i < c.Trials; i++ {
 		o, err := r.trial(i)
 		if err == nil {
 			if o.Events+o.OpEvents > 0 {
@@ -233,8 +233,8 @@ func TestTrialReplayError(t *testing.T) {
 			continue
 		}
 		failed++
-		if !errors.Is(err, sim.ErrCountOnlyRetention) || !strings.HasPrefix(err.Error(), fmt.Sprintf("mc: trial %d: ", i)) {
-			t.Errorf("trial %d: %v", i, err)
+		if want := fmt.Sprintf("mc: trial %d: sim: outage level %d out of range", i, len(r.chain)+1); err.Error() != want {
+			t.Errorf("trial %d: %v, want %q", i, err, want)
 		}
 	}
 	if failed == 0 {

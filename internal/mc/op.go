@@ -45,18 +45,6 @@ const (
 	streamWrongRecovery  = -8
 )
 
-// maxCycle returns the longest cycle period in the chain — the natural
-// scale for operator-fault windows, mirroring the chaos generators.
-func (r *runner) maxCycle() time.Duration {
-	var max time.Duration
-	for _, lvl := range r.chain {
-		if c := lvl.Policy.CyclePeriod(); c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // opArrivals draws Poisson arrival instants over the mission window
 // (whole minutes) from one dedicated stream, returning the instants and
 // the stream for follow-on shape draws. The stream consumes one
@@ -87,7 +75,7 @@ func (r *runner) opArrivals(tseed int64, stream int, ratePerYear float64) ([]tim
 // law the chaos generator uses for correlated events.
 func (r *runner) sampleCommonOutages(tseed int64) []interval {
 	ats, shape := r.opArrivals(tseed, streamCommonOutage, r.c.Op.CommonOutage)
-	cycle := r.maxCycle()
+	cycle := chaos.MaxCycle(r.chain)
 	var out []interval
 	for _, at := range ats {
 		down := chaos.Quantize(time.Duration((0.3 + 2.2*shape.Float64()) * float64(cycle)))
@@ -138,7 +126,7 @@ type wrongRecovery struct {
 // the chain's cycle scale (0.5–3 cycles, whole minutes).
 func (r *runner) sampleWrongRecoveries(tseed int64) []wrongRecovery {
 	ats, shape := r.opArrivals(tseed, streamWrongRecovery, r.c.Op.WrongRecovery)
-	cycle := r.maxCycle()
+	cycle := chaos.MaxCycle(r.chain)
 	var out []wrongRecovery
 	for _, at := range ats {
 		staleBy := chaos.Quantize(time.Duration((0.5 + 2.5*shape.Float64()) * float64(cycle)))
@@ -231,7 +219,7 @@ func probeGrid(from, to, end time.Duration) []time.Duration {
 // fault is redone — the service is down for one more recovery pass. An
 // escaped fault silently rolls the object back: the staleness stands as
 // real data loss.
-func (r *runner) applyWrongRecovery(o *Obs, clean *sim.Simulator, outs []sim.Outage, effOuts []hierarchy.LevelOutage, actx map[failure.Scope]*eventContext, wr wrongRecovery) {
+func (r *runner) applyWrongRecovery(o *Obs, clean *sim.History, outs []sim.Outage, effOuts []hierarchy.LevelOutage, actx map[failure.Scope]*eventContext, wr wrongRecovery) {
 	o.OpEvents++
 	req := r.c.Design.Requirements
 	all := make([]int, len(r.chain))

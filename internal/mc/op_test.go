@@ -7,7 +7,6 @@ import (
 
 	"stordep/internal/casestudy"
 	"stordep/internal/failure"
-	"stordep/internal/sim"
 )
 
 // opCampaign is the shared fixture: all three operator-fault processes
@@ -172,11 +171,8 @@ func TestWrongRecoveryDetectedRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := sim.New(r.chain)
+	clean, err := r.sm.Run(nil, nil, 0, r.end)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.RunFrom(0, r.end); err != nil {
 		t.Fatal(err)
 	}
 	var o Obs

@@ -71,8 +71,9 @@ func PolicyKnob(level string, names []string, policies []hierarchy.Policy) Knob 
 
 // AccWKnob sweeps one level's primary accumulation window, scaling the
 // retention count to keep the retention window covered (retCnt =
-// ceil(retW / cyclePer), at least 1). Propagation and hold windows are
-// clamped to the new accW to preserve the propW <= accW convention.
+// ceil(retW / cyclePer), at least 1). The propagation window is clamped
+// to the new accW to preserve the propW <= accW convention; the hold
+// window is left as it is.
 //
 // Not Revertible: the propW clamp reads the design's current propagation
 // window, which a previous application may itself have clamped and

@@ -268,10 +268,14 @@ type tuneAcc struct {
 // knob with the other knobs held at their incumbent values, and keeps
 // the best. Descent stops when a full pass improves nothing.
 //
-// The options of the knob under sweep are scored concurrently on at most
-// workers goroutines (anything < 1 means runtime.NumCPU()); already-seen
-// choice vectors — the incumbent, and revisited options on later passes
-// — are served from a memo. When every knob is Revertible, each scoring
+// Already-seen choice vectors — the incumbent, and revisited options on
+// later passes — are served from a memo. The rest are scored by
+// core.DeltaAssessor's incremental path, serially on the calling
+// goroutine, while that path is active. Only the options it refuses,
+// and every option once it is off (no assessor could be built for the
+// base, or a probe disagreed with the full evaluator), are scored
+// concurrently on at most workers goroutines (anything < 1 means
+// runtime.NumCPU()). When every knob is Revertible, each scoring
 // accumulator keeps one cloned scratch design that is reused across
 // every sweep of the descent. The result is byte-identical for every
 // worker count: ties keep the incumbent, then prefer the lowest option

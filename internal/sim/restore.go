@@ -21,6 +21,9 @@ type RestorePlan struct {
 	Serving RP
 	// Level is the 1-based hierarchy level serving the restore.
 	Level int
+	// Loss is the data the restore gives up: the target instant less
+	// Serving.Cut.
+	Loss time.Duration
 	// FullCut is the cut of the base full RP (equals Serving.Cut when the
 	// serving RP is itself a full copy).
 	FullCut time.Duration
@@ -40,41 +43,41 @@ func (p RestorePlan) Volume(w *workload.Workload) units.ByteSize {
 	return vol
 }
 
-// Plan resolves the restore plan for a failure at failAt with the given
-// surviving levels and target age, mirroring Loss's serving-RP choice.
-func (s *Simulator) Plan(surviving []int, failAt, targetAge time.Duration) (RestorePlan, bool) {
-	if s.ran == 0 || failAt > s.ran {
-		return RestorePlan{}, false
-	}
+// Plan resolves the restore a failure at failAt would need with the
+// given surviving levels, restoring to the target instant
+// failAt-targetAge. The serving RP is the newest usable one (across
+// surviving levels) whose cut does not postdate the target. ok is false
+// when no usable RP survives (the object is lost), failAt is past the
+// run, or the target precedes time zero.
+func (h *History) Plan(surviving []int, failAt, targetAge time.Duration) (RestorePlan, bool) {
 	target := failAt - targetAge
-	if target < 0 {
+	if failAt > h.until || target < 0 {
 		return RestorePlan{}, false
 	}
-	var best RestorePlan
-	index := -1
+	level, index := 0, -1
+	var cut time.Duration
 	for _, j := range surviving {
-		if j < 1 || j > len(s.chain) {
+		if j < 1 || j > len(h.chain) {
 			continue
 		}
-		lo, hi := s.span(j, failAt)
+		lo, hi := h.span(j, failAt)
 		for i := lo; i < hi; i++ {
-			if rp := s.levels[j-1][i]; rp.Cut <= target && (index < 0 || rp.Cut > best.Serving.Cut) && s.usableAt(j, i, failAt) {
-				best = RestorePlan{Serving: rp, Level: j}
-				index = i
+			if rp := h.levels[j-1][i]; rp.Cut <= target && (index < 0 || rp.Cut > cut) && h.usableAt(j, i, failAt) {
+				level, index, cut = j, i, rp.Cut
 			}
 		}
 	}
 	if index < 0 {
 		return RestorePlan{}, false
 	}
-	best.Incremental = best.Serving.Secondary
-	best.FullCut = best.Serving.Cut
-	if best.Incremental {
+	rp := h.levels[level-1][index]
+	p := RestorePlan{Serving: rp, Level: level, Loss: target - rp.Cut, FullCut: rp.Cut, Incremental: rp.Secondary}
+	if rp.Secondary {
 		// usableAt guaranteed the base full exists and covers failAt.
-		base, _ := s.baseFull(best.Level, index)
-		best.FullCut = base.Cut
+		base, _ := h.baseFull(level, index)
+		p.FullCut = base.Cut
 	}
-	return best, true
+	return p, true
 }
 
 // RTStats summarizes restore volumes (and times at a fixed effective
@@ -92,11 +95,8 @@ type RTStats struct {
 // RTStudy sweeps failure instants and aggregates the restore volume each
 // would move, converting to time at the given effective bandwidth plus a
 // fixed serialized overhead (spare provisioning, tape load).
-func (s *Simulator) RTStudy(w *workload.Workload, surviving []int, targetAge, from, to, step time.Duration,
+func (h *History) RTStudy(w *workload.Workload, surviving []int, targetAge, from, to, step time.Duration,
 	bandwidth units.Rate, fixed time.Duration) (RTStats, error) {
-	if s.ran == 0 {
-		return RTStats{}, ErrNotRun
-	}
 	if step <= 0 || to < from {
 		return RTStats{}, fmt.Errorf("sim: bad study window [%v, %v] step %v", from, to, step)
 	}
@@ -107,7 +107,7 @@ func (s *Simulator) RTStudy(w *workload.Workload, surviving []int, targetAge, fr
 	var volSum units.ByteSize
 	for at := from; at <= to; at += step {
 		st.Samples++
-		plan, ok := s.Plan(surviving, at, targetAge)
+		plan, ok := h.Plan(surviving, at, targetAge)
 		if !ok {
 			st.Unrecoverable++
 			continue

@@ -108,17 +108,8 @@ func TestRTStudy(t *testing.T) {
 }
 
 func TestRTStudyValidation(t *testing.T) {
-	s, err := New(fiChain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := run(t, fiChain(), 2*units.Week)
 	w := workload.Cello()
-	if _, err := s.RTStudy(w, []int{1}, 0, 0, time.Hour, time.Hour, units.MBPerSec, 0); err != ErrNotRun {
-		t.Errorf("before run: %v", err)
-	}
-	if err := s.RunFrom(0, 2*units.Week); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.RTStudy(w, []int{1}, 0, time.Hour, 0, time.Hour, units.MBPerSec, 0); err == nil {
 		t.Error("inverted window accepted")
 	}

@@ -7,33 +7,23 @@ import (
 	"stordep/internal/units"
 )
 
-func TestAddSilentFaultGuards(t *testing.T) {
-	s, err := New(baselineChain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []SilentFault{
-		{Level: 0, From: 0, To: time.Hour},
-		{Level: 4, From: 0, To: time.Hour},
-		{Level: 1, From: time.Hour, To: time.Hour},
-		{Level: 1, From: -time.Hour, To: time.Hour},
-	}
-	for i, f := range cases {
-		if err := s.AddSilentFault(f); err == nil {
-			t.Errorf("case %d: invalid silent fault accepted: %+v", i, f)
+func TestRunSilentFaultGuards(t *testing.T) {
+	valid := SilentFault{Level: 1, From: 0, To: time.Hour}
+	for i, tc := range []struct {
+		f    SilentFault
+		want string
+	}{
+		{SilentFault{Level: 0, From: 0, To: time.Hour}, "sim: silent fault level 0 out of range"},
+		{SilentFault{Level: 4, From: 0, To: time.Hour}, "sim: silent fault level 4 out of range"},
+		{SilentFault{Level: 1, From: time.Hour, To: time.Hour}, "sim: silent fault window [1h0m0s, 1h0m0s) invalid"},
+		{SilentFault{Level: 1, From: -time.Hour, To: time.Hour}, "sim: silent fault window [-1h0m0s, 1h0m0s) invalid"},
+	} {
+		if err := runErr(t, nil, []SilentFault{valid, tc.f}, 0, units.Week); err == nil || err.Error() != tc.want {
+			t.Errorf("case %d: invalid silent fault accepted: %+v: %v, want %q", i, tc.f, err, tc.want)
 		}
 	}
-	if err := s.AddSilentFault(SilentFault{Level: 1, From: 0, To: time.Hour}); err != nil {
+	if err := runErr(t, nil, []SilentFault{valid}, 0, units.Week); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.RunFrom(0, units.Week); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddSilentFault(SilentFault{Level: 1, From: 0, To: time.Hour}); err == nil {
-		t.Error("silent fault accepted after Run")
-	}
-	if got := s.SilentFaults(); len(got) != 1 {
-		t.Errorf("SilentFaults returned %d faults, want 1", len(got))
 	}
 }
 
@@ -44,16 +34,7 @@ func TestAddSilentFaultGuards(t *testing.T) {
 func TestSilentFaultPhantoms(t *testing.T) {
 	chain := baselineChain()
 	// Split-mirror closes every 12h. Silence the captures at 36h and 48h.
-	s, err := New(chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddSilentFault(SilentFault{Level: 1, From: 30 * time.Hour, To: 50 * time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFrom(0, 10*units.Day); err != nil {
-		t.Fatal(err)
-	}
+	s := runWith(t, chain, nil, []SilentFault{{Level: 1, From: 30 * time.Hour, To: 50 * time.Hour}}, 0, 10*units.Day)
 	rps, err := s.RPs(1)
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +67,7 @@ func TestSilentFaultPhantoms(t *testing.T) {
 	}
 
 	// A clean sim at the same instant restores the 48h split: loss 1h.
-	clean, err := New(chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.RunFrom(0, 10*units.Day); err != nil {
-		t.Fatal(err)
-	}
-	cl, _, ok := clean.Loss([]int{1}, 49*time.Hour, 0)
+	cl, _, ok := run(t, chain, 10*units.Day).Loss([]int{1}, 49*time.Hour, 0)
 	if !ok || cl != time.Hour {
 		t.Fatalf("clean loss = %v ok=%v, want 1h", cl, ok)
 	}
@@ -103,20 +77,10 @@ func TestSilentFaultPhantoms(t *testing.T) {
 // backup taken from a phantom split is itself a phantom, even though the
 // backup level had no fault of its own.
 func TestSilentFaultPropagates(t *testing.T) {
-	chain := baselineChain()
-	s, err := New(chain)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Backups close weekly at phase 0 (level 2 cycle: window closes at
 	// 168h, 336h, ...) and forward the newest split below. Silence the
 	// splits feeding the second backup window.
-	if err := s.AddSilentFault(SilentFault{Level: 1, From: 300 * time.Hour, To: 340 * time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFrom(0, 10*units.Week); err != nil {
-		t.Fatal(err)
-	}
+	s := runWith(t, baselineChain(), nil, []SilentFault{{Level: 1, From: 300 * time.Hour, To: 340 * time.Hour}}, 0, 10*units.Week)
 	rps, err := s.RPs(2)
 	if err != nil {
 		t.Fatal(err)
@@ -138,17 +102,7 @@ func TestSilentFaultPropagates(t *testing.T) {
 // TestSilentFaultRestorePlan checks the restore planner routes around
 // phantoms: Plan never serves from an RP a silent fault poisoned.
 func TestSilentFaultRestorePlan(t *testing.T) {
-	chain := baselineChain()
-	s, err := New(chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddSilentFault(SilentFault{Level: 1, From: 30 * time.Hour, To: 50 * time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFrom(0, 10*units.Day); err != nil {
-		t.Fatal(err)
-	}
+	s := runWith(t, baselineChain(), nil, []SilentFault{{Level: 1, From: 30 * time.Hour, To: 50 * time.Hour}}, 0, 10*units.Day)
 	plan, ok := s.Plan([]int{1}, 49*time.Hour, 0)
 	if !ok {
 		t.Fatal("restore plan should resolve from the pre-fault split")

@@ -10,11 +10,18 @@
 // models using measurements of recovery behavior"): for every failure
 // instant, the simulated loss must never exceed the analytic worst case,
 // and the supremum over failure instants should approach it.
+//
+// A Simulator holds one validated chain and answers the chain's own
+// facts (WarmUp, Lookback). Run replays the chain under a fault schedule
+// over a time window and returns an immutable History, which answers
+// every query about the RPs the replay produced. A Simulator is never
+// modified after New, so one may serve many Runs, concurrently too.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"stordep/internal/hierarchy"
@@ -109,9 +116,9 @@ func (q *eventQueue) pop() event {
 
 // Outage suspends one level's RP propagation for a time span: windows
 // that close inside [From, To) produce no RP (the technique is out of
-// service). Multiple outages may be registered, including overlapping
-// windows on distinct levels (compound failures) or on the same level.
-// Used to validate the analytic degraded-mode model.
+// service). A run may take several, including overlapping windows on
+// distinct levels (compound failures) or on the same level. Used to
+// validate the analytic degraded-mode model.
 type Outage struct {
 	Level    int // 1-based
 	From, To time.Duration
@@ -145,13 +152,9 @@ func (f SilentFault) contains(at time.Duration) bool {
 	return at >= f.From && at < f.To
 }
 
-// Simulator replays RP propagation for a hierarchy chain.
+// Simulator holds one validated chain to replay.
 type Simulator struct {
-	chain   hierarchy.Chain
-	levels  [][]RP // retained and expired RPs per level, in fire order (span relies on it)
-	outages []Outage
-	silents []SilentFault
-	ran     time.Duration
+	chain hierarchy.Chain
 }
 
 // ErrCountOnlyRetention reports a level retained by count alone (RetW
@@ -159,7 +162,7 @@ type Simulator struct {
 // would hold nothing, where the analytic model keeps RetCnt cycles.
 var ErrCountOnlyRetention = errors.New("sim: count-only retention (retW 0) is not simulated; give the level a retention window")
 
-// New validates the chain and returns a simulator.
+// New validates the chain and returns a simulator over a copy of it.
 func New(c hierarchy.Chain) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -169,74 +172,54 @@ func New(c hierarchy.Chain) (*Simulator, error) {
 			return nil, fmt.Errorf("%w: level %d (%s)", ErrCountOnlyRetention, i+1, lvl.Name)
 		}
 	}
-	chain := make(hierarchy.Chain, len(c))
-	copy(chain, c)
-	return &Simulator{
-		chain:  chain,
-		levels: make([][]RP, len(c)),
-	}, nil
+	return &Simulator{chain: slices.Clone(c)}, nil
 }
 
-// ErrNotRun is returned by queries before RunFrom.
-var ErrNotRun = errors.New("sim: RunFrom must be called first")
-
-// AddOutage registers a propagation outage; it must be called before
-// RunFrom.
-func (s *Simulator) AddOutage(o Outage) error {
-	if s.ran > 0 {
-		return errors.New("sim: outages must be added before RunFrom")
-	}
-	if o.Level < 1 || o.Level > len(s.chain) {
-		return fmt.Errorf("sim: outage level %d out of range", o.Level)
-	}
-	if o.To <= o.From || o.From < 0 {
-		return fmt.Errorf("sim: outage window [%v, %v) invalid", o.From, o.To)
-	}
-	s.outages = append(s.outages, o)
-	return nil
+// History is the RP history one Run produced: every RP each level fired
+// in the run's window, retained or expired. It is never modified after
+// Run returns it.
+type History struct {
+	chain   hierarchy.Chain
+	levels  [][]RP // retained and expired RPs per level, in fire order (span relies on it)
+	outages []Outage
+	silents []SilentFault
+	until   time.Duration
 }
 
-// AddSilentFault registers a silent capture fault; it must be called
-// before RunFrom.
-func (s *Simulator) AddSilentFault(f SilentFault) error {
-	if s.ran > 0 {
-		return errors.New("sim: silent faults must be added before RunFrom")
-	}
-	if f.Level < 1 || f.Level > len(s.chain) {
-		return fmt.Errorf("sim: silent fault level %d out of range", f.Level)
-	}
-	if f.To <= f.From || f.From < 0 {
-		return fmt.Errorf("sim: silent fault window [%v, %v) invalid", f.From, f.To)
-	}
-	s.silents = append(s.silents, f)
-	return nil
-}
-
-// inSilent reports whether a window closing at `at` on the level falls
-// inside a registered silent fault.
-func (s *Simulator) inSilent(level int, at time.Duration) bool {
-	for _, f := range s.silents {
-		if f.Level == level && f.contains(at) {
-			return true
+// Run replays the RP propagation that fires in [from, until] under the
+// outages and silent faults and returns the History it produced. With
+// from 0 the replay is the whole history from a cold start (no RPs
+// exist). Otherwise the History answers Loss and Plan at an instant T
+// exactly as a run from 0 to any horizon H >= T would, provided
+// T-from >= Lookback() (Lookback's doc gives the proof).
+//
+// Run rejects a fault on a level outside the chain or with an empty or
+// negative window. It keeps outs and silents by reference, without
+// copying them: callers may not modify them while the History is in use.
+func (s *Simulator) Run(outs []Outage, silents []SilentFault, from, until time.Duration) (*History, error) {
+	for _, o := range outs {
+		if o.Level < 1 || o.Level > len(s.chain) {
+			return nil, fmt.Errorf("sim: outage level %d out of range", o.Level)
+		}
+		if o.To <= o.From || o.From < 0 {
+			return nil, fmt.Errorf("sim: outage window [%v, %v) invalid", o.From, o.To)
 		}
 	}
-	return false
-}
-
-// RunFrom simulates the RP propagation that fires in [from, until]. With
-// from 0 it is the whole history from a cold start (no RPs exist);
-// otherwise queries at T are exact while T-from >= Lookback(). It may be
-// called once per Simulator.
-func (s *Simulator) RunFrom(from, until time.Duration) error {
-	if s.ran > 0 {
-		return errors.New("sim: already run")
+	for _, f := range silents {
+		if f.Level < 1 || f.Level > len(s.chain) {
+			return nil, fmt.Errorf("sim: silent fault level %d out of range", f.Level)
+		}
+		if f.To <= f.From || f.From < 0 {
+			return nil, fmt.Errorf("sim: silent fault window [%v, %v) invalid", f.From, f.To)
+		}
 	}
 	if until <= 0 {
-		return fmt.Errorf("sim: horizon must be positive, got %v", until)
+		return nil, fmt.Errorf("sim: horizon must be positive, got %v", until)
 	}
 	if from < 0 || from > until {
-		return fmt.Errorf("sim: run start %v outside [0, %v]", from, until)
+		return nil, fmt.Errorf("sim: run start %v outside [0, %v]", from, until)
 	}
+	h := &History{chain: s.chain, levels: make([][]RP, len(s.chain)), outages: outs, silents: silents, until: until}
 	q := make(eventQueue, 0, s.streams())
 	var seq int64
 	push := func(e event) {
@@ -270,13 +253,12 @@ func (s *Simulator) RunFrom(from, until time.Duration) error {
 		if e.at > until {
 			break
 		}
-		s.fire(e)
+		h.fire(e)
 		// Reschedule one cycle later.
 		e.at += s.chain[e.level-1].Policy.CyclePeriod()
 		push(e)
 	}
-	s.ran = until
-	return nil
+	return h, nil
 }
 
 // streams returns the number of RP streams in the chain: one primary per
@@ -298,11 +280,12 @@ func gridFrom(first, period, from time.Duration) time.Duration {
 	return first + (from-first+period-1)/period*period
 }
 
-// Lookback bounds how far back the history a query can observe reaches:
-// for every instant T and every horizon H >= T, a simulator run with
-// RunFrom(max(0, T-Lookback()), T) answers Loss and Plan at T exactly as
-// one run with RunFrom(0, H). It is Σ_j D_j, where D_j = RetW_j +
-// TransferLag_j is the longest an RP of level j outlives its window close.
+// Lookback bounds how far back of a query instant the RP history the
+// query can observe reaches: for every instant T and every horizon
+// H >= T, Run(outs, silents, max(0, T-Lookback()), T) answers Loss and
+// Plan at T exactly as Run(outs, silents, 0, H). It is Σ_j D_j, where
+// D_j = RetW_j + TransferLag_j is the longest an RP of level j outlives
+// its window close.
 //
 // Proof. Each stream's fire grid depends on the chain alone, and no two
 // streams of one level share an instant, so a run from F fires the whole
@@ -311,7 +294,7 @@ func gridFrom(first, period, from time.Duration) time.Duration {
 // fired after t-D_j can cover instant t. Call a fire exact when it
 // produces the same RP, or none, in both runs.
 //  1. A level-1 fire at or after F is exact: its RP depends on its
-//     instant and the registered faults only.
+//     instant and the faults only.
 //  2. A level-j fire at f >= F + Σ_{i<j} D_i is exact: it copies the
 //     newest level-(j-1) RP covering f, every RP that can cover f fired
 //     after f-D_{j-1} >= F + Σ_{i<j-1} D_i, and by induction those fires
@@ -334,16 +317,34 @@ func (s *Simulator) Lookback() time.Duration {
 	return l
 }
 
+// WarmUp returns a horizon after which every level is in steady state:
+// each has filled its retention and absorbed the full propagation lag.
+func (s *Simulator) WarmUp() time.Duration {
+	var warm time.Duration
+	for j := 1; j <= len(s.chain); j++ {
+		pol := s.chain[j-1].Policy
+		candidate := s.chain.CumTransferLag(j) +
+			time.Duration(pol.RetCnt+1)*pol.CyclePeriod() + pol.RetW
+		if candidate > warm {
+			warm = candidate
+		}
+	}
+	return warm
+}
+
+// Chain returns the simulated chain.
+func (s *Simulator) Chain() hierarchy.Chain { return s.chain }
+
 // fire executes one propagation: the level snapshots the newest content
 // available below it and the RP becomes available after hold+prop.
-func (s *Simulator) fire(e event) {
-	pol := s.chain[e.level-1].Policy
+func (h *History) fire(e event) {
+	pol := h.chain[e.level-1].Policy
 	win := pol.Primary
 	if e.secondary {
 		win = *pol.Secondary
 	}
 	avail := e.at + win.HoldW + win.PropW
-	for _, o := range s.outages {
+	for _, o := range h.outages {
 		if o.Level != e.level {
 			continue
 		}
@@ -360,16 +361,16 @@ func (s *Simulator) fire(e event) {
 	// A silent fault poisons the capture without changing the schedule,
 	// and a phantom source poisons every copy taken from it.
 	cut := e.at
-	phantom := s.inSilent(e.level, e.at)
+	phantom := h.inSilent(e.level, e.at)
 	if e.level > 1 {
-		below, ok := s.newest(e.level-1, e.at)
+		below, ok := h.newest(e.level-1, e.at)
 		if !ok {
 			return // nothing to propagate yet (cold start)
 		}
 		cut = below.Cut
 		phantom = phantom || below.Phantom
 	}
-	s.levels[e.level-1] = append(s.levels[e.level-1], RP{
+	h.levels[e.level-1] = append(h.levels[e.level-1], RP{
 		Cut:         cut,
 		AvailableAt: avail,
 		ExpiresAt:   avail + pol.RetW,
@@ -378,15 +379,26 @@ func (s *Simulator) fire(e event) {
 	})
 }
 
+// inSilent reports whether a window closing at `at` on the level falls
+// inside a silent fault.
+func (h *History) inSilent(level int, at time.Duration) bool {
+	for _, f := range h.silents {
+		if f.Level == level && f.contains(at) {
+			return true
+		}
+	}
+	return false
+}
+
 // newest returns the freshest RP usable at `at` on the level.
-func (s *Simulator) newest(level int, at time.Duration) (RP, bool) {
+func (h *History) newest(level int, at time.Duration) (RP, bool) {
 	var best RP
 	found := false
 	// RPs are appended in window-close order, which is not availability
 	// order for cyclic policies (a slow full can land after a later fast
 	// incremental), so scan every RP that can cover the instant.
-	lo, hi := s.span(level, at)
-	for _, rp := range s.levels[level-1][lo:hi] {
+	lo, hi := h.span(level, at)
+	for _, rp := range h.levels[level-1][lo:hi] {
 		if rp.Covers(at) && (!found || rp.Cut > best.Cut) {
 			best, found = rp, true
 		}
@@ -402,9 +414,9 @@ func (s *Simulator) newest(level int, at time.Duration) (RP, bool) {
 // landed. RPs are appended in fire order, and an RP's fire instant is its
 // AvailableAt less its window's HoldW + PropW, so two binary searches
 // find the range without storing the instants.
-func (s *Simulator) span(level int, at time.Duration) (lo, hi int) {
-	pol := &s.chain[level-1].Policy
-	rps := s.levels[level-1]
+func (h *History) span(level int, at time.Duration) (lo, hi int) {
+	pol := &h.chain[level-1].Policy
+	rps := h.levels[level-1]
 	hi = firedAfter(rps, pol, at)
 	lo = firedAfter(rps[:hi], pol, at-pol.RetW-pol.TransferLag())
 	return lo, hi
@@ -430,16 +442,13 @@ func firedAfter(rps []RP, pol *hierarchy.Policy, t time.Duration) int {
 }
 
 // Available returns the RPs usable at observation time `at` on a level.
-func (s *Simulator) Available(level int, at time.Duration) ([]RP, error) {
-	if s.ran == 0 {
-		return nil, ErrNotRun
-	}
-	if level < 1 || level > len(s.chain) {
+func (h *History) Available(level int, at time.Duration) ([]RP, error) {
+	if level < 1 || level > len(h.chain) {
 		return nil, fmt.Errorf("sim: level %d out of range", level)
 	}
 	var out []RP
-	lo, hi := s.span(level, at)
-	for _, rp := range s.levels[level-1][lo:hi] {
+	lo, hi := h.span(level, at)
+	for _, rp := range h.levels[level-1][lo:hi] {
 		if rp.Covers(at) {
 			out = append(out, rp)
 		}
@@ -453,8 +462,8 @@ func (s *Simulator) Available(level int, at time.Duration) ([]RP, error) {
 // updates since that full only, so no older full can substitute, and a
 // full closed later cannot serve even when it re-captured the same source
 // RP while the level below was out.
-func (s *Simulator) baseFull(level, i int) (RP, bool) {
-	rps := s.levels[level-1]
+func (h *History) baseFull(level, i int) (RP, bool) {
+	rps := h.levels[level-1]
 	for k := i - 1; k >= 0; k-- {
 		if !rps[k].Secondary && rps[k].Cut <= rps[i].Cut {
 			return rps[k], true
@@ -469,49 +478,26 @@ func (s *Simulator) baseFull(level, i int) (RP, bool) {
 // propagate, because the level believes them good — but cannot serve),
 // and, for incrementals, so must its base full (an incremental that lands
 // while its full is still propagating is useless until the full arrives).
-func (s *Simulator) usableAt(level, i int, failAt time.Duration) bool {
-	rp := s.levels[level-1][i]
+func (h *History) usableAt(level, i int, failAt time.Duration) bool {
+	rp := h.levels[level-1][i]
 	if rp.Phantom || !rp.Covers(failAt) {
 		return false
 	}
 	if !rp.Secondary {
 		return true
 	}
-	base, ok := s.baseFull(level, i)
+	base, ok := h.baseFull(level, i)
 	return ok && !base.Phantom && base.Covers(failAt)
 }
 
 // Loss measures the data loss a recovery would incur if a failure struck
 // at failAt with the given surviving levels, restoring to the target
-// instant failAt-targetAge. The serving RP is the newest usable one
-// (across surviving levels) whose cut does not postdate the target; the
-// loss is target-cut. ok is false when no usable RP survives: the object
-// is lost.
-func (s *Simulator) Loss(surviving []int, failAt, targetAge time.Duration) (loss time.Duration, level int, ok bool) {
-	if s.ran == 0 || failAt > s.ran {
-		return 0, 0, false
-	}
-	target := failAt - targetAge
-	if target < 0 {
-		return 0, 0, false
-	}
-	bestLevel := 0
-	var bestCut time.Duration = -1
-	for _, j := range surviving {
-		if j < 1 || j > len(s.chain) {
-			continue
-		}
-		lo, hi := s.span(j, failAt)
-		for i := lo; i < hi; i++ {
-			if rp := s.levels[j-1][i]; rp.Cut <= target && rp.Cut > bestCut && s.usableAt(j, i, failAt) {
-				bestCut, bestLevel = rp.Cut, j
-			}
-		}
-	}
-	if bestLevel == 0 {
-		return 0, 0, false
-	}
-	return target - bestCut, bestLevel, true
+// instant failAt-targetAge: the loss and serving level of Plan's restore.
+// ok is false when no usable RP survives (the object is lost), failAt is
+// past the run, or the target precedes time zero.
+func (h *History) Loss(surviving []int, failAt, targetAge time.Duration) (loss time.Duration, level int, ok bool) {
+	p, ok := h.Plan(surviving, failAt, targetAge)
+	return p.Loss, p.Level, ok
 }
 
 // Stats summarizes a loss study across failure instants.
@@ -527,10 +513,7 @@ type Stats struct {
 
 // LossStudy sweeps failure instants from `from` to `to` (inclusive) every
 // `step` and aggregates the measured losses.
-func (s *Simulator) LossStudy(surviving []int, targetAge, from, to, step time.Duration) (Stats, error) {
-	if s.ran == 0 {
-		return Stats{}, ErrNotRun
-	}
+func (h *History) LossStudy(surviving []int, targetAge, from, to, step time.Duration) (Stats, error) {
 	if step <= 0 || to < from {
 		return Stats{}, fmt.Errorf("sim: bad study window [%v, %v] step %v", from, to, step)
 	}
@@ -538,7 +521,7 @@ func (s *Simulator) LossStudy(surviving []int, targetAge, from, to, step time.Du
 	var sum time.Duration
 	for at := from; at <= to; at += step {
 		st.Samples++
-		loss, _, ok := s.Loss(surviving, at, targetAge)
+		loss, _, ok := h.Loss(surviving, at, targetAge)
 		if !ok {
 			st.Unrecoverable++
 			continue
@@ -554,44 +537,13 @@ func (s *Simulator) LossStudy(surviving []int, targetAge, from, to, step time.Du
 	return st, nil
 }
 
-// WarmUp returns a horizon after which every level is in steady state:
-// each has filled its retention and absorbed the full propagation lag.
-func (s *Simulator) WarmUp() time.Duration {
-	var warm time.Duration
-	for j := 1; j <= len(s.chain); j++ {
-		pol := s.chain[j-1].Policy
-		candidate := s.chain.CumTransferLag(j) +
-			time.Duration(pol.RetCnt+1)*pol.CyclePeriod() + pol.RetW
-		if candidate > warm {
-			warm = candidate
-		}
-	}
-	return warm
-}
-
-// Chain returns the simulated chain.
-func (s *Simulator) Chain() hierarchy.Chain { return s.chain }
-
-// Outages returns a copy of the registered outages.
-func (s *Simulator) Outages() []Outage {
-	return append([]Outage(nil), s.outages...)
-}
-
-// SilentFaults returns a copy of the registered silent faults.
-func (s *Simulator) SilentFaults() []SilentFault {
-	return append([]SilentFault(nil), s.silents...)
-}
-
-// RPs returns a copy of every RP the level produced during RunFrom, retained
-// or expired, in window-close order. Callers use it to probe edge
-// instants (availability and expiry boundaries) without re-deriving the
-// schedule.
-func (s *Simulator) RPs(level int) ([]RP, error) {
-	if s.ran == 0 {
-		return nil, ErrNotRun
-	}
-	if level < 1 || level > len(s.chain) {
+// RPs returns a copy of every RP the level produced during the run,
+// retained or expired, in window-close order. Callers use it to probe
+// edge instants (availability and expiry boundaries) without re-deriving
+// the schedule.
+func (h *History) RPs(level int) ([]RP, error) {
+	if level < 1 || level > len(h.chain) {
 		return nil, fmt.Errorf("sim: level %d out of range", level)
 	}
-	return append([]RP(nil), s.levels[level-1]...), nil
+	return append([]RP(nil), h.levels[level-1]...), nil
 }

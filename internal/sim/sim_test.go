@@ -27,16 +27,10 @@ func baselineChain() hierarchy.Chain {
 	}
 }
 
-func run(t *testing.T, c hierarchy.Chain, until time.Duration) *Simulator {
+// run replays the chain's whole history to until, with no faults.
+func run(t *testing.T, c hierarchy.Chain, until time.Duration) *History {
 	t.Helper()
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFrom(0, until); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return runWith(t, c, nil, nil, 0, until)
 }
 
 func TestNewRejectsInvalidChain(t *testing.T) {
@@ -58,35 +52,27 @@ func TestNewRejectsInvalidChain(t *testing.T) {
 	}
 }
 
-func TestRunGuards(t *testing.T) {
+// runErr reports the error Run returns for the faults and window on
+// the baseline chain.
+func runErr(t *testing.T, outs []Outage, silents []SilentFault, from, until time.Duration) error {
+	t.Helper()
 	s, err := New(baselineChain())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunFrom(0, 0); err == nil {
-		t.Error("zero horizon accepted")
+	h, err := s.Run(outs, silents, from, until)
+	if (h == nil) == (err == nil) {
+		t.Errorf("Run = %v, %v: want a History or an error", h, err)
 	}
-	if err := s.RunFrom(0, units.Week); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFrom(0, units.Week); err == nil {
-		t.Error("second Run accepted")
-	}
+	return err
 }
 
-func TestQueriesBeforeRun(t *testing.T) {
-	s, err := New(baselineChain())
-	if err != nil {
+func TestRunGuards(t *testing.T) {
+	if err := runErr(t, nil, nil, 0, 0); err == nil || err.Error() != "sim: horizon must be positive, got 0s" {
+		t.Errorf("zero horizon accepted: %v", err)
+	}
+	if err := runErr(t, nil, nil, 0, units.Week); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := s.Available(1, 0); !errors.Is(err, ErrNotRun) {
-		t.Errorf("Available = %v", err)
-	}
-	if _, err := s.LossStudy([]int{1}, 0, 0, time.Hour, time.Hour); !errors.Is(err, ErrNotRun) {
-		t.Errorf("LossStudy = %v", err)
-	}
-	if _, _, ok := s.Loss([]int{1}, time.Hour, 0); ok {
-		t.Error("Loss before Run should fail")
 	}
 }
 
@@ -331,18 +317,9 @@ func TestRetentionExpiry(t *testing.T) {
 // beyond the healthy bound but never beyond the degraded bound.
 func TestOutageValidation(t *testing.T) {
 	c := baselineChain()
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	outage := 2 * units.Week
 	outageEnd := 24 * units.Week
-	if err := s.AddOutage(Outage{Level: 2, From: outageEnd - outage, To: outageEnd}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFrom(0, 26*units.Week); err != nil {
-		t.Fatal(err)
-	}
+	s := runWith(t, c, []Outage{{Level: 2, From: outageEnd - outage, To: outageEnd}}, nil, 0, 26*units.Week)
 	healthy, ok := c.WorstCaseLoss(2, 0)
 	if !ok {
 		t.Fatal("no healthy bound")
@@ -364,25 +341,21 @@ func TestOutageValidation(t *testing.T) {
 	}
 }
 
-func TestAddOutageValidation(t *testing.T) {
-	s, err := New(baselineChain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddOutage(Outage{Level: 0, From: 0, To: time.Hour}); err == nil {
-		t.Error("level 0 accepted")
-	}
-	if err := s.AddOutage(Outage{Level: 1, From: time.Hour, To: time.Hour}); err == nil {
-		t.Error("empty window accepted")
-	}
-	if err := s.AddOutage(Outage{Level: 1, From: -time.Hour, To: time.Hour}); err == nil {
-		t.Error("negative start accepted")
-	}
-	if err := s.RunFrom(0, units.Week); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddOutage(Outage{Level: 1, From: 0, To: time.Hour}); err == nil {
-		t.Error("outage after Run accepted")
+func TestRunOutageValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Outage
+		want string
+	}{
+		{"level 0", Outage{Level: 0, From: 0, To: time.Hour}, "sim: outage level 0 out of range"},
+		{"empty window", Outage{Level: 1, From: time.Hour, To: time.Hour}, "sim: outage window [1h0m0s, 1h0m0s) invalid"},
+		{"negative start", Outage{Level: 1, From: -time.Hour, To: time.Hour}, "sim: outage window [-1h0m0s, 1h0m0s) invalid"},
+	} {
+		// A valid outage first: Run checks every fault it is given.
+		outs := []Outage{{Level: 2, From: 0, To: time.Hour}, tc.o}
+		if err := runErr(t, outs, nil, 0, units.Week); err == nil || err.Error() != tc.want {
+			t.Errorf("%s accepted: %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -391,27 +364,15 @@ func TestAddOutageValidation(t *testing.T) {
 // analytic bound, exceeding what either single outage predicts alone.
 func TestOverlappingCompoundOutages(t *testing.T) {
 	c := baselineChain()
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	backupOutage := 2 * units.Week
 	vaultOutage := 5 * units.Week
 	outageEnd := 24 * units.Week
 	// The vault outage fully contains the backup outage: both levels are
 	// down together for the final two weeks.
-	if err := s.AddOutage(Outage{Level: 2, From: outageEnd - backupOutage, To: outageEnd}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddOutage(Outage{Level: 3, From: outageEnd - vaultOutage, To: outageEnd}); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Outages()) != 2 {
-		t.Fatalf("Outages() = %d, want 2", len(s.Outages()))
-	}
-	if err := s.RunFrom(0, 30*units.Week); err != nil {
-		t.Fatal(err)
-	}
+	s := runWith(t, c, []Outage{
+		{Level: 2, From: outageEnd - backupOutage, To: outageEnd},
+		{Level: 3, From: outageEnd - vaultOutage, To: outageEnd},
+	}, nil, 0, 30*units.Week)
 	outages := []hierarchy.LevelOutage{
 		{Level: 2, Outage: backupOutage},
 		{Level: 3, Outage: vaultOutage},
@@ -447,18 +408,8 @@ func TestAbortInFlightDropsPropagation(t *testing.T) {
 	// tape-backup (level 2): cuts at k*1wk, available 49h later.
 	cut := 4 * units.Week
 	for _, abort := range []bool{false, true} {
-		s, err := New(baselineChain())
-		if err != nil {
-			t.Fatal(err)
-		}
 		o := Outage{Level: 2, From: cut + time.Hour, To: cut + 60*time.Hour, AbortInFlight: abort}
-		if err := s.AddOutage(o); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunFrom(0, 8*units.Week); err != nil {
-			t.Fatal(err)
-		}
-		rps, err := s.RPs(2)
+		rps, err := runWith(t, baselineChain(), []Outage{o}, nil, 0, 8*units.Week).RPs(2)
 		if err != nil {
 			t.Fatal(err)
 		}

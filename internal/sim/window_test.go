@@ -31,32 +31,23 @@ func fiUnderSnapshots() hierarchy.Chain {
 }
 
 // runWith runs the chain over [from, until] under the given faults.
-func runWith(t *testing.T, c hierarchy.Chain, outs []Outage, silents []SilentFault, from, until time.Duration) *Simulator {
+func runWith(t *testing.T, c hierarchy.Chain, outs []Outage, silents []SilentFault, from, until time.Duration) *History {
 	t.Helper()
 	s, err := New(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range outs {
-		if err := s.AddOutage(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, f := range silents {
-		if err := s.AddSilentFault(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.RunFrom(from, until); err != nil {
+	h, err := s.Run(outs, silents, from, until)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return h
 }
 
 // sameAnswers reports the first query on which two simulators disagree:
 // Loss and Plan at instant at, for every non-empty subset of levels and
 // every target age.
-func sameAnswers(got, want *Simulator, at time.Duration, ages []time.Duration) error {
+func sameAnswers(got, want *History, at time.Duration, ages []time.Duration) error {
 	n := len(want.chain)
 	for mask := 1; mask < 1<<n; mask++ {
 		var surviving []int
@@ -174,14 +165,14 @@ func TestWindowedRunExact(t *testing.T) {
 	var windows, late int
 	for trial := 0; trial < 150; trial++ {
 		c := randomChain(r)
-		full, err := New(c)
+		s, err := New(c)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		lookback := full.Lookback()
+		lookback := s.Lookback()
 		horizon := 4*lookback + quanta(r, 0, 48)
 		outs, silents := randomFaults(r, c, horizon)
-		full = runWith(t, c, outs, silents, 0, horizon)
+		full := runWith(t, c, outs, silents, 0, horizon)
 
 		var ats []time.Duration
 		for j := 1; j <= len(c); j++ {
@@ -235,9 +226,9 @@ func TestWindowedRunExact(t *testing.T) {
 // scanServing is the whole-list scan that Loss and Plan bound to the
 // RPs that can cover failAt: the level and list index of the serving RP,
 // or level 0 when no usable RP survives.
-func scanServing(s *Simulator, surviving []int, failAt, targetAge time.Duration) (level, index int) {
+func scanServing(s *History, surviving []int, failAt, targetAge time.Duration) (level, index int) {
 	target := failAt - targetAge
-	if failAt > s.ran || target < 0 {
+	if failAt > s.until || target < 0 {
 		return 0, -1
 	}
 	var bestCut time.Duration = -1
@@ -254,7 +245,7 @@ func scanServing(s *Simulator, surviving []int, failAt, targetAge time.Duration)
 // boundedScansAgree reports the first query at instant at on which a
 // bounded scan (newest, Available, Loss, Plan) differs from the
 // whole-list scan, for every non-empty subset of levels and target age.
-func boundedScansAgree(s *Simulator, at time.Duration, ages []time.Duration) error {
+func boundedScansAgree(s *History, at time.Duration, ages []time.Duration) error {
 	n := len(s.chain)
 	for j := 1; j <= n; j++ {
 		var want []RP
@@ -293,7 +284,7 @@ func boundedScansAgree(s *Simulator, at time.Duration, ages []time.Duration) err
 			if level > 0 {
 				rp := s.levels[level-1][i]
 				wantLoss = at - age - rp.Cut
-				wantPlan = RestorePlan{Serving: rp, Level: level, FullCut: rp.Cut, Incremental: rp.Secondary}
+				wantPlan = RestorePlan{Serving: rp, Level: level, Loss: wantLoss, FullCut: rp.Cut, Incremental: rp.Secondary}
 				if rp.Secondary {
 					base, _ := s.baseFull(level, i)
 					wantPlan.FullCut = base.Cut
@@ -324,13 +315,13 @@ func TestBoundedScansExact(t *testing.T) {
 	var unordered int
 	for trial := 0; trial < 100; trial++ {
 		c := randomChain(r)
-		s, err := New(c)
+		sm, err := New(c)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		horizon := 3*s.Lookback() + quanta(r, 0, 48)
+		horizon := 3*sm.Lookback() + quanta(r, 0, 48)
 		outs, silents := randomFaults(r, c, horizon)
-		s = runWith(t, c, outs, silents, 0, horizon)
+		s := runWith(t, c, outs, silents, 0, horizon)
 
 		var ats []time.Duration
 		for j := 1; j <= len(c); j++ {
@@ -358,13 +349,15 @@ func TestBoundedScansExact(t *testing.T) {
 }
 
 func TestRunFromGuards(t *testing.T) {
-	for _, w := range [][2]time.Duration{{-time.Hour, units.Week}, {2 * units.Week, units.Week}} {
-		s, err := New(baselineChain())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunFrom(w[0], w[1]); err == nil {
-			t.Errorf("run over [%v, %v] accepted", w[0], w[1])
+	for _, tc := range []struct {
+		from, until time.Duration
+		want        string
+	}{
+		{-time.Hour, units.Week, "sim: run start -1h0m0s outside [0, 168h0m0s]"},
+		{2 * units.Week, units.Week, "sim: run start 336h0m0s outside [0, 168h0m0s]"},
+	} {
+		if err := runErr(t, nil, nil, tc.from, tc.until); err == nil || err.Error() != tc.want {
+			t.Errorf("run over [%v, %v] accepted: %v, want %q", tc.from, tc.until, err, tc.want)
 		}
 	}
 }
