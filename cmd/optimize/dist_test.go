@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"stordep/internal/dist"
+	"stordep/internal/opt"
 )
 
 // solutionBlock strips the mode-specific header: everything after the
@@ -34,40 +36,41 @@ func exhaustiveReference(t *testing.T) string {
 }
 
 // TestRunShardOutMergeRoundTrip covers the offline flow: every shard
-// saved with -out, then -merge reproduces the unsharded report exactly.
+// saved with -out, then -merge reproduces the unsharded report exactly,
+// for a two- and a three-way split.
 func TestRunShardOutMergeRoundTrip(t *testing.T) {
 	want := exhaustiveReference(t)
-	dir := t.TempDir()
-
-	const shards = 3
-	files := make([]string, shards)
-	for s := 0; s < shards; s++ {
-		files[s] = filepath.Join(dir, fmt.Sprintf("shard%d.json", s))
-		var buf strings.Builder
-		o := options{objective: "worst", shard: fmt.Sprintf("%d/%d", s, shards), out: files[s]}
-		if err := run(&buf, o); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+	for _, shards := range []int{2, 3} {
+		dir := t.TempDir()
+		files := make([]string, shards)
+		for s := 0; s < shards; s++ {
+			files[s] = filepath.Join(dir, fmt.Sprintf("shard%d.json", s))
+			var buf strings.Builder
+			o := options{objective: "worst", shard: fmt.Sprintf("%d/%d", s, shards), out: files[s]}
+			if err := run(&buf, o); err != nil {
+				t.Fatalf("shard %d/%d: %v", s, shards, err)
+			}
+			if !strings.Contains(buf.String(), "Wrote shard result to") {
+				t.Errorf("shard %d/%d output missing the -out note:\n%s", s, shards, buf.String())
+			}
 		}
-		if !strings.Contains(buf.String(), "Wrote shard result to") {
-			t.Errorf("shard %d output missing the -out note:\n%s", s, buf.String())
+
+		var merged strings.Builder
+		if err := runMerge(&merged, files); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if got := solutionBlock(t, merged.String()); got != want {
+			t.Errorf("%d shards: merged report differs from unsharded:\n--- merged\n%s\n--- unsharded\n%s", shards, got, want)
+		}
 
-	var merged strings.Builder
-	if err := runMerge(&merged, files); err != nil {
-		t.Fatal(err)
-	}
-	if got := solutionBlock(t, merged.String()); got != want {
-		t.Errorf("merged report differs from unsharded:\n--- merged\n%s\n--- unsharded\n%s", got, want)
-	}
-
-	// A duplicated shard file changes nothing.
-	var dup strings.Builder
-	if err := runMerge(&dup, append(append([]string{}, files...), files[1])); err != nil {
-		t.Fatal(err)
-	}
-	if got := solutionBlock(t, dup.String()); got != want {
-		t.Errorf("merge with a duplicate file diverged:\n%s", got)
+		// A duplicated shard file changes nothing.
+		var dup strings.Builder
+		if err := runMerge(&dup, append(append([]string{}, files...), files[1])); err != nil {
+			t.Fatal(err)
+		}
+		if got := solutionBlock(t, dup.String()); got != want {
+			t.Errorf("%d shards: merge with a duplicate file diverged:\n%s", shards, got)
+		}
 	}
 }
 
@@ -108,36 +111,52 @@ func TestRunOutRequiresCandidateIndex(t *testing.T) {
 }
 
 // TestRunOutInfeasibleShard: a shard whose slice has no feasible
-// candidate still writes a mergeable result carrying its evaluations.
+// candidate still writes a mergeable result carrying its evaluations,
+// the pair merges to opt.ErrNoFeasible, and without -out the shard
+// itself fails with it.
 func TestRunOutInfeasibleShard(t *testing.T) {
-	dir := t.TempDir()
-	files := []string{filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")}
-	for s, f := range files {
-		var buf strings.Builder
-		o := options{objective: "worst", links: true, rto: "1m", rpo: "1m",
-			shard: fmt.Sprintf("%d/2", s), out: f}
-		if err := run(&buf, o); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+	for _, tc := range []struct {
+		name  string
+		o     options
+		evals int // per shard: half the space
+	}{
+		{"mirror", options{objective: "worst", links: true, rto: "1m", rpo: "1m"}, 4},
+		{"tape", options{objective: "worst", rto: "1m"}, 6},
+	} {
+		dir := t.TempDir()
+		files := []string{filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")}
+		for s, f := range files {
+			var buf strings.Builder
+			o := tc.o
+			o.shard, o.out = fmt.Sprintf("%d/2", s), f
+			if err := run(&buf, o); err != nil {
+				t.Fatalf("%s shard %d: %v", tc.name, s, err)
+			}
+			if !strings.Contains(buf.String(), "No feasible candidate") {
+				t.Errorf("%s shard %d output:\n%s", tc.name, s, buf.String())
+			}
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dist.DecodeResult(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Feasible || res.Evaluations != tc.evals {
+				t.Errorf("%s shard %d result: %+v, want infeasible with %d evaluations", tc.name, s, res, tc.evals)
+			}
 		}
-		if !strings.Contains(buf.String(), "No feasible candidate") {
-			t.Errorf("shard %d output:\n%s", s, buf.String())
+		// Merging two infeasible halves reports no feasible design, not a
+		// bogus winner.
+		if err := runMerge(&strings.Builder{}, files); !errors.Is(err, opt.ErrNoFeasible) {
+			t.Errorf("%s: all-infeasible merge: err = %v, want opt.ErrNoFeasible", tc.name, err)
 		}
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
+		o := tc.o
+		o.shard = "0/2"
+		if err := run(&strings.Builder{}, o); !errors.Is(err, opt.ErrNoFeasible) {
+			t.Errorf("%s: infeasible shard without -out: err = %v, want opt.ErrNoFeasible", tc.name, err)
 		}
-		res, err := dist.DecodeResult(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Feasible || res.Evaluations != 4 {
-			t.Errorf("shard %d result: %+v, want infeasible with 4 evaluations", s, res)
-		}
-	}
-	// Merging two infeasible halves reports no feasible design, not a
-	// bogus winner.
-	if err := runMerge(&strings.Builder{}, files); err == nil {
-		t.Error("all-infeasible merge should fail")
 	}
 }
 

@@ -41,10 +41,12 @@
 // ties to the lowest candidate index (opt.MergeShards applies the same
 // rule programmatically).
 //
-// Sharded runs compose offline or online. Offline, -out writes each
-// shard's wire Result (internal/dist schema) and -merge combines the
-// files into exactly the Solution the unsharded search prints — every
-// shard of one partitioning must be present, duplicates are deduped.
+// Sharded runs compose offline or online. A local enumeration runs as
+// the same wire Job a cmd/worker would (dist.ExecuteJob). Offline, -out
+// writes each shard's wire Result (internal/dist schema) and -merge
+// combines the files into exactly the Solution the unsharded search
+// prints — every shard of one partitioning must be present, duplicates
+// are deduped.
 // Online, -coordinator distributes the same enumeration across running
 // cmd/worker processes: the space splits into more shards than workers,
 // failed or straggling shards are re-dispatched (see -attempt-timeout,
@@ -68,14 +70,14 @@
 // -objective expected and local coordinate descent.
 //
 // -cpuprofile and -memprofile write pprof profiles; the CPU profile is
-// labeled with phase=build|assess|reduce on the optimizer's inner loop,
-// so `go tool pprof -tagfocus phase=assess` isolates model evaluation
-// from candidate construction.
+// labeled with phase=build|assess|reduce|compile|batch|prune on the
+// exhaustive search's inner loop (see opt.PhaseProfiling), so
+// `go tool pprof -tagfocus phase=batch` isolates the compiled batch
+// kernel from compilation, pruning and slow-row construction.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -154,7 +156,7 @@ func main() {
 	flag.DurationVar(&o.probeInterval, "probe-interval", 5*time.Second, "health-probe cadence for -coordinator worker eviction (0 = no probing)")
 	flag.IntVar(&o.chaosLiars, "chaos-liars", 0, "testing: wrap the first N workers in always-lying fault injectors (exercises -validate)")
 	flag.BoolVar(&o.distMetrics, "dist-metrics", false, "dump coordinator metrics (Prometheus text format) to stderr")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile (with phase=build|assess|reduce labels) to this file")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile (with phase=build|assess|reduce|compile|batch|prune labels) to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
@@ -227,7 +229,7 @@ func run(w io.Writer, o options) error {
 		{Scope: failure.ScopeSite},
 	}
 
-	objective, floor, objLabel, err := buildObjective(o)
+	objective, objLabel, err := buildObjective(o)
 	if err != nil {
 		return err
 	}
@@ -279,50 +281,25 @@ func run(w io.Writer, o options) error {
 		return runCoordinator(w, o, base, specs, scenarios, objLabel)
 	}
 
-	var sol *opt.Solution
 	if o.exhaustive || o.shard != "" {
 		fmt.Fprintf(w, "Exhaustively searching %q over %d knobs, objective: %s\n", base.Name, len(knobs), objLabel)
 		if o.shard != "" {
 			fmt.Fprintf(w, "Shard %s: merge shard winners by lowest score, ties to lowest candidate index (opt.MergeShards)\n", o.shard)
 		}
 		fmt.Fprintln(w)
-		var stats opt.SearchStats
-		sol, err = opt.ExhaustiveOpts(base, knobs, scenarios, objective, opt.ExhaustiveOptions{
-			Workers: o.workers,
-			Budget:  o.budget,
-			Shard:   shard,
-			Prune:   o.prune,
-			Floor:   floor,
-			Stats:   &stats,
-		})
-		if o.out != "" && isNoFeasible(err) {
-			// The shard's slice holds no feasible candidate: still a valid
-			// result — the merge needs its evaluation count.
-			return writeInfeasibleResult(w, o.out, shard, stats)
-		}
+		err = runShard(w, o, base, specs, scenarios, shard)
 	} else {
 		fmt.Fprintf(w, "Tuning %q over %d knobs, objective: %s\n\n", base.Name, len(knobs), objLabel)
-		sol, err = opt.TuneWorkers(base, knobs, scenarios, objective, o.workers)
+		var sol *opt.Solution
+		if sol, err = opt.TuneWorkers(base, knobs, scenarios, objective, o.workers); err == nil {
+			err = printSolution(w, sol, scenarios)
+		}
+		if err == nil && o.out != "" {
+			err = fmt.Errorf("-out needs an exhaustive or sharded run (coordinate descent has no candidate index); add -exhaustive or -shard")
+		}
 	}
 	if err != nil {
 		return err
-	}
-	if err := printSolution(w, sol, scenarios); err != nil {
-		return err
-	}
-
-	if o.out != "" {
-		if sol.CandidateIndex < 0 {
-			return fmt.Errorf("-out needs an exhaustive or sharded run (coordinate descent has no candidate index); add -exhaustive or -shard")
-		}
-		res, err := dist.SolutionResult(sol, dist.ShardSpec{Index: shard.Index, Count: shard.Count})
-		if err != nil {
-			return err
-		}
-		if err := writeResult(o.out, res); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nWrote shard result to %s\n", o.out)
 	}
 
 	if o.memProfile != "" {
@@ -391,6 +368,64 @@ func runPareto(w io.Writer, o options, base *core.Design, knobs []opt.Knob, scen
 	return nil
 }
 
+// newJob builds the wire job of the command line's enumeration: the
+// same job runs locally (runShard) and on -coordinator's workers.
+func newJob(o options, base *core.Design, specs []dist.KnobSpec, scenarios []failure.Scenario) (*dist.Job, error) {
+	job, err := dist.NewJob(base, specs, dist.ScenarioSpecs(scenarios), objectiveSpec(o))
+	if err != nil {
+		return nil, err
+	}
+	job.Budget = o.budget
+	job.Prune = o.prune
+	return job, nil
+}
+
+// runShard runs the exhaustive search, or one -shard of it, in process
+// through dist.ExecuteJob, the function cmd/worker runs, and prints the
+// returned Result's solution. -out writes the Result for -merge; an
+// infeasible slice's Result carries no winner, only the evaluation
+// counts the merge needs, and without -out it fails with
+// opt.ErrNoFeasible.
+func runShard(w io.Writer, o options, base *core.Design, specs []dist.KnobSpec, scenarios []failure.Scenario, shard opt.Shard) error {
+	job, err := newJob(o, base, specs, scenarios)
+	if err != nil {
+		return err
+	}
+	job.Shard = dist.ShardSpec{Index: shard.Index, Count: shard.Count}
+	job.Workers = o.workers
+	res, err := dist.ExecuteJob(job, nil)
+	if err != nil {
+		return err
+	}
+	if res.Feasible {
+		sol, err := res.Solution()
+		if err != nil {
+			return err
+		}
+		if err := printSolution(w, sol, scenarios); err != nil {
+			return err
+		}
+	} else if o.out == "" {
+		return opt.ErrNoFeasible
+	}
+	if o.out == "" {
+		return nil
+	}
+	data, err := res.Encode()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	if res.Feasible {
+		fmt.Fprintf(w, "\nWrote shard result to %s\n", o.out)
+	} else {
+		fmt.Fprintf(w, "No feasible candidate in this shard; wrote its evaluation count to %s\n", o.out)
+	}
+	return nil
+}
+
 // runCoordinator distributes the exhaustive search across remote
 // cmd/worker processes and prints the merged solution — byte-identical
 // to the single-process -exhaustive output's solution lines.
@@ -425,12 +460,10 @@ func runCoordinator(w io.Writer, o options, base *core.Design, specs []dist.Knob
 		workers[i] = dist.NewChaosWorker(workers[i], dist.ChaosOptions{Seed: int64(i) + 1, PLie: 1})
 	}
 
-	job, err := dist.NewJob(base, specs, dist.ScenarioSpecs(scenarios), objectiveSpec(o))
+	job, err := newJob(o, base, specs, scenarios)
 	if err != nil {
 		return err
 	}
-	job.Budget = o.budget
-	job.Prune = o.prune
 
 	// A live registry backs the run: workers that miss health probes are
 	// evicted into quarantine mid-run and readmitted when they recover.
@@ -528,42 +561,6 @@ func printSolution(w io.Writer, sol *opt.Solution, scenarios []failure.Scenario)
 	return nil
 }
 
-// isNoFeasible reports whether an exhaustive search failed only because
-// the evaluated slice holds no feasible candidate.
-func isNoFeasible(err error) bool {
-	return errors.Is(err, opt.ErrNoFeasible)
-}
-
-// writeInfeasibleResult records an infeasible shard for -merge: no
-// winner, but the slice's assessed and pruned counts must reach the
-// merged totals (a pruned infeasible shard assesses fewer candidates,
-// and under-reporting either count would break the sharded-vs-whole
-// accounting equivalence).
-func writeInfeasibleResult(w io.Writer, path string, shard opt.Shard, stats opt.SearchStats) error {
-	res := &dist.Result{
-		Version:        dist.Version,
-		Shard:          dist.ShardSpec{Index: shard.Index, Count: shard.Count},
-		Feasible:       false,
-		Evaluations:    stats.Assessed,
-		Pruned:         stats.Pruned,
-		BoundsComputed: stats.BoundsComputed,
-		CandidateIndex: -1,
-	}
-	if err := writeResult(path, res); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "No feasible candidate in this shard; wrote its evaluation count to %s\n", path)
-	return nil
-}
-
-func writeResult(path string, res *dist.Result) error {
-	data, err := res.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // objectiveSpec is the wire form of the objective flags: explicit
 // RTO/RPO turn the objective into the constrained-outlay rule.
 func objectiveSpec(o options) dist.ObjectiveSpec {
@@ -573,11 +570,10 @@ func objectiveSpec(o options) dist.ObjectiveSpec {
 	return dist.ObjectiveSpec{Kind: o.objective}
 }
 
-// buildObjective resolves the objective flags into the scoring closure
-// and its admissible pruning floor (the -prune counterpart, see
-// opt.ObjectiveFloor), built from objectiveSpec exactly as a distributed
-// worker builds them, and a display label.
-func buildObjective(o options) (opt.Objective, opt.ObjectiveFloor, string, error) {
+// buildObjective resolves the objective flags into the scoring closure,
+// built from objectiveSpec exactly as a distributed worker builds it,
+// and a display label.
+func buildObjective(o options) (opt.Objective, string, error) {
 	var label string
 	switch {
 	case o.rto != "" || o.rpo != "":
@@ -587,13 +583,13 @@ func buildObjective(o options) (opt.Objective, opt.ObjectiveFloor, string, error
 	case o.objective == "expected":
 		label = "minimize expected annual cost (typical failure frequencies)"
 	default:
-		return nil, nil, "", fmt.Errorf("unknown objective %q", o.objective)
+		return nil, "", fmt.Errorf("unknown objective %q", o.objective)
 	}
-	objective, floor, err := dist.BuildObjective(objectiveSpec(o))
+	objective, _, err := dist.BuildObjective(objectiveSpec(o))
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("bad -rto/-rpo: %w", err)
+		return nil, "", fmt.Errorf("bad -rto/-rpo: %w", err)
 	}
-	return objective, floor, label, nil
+	return objective, label, nil
 }
 
 func orAny(s string) string {

@@ -72,6 +72,15 @@ type Violation struct {
 	ReproPath string
 }
 
+const (
+	// maxShrinkSteps bounds the shrinker's candidate evaluations per
+	// violation.
+	maxShrinkSteps = 64
+	// designAttempts bounds rejection sampling per run when generated
+	// designs fail to build.
+	designAttempts = 40
+)
+
 // Campaign configures a chaos run.
 type Campaign struct {
 	// Seed drives every random choice. The same seed and run count
@@ -82,12 +91,6 @@ type Campaign struct {
 	// ReproDir, when non-empty, receives one minimal-counterexample JSON
 	// file per violating run.
 	ReproDir string
-	// MaxShrinkSteps bounds the shrinker's candidate evaluations per
-	// violation (default 64).
-	MaxShrinkSteps int
-	// DesignAttempts bounds rejection sampling per run when generated
-	// designs fail to build (default 40).
-	DesignAttempts int
 	// Workers bounds how many runs execute concurrently; anything < 1
 	// means runtime.NumCPU(). Each run draws from its own SplitMix64
 	// stream and results are merged in run order, so the Summary —
@@ -166,14 +169,6 @@ func (c *Campaign) Run() (*Summary, error) {
 	if c.Runs <= 0 {
 		return nil, fmt.Errorf("chaos: runs must be positive, got %d", c.Runs)
 	}
-	maxShrink := c.MaxShrinkSteps
-	if maxShrink <= 0 {
-		maxShrink = 64
-	}
-	attempts := c.DesignAttempts
-	if attempts <= 0 {
-		attempts = 40
-	}
 	sum := &Summary{
 		Seed:   c.Seed,
 		Runs:   c.Runs,
@@ -197,10 +192,10 @@ func (c *Campaign) Run() (*Summary, error) {
 			resamples int
 		)
 		if c.Multi || c.Correlated {
-			mcs, n := genMultiCase(runRNG(c.Seed, run), run, attempts, c.Correlated)
+			mcs, n := genMultiCase(runRNG(c.Seed, run), run, designAttempts, c.Correlated)
 			t, name, resamples = mcs, mcs.Design.Name, n
 		} else {
-			cs, n := genCase(runRNG(c.Seed, run), run, attempts)
+			cs, n := genCase(runRNG(c.Seed, run), run, designAttempts)
 			t, name, resamples = cs, cs.Design.Name, n
 		}
 		res, err := t.check()
@@ -236,7 +231,7 @@ func (c *Campaign) Run() (*Summary, error) {
 				Run:       run,
 			}
 			reproPath = filepath.Join(c.ReproDir, fmt.Sprintf("repro-seed%d-run%d.json", c.Seed, run))
-			shrunk := shrinkInvariant(out.trial, meta.Invariant, maxShrink)
+			shrunk := shrinkInvariant(out.trial, meta.Invariant, maxShrinkSteps)
 			if err := SaveRepro(reproPath, shrunk, meta); err != nil {
 				return nil, fmt.Errorf("chaos: run %d: writing repro: %w", run, err)
 			}

@@ -224,7 +224,7 @@ func TestCoordinatorValidateKHonest(t *testing.T) {
 		}
 		sol, m := runCoordinator(t, workers, Options{ValidateK: k}, job)
 		requireIdentical(t, fmt.Sprintf("K=%d", k), oracle, sol)
-		shards := int64(16) // 4 workers x default ShardsPerWorker
+		shards := int64(16) // 4 workers x shardsPerWorker
 		if m.ShardsCompleted.Load() != shards {
 			t.Errorf("K=%d: completed %d shards, want %d", k, m.ShardsCompleted.Load(), shards)
 		}

@@ -35,16 +35,18 @@ var ErrNoWorkers = errors.New("dist: coordinator needs at least one worker")
 // merge an answer it cannot trust.
 var ErrValidation = errors.New("dist: k-way validation failed")
 
+// shardsPerWorker oversizes the default partition so fast workers
+// absorb slow shards: the space splits into that many shards per
+// worker (capped at the space size).
+const shardsPerWorker = 4
+
 // Options configures a Coordinator. The zero value is usable: four
 // shards per worker, three attempts per shard, 100ms base backoff with
 // seeded jitter, no per-attempt timeout, no speculation, no
 // cross-validation.
 type Options struct {
-	// ShardsPerWorker oversizes the partition so fast workers absorb
-	// slow shards: the space splits into len(workers)*ShardsPerWorker
-	// shards (capped at the space size). Default 4.
-	ShardsPerWorker int
-	// Shards overrides the shard count directly when > 0.
+	// Shards sets the shard count when > 0; 0 means shardsPerWorker
+	// shards per registered worker.
 	Shards int
 	// AttemptTimeout bounds each dispatch attempt; a worker that has not
 	// answered by then is abandoned (its context is canceled) and the
@@ -139,9 +141,6 @@ func NewCoordinator(workers []Worker, opts Options) (*Coordinator, error) {
 func NewCoordinatorRegistry(reg *Registry, opts Options) (*Coordinator, error) {
 	if reg == nil {
 		return nil, ErrNoWorkers
-	}
-	if opts.ShardsPerWorker <= 0 {
-		opts.ShardsPerWorker = 4
 	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
@@ -377,7 +376,7 @@ func (c *Coordinator) dispatch(ctx context.Context, job *Job, space int) ([]*Res
 	}
 	shards := c.opts.Shards
 	if shards <= 0 {
-		shards = len(members) * c.opts.ShardsPerWorker
+		shards = len(members) * shardsPerWorker
 	}
 	if shards > space {
 		shards = space

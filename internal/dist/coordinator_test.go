@@ -48,7 +48,7 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 		sol, m := runCoordinator(t, workers, Options{}, job)
 		requireIdentical(t, fmt.Sprintf("%d workers", n), oracle, sol)
 
-		shards := int64(n * 4) // default ShardsPerWorker
+		shards := int64(n * shardsPerWorker)
 		if m.ShardsCompleted.Load() != shards {
 			t.Errorf("%d workers: completed %d shards, want %d", n, m.ShardsCompleted.Load(), shards)
 		}

@@ -5,56 +5,6 @@ import (
 	"time"
 )
 
-// Degraded returns a copy of the chain modeling degraded-mode operation
-// (§5 of the paper: "evaluate degraded mode operation, e.g. under the
-// failure of a data protection technique"): the technique at 1-based
-// level k has been out of service for the given outage duration, so no
-// new RPs have propagated through it in that time.
-//
-// The transform adds the outage to level k's hold windows: every RP that
-// will eventually arrive at levels >= k is that much staler, which shifts
-// the cumulative transfer lags, worst-case losses and guaranteed ranges
-// of the whole suffix of the hierarchy. This is the conservative
-// worst-case reading — retention at the affected levels is assumed to
-// keep expiring while nothing new arrives.
-func (c Chain) Degraded(level int, outage time.Duration) (Chain, error) {
-	if level < 1 || level > len(c) {
-		return nil, fmt.Errorf("hierarchy: degraded level %d out of range [1,%d]", level, len(c))
-	}
-	if outage < 0 {
-		return nil, fmt.Errorf("hierarchy: outage must be non-negative, got %v", outage)
-	}
-	out := make(Chain, len(c))
-	copy(out, c)
-	pol := out[level-1].Policy // copies the struct
-	pol.Primary.HoldW += outage
-	if pol.Secondary != nil {
-		sec := *pol.Secondary
-		sec.HoldW += outage
-		pol.Secondary = &sec
-	}
-	out[level-1].Policy = pol
-	return out, nil
-}
-
-// DegradedLoss returns the worst-case recent data loss at level j for a
-// recovery target of the given age, after the technique at failedLevel
-// has been degraded for the outage duration. Levels below failedLevel are
-// unaffected.
-func (c Chain) DegradedLoss(j, failedLevel int, outage time.Duration, targetAge time.Duration) (time.Duration, bool) {
-	if failedLevel < 1 || failedLevel > len(c) || outage < 0 {
-		return 0, false
-	}
-	if j < failedLevel {
-		return c.WorstCaseLoss(j, targetAge)
-	}
-	deg, err := c.Degraded(failedLevel, outage)
-	if err != nil {
-		return 0, false
-	}
-	return deg.WorstCaseLoss(j, targetAge)
-}
-
 // LevelOutage pairs a 1-based hierarchy level with how long its technique
 // has been out of service. Compound failure scenarios (an operator takes
 // the backup service down while the vault courier is also unavailable)
@@ -64,10 +14,19 @@ type LevelOutage struct {
 	Outage time.Duration
 }
 
-// DegradedCompound generalizes Degraded to several simultaneously
-// degraded levels: each listed level's hold windows grow by its outage,
-// staling everything downstream of it. Outages naming the same level
-// accumulate.
+// DegradedCompound returns a copy of the chain modeling degraded-mode
+// operation (§5 of the paper: "evaluate degraded mode operation, e.g.
+// under the failure of a data protection technique"): the technique at
+// each listed level has been out of service for its outage duration, so
+// no new RPs have propagated through it in that time. A single outage is
+// a one-element list; outages naming the same level accumulate.
+//
+// The transform adds each outage to its level's hold windows: every RP
+// that will eventually arrive at that level or beyond is that much
+// staler, which shifts the cumulative transfer lags, worst-case losses
+// and guaranteed ranges of the whole suffix of the hierarchy. This is
+// the conservative worst-case reading — retention at the affected levels
+// is assumed to keep expiring while nothing new arrives.
 func (c Chain) DegradedCompound(outages []LevelOutage) (Chain, error) {
 	total := make([]time.Duration, len(c))
 	for _, o := range outages {
@@ -99,7 +58,7 @@ func (c Chain) DegradedCompound(outages []LevelOutage) (Chain, error) {
 
 // CompoundDegradedLoss returns the worst-case recent data loss at level j
 // for a recovery target of the given age while every listed level is
-// degraded at once. With a single outage it agrees with DegradedLoss.
+// degraded at once. Levels below every degraded one are unaffected.
 func (c Chain) CompoundDegradedLoss(j int, outages []LevelOutage, targetAge time.Duration) (time.Duration, bool) {
 	deg, err := c.DegradedCompound(outages)
 	if err != nil {

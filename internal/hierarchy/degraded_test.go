@@ -9,15 +9,17 @@ import (
 	"stordep/internal/units"
 )
 
+// TestDegradedValidation: a single outage is a one-element list, and it
+// is refused for a level outside the chain or a negative duration.
 func TestDegradedValidation(t *testing.T) {
 	c := baselineChain()
-	if _, err := c.Degraded(0, time.Hour); err == nil {
+	if _, err := c.DegradedCompound([]LevelOutage{{Level: 0, Outage: time.Hour}}); err == nil {
 		t.Error("level 0 accepted")
 	}
-	if _, err := c.Degraded(4, time.Hour); err == nil {
+	if _, err := c.DegradedCompound([]LevelOutage{{Level: 4, Outage: time.Hour}}); err == nil {
 		t.Error("out-of-range level accepted")
 	}
-	if _, err := c.Degraded(1, -time.Hour); err == nil {
+	if _, err := c.DegradedCompound([]LevelOutage{{Level: 1, Outage: -time.Hour}}); err == nil {
 		t.Error("negative outage accepted")
 	}
 }
@@ -25,7 +27,7 @@ func TestDegradedValidation(t *testing.T) {
 func TestDegradedDoesNotMutateOriginal(t *testing.T) {
 	c := baselineChain()
 	origHold := c[1].Policy.Primary.HoldW
-	deg, err := c.Degraded(2, units.Week)
+	deg, err := c.DegradedCompound([]LevelOutage{{Level: 2, Outage: units.Week}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestDegradedDoesNotMutateOriginal(t *testing.T) {
 func TestDegradedShiftsSuffix(t *testing.T) {
 	c := baselineChain()
 	outage := 3 * units.Day
-	deg, err := c.Degraded(2, outage)
+	deg, err := c.DegradedCompound([]LevelOutage{{Level: 2, Outage: outage}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +63,19 @@ func TestDegradedShiftsSuffix(t *testing.T) {
 
 func TestDegradedLossHelper(t *testing.T) {
 	c := baselineChain()
-	outage := units.Week
+	backup := []LevelOutage{{Level: 2, Outage: units.Week}}
 	// Level below the failure: unchanged.
-	loss, ok := c.DegradedLoss(1, 2, outage, 24*time.Hour)
+	loss, ok := c.CompoundDegradedLoss(1, backup, 24*time.Hour)
 	if !ok || loss != 12*time.Hour {
 		t.Errorf("mirror loss = %v/%v", loss, ok)
 	}
 	// The degraded backup loses an extra week for a fresh target.
-	loss, ok = c.DegradedLoss(2, 2, outage, 0)
+	loss, ok = c.CompoundDegradedLoss(2, backup, 0)
 	if !ok || loss != (217*time.Hour+units.Week) {
 		t.Errorf("degraded backup loss = %v/%v, want 385h", loss, ok)
 	}
 	// Invalid failed level.
-	if _, ok := c.DegradedLoss(2, 9, outage, 0); ok {
+	if _, ok := c.CompoundDegradedLoss(2, []LevelOutage{{Level: 9, Outage: units.Week}}, 0); ok {
 		t.Error("invalid failed level accepted")
 	}
 }
@@ -87,7 +89,7 @@ func TestDegradedSecondaryWindows(t *testing.T) {
 		CycleCnt:  5,
 		RetCnt:    4, RetW: 4 * units.Week, CopyRep: RepFull,
 	}}}
-	deg, err := fi.Degraded(1, units.Day)
+	deg, err := fi.DegradedCompound([]LevelOutage{{Level: 1, Outage: units.Day}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +113,8 @@ func TestDegradedMonotoneProperty(t *testing.T) {
 			a, b = b, a
 		}
 		healthy, ok0 := c.WorstCaseLoss(2, 0)
-		lossA, okA := c.DegradedLoss(2, 2, a, 0)
-		lossB, okB := c.DegradedLoss(2, 2, b, 0)
+		lossA, okA := c.CompoundDegradedLoss(2, []LevelOutage{{Level: 2, Outage: a}}, 0)
+		lossB, okB := c.CompoundDegradedLoss(2, []LevelOutage{{Level: 2, Outage: b}}, 0)
 		return ok0 && okA && okB && healthy <= lossA && lossA <= lossB
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -159,15 +161,18 @@ func TestExplainCyclic(t *testing.T) {
 	}
 }
 
+// TestDegradedCompoundValidation: one bad outage refuses the whole list,
+// wherever it stands among valid ones.
 func TestDegradedCompoundValidation(t *testing.T) {
 	c := baselineChain()
-	if _, err := c.DegradedCompound([]LevelOutage{{Level: 0, Outage: time.Hour}}); err == nil {
+	week := LevelOutage{Level: 2, Outage: units.Week}
+	if _, err := c.DegradedCompound([]LevelOutage{week, {Level: 0, Outage: time.Hour}}); err == nil {
 		t.Error("level 0 accepted")
 	}
-	if _, err := c.DegradedCompound([]LevelOutage{{Level: 4, Outage: time.Hour}}); err == nil {
+	if _, err := c.DegradedCompound([]LevelOutage{{Level: 4, Outage: time.Hour}, week}); err == nil {
 		t.Error("out-of-range level accepted")
 	}
-	if _, err := c.DegradedCompound([]LevelOutage{{Level: 1, Outage: -time.Hour}}); err == nil {
+	if _, err := c.DegradedCompound([]LevelOutage{week, {Level: 1, Outage: -time.Hour}, week}); err == nil {
 		t.Error("negative outage accepted")
 	}
 	if _, ok := c.CompoundDegradedLoss(1, []LevelOutage{{Level: 9, Outage: time.Hour}}, 0); ok {
@@ -175,20 +180,22 @@ func TestDegradedCompoundValidation(t *testing.T) {
 	}
 }
 
+// TestDegradedCompoundMatchesSingle: one week of backup outage shifts
+// the backup and vault lags by exactly that week, whether it arrives
+// as one outage or as several naming the same level.
 func TestDegradedCompoundMatchesSingle(t *testing.T) {
 	c := baselineChain()
-	single, err := c.Degraded(2, units.Week)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compound, err := c.DegradedCompound([]LevelOutage{{Level: 2, Outage: units.Week}})
+	single, err := c.DegradedCompound([]LevelOutage{{Level: 2, Outage: units.Week}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 1; j <= len(c); j++ {
-		if single.MaxLag(j) != compound.MaxLag(j) {
-			t.Errorf("level %d: single lag %v != compound lag %v",
-				j, single.MaxLag(j), compound.MaxLag(j))
+		want := c.MaxLag(j)
+		if j >= 2 {
+			want += units.Week
+		}
+		if got := single.MaxLag(j); got != want {
+			t.Errorf("level %d: degraded lag %v, want %v", j, got, want)
 		}
 	}
 	// Repeated mentions of one level accumulate.
@@ -215,7 +222,7 @@ func TestDegradedCompoundDominatesSingles(t *testing.T) {
 		t.Fatal("no compound loss")
 	}
 	for _, o := range outages {
-		single, ok := c.DegradedLoss(3, o.Level, o.Outage, 0)
+		single, ok := c.CompoundDegradedLoss(3, []LevelOutage{o}, 0)
 		if !ok {
 			t.Fatalf("no single loss for level %d", o.Level)
 		}

@@ -12,21 +12,22 @@
 // full pass yields no improvement. The analytic models evaluate a design
 // in tens of microseconds, so even broad grids are interactive.
 //
-// Candidates on the slow path — coordinate descent's, and the slow rows
-// of the exhaustive and frontier sweep (every candidate of a slice too
-// small to compile, or whose compilation is refused, plus any a
-// compiled space cannot carry) — are built with a structural deep copy
-// (core.Design.Clone) instead of a config-JSON round trip, about a 10x
-// cut in per-candidate cost, since the clone used to dominate the
-// evaluation. A compiled sweep builds no design per candidate, and its
-// one-time compile applies every knob option to one copy of the base
-// per worker, reset in place between options (compile.go). Every option of the knob
-// under sweep is scored concurrently on a bounded worker pool. A memo
-// keyed by the knob-choice vector means coordinate descent never
-// re-scores an incumbent across sweeps. Parallel and serial searches
-// return byte-identical Solutions: ties break to the lowest choice
-// index, and the memo makes the evaluation set independent of the
-// worker count.
+// Candidates on the slow path — the full-evaluation fallback of
+// coordinate descent, and the slow rows of the exhaustive and frontier
+// sweep (every candidate of a slice too small to compile, or whose
+// compilation is refused, plus any a compiled space cannot carry) — are
+// built with a structural deep copy (core.Design.Clone) instead of a
+// config-JSON round trip, about a 10x cut in per-candidate cost, since
+// the clone used to dominate the evaluation. A compiled sweep builds no
+// design per candidate, and its one-time compile applies every knob
+// option to one copy of the base per worker, reset in place between
+// options (compile.go). Sweeps spread their candidates over a bounded
+// worker pool. Coordinate descent scores each knob's options as one
+// batch, mostly through core.DeltaAssessor on the calling goroutine,
+// and a memo keyed by the knob-choice vector means it never re-scores a
+// vector it has seen. Parallel and serial searches return
+// byte-identical Solutions: ties break to the lowest choice index, and
+// the memo makes the evaluation set independent of the worker count.
 package opt
 
 import (
@@ -35,7 +36,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"stordep/internal/core"
 	"stordep/internal/failure"
@@ -182,16 +182,25 @@ func Clone(d *core.Design) (*core.Design, error) {
 	return out, nil
 }
 
-// validate checks the shared Tune/Exhaustive preconditions and resolves
-// the default objective.
-func validate(knobs []Knob, scenarios []failure.Scenario, objective Objective) (Objective, error) {
+// checkKnobs rejects an empty knob list and any knob missing its name,
+// options or Apply function.
+func checkKnobs(knobs []Knob) error {
 	if len(knobs) == 0 {
-		return nil, ErrNoKnobs
+		return ErrNoKnobs
 	}
 	for _, k := range knobs {
 		if k.Name == "" || len(k.Options) == 0 || k.Apply == nil {
-			return nil, fmt.Errorf("%w: %q", ErrBadKnob, k.Name)
+			return fmt.Errorf("%w: %q", ErrBadKnob, k.Name)
 		}
+	}
+	return nil
+}
+
+// validate checks the shared Tune/Exhaustive preconditions and resolves
+// the default objective.
+func validate(knobs []Knob, scenarios []failure.Scenario, objective Objective) (Objective, error) {
+	if err := checkKnobs(knobs); err != nil {
+		return nil, err
 	}
 	if len(scenarios) == 0 {
 		return nil, ErrNoScenarios
@@ -225,10 +234,32 @@ func applyChoiceTo(d *core.Design, knobs []Knob, choice []int) error {
 	return nil
 }
 
-// scoreCandidate is the shared scoring path of Tune and Exhaustive:
-// build the choice vector's candidate and score its evaluation directly
-// via whatif.EvaluateOne — no per-candidate slice wrapping, no repeated
-// error re-wrapping.
+// applyScratch builds one candidate on a worker's scratch design: it
+// applies the choice to *scratch, or to a fresh clone of the base when
+// *scratch is nil. With reuse set (every knob Revertible) the clone is
+// kept in *scratch for the worker's next candidate; otherwise each
+// candidate gets its own clone.
+func applyScratch(scratch **core.Design, base *core.Design, knobs []Knob, reuse bool, choice []int) (*core.Design, error) {
+	d := *scratch
+	if d == nil {
+		fresh, err := Clone(base)
+		if err != nil {
+			return nil, err
+		}
+		d = fresh
+		if reuse {
+			*scratch = fresh
+		}
+	}
+	if err := applyChoiceTo(d, knobs, choice); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// scoreCandidate is the reference scoring path the tests hold the fast
+// ones to: build the choice vector's candidate on a fresh clone and
+// score its evaluation via whatif.EvaluateOne.
 func scoreCandidate(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, choice []int) (units.Money, error) {
 	d, err := applyChoice(base, knobs, choice)
 	if err != nil {
@@ -247,192 +278,47 @@ func choiceKey(choice []int) string {
 	return b.String()
 }
 
-// Tune runs coordinate descent from the base design on all CPUs; see
-// TuneWorkers.
-func Tune(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective) (*Solution, error) {
-	return TuneWorkers(base, knobs, scenarios, objective, 0)
-}
-
-// tuneAcc is one worker's reusable scoring machinery for TuneWorkers:
-// the optional Revertible scratch design plus the allocation-lean
-// evaluator with its Result buffer. Accs are pooled across sweeps so
-// the scratch lives for the whole descent, not one chunk of one sweep.
-type tuneAcc struct {
-	scratch *core.Design
-	eval    whatif.Evaluator
-	res     whatif.Result
-}
-
-// TuneWorkers runs coordinate descent from the base design: each pass
-// sweeps the knobs in order, evaluating every option for the current
-// knob with the other knobs held at their incumbent values, and keeps
-// the best. Descent stops when a full pass improves nothing.
+// descend is the memoized coordinate descent behind TuneWorkers and
+// TuneScored. Each pass sweeps the knobs in order and scores every
+// option of the knob under sweep as one batch, the other knobs held at
+// their incumbents; the best option becomes the incumbent, ties keeping
+// the incumbent and then the lowest option index. Descent stops when a
+// full pass improves nothing.
 //
-// Already-seen choice vectors — the incumbent, and revisited options on
-// later passes — are served from a memo. The rest are scored by
-// core.DeltaAssessor's incremental path, serially on the calling
-// goroutine, while that path is active. Only the options it refuses,
-// and every option once it is off (no assessor could be built for the
-// base, or a probe disagreed with the full evaluator), are scored
-// concurrently on at most workers goroutines (anything < 1 means
-// runtime.NumCPU()). When every knob is Revertible, each scoring
-// accumulator keeps one cloned scratch design that is reused across
-// every sweep of the descent. The result is byte-identical for every
-// worker count: ties keep the incumbent, then prefer the lowest option
-// index, exactly as the serial scan did.
-func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, workers int) (*Solution, error) {
-	objective, err := validate(knobs, scenarios, objective)
-	if err != nil {
-		return nil, err
-	}
-
+// A batch looks each choice vector up in a memo keyed by the vector;
+// every hit, the incumbent's own included, counts in MemoHits. score
+// receives the vectors the memo has not seen, in batch order, and must
+// set scores[i] for trials[i]; Evaluations counts them. The set of
+// vectors scored therefore depends only on the scores, never on how
+// score spreads its work.
+func descend(base *core.Design, knobs []Knob, score func(trials [][]int, scores []units.Money) error) (*Solution, error) {
 	sol := &Solution{CandidateIndex: -1}
 	memo := make(map[string]units.Money)
-	current := make([]int, len(knobs)) // incumbent option per knob
-	reuse := allRevertible(knobs)
-
-	// The acc pool outlives the per-sweep Reduce calls: a sweep checks
-	// accs out, its merge returns them, and the next sweep reuses their
-	// scratch designs and Result buffers instead of re-cloning.
-	var poolMu sync.Mutex
-	var pool []*tuneAcc
-	checkout := func() *tuneAcc {
-		poolMu.Lock()
-		defer poolMu.Unlock()
-		if n := len(pool); n > 0 {
-			a := pool[n-1]
-			pool = pool[:n-1]
-			return a
-		}
-		return &tuneAcc{}
-	}
-	checkin := func(a *tuneAcc) {
-		poolMu.Lock()
-		pool = append(pool, a)
-		poolMu.Unlock()
-	}
-
-	// Incremental scoring: most Tune misses differ from the base by a
-	// handful of knob values, which core.DeltaAssessor re-assesses
-	// without rebuilding the whole system. The first few delta scores
-	// are probe-verified against the legacy evaluator; any divergence,
-	// or a change outside the delta protocol, falls back to the full
-	// Build-and-assess path. Scores are bit-identical either way, so
-	// Solutions (Score, Choices, Evaluations, MemoHits) do not change.
-	var (
-		delta        *core.DeltaAssessor
-		deltaScratch *core.Design
-		deltaRes     whatif.Result
-		deltaProbes  int
-		deltaState   int // 0 = untried, 1 = active, 2 = disabled
-	)
-
-	// scoreBatch scores choice vectors in input order: memo hits are
-	// served immediately, misses are evaluated on the pool and memoized.
-	// The set of vectors evaluated is therefore independent of the
-	// worker count, keeping Evaluations/MemoHits deterministic. Misses
-	// write disjoint missScores slots, so the fold needs no locking.
 	scoreBatch := func(trials [][]int) ([]units.Money, error) {
 		scores := make([]units.Money, len(trials))
-		misses := make([]int, 0, len(trials))
+		var misses [][]int
+		var at []int // batch position of each miss
 		for i, tr := range trials {
 			if s, ok := memo[choiceKey(tr)]; ok {
 				scores[i] = s
 				sol.MemoHits++
 			} else {
-				misses = append(misses, i)
+				misses, at = append(misses, tr), append(at, i)
 			}
 		}
 		missScores := make([]units.Money, len(misses))
-		// legacy collects the positions in misses still needing the full
-		// evaluator after the incremental pass.
-		legacy := make([]int, 0, len(misses))
-		if len(misses) > 0 && deltaState == 0 {
-			deltaState = 2
-			if da, err := core.NewDeltaAssessor(base, scenarios); err == nil {
-				delta, deltaState = da, 1
-			}
+		if err := score(misses, missScores); err != nil {
+			return nil, err
 		}
-		if deltaState == 1 {
-			for j, mi := range misses {
-				if deltaState != 1 { // probe mismatch mid-batch
-					legacy = append(legacy, j)
-					continue
-				}
-				d := deltaScratch
-				if d == nil {
-					fresh, err := Clone(base)
-					if err != nil {
-						return nil, err
-					}
-					d = fresh
-					if reuse {
-						deltaScratch = fresh
-					}
-				}
-				if err := applyChoiceTo(d, knobs, trials[mi]); err != nil {
-					return nil, err
-				}
-				out, briefs, ok := delta.AssessDelta(d)
-				if !ok {
-					legacy = append(legacy, j)
-					continue
-				}
-				if deltaProbes < tuneDeltaProbes {
-					deltaProbes++
-					if core.Probe(d, scenarios, out, briefs) != nil {
-						deltaState = 2
-						legacy = append(legacy, j)
-						continue
-					}
-				}
-				deltaRes.SetBriefs(base.Name, out, scenarios, briefs)
-				missScores[j] = objective(deltaRes)
-			}
-		} else {
-			for j := range misses {
-				legacy = append(legacy, j)
-			}
-		}
-		if len(legacy) > 0 {
-			fold := func(a *tuneAcc, i int) (*tuneAcc, error) {
-				j := legacy[i]
-				d := a.scratch
-				if d == nil {
-					fresh, err := Clone(base)
-					if err != nil {
-						return a, err
-					}
-					d = fresh
-					if reuse {
-						a.scratch = fresh
-					}
-				}
-				if err := applyChoiceTo(d, knobs, trials[misses[j]]); err != nil {
-					return a, err
-				}
-				a.eval.EvaluateInto(d, scenarios, &a.res)
-				missScores[j] = objective(a.res)
-				return a, nil
-			}
-			merge := func(a, b *tuneAcc) *tuneAcc {
-				checkin(b)
-				return a
-			}
-			final, err := parallel.Reduce(workers, len(legacy), checkout, fold, merge)
-			if err != nil {
-				return nil, err
-			}
-			checkin(final)
-		}
-		for j, mi := range misses {
-			scores[mi] = missScores[j]
-			memo[choiceKey(trials[mi])] = missScores[j]
+		for j, i := range at {
+			scores[i] = missScores[j]
+			memo[choiceKey(misses[j])] = missScores[j]
 		}
 		sol.Evaluations += len(misses)
 		return scores, nil
 	}
 
+	current := make([]int, len(knobs)) // incumbent option per knob
 	first, err := scoreBatch([][]int{current})
 	if err != nil {
 		return nil, err
@@ -443,11 +329,9 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 		improved := false
 		for ki, k := range knobs {
 			trials := make([][]int, len(k.Options))
-			for oi := range k.Options {
-				trial := make([]int, len(current))
-				copy(trial, current)
-				trial[ki] = oi
-				trials[oi] = trial
+			for oi := range trials {
+				trials[oi] = append([]int(nil), current...)
+				trials[oi][ki] = oi
 			}
 			scores, err := scoreBatch(trials)
 			if err != nil {
@@ -455,12 +339,8 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 			}
 			bestOpt := current[ki]
 			for oi, s := range scores {
-				if oi == current[ki] {
-					continue
-				}
-				if s < best {
-					best, bestOpt = s, oi
-					improved = true
+				if oi != current[ki] && s < best {
+					best, bestOpt, improved = s, oi, true
 				}
 			}
 			current[ki] = bestOpt
@@ -483,4 +363,98 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 		sol.Choices = append(sol.Choices, Choice{Knob: k.Name, Option: k.Options[current[i]]})
 	}
 	return sol, nil
+}
+
+// Tune runs coordinate descent from the base design on all CPUs; see
+// TuneWorkers.
+func Tune(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective) (*Solution, error) {
+	return TuneWorkers(base, knobs, scenarios, objective, 0)
+}
+
+// TuneWorkers runs coordinate descent from the base design: each pass
+// sweeps the knobs in order, evaluating every option for the current
+// knob with the other knobs held at their incumbent values, and keeps
+// the best. Descent stops when a full pass improves nothing.
+//
+// Already-seen choice vectors — the incumbent, and revisited options on
+// later passes — are served from a memo. The rest are scored by
+// core.DeltaAssessor's incremental path, serially on the calling
+// goroutine, while that path is active. Only the options it refuses,
+// and every option once it is off (no assessor could be built for the
+// base, or a probe disagreed with the full evaluator), are built and
+// evaluated in full, concurrently on at most workers goroutines
+// (anything < 1 means runtime.NumCPU()). When every knob is Revertible,
+// the incremental path re-applies each option to one cloned scratch
+// design for the whole descent. The result is byte-identical for every
+// worker count: ties keep the incumbent, then prefer the lowest option
+// index, exactly as the serial scan did.
+func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, objective Objective, workers int) (*Solution, error) {
+	objective, err := validate(knobs, scenarios, objective)
+	if err != nil {
+		return nil, err
+	}
+	reuse := allRevertible(knobs)
+
+	// Incremental scoring: most Tune misses differ from the base by a
+	// handful of knob values, which core.DeltaAssessor re-assesses
+	// without rebuilding the whole system. The first few delta scores
+	// are probe-verified against the full evaluator; a divergence turns
+	// the path off (delta = nil) for the rest of the descent, as does a
+	// base no assessor can be built for. Scores are bit-identical either
+	// way, so Solutions do not change.
+	delta, err := core.NewDeltaAssessor(base, scenarios)
+	if err != nil {
+		delta = nil
+	}
+	var (
+		scratch *core.Design
+		res     whatif.Result
+		probes  int
+	)
+	type fullAcc struct {
+		scratch *core.Design
+		eval    whatif.Evaluator
+		res     whatif.Result
+	}
+	return descend(base, knobs, func(trials [][]int, scores []units.Money) error {
+		var full []int // the trials left to the full evaluator
+		for i, tr := range trials {
+			if delta == nil {
+				full = append(full, i)
+				continue
+			}
+			d, err := applyScratch(&scratch, base, knobs, reuse, tr)
+			if err != nil {
+				return err
+			}
+			out, briefs, ok := delta.AssessDelta(d)
+			if ok && probes < tuneDeltaProbes {
+				probes++
+				if core.Probe(d, scenarios, out, briefs) != nil {
+					delta, ok = nil, false
+				}
+			}
+			if !ok {
+				full = append(full, i)
+				continue
+			}
+			res.SetBriefs(base.Name, out, scenarios, briefs)
+			scores[i] = objective(res)
+		}
+		if len(full) == 0 {
+			return nil
+		}
+		fold := func(a *fullAcc, j int) (*fullAcc, error) {
+			d, err := applyScratch(&a.scratch, base, knobs, reuse, trials[full[j]])
+			if err != nil {
+				return a, err
+			}
+			a.eval.EvaluateInto(d, scenarios, &a.res)
+			scores[full[j]] = objective(a.res)
+			return a, nil
+		}
+		_, err := parallel.Reduce(workers, len(full), func() *fullAcc { return &fullAcc{} }, fold,
+			func(a, _ *fullAcc) *fullAcc { return a })
+		return err
+	})
 }

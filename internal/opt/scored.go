@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"math"
-
 	"stordep/internal/core"
 	"stordep/internal/units"
 )
@@ -15,94 +13,31 @@ import (
 // noise is common across candidates and cancels out of the comparison.
 type Scorer func(*core.Design) (units.Money, error)
 
-// TuneScored runs the same memoized coordinate descent as TuneWorkers
-// with an arbitrary design-level scorer: each pass sweeps the knobs in
-// order, scoring every option of the current knob with the others held
-// at their incumbents, and keeps the best until a full pass improves
-// nothing. Options are scored serially in option order — scorers are
-// expected to parallelize internally (a Monte Carlo campaign fans its
-// trials across all CPUs) — and already-seen choice vectors are served
-// from a memo, so the descent is deterministic: same base, knobs and
-// scorer results, same Solution. Ties keep the incumbent, then prefer
-// the lowest option index, exactly like TuneWorkers.
+// TuneScored runs TuneWorkers' memoized coordinate descent with an
+// arbitrary design-level scorer in place of the analytic evaluation:
+// same passes, same memo accounting, same tie-breaks. The options a
+// batch has not seen are built on fresh clones and scored serially in
+// option order — scorers are expected to parallelize internally (a
+// Monte Carlo campaign fans its trials across all CPUs) — so the
+// descent is deterministic: same base, knobs and scorer results, same
+// Solution.
 func TuneScored(base *core.Design, knobs []Knob, score Scorer) (*Solution, error) {
 	if score == nil {
 		return nil, ErrBadKnob
 	}
-	if len(knobs) == 0 {
-		return nil, ErrNoKnobs
-	}
-	for _, k := range knobs {
-		if k.Name == "" || len(k.Options) == 0 || k.Apply == nil {
-			return nil, ErrBadKnob
-		}
-	}
-
-	sol := &Solution{CandidateIndex: -1}
-	memo := make(map[string]units.Money)
-	current := make([]int, len(knobs))
-	scoreChoice := func(choice []int) (units.Money, error) {
-		key := choiceKey(choice)
-		if s, ok := memo[key]; ok {
-			sol.MemoHits++
-			return s, nil
-		}
-		d, err := applyChoice(base, knobs, choice)
-		if err != nil {
-			return 0, err
-		}
-		s, err := score(d)
-		if err != nil {
-			return 0, err
-		}
-		memo[key] = s
-		sol.Evaluations++
-		return s, nil
-	}
-
-	best, err := scoreChoice(current)
-	if err != nil {
+	if err := checkKnobs(knobs); err != nil {
 		return nil, err
 	}
-	for pass := 0; pass < maxPasses; pass++ {
-		sol.Passes = pass + 1
-		improved := false
-		for ki, k := range knobs {
-			trial := make([]int, len(current))
-			copy(trial, current)
-			bestOpt := current[ki]
-			for oi := range k.Options {
-				if oi == current[ki] {
-					continue
-				}
-				trial[ki] = oi
-				s, err := scoreChoice(trial)
-				if err != nil {
-					return nil, err
-				}
-				if s < best {
-					best, bestOpt = s, oi
-					improved = true
-				}
+	return descend(base, knobs, func(trials [][]int, scores []units.Money) error {
+		for i, tr := range trials {
+			d, err := applyChoice(base, knobs, tr)
+			if err != nil {
+				return err
 			}
-			current[ki] = bestOpt
+			if scores[i], err = score(d); err != nil {
+				return err
+			}
 		}
-		if !improved {
-			break
-		}
-	}
-
-	if math.IsInf(float64(best), 1) {
-		return nil, ErrNoFeasible
-	}
-	tuned, err := applyChoice(base, knobs, current)
-	if err != nil {
-		return nil, err
-	}
-	sol.Design = tuned
-	sol.Score = best
-	for i, k := range knobs {
-		sol.Choices = append(sol.Choices, Choice{Knob: k.Name, Option: k.Options[current[i]]})
-	}
-	return sol, nil
+		return nil
+	})
 }

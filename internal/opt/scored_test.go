@@ -2,6 +2,7 @@ package opt
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -24,6 +25,10 @@ func analyticScorer(count *int) Scorer {
 	}
 }
 
+// TestTuneScoredMatchesTuneWorkers: with the analytic expected cost as
+// its scorer, TuneScored must return exactly Tune's Solution — score,
+// choices, evaluations, memo hits, passes, candidate index and design —
+// since the two differ only in how a batch's unseen vectors are scored.
 func TestTuneScoredMatchesTuneWorkers(t *testing.T) {
 	var calls int
 	scored, err := TuneScored(casestudy.Baseline(), table7Knobs(), analyticScorer(&calls))
@@ -35,21 +40,13 @@ func TestTuneScoredMatchesTuneWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scored.Score != want.Score {
-		t.Errorf("score %v, objective descent found %v", scored.Score, want.Score)
-	}
-	if !reflect.DeepEqual(scored.Choices, want.Choices) {
-		t.Errorf("choices %v, want %v", scored.Choices, want.Choices)
-	}
-	if scored.CandidateIndex != -1 {
-		t.Errorf("coordinate descent has no candidate index, got %d", scored.CandidateIndex)
+	solutionsIdentical(t, "scored vs objective descent", scored, want)
+	if scored.CandidateIndex != want.CandidateIndex {
+		t.Errorf("candidate index %d, objective descent has %d", scored.CandidateIndex, want.CandidateIndex)
 	}
 	// The memo means every distinct choice vector is scored exactly once.
 	if calls != scored.Evaluations {
 		t.Errorf("scorer called %d times, solution reports %d evaluations", calls, scored.Evaluations)
-	}
-	if scored.MemoHits == 0 {
-		t.Error("descent revisited no incumbent (memo never hit)")
 	}
 }
 
@@ -89,5 +86,38 @@ func TestTuneScoredErrors(t *testing.T) {
 		return units.Money(math.Inf(1)), nil
 	}); !errors.Is(err, ErrNoFeasible) {
 		t.Errorf("all-infeasible: %v", err)
+	}
+}
+
+// TestTuneFullEvaluatorMatchesScored: a penalty-rate knob changes the
+// design's requirements, which core.DeltaAssessor refuses, so every
+// candidate that sets it goes to TuneWorkers' full evaluator with a
+// finite score. The descent must still match TuneScored's, whose every
+// score is a fresh build and evaluation, for any worker count.
+func TestTuneFullEvaluatorMatchesScored(t *testing.T) {
+	base := casestudy.Baseline()
+	rates := []units.PenaltyRate{base.Requirements.LossPenaltyRate, base.Requirements.LossPenaltyRate / 2}
+	knobs := append(table7Knobs(), Knob{
+		Name:    "loss penalty",
+		Options: []string{"case study", "half"},
+		Apply: func(d *core.Design, i int) error {
+			d.Requirements.LossPenaltyRate = rates[i]
+			return nil
+		},
+		Revertible: true,
+	})
+	want, err := TuneScored(base, knobs, analyticScorer(new(int)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := want.Choices[len(knobs)-1].Option; got != "half" {
+		t.Fatalf("descent kept the %q penalty; the full evaluator never scored a tuned candidate", got)
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := TuneWorkers(base, knobs, scenarios(), ExpectedObjective(whatif.TypicalFrequencies()), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solutionsIdentical(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }

@@ -230,33 +230,22 @@ func (w *worker) fillAndAssess(blo, m int) {
 	cs.kern.AssessBatch(m, w.cols, &w.bs)
 }
 
-// slowRow assesses candidate idx into w.res without tables: clone the
-// base (or reuse the worker's scratch design), apply the knobs, and
-// evaluate.
+// slowRow assesses candidate idx into w.res without tables: build it on
+// the worker's scratch design (applyScratch) and evaluate.
 func (w *worker) slowRow(idx int) error {
 	sw := w.sw
 	decodeChoice(w.choice, sw.knobs, idx)
-	d := w.scratch
-	if d == nil {
-		fresh, err := Clone(sw.base)
-		if err != nil {
-			return err
-		}
-		d = fresh
-		if sw.reuse {
-			w.scratch = fresh
-		}
-	}
+	var d *core.Design
+	var err error
 	if profilingEnabled() {
-		var err error
-		doPhase(labelsBuild, func() { err = applyChoiceTo(d, sw.knobs, w.choice) })
+		doPhase(labelsBuild, func() { d, err = applyScratch(&w.scratch, sw.base, sw.knobs, sw.reuse, w.choice) })
 		if err != nil {
 			return err
 		}
 		doPhase(labelsAssess, func() { w.eval.EvaluateInto(d, sw.scs, &w.res) })
 		return nil
 	}
-	if err := applyChoiceTo(d, sw.knobs, w.choice); err != nil {
+	if d, err = applyScratch(&w.scratch, sw.base, sw.knobs, sw.reuse, w.choice); err != nil {
 		return err
 	}
 	w.eval.EvaluateInto(d, sw.scs, &w.res)

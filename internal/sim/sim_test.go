@@ -324,7 +324,7 @@ func TestOutageValidation(t *testing.T) {
 	if !ok {
 		t.Fatal("no healthy bound")
 	}
-	degraded, ok := c.DegradedLoss(2, 2, outage, 0)
+	degraded, ok := c.CompoundDegradedLoss(2, []hierarchy.LevelOutage{{Level: 2, Outage: outage}}, 0)
 	if !ok {
 		t.Fatal("no degraded bound")
 	}
@@ -381,7 +381,7 @@ func TestOverlappingCompoundOutages(t *testing.T) {
 	if !ok {
 		t.Fatal("no compound bound")
 	}
-	single, ok := c.DegradedLoss(3, 3, vaultOutage, 0)
+	single, ok := c.CompoundDegradedLoss(3, []hierarchy.LevelOutage{{Level: 3, Outage: vaultOutage}}, 0)
 	if !ok {
 		t.Fatal("no single-outage bound")
 	}
