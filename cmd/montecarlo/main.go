@@ -18,7 +18,8 @@
 //
 // Every campaign is deterministic in (seed, trials, mission): per-trial
 // sub-seeds derive from the seed alone, so worker counts and trial
-// sharding (internal/dist.RunMC) reproduce the output byte-for-byte.
+// sharding (internal/dist's Coordinator.Run) reproduce the output
+// byte-for-byte.
 // Each sampled trial is also checked against the analytic worst-case
 // loss bound for its sampled fault scenario; the report's "violations"
 // counter is the cross-model invariant and must read zero.

@@ -56,7 +56,7 @@ func TestRunShardOutMergeRoundTrip(t *testing.T) {
 		}
 
 		var merged strings.Builder
-		if err := runMerge(&merged, files); err != nil {
+		if err := runMerge(&merged, options{}, files); err != nil {
 			t.Fatal(err)
 		}
 		if got := solutionBlock(t, merged.String()); got != want {
@@ -65,7 +65,7 @@ func TestRunShardOutMergeRoundTrip(t *testing.T) {
 
 		// A duplicated shard file changes nothing.
 		var dup strings.Builder
-		if err := runMerge(&dup, append(append([]string{}, files...), files[1])); err != nil {
+		if err := runMerge(&dup, options{}, append(append([]string{}, files...), files[1])); err != nil {
 			t.Fatal(err)
 		}
 		if got := solutionBlock(t, dup.String()); got != want {
@@ -74,8 +74,53 @@ func TestRunShardOutMergeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunMergeOut: -merge -out writes the merged Result, byte-identical
+// to the unsharded -exhaustive -out file, and merging that one file
+// again prints the unsharded report.
+func TestRunMergeOut(t *testing.T) {
+	want := exhaustiveReference(t)
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.json")
+	if err := run(&strings.Builder{}, options{objective: "worst", exhaustive: true, out: whole}); err != nil {
+		t.Fatal(err)
+	}
+	files := []string{filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")}
+	for s, f := range files {
+		if err := run(&strings.Builder{}, options{objective: "worst", shard: fmt.Sprintf("%d/2", s), out: f}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := filepath.Join(dir, "merged.json")
+	var buf strings.Builder
+	if err := runMerge(&buf, options{out: merged}, files); err != nil {
+		t.Fatal(err)
+	}
+	block, note, ok := strings.Cut(solutionBlock(t, buf.String()), "\nWrote shard result to "+merged+"\n")
+	if !ok || note != "" || block != want {
+		t.Errorf("-merge -out report:\n%s\nwant the unsharded block followed by the -out note", buf.String())
+	}
+	got, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFile, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(wantFile) {
+		t.Errorf("merged file differs from the unsharded result:\n%s\nvs\n%s", got, wantFile)
+	}
+	var again strings.Builder
+	if err := runMerge(&again, options{}, []string{merged}); err != nil {
+		t.Fatal(err)
+	}
+	if got := solutionBlock(t, again.String()); got != want {
+		t.Errorf("re-merging the merged file:\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestRunMergeRejects(t *testing.T) {
-	if err := runMerge(&strings.Builder{}, nil); err == nil {
+	if err := runMerge(&strings.Builder{}, options{}, nil); err == nil {
 		t.Error("merge without files accepted")
 	}
 
@@ -84,10 +129,10 @@ func TestRunMergeRejects(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{oops"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runMerge(&strings.Builder{}, []string{bad}); err == nil {
+	if err := runMerge(&strings.Builder{}, options{}, []string{bad}); err == nil {
 		t.Error("garbage result file accepted")
 	}
-	if err := runMerge(&strings.Builder{}, []string{filepath.Join(dir, "missing.json")}); err == nil {
+	if err := runMerge(&strings.Builder{}, options{}, []string{filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("nonexistent file accepted")
 	}
 
@@ -97,7 +142,7 @@ func TestRunMergeRejects(t *testing.T) {
 	if err := run(&buf, options{objective: "worst", shard: "0/3", out: partial}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runMerge(&strings.Builder{}, []string{partial}); err == nil || !strings.Contains(err.Error(), "missing shard") {
+	if err := runMerge(&strings.Builder{}, options{}, []string{partial}); err == nil || !strings.Contains(err.Error(), "missing shard") {
 		t.Errorf("partial merge: err = %v, want a missing-shard error", err)
 	}
 }
@@ -149,7 +194,7 @@ func TestRunOutInfeasibleShard(t *testing.T) {
 		}
 		// Merging two infeasible halves reports no feasible design, not a
 		// bogus winner.
-		if err := runMerge(&strings.Builder{}, files); !errors.Is(err, opt.ErrNoFeasible) {
+		if err := runMerge(&strings.Builder{}, options{}, files); !errors.Is(err, opt.ErrNoFeasible) {
 			t.Errorf("%s: all-infeasible merge: err = %v, want opt.ErrNoFeasible", tc.name, err)
 		}
 		o := tc.o
@@ -162,7 +207,8 @@ func TestRunOutInfeasibleShard(t *testing.T) {
 
 // TestRunCoordinator drives the real coordinator path against two
 // in-process worker servers and requires the same report as the
-// single-process exhaustive run.
+// single-process exhaustive run; -out writes the merged Result, and
+// -merge of that one file prints the same report again.
 func TestRunCoordinator(t *testing.T) {
 	want := exhaustiveReference(t)
 
@@ -172,11 +218,13 @@ func TestRunCoordinator(t *testing.T) {
 	defer b.Close()
 
 	var buf strings.Builder
+	file := filepath.Join(t.TempDir(), "dist.json")
 	o := options{
 		objective:      "worst",
 		coordinator:    a.URL + ", " + b.URL + "/",
 		attemptTimeout: 30 * time.Second,
 		speculateAfter: 5 * time.Second,
+		out:            file,
 	}
 	if err := run(&buf, o); err != nil {
 		t.Fatal(err)
@@ -185,8 +233,19 @@ func TestRunCoordinator(t *testing.T) {
 	if !strings.Contains(out, "across 2 workers") {
 		t.Errorf("output missing the worker count:\n%s", out)
 	}
-	if got := solutionBlock(t, out); got != want {
+	got, note, ok := strings.Cut(solutionBlock(t, out), "\nWrote shard result to "+file+"\n")
+	if !ok || note != "" {
+		t.Errorf("coordinator output missing the -out note:\n%s", out)
+	}
+	if got != want {
 		t.Errorf("coordinator report differs from single-process:\n--- coordinator\n%s\n--- single\n%s", got, want)
+	}
+	var merged strings.Builder
+	if err := runMerge(&merged, options{}, []string{file}); err != nil {
+		t.Fatalf("-merge of the coordinator's -out file: %v", err)
+	}
+	if got := solutionBlock(t, merged.String()); got != want {
+		t.Errorf("-merge of the coordinator's result differs:\n--- merged\n%s\n--- single\n%s", got, want)
 	}
 }
 

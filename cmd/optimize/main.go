@@ -17,6 +17,7 @@
 //	optimize -shard 1/4 -out s1.json   # save the shard's result for -merge
 //	optimize -merge s0.json s1.json s2.json s3.json
 //	optimize -coordinator http://host1:7700,http://host2:7700
+//	optimize -coordinator ... -out all.json   # save the merged result
 //	optimize -coordinator ... -auth-token s3cret -validate 2
 //	optimize -cpuprofile opt.pprof
 //
@@ -41,25 +42,27 @@
 // ties to the lowest candidate index (opt.MergeShards applies the same
 // rule programmatically).
 //
-// Sharded runs compose offline or online. A local enumeration runs as
-// the same wire Job a cmd/worker would (dist.ExecuteJob). Offline, -out
-// writes each shard's wire Result (internal/dist schema) and -merge
-// combines the files into exactly the Solution the unsharded search
-// prints — every shard of one partitioning must be present, duplicates
-// are deduped.
-// Online, -coordinator distributes the same enumeration across running
-// cmd/worker processes: the space splits into more shards than workers,
-// failed or straggling shards are re-dispatched (see -attempt-timeout,
-// -speculate-after), and the merged answer is byte-identical to the
-// single-process -exhaustive run for any worker count or failure
-// pattern. Workers are health-probed during the run (-probe-interval)
-// and evicted into quarantine when they stop answering; -auth-token
-// HMAC-signs every job and verifies every result; -validate K sends
-// each shard to K distinct workers and accepts only a matching
-// majority, quarantining any worker whose answer disagrees — a lying
-// worker cannot poison the merge while an honest majority remains.
-// -dist-metrics dumps the coordinator's Prometheus-style counters to
-// stderr afterwards.
+// Sharded runs compose offline or online, and every enumeration ends in
+// one wire Result (internal/dist schema) that is printed, and written
+// by -out, in one place: a local run's, from the same Job a cmd/worker
+// runs (dist.ExecuteJob); a -coordinator run's; or -merge's, which
+// folds the shard result files through dist.Merge into exactly the
+// Solution the unsharded search prints — every shard of one
+// partitioning must be present, duplicates are deduped. A -coordinator
+// or -merge result written with -out merges again as one whole-space
+// shard. Online, -coordinator distributes the same enumeration across
+// running cmd/worker processes: the space splits into more shards than
+// workers, failed or straggling shards are re-dispatched (see
+// -attempt-timeout, -speculate-after), and the merged answer is
+// byte-identical to the single-process -exhaustive run for any worker
+// count or failure pattern. Workers are health-probed during the run
+// (-probe-interval) and evicted into quarantine when they stop
+// answering; -auth-token HMAC-signs every job and verifies every
+// result; -validate K sends each shard to K distinct workers and
+// accepts only a matching majority, quarantining any worker whose
+// answer disagrees — a lying worker cannot poison the merge while an
+// honest majority remains. -dist-metrics dumps the coordinator's
+// Prometheus-style counters to stderr afterwards.
 //
 // -trials N swaps the analytic expected-cost objective for a Monte
 // Carlo one: every candidate is scored by expected annual cost (outlay
@@ -96,9 +99,15 @@ import (
 	"stordep/internal/hierarchy"
 	"stordep/internal/mc"
 	"stordep/internal/opt"
-	"stordep/internal/units"
 	"stordep/internal/whatif"
 )
+
+// scenarios are the failures every search scores and every printed
+// solution reports.
+var scenarios = []failure.Scenario{
+	{Scope: failure.ScopeArray},
+	{Scope: failure.ScopeSite},
+}
 
 // options carries the parsed command line.
 type options struct {
@@ -145,7 +154,7 @@ func main() {
 	flag.BoolVar(&o.pareto, "pareto", false, "sweep the space for the full RT/DL/cost non-dominated surface instead of a single optimum")
 	flag.StringVar(&o.shard, "shard", "", "evaluate one slice k/m (0-based) of the exhaustive space; implies -exhaustive")
 	flag.IntVar(&o.budget, "budget", 0, "refuse exhaustive spaces larger than this many combinations (0 = unbounded)")
-	flag.StringVar(&o.out, "out", "", "write the run's shard result (wire JSON) to this file, for -merge")
+	flag.StringVar(&o.out, "out", "", "write the enumeration's result (wire JSON) to this file, for -merge; works with -exhaustive, -shard, -coordinator and -merge")
 	flag.BoolVar(&o.merge, "merge", false, "merge shard result files (the non-flag arguments) instead of searching")
 	flag.StringVar(&o.coordinator, "coordinator", "", "comma-separated worker URLs; distribute the exhaustive search across them")
 	flag.IntVar(&o.shards, "shards", 0, "shard count for -coordinator (0 = 4 per worker)")
@@ -165,7 +174,7 @@ func main() {
 		if o.pareto {
 			err = fmt.Errorf("-pareto runs a local sweep; drop -merge")
 		} else {
-			err = runMerge(os.Stdout, flag.Args())
+			err = runMerge(os.Stdout, o, flag.Args())
 		}
 	} else {
 		err = run(os.Stdout, o)
@@ -224,11 +233,6 @@ func run(w io.Writer, o options) error {
 		}()
 	}
 
-	scenarios := []failure.Scenario{
-		{Scope: failure.ScopeArray},
-		{Scope: failure.ScopeSite},
-	}
-
 	objective, objLabel, err := buildObjective(o)
 	if err != nil {
 		return err
@@ -271,14 +275,14 @@ func run(w io.Writer, o options) error {
 		if o.prune {
 			return fmt.Errorf("-pareto assesses every candidate; drop -prune")
 		}
-		return runPareto(w, o, base, knobs, scenarios, shard)
+		return runPareto(w, o, base, knobs, shard)
 	}
 	if o.prune && !o.exhaustive && o.shard == "" && o.coordinator == "" {
 		return fmt.Errorf("-prune needs an enumeration; add -exhaustive, -shard or -coordinator")
 	}
 
 	if o.coordinator != "" {
-		return runCoordinator(w, o, base, specs, scenarios, objLabel)
+		return runCoordinator(w, o, base, specs, objLabel)
 	}
 
 	if o.exhaustive || o.shard != "" {
@@ -287,12 +291,12 @@ func run(w io.Writer, o options) error {
 			fmt.Fprintf(w, "Shard %s: merge shard winners by lowest score, ties to lowest candidate index (opt.MergeShards)\n", o.shard)
 		}
 		fmt.Fprintln(w)
-		err = runShard(w, o, base, specs, scenarios, shard)
+		err = runShard(w, o, base, specs, shard)
 	} else {
 		fmt.Fprintf(w, "Tuning %q over %d knobs, objective: %s\n\n", base.Name, len(knobs), objLabel)
 		var sol *opt.Solution
 		if sol, err = opt.TuneWorkers(base, knobs, scenarios, objective, o.workers); err == nil {
-			err = printSolution(w, sol, scenarios)
+			err = printSolution(w, sol)
 		}
 		if err == nil && o.out != "" {
 			err = fmt.Errorf("-out needs an exhaustive or sharded run (coordinate descent has no candidate index); add -exhaustive or -shard")
@@ -347,7 +351,7 @@ func runMC(w io.Writer, o options, base *core.Design, knobs []opt.Knob) error {
 // runPareto sweeps the knob space for the full non-dominated surface
 // and prints it cheapest-first. The surface is byte-identical for every
 // -workers value.
-func runPareto(w io.Writer, o options, base *core.Design, knobs []opt.Knob, scenarios []failure.Scenario, shard opt.Shard) error {
+func runPareto(w io.Writer, o options, base *core.Design, knobs []opt.Knob, shard opt.Shard) error {
 	fmt.Fprintf(w, "Pareto sweep of %q over %d knobs: worst-case RT / worst-case DL / annual outlays\n", base.Name, len(knobs))
 	fr, err := opt.Frontier(base, knobs, scenarios, opt.FrontierOpts{
 		Workers: o.workers,
@@ -370,7 +374,7 @@ func runPareto(w io.Writer, o options, base *core.Design, knobs []opt.Knob, scen
 
 // newJob builds the wire job of the command line's enumeration: the
 // same job runs locally (runShard) and on -coordinator's workers.
-func newJob(o options, base *core.Design, specs []dist.KnobSpec, scenarios []failure.Scenario) (*dist.Job, error) {
+func newJob(o options, base *core.Design, specs []dist.KnobSpec) (*dist.Job, error) {
 	job, err := dist.NewJob(base, specs, dist.ScenarioSpecs(scenarios), objectiveSpec(o))
 	if err != nil {
 		return nil, err
@@ -381,13 +385,10 @@ func newJob(o options, base *core.Design, specs []dist.KnobSpec, scenarios []fai
 }
 
 // runShard runs the exhaustive search, or one -shard of it, in process
-// through dist.ExecuteJob, the function cmd/worker runs, and prints the
-// returned Result's solution. -out writes the Result for -merge; an
-// infeasible slice's Result carries no winner, only the evaluation
-// counts the merge needs, and without -out it fails with
-// opt.ErrNoFeasible.
-func runShard(w io.Writer, o options, base *core.Design, specs []dist.KnobSpec, scenarios []failure.Scenario, shard opt.Shard) error {
-	job, err := newJob(o, base, specs, scenarios)
+// through dist.ExecuteJob, the function cmd/worker runs, and reports
+// the returned Result.
+func runShard(w io.Writer, o options, base *core.Design, specs []dist.KnobSpec, shard opt.Shard) error {
+	job, err := newJob(o, base, specs)
 	if err != nil {
 		return err
 	}
@@ -397,39 +398,13 @@ func runShard(w io.Writer, o options, base *core.Design, specs []dist.KnobSpec, 
 	if err != nil {
 		return err
 	}
-	if res.Feasible {
-		sol, err := res.Solution()
-		if err != nil {
-			return err
-		}
-		if err := printSolution(w, sol, scenarios); err != nil {
-			return err
-		}
-	} else if o.out == "" {
-		return opt.ErrNoFeasible
-	}
-	if o.out == "" {
-		return nil
-	}
-	data, err := res.Encode()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if res.Feasible {
-		fmt.Fprintf(w, "\nWrote shard result to %s\n", o.out)
-	} else {
-		fmt.Fprintf(w, "No feasible candidate in this shard; wrote its evaluation count to %s\n", o.out)
-	}
-	return nil
+	return report(w, res, o.out)
 }
 
 // runCoordinator distributes the exhaustive search across remote
-// cmd/worker processes and prints the merged solution — byte-identical
-// to the single-process -exhaustive output's solution lines.
-func runCoordinator(w io.Writer, o options, base *core.Design, specs []dist.KnobSpec, scenarios []failure.Scenario, objLabel string) error {
+// cmd/worker processes and reports the merged Result — its solution
+// lines byte-identical to the single-process -exhaustive output's.
+func runCoordinator(w io.Writer, o options, base *core.Design, specs []dist.KnobSpec, objLabel string) error {
 	if o.shard != "" {
 		return fmt.Errorf("-coordinator owns the sharding; drop -shard")
 	}
@@ -460,7 +435,7 @@ func runCoordinator(w io.Writer, o options, base *core.Design, specs []dist.Knob
 		workers[i] = dist.NewChaosWorker(workers[i], dist.ChaosOptions{Seed: int64(i) + 1, PLie: 1})
 	}
 
-	job, err := newJob(o, base, specs, scenarios)
+	job, err := newJob(o, base, specs)
 	if err != nil {
 		return err
 	}
@@ -491,7 +466,7 @@ func runCoordinator(w io.Writer, o options, base *core.Design, specs []dist.Knob
 	}
 	fmt.Fprintf(w, "Distributing exhaustive search of %q across %d workers, objective: %s\n\n",
 		base.Name, len(workers), objLabel)
-	sol, err := c.Run(ctx, job)
+	res, err := c.Run(ctx, job)
 	if o.distMetrics {
 		// Dump even on failure: the counters say which worker misbehaved.
 		c.Metrics().WritePrometheus(os.Stderr, time.Now()) //nolint:errcheck
@@ -499,12 +474,12 @@ func runCoordinator(w io.Writer, o options, base *core.Design, specs []dist.Knob
 	if err != nil {
 		return err
 	}
-	return printSolution(w, sol, scenarios)
+	return report(w, res, o.out)
 }
 
 // runMerge combines shard result files written by -out into the
-// Solution the unsharded search prints.
-func runMerge(w io.Writer, files []string) error {
+// Result the unsharded search reports.
+func runMerge(w io.Writer, o options, files []string) error {
 	if len(files) == 0 {
 		return fmt.Errorf("-merge needs shard result files as arguments")
 	}
@@ -518,22 +493,53 @@ func runMerge(w io.Writer, files []string) error {
 			return fmt.Errorf("%s: %w", f, err)
 		}
 	}
-	sol, err := dist.MergeResults(results)
+	res, err := dist.Merge(results)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Merging %d shard results\n\n", len(files))
-	scenarios := []failure.Scenario{
-		{Scope: failure.ScopeArray},
-		{Scope: failure.ScopeSite},
+	return report(w, res, o.out)
+}
+
+// report is the one output path of every enumeration, local,
+// -coordinator or -merge: it prints the Result's solution and, with
+// -out, writes the Result for -merge. An infeasible Result has no
+// solution, only the evaluation counts a merge needs; without -out it
+// fails with opt.ErrNoFeasible.
+func report(w io.Writer, res *dist.Result, out string) error {
+	if res.Feasible {
+		sol, err := res.Solution()
+		if err != nil {
+			return err
+		}
+		if err := printSolution(w, sol); err != nil {
+			return err
+		}
+	} else if out == "" {
+		return opt.ErrNoFeasible
 	}
-	return printSolution(w, sol, scenarios)
+	if out == "" {
+		return nil
+	}
+	data, err := res.Encode()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	if res.Feasible {
+		fmt.Fprintf(w, "\nWrote shard result to %s\n", out)
+	} else {
+		fmt.Fprintf(w, "No feasible candidate in this shard; wrote its evaluation count to %s\n", out)
+	}
+	return nil
 }
 
 // printSolution writes the chosen knobs, the score line and the winning
 // design's per-scenario outcomes — the block CI diffs across the
 // single-process, sharded-merge and coordinator paths.
-func printSolution(w io.Writer, sol *opt.Solution, scenarios []failure.Scenario) error {
+func printSolution(w io.Writer, sol *opt.Solution) error {
 	for _, c := range sol.Choices {
 		fmt.Fprintf(w, "  %-28s -> %s\n", c.Knob, c.Option)
 	}
@@ -602,34 +608,15 @@ func orAny(s string) string {
 // tapeKnobSpecs exposes the Table 7 moves as wire specs, the single
 // definition both the local search and distributed workers build from.
 func tapeKnobSpecs() ([]dist.KnobSpec, error) {
-	weeklyVault := casestudy.VaultPolicy()
-	weeklyVault.Primary.AccW = units.Week
-	weeklyVault.Primary.HoldW = 12 * time.Hour
-	weeklyVault.RetCnt = 156
-
-	fi := casestudy.BackupPolicy()
-	fi.Primary.AccW = 48 * time.Hour
-	fi.Primary.PropW = 48 * time.Hour
-	fi.Secondary = &hierarchy.WindowSet{
-		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
-		Rep: hierarchy.RepPartial,
-	}
-	fi.CycleCnt = 5
-
-	dailyF := casestudy.BackupPolicy()
-	dailyF.Primary.AccW = 24 * time.Hour
-	dailyF.Primary.PropW = 12 * time.Hour
-	dailyF.RetCnt = 28
-
 	vault, err := dist.PolicyKnobSpec("vaulting",
 		[]string{"4-weekly", "weekly"},
-		[]hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault})
+		[]hierarchy.Policy{casestudy.VaultPolicy(), casestudy.WeeklyVaultPolicy()})
 	if err != nil {
 		return nil, err
 	}
 	backup, err := dist.PolicyKnobSpec("backup",
 		[]string{"weekly full", "F+I", "daily full"},
-		[]hierarchy.Policy{casestudy.BackupPolicy(), fi, dailyF})
+		[]hierarchy.Policy{casestudy.BackupPolicy(), casestudy.FIBackupPolicy(), casestudy.DailyFBackupPolicy()})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"stordep/internal/casestudy"
 	"stordep/internal/chaos"
@@ -53,32 +52,13 @@ func scenarios() []failure.Scenario {
 // the same shape cmd/optimize tunes, reused as the standard multi-knob
 // search workload.
 func searchKnobs() []opt.Knob {
-	weeklyVault := casestudy.VaultPolicy()
-	weeklyVault.Primary.AccW = units.Week
-	weeklyVault.Primary.HoldW = 12 * time.Hour
-	weeklyVault.RetCnt = 156
-
-	dailyF := casestudy.BackupPolicy()
-	dailyF.Primary.AccW = 24 * time.Hour
-	dailyF.Primary.PropW = 12 * time.Hour
-	dailyF.RetCnt = 28
-
-	fi := casestudy.BackupPolicy()
-	fi.Primary.AccW = 48 * time.Hour
-	fi.Primary.PropW = 48 * time.Hour
-	fi.Secondary = &hierarchy.WindowSet{
-		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
-		Rep: hierarchy.RepPartial,
-	}
-	fi.CycleCnt = 5
-
 	return []opt.Knob{
 		opt.PolicyKnob("vaulting",
 			[]string{"4-weekly", "weekly"},
-			[]hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault}),
+			[]hierarchy.Policy{casestudy.VaultPolicy(), casestudy.WeeklyVaultPolicy()}),
 		opt.PolicyKnob("backup",
 			[]string{"weekly full", "F+I", "daily full"},
-			[]hierarchy.Policy{casestudy.BackupPolicy(), fi, dailyF}),
+			[]hierarchy.Policy{casestudy.BackupPolicy(), casestudy.FIBackupPolicy(), casestudy.DailyFBackupPolicy()}),
 		opt.PiTKnob("split-mirror"),
 	}
 }

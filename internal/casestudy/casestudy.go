@@ -124,10 +124,10 @@ func Baseline() *core.Design {
 	}
 }
 
-// weeklyVaultPolicy shortens the vault accumulation window to one week
-// with a 12-hour hold (Table 7 "Weekly vault"), keeping the three-year
-// retention (so 156 retained fulls).
-func weeklyVaultPolicy() hierarchy.Policy {
+// WeeklyVaultPolicy returns the Table 7 weekly vault: the vault
+// accumulation window shortened to one week with a 12-hour hold,
+// keeping the three-year retention (so 156 retained fulls).
+func WeeklyVaultPolicy() hierarchy.Policy {
 	p := VaultPolicy()
 	p.Primary.AccW = units.Week
 	p.Primary.HoldW = 12 * time.Hour
@@ -150,14 +150,14 @@ func withVaulting(d *core.Design, pol hierarchy.Policy, backupRetW time.Duration
 func WeeklyVault() *core.Design {
 	d := Baseline()
 	d.Name = "Weekly vault"
-	withVaulting(d, weeklyVaultPolicy(), BackupPolicy().RetW)
+	withVaulting(d, WeeklyVaultPolicy(), BackupPolicy().RetW)
 	return d
 }
 
-// fiBackupPolicy is the Table 7 F+I backup: weekly fulls (48-hr accW and
-// propW) plus five daily cumulative incrementals (24-hr accW, 12-hr
-// propW).
-func fiBackupPolicy() hierarchy.Policy {
+// FIBackupPolicy returns the Table 7 F+I backup: weekly fulls (48-hr
+// accW and propW) plus five daily cumulative incrementals (24-hr accW,
+// 12-hr propW).
+func FIBackupPolicy() hierarchy.Policy {
 	p := BackupPolicy()
 	p.Primary.AccW = 48 * time.Hour
 	p.Primary.PropW = 48 * time.Hour
@@ -179,14 +179,14 @@ func WeeklyVaultFI() *core.Design {
 	d.Levels[1] = &protect.Backup{
 		SourceArray: device.NameDiskArray,
 		Target:      device.NameTapeLibrary,
-		Pol:         fiBackupPolicy(),
+		Pol:         FIBackupPolicy(),
 	}
 	return d
 }
 
-// dailyFBackupPolicy is the Table 7 daily-full backup: 24-hr accW, 12-hr
-// propW, no incrementals, four weeks of retention (28 fulls).
-func dailyFBackupPolicy() hierarchy.Policy {
+// DailyFBackupPolicy returns the Table 7 daily-full backup: 24-hr accW,
+// 12-hr propW, no incrementals, four weeks of retention (28 fulls).
+func DailyFBackupPolicy() hierarchy.Policy {
 	p := BackupPolicy()
 	p.Primary.AccW = 24 * time.Hour
 	p.Primary.PropW = 12 * time.Hour
@@ -202,7 +202,7 @@ func WeeklyVaultDailyF() *core.Design {
 	d.Levels[1] = &protect.Backup{
 		SourceArray: device.NameDiskArray,
 		Target:      device.NameTapeLibrary,
-		Pol:         dailyFBackupPolicy(),
+		Pol:         DailyFBackupPolicy(),
 	}
 	return d
 }

@@ -192,10 +192,10 @@ func (c *Campaign) Run() (*Summary, error) {
 			resamples int
 		)
 		if c.Multi || c.Correlated {
-			mcs, n := genMultiCase(runRNG(c.Seed, run), run, designAttempts, c.Correlated)
+			mcs, n := genMultiCase(runRNG(c.Seed, run), run, c.Correlated)
 			t, name, resamples = mcs, mcs.Design.Name, n
 		} else {
-			cs, n := genCase(runRNG(c.Seed, run), run, designAttempts)
+			cs, n := genCase(runRNG(c.Seed, run), run)
 			t, name, resamples = cs, cs.Design.Name, n
 		}
 		res, err := t.check()

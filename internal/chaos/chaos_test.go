@@ -91,7 +91,7 @@ func TestSummaryStringRendersViolations(t *testing.T) {
 
 func TestGenCaseAlwaysViable(t *testing.T) {
 	for run := 0; run < 25; run++ {
-		cs, _ := genCase(runRNG(5, run), run, 40)
+		cs, _ := genCase(runRNG(5, run), run)
 		if err := cs.Design.Validate(); err != nil {
 			t.Fatalf("run %d: generated design invalid: %v", run, err)
 		}
@@ -117,7 +117,7 @@ func TestGenCaseAlwaysViable(t *testing.T) {
 }
 
 func TestCheckCaseDigestStable(t *testing.T) {
-	cs, _ := genCase(runRNG(9, 3), 3, 40)
+	cs, _ := genCase(runRNG(9, 3), 3)
 	a, err := checkCase(cs)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestCheckCaseDigestStable(t *testing.T) {
 func TestShrinkWith(t *testing.T) {
 	var cs *Case
 	for run := 0; run < 40; run++ {
-		c, _ := genCase(runRNG(11, run), run, 40)
+		c, _ := genCase(runRNG(11, run), run)
 		if len(c.Outages) >= 2 && len(c.Design.Levels) >= 2 {
 			cs = c
 			break
@@ -227,7 +227,7 @@ func TestShrinkKeepsFragmentSites(t *testing.T) {
 }
 
 func TestShrinkKeepsOriginalWhenNothingReproduces(t *testing.T) {
-	cs, _ := genCase(runRNG(13, 0), 0, 40)
+	cs, _ := genCase(runRNG(13, 0), 0)
 	shrunk := shrinkWith(cs, 50, func(*Case) bool { return false })
 	if shrunk != cs {
 		t.Error("shrinker replaced the case although no mutation failed")
@@ -237,7 +237,7 @@ func TestShrinkKeepsOriginalWhenNothingReproduces(t *testing.T) {
 func TestReproRoundTrip(t *testing.T) {
 	var cs *Case
 	for run := 0; run < 40; run++ {
-		c, _ := genCase(runRNG(17, run), run, 40)
+		c, _ := genCase(runRNG(17, run), run)
 		if len(c.Outages) >= 1 {
 			cs = c
 			break
@@ -300,7 +300,7 @@ func readRepro(t *testing.T, path string) (Trial, ReproMeta) {
 // TestLoadReproErrors: the decoder refuses corrupt JSON, and a file whose
 // keys do not name exactly one kind of case.
 func TestLoadReproErrors(t *testing.T) {
-	cs, _ := genCase(runRNG(19, 1), 1, 40)
+	cs, _ := genCase(runRNG(19, 1), 1)
 	single, err := encodeRepro(cs, ReproMeta{})
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func TestCorrelatedCampaignWorkersDeterminism(t *testing.T) {
 func genCorrelatedCase(t *testing.T, seed int64) *MultiCase {
 	t.Helper()
 	for run := 0; run < 60; run++ {
-		c, _ := genMultiCase(runRNG(seed, run), run, 40, true)
+		c, _ := genMultiCase(runRNG(seed, run), run, true)
 		if len(c.Events) >= 1 && len(c.OpFaults) >= 1 {
 			return c
 		}
@@ -521,7 +521,7 @@ func TestAnalyticBoundSkipReason(t *testing.T) {
 func TestCorrelatedGenViable(t *testing.T) {
 	seen := struct{ events, faults int }{}
 	for run := 0; run < 30; run++ {
-		mcs, _ := genMultiCase(runRNG(3, run), run, 40, true)
+		mcs, _ := genMultiCase(runRNG(3, run), run, true)
 		if mcs.Horizon > horizonCap {
 			t.Fatalf("run %d: horizon %v over cap", run, mcs.Horizon)
 		}

@@ -69,9 +69,9 @@ func CeilMinute(d time.Duration) time.Duration {
 // models refuse (over-utilization) or whose horizon exceeds the cap. It
 // returns the case and the number of rejected draws. If every attempt
 // fails it falls back to the always-buildable case-study baseline.
-func genCase(r *rand.Rand, run, attempts int) (*Case, int) {
+func genCase(r *rand.Rand, run int) (*Case, int) {
 	rejects := 0
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < designAttempts; a++ {
 		if cs := genAttempt(r, run); cs != nil {
 			return cs, rejects
 		}

@@ -63,9 +63,9 @@ func (mcs *MultiCase) outagesFor(name string) []sim.Outage {
 // designs that fail to build (the shared array two objects fit on
 // individually can overload under both) or whose horizon exceeds the cap.
 // If every attempt fails it falls back to a fixed two-object design.
-func genMultiCase(r *rand.Rand, run, attempts int, correlated bool) (*MultiCase, int) {
+func genMultiCase(r *rand.Rand, run int, correlated bool) (*MultiCase, int) {
 	rejects := 0
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < designAttempts; a++ {
 		if md := genMultiDesign(r, run); md.Validate() == nil {
 			if mcs := multiScheduleFor(r, md, correlated); mcs != nil {
 				return mcs, rejects

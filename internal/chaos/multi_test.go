@@ -56,7 +56,7 @@ func TestMultiCampaignWorkersDeterminism(t *testing.T) {
 
 func TestGenMultiCaseAlwaysViable(t *testing.T) {
 	for run := 0; run < 25; run++ {
-		mcs, _ := genMultiCase(runRNG(5, run), run, 40, false)
+		mcs, _ := genMultiCase(runRNG(5, run), run, false)
 		md := mcs.Design
 		if err := md.Validate(); err != nil {
 			t.Fatalf("run %d: generated multi design invalid: %v", run, err)
@@ -107,7 +107,7 @@ func TestFallbackMultiDesignViable(t *testing.T) {
 }
 
 func TestCheckMultiCaseDigestStable(t *testing.T) {
-	mcs, _ := genMultiCase(runRNG(9, 3), 3, 40, false)
+	mcs, _ := genMultiCase(runRNG(9, 3), 3, false)
 	a, err := checkMultiCase(mcs)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestCheckMultiCaseDigestStable(t *testing.T) {
 func TestMultiReproRoundTrip(t *testing.T) {
 	var mcs *MultiCase
 	for run := 0; run < 40; run++ {
-		c, _ := genMultiCase(runRNG(17, run), run, 40, false)
+		c, _ := genMultiCase(runRNG(17, run), run, false)
 		if len(c.Outages) >= 1 && len(c.Design.Objects) >= 3 {
 			mcs = c
 			break
@@ -183,7 +183,7 @@ func TestMultiReproRoundTrip(t *testing.T) {
 }
 
 func TestMultiReproSaveLoadAndSniffing(t *testing.T) {
-	mcs, _ := genMultiCase(runRNG(19, 0), 0, 40, false)
+	mcs, _ := genMultiCase(runRNG(19, 0), 0, false)
 	path := filepath.Join(t.TempDir(), "repro.json")
 	meta := ReproMeta{Invariant: invMultiUtilSum, Detail: "synthetic", Seed: 19}
 	if err := SaveRepro(path, mcs, meta); err != nil {
@@ -198,7 +198,7 @@ func TestMultiReproSaveLoadAndSniffing(t *testing.T) {
 		t.Errorf("loaded %+v / %q", gotMeta, got.Design.Name)
 	}
 	// The same decoder reads a single-object repro as a *Case.
-	cs, _ := genCase(runRNG(19, 1), 1, 40)
+	cs, _ := genCase(runRNG(19, 1), 1)
 	if err := SaveRepro(path, cs, meta); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestMultiReproSaveLoadAndSniffing(t *testing.T) {
 func genEdgeCase(t *testing.T) *MultiCase {
 	t.Helper()
 	for run := 0; run < 60; run++ {
-		mcs, _ := genMultiCase(runRNG(29, run), run, 40, false)
+		mcs, _ := genMultiCase(runRNG(29, run), run, false)
 		if len(mcs.Design.Objects) >= 3 && dependencyEdges(mcs.Design) >= 1 && len(mcs.Outages) >= 1 {
 			return mcs
 		}
@@ -333,7 +333,7 @@ func TestShrunkMultiReproReplays(t *testing.T) {
 }
 
 func TestShrinkMultiKeepsOriginalWhenNothingReproduces(t *testing.T) {
-	mcs, _ := genMultiCase(runRNG(13, 0), 0, 40, false)
+	mcs, _ := genMultiCase(runRNG(13, 0), 0, false)
 	shrunk := shrinkWith(mcs, 50, func(*MultiCase) bool { return false })
 	if shrunk != mcs {
 		t.Error("shrinker replaced the case although no mutation failed")

@@ -53,11 +53,11 @@ func TestHTTPAuthEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := c.Run(context.Background(), job)
+	res, err := c.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "authenticated transport", oracle, sol)
+	requireIdentical(t, "authenticated transport", oracle, res)
 }
 
 func TestHTTPAuthRejectsUnauthenticated(t *testing.T) {

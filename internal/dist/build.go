@@ -10,6 +10,7 @@ import (
 	"stordep/internal/core"
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
+	"stordep/internal/mc"
 	"stordep/internal/opt"
 	"stordep/internal/units"
 	"stordep/internal/whatif"
@@ -269,68 +270,79 @@ func ExecuteJob(job *Job, progress *atomic.Int64) (*Result, error) {
 	return SolutionResult(sol, job.Shard)
 }
 
-// MergeResults combines shard results — from a coordinator run or from
-// Result files on disk — into the Solution the unsharded search returns.
-// Results must share one shard count and cover every shard of that
-// partitioning (a missing shard means a missing slice of the space, so
-// merging it silently could return the wrong winner); duplicate reports
-// of the same shard (speculative re-dispatch, or the same file merged
-// twice) are deduped, first occurrence wins. Feasible results merge
-// through opt.MergeShards (lowest score, ties to the lowest global
-// candidate index); infeasible shards contribute only their evaluation
-// and pruning counts, so merged Evaluations+CandidatesPruned equals the
-// space size exactly as a single-process search reports it.
-func MergeResults(results []*Result) (*opt.Solution, error) {
-	if len(results) == 0 {
-		return nil, fmt.Errorf("%w: no results to merge", ErrBadResult)
+// Merge folds shard results, from a coordinator run or from Result
+// files on disk, into the whole-space Result ExecuteJob returns for the
+// unsharded job (zero Shard). The results must share one shard count
+// and cover every shard of that partitioning: a missing shard is a
+// missing slice of the space, so merging without it could return the
+// wrong answer. A shard reported twice (speculative re-dispatch, or the
+// same file merged twice) keeps its first report. Search and Monte
+// Carlo results do not mix.
+//
+// Search shards fold by opt.MergeShards's rule: the lowest score wins,
+// ties to the lowest global candidate index (shards are folded in index
+// order and cover ascending candidate ranges, so the first of equal
+// scores is the lowest), and every shard's counts add up, so merged
+// Evaluations+Pruned is the space size a single-process search reports. When no shard is feasible the merged
+// Result is infeasible with the summed counts, as one infeasible slice
+// is. Monte Carlo shards concatenate, in trial order, into one MCResult
+// whose range starts at trial 0; each payload must match its digest and
+// start where the previous shard's range ended.
+func Merge(results []*Result) (*Result, error) {
+	if len(results) == 0 || results[0] == nil {
+		return nil, fmt.Errorf("%w: no first result to merge", ErrBadResult)
 	}
 	count := results[0].Shard.Count
-	seen := make(map[int]bool, len(results))
-	var sols []*opt.Solution
-	extraEvals, extraPruned, extraBounds := 0, 0, 0
+	shards := make(map[int]*Result, len(results))
 	for i, r := range results {
-		if r == nil {
+		switch {
+		case r == nil:
 			return nil, fmt.Errorf("%w: result %d is missing", ErrBadResult, i)
-		}
-		if r.Shard.Count != count {
+		case r.Shard.Count != count:
 			return nil, fmt.Errorf("%w: result %d is shard %d/%d, others have %d shards — results must come from one partitioning",
 				ErrBadResult, i, r.Shard.Index, r.Shard.Count, count)
+		case (r.MC == nil) != (results[0].MC == nil):
+			return nil, fmt.Errorf("%w: result %d mixes search and Monte Carlo shards", ErrBadResult, i)
 		}
-		if seen[r.Shard.Index] {
-			continue
+		if err := r.Shard.Shard().Validate(); err != nil {
+			return nil, fmt.Errorf("%w: result %d: %v", ErrBadResult, i, err)
 		}
-		seen[r.Shard.Index] = true
-		sol, err := r.Solution()
-		if err != nil {
-			return nil, fmt.Errorf("result %d (shard %d/%d): %w", i, r.Shard.Index, r.Shard.Count, err)
+		if _, dup := shards[r.Shard.Index]; !dup {
+			shards[r.Shard.Index] = r
 		}
-		if sol == nil {
-			extraEvals += r.Evaluations
-			extraPruned += r.Pruned
-			extraBounds += r.BoundsComputed
-			continue
-		}
-		sols = append(sols, sol)
 	}
-	// A zero shard count is the whole space as one result; otherwise
-	// every shard of the partitioning must be present.
-	want := count
-	if want == 0 {
-		want = 1
+	merged := &Result{Version: Version, CandidateIndex: -1}
+	if results[0].MC != nil {
+		merged.MC = &MCResult{}
 	}
-	if len(seen) != want {
-		for s := 0; s < count; s++ {
-			if !seen[s] {
-				return nil, fmt.Errorf("%w: missing shard %d/%d", ErrBadResult, s, count)
+	// A zero count is the whole space as one shard. The loop stops at the
+	// first missing shard, so a count the results cannot cover costs no
+	// more than they do.
+	for s := 0; s < max(count, 1); s++ {
+		r, ok := shards[s]
+		if !ok {
+			return nil, fmt.Errorf("%w: missing shard %d/%d", ErrBadResult, s, count)
+		}
+		merged.Evaluations += r.Evaluations
+		merged.Pruned += r.Pruned
+		merged.BoundsComputed += r.BoundsComputed
+		merged.MemoHits += r.MemoHits
+		if m := merged.MC; m != nil {
+			if err := r.MC.Validate(); err != nil {
+				return nil, fmt.Errorf("shard %d/%d: %w", s, count, err)
 			}
+			if r.MC.Lo != m.Hi {
+				return nil, fmt.Errorf("%w: shard %d covers trials [%d, %d), expected to start at %d",
+					ErrBadResult, s, r.MC.Lo, r.MC.Hi, m.Hi)
+			}
+			m.Obs, m.Hi = append(m.Obs, r.MC.Obs...), r.MC.Hi
+		} else if r.Feasible && (!merged.Feasible || r.Score < merged.Score) {
+			merged.Feasible, merged.CandidateIndex, merged.Score = true, r.CandidateIndex, r.Score
+			merged.Choices, merged.Design = r.Choices, r.Design
 		}
 	}
-	merged, err := opt.MergeShards(sols)
-	if err != nil {
-		return nil, err
+	if merged.MC != nil {
+		merged.MC.Digest = mc.Digest(merged.MC.Obs)
 	}
-	merged.Evaluations += extraEvals
-	merged.CandidatesPruned += extraPruned
-	merged.BoundsComputed += extraBounds
 	return merged, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,11 +144,7 @@ func TestExecuteJobMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wholeSol, err := whole.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "whole space over the wire", oracle, wholeSol)
+	requireIdentical(t, "whole space over the wire", oracle, whole)
 
 	for _, shards := range []int{2, 3, 5, 24, 30} {
 		results := make([]*Result, shards)
@@ -158,7 +155,7 @@ func TestExecuteJobMatchesLocal(t *testing.T) {
 				t.Fatalf("%d shards: shard %d: %v", shards, s, err)
 			}
 		}
-		merged, err := MergeResults(results)
+		merged, err := Merge(results)
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
@@ -182,9 +179,12 @@ func TestMergeResultsDedupesAndCounts(t *testing.T) {
 		results = append(results, r)
 	}
 	// Speculative duplicates: the same shards reported again must not
-	// change the answer or double-count evaluations.
-	results = append(results, results[1], results[3])
-	merged, err := MergeResults(results)
+	// change the answer or double-count evaluations, and a shard's first
+	// report wins over a later one.
+	late := *results[0]
+	late.Score, late.Evaluations = 0, 1
+	results = append(results, results[1], results[3], &late)
+	merged, err := Merge(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestMergeResultsInfeasibleShardsKeepTheirEvaluations(t *testing.T) {
 		Evaluations:    12,
 		CandidateIndex: -1,
 	}
-	merged, err := MergeResults([]*Result{infeasible, feasible})
+	merged, err := Merge([]*Result{infeasible, feasible})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,27 +220,53 @@ func TestMergeResultsInfeasibleShardsKeepTheirEvaluations(t *testing.T) {
 }
 
 func TestMergeResultsRejects(t *testing.T) {
-	if _, err := MergeResults(nil); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge(nil); !errors.Is(err, ErrBadResult) {
 		t.Error("empty merge should be ErrBadResult")
 	}
-	a := &Result{Shard: ShardSpec{Index: 0, Count: 2}, CandidateIndex: -1, Evaluations: 1}
+	a := &Result{Shard: ShardSpec{Index: 0, Count: 2}, CandidateIndex: -1, Evaluations: 1, MemoHits: 1}
 	b := &Result{Shard: ShardSpec{Index: 0, Count: 3}, CandidateIndex: -1, Evaluations: 1}
-	if _, err := MergeResults([]*Result{a, b}); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge([]*Result{a, b}); !errors.Is(err, ErrBadResult) {
 		t.Error("mixed shard counts should be ErrBadResult")
 	}
-	if _, err := MergeResults([]*Result{a, nil}); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge([]*Result{a, nil}); !errors.Is(err, ErrBadResult) {
 		t.Error("nil result should be ErrBadResult")
 	}
 	// A partial merge (shard 1/2 never reported) is an error, not a
 	// silently wrong answer.
-	if _, err := MergeResults([]*Result{a}); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge([]*Result{a}); !errors.Is(err, ErrBadResult) {
 		t.Errorf("missing shard: err = %v, want ErrBadResult", err)
 	}
-	// All shards present but infeasible surfaces the search layer's
-	// no-feasible error.
-	whole := &Result{Shard: ShardSpec{}, CandidateIndex: -1, Evaluations: 1}
-	if _, err := MergeResults([]*Result{whole}); !errors.Is(err, opt.ErrNoFeasible) {
-		t.Errorf("all-infeasible merge: err = %v, want opt.ErrNoFeasible", err)
+	// A result file may claim any shard count; one the results cannot
+	// cover fails the same way, without sizing anything by it.
+	huge := &Result{Shard: ShardSpec{Index: 0, Count: 1 << 40}, CandidateIndex: -1}
+	if _, err := Merge([]*Result{huge}); !errors.Is(err, ErrBadResult) || !strings.Contains(err.Error(), "missing shard 1/") {
+		t.Errorf("huge shard count: err = %v, want ErrBadResult for missing shard 1", err)
+	}
+	// All shards present but infeasible merge to an infeasible Result
+	// carrying the summed counts, as one infeasible slice reports them.
+	c := &Result{Shard: ShardSpec{Index: 1, Count: 2}, CandidateIndex: -1, Evaluations: 2, Pruned: 3, BoundsComputed: 4}
+	merged, err := Merge([]*Result{a, c})
+	if err != nil {
+		t.Fatalf("all-infeasible merge: %v", err)
+	}
+	want := &Result{Version: Version, CandidateIndex: -1, Evaluations: 3, Pruned: 3, BoundsComputed: 4, MemoHits: 1}
+	requireIdentical(t, "all-infeasible merge", want, merged)
+	if sol, err := merged.Solution(); sol != nil || err != nil {
+		t.Errorf("all-infeasible merge decodes to solution %v, err %v; want neither", sol, err)
+	}
+	// A shard index outside the partitioning is malformed, not ignored.
+	stray := &Result{Shard: ShardSpec{Index: 2, Count: 2}, CandidateIndex: -1, Evaluations: 1}
+	if _, err := Merge([]*Result{a, c, stray}); !errors.Is(err, ErrBadResult) {
+		t.Errorf("shard 2/2: err = %v, want ErrBadResult", err)
+	}
+	// A search shard and a Monte Carlo shard of the same partitioning do
+	// not mix.
+	trial := &Result{Shard: ShardSpec{Index: 1, Count: 2}, CandidateIndex: -1, MC: &MCResult{}}
+	if _, err := Merge([]*Result{a, trial}); !errors.Is(err, ErrBadResult) || !strings.Contains(err.Error(), "mixes") {
+		t.Errorf("search and Monte Carlo shards: err = %v, want ErrBadResult naming the mix", err)
+	}
+	if _, err := Merge([]*Result{trial, a}); !errors.Is(err, ErrBadResult) {
+		t.Errorf("Monte Carlo and search shards: err = %v, want ErrBadResult", err)
 	}
 }
 
@@ -273,7 +299,7 @@ func TestExecuteJobInfeasibleShardReportsSliceSize(t *testing.T) {
 // TestExecuteJobPrunedMatchesLocal: a pruning shard answers identically
 // to the unpruned oracle on the answer fields, whole-space and across
 // shard splits, and its assessed/pruned split always sums to the slice
-// size so MergeResults totals stay honest.
+// size so Merge totals stay honest.
 func TestExecuteJobPrunedMatchesLocal(t *testing.T) {
 	job := testJob(t)
 	oracle := singleProcessOracle(t, job)
@@ -303,30 +329,26 @@ func TestExecuteJobPrunedMatchesLocal(t *testing.T) {
 					shards, s, results[s].Evaluations, results[s].Pruned, size)
 			}
 		}
-		merged, err := MergeResults(results)
+		merged, err := Merge(results)
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
 		requireAnswerIdentical(t, fmt.Sprintf("pruned merge over %d shards", shards), oracle, merged)
-		if merged.Evaluations+merged.CandidatesPruned != space {
+		if merged.Evaluations+merged.Pruned != space {
 			t.Errorf("%d shards: merged assessed %d + pruned %d != space %d",
-				shards, merged.Evaluations, merged.CandidatesPruned, space)
+				shards, merged.Evaluations, merged.Pruned, space)
 		}
 	}
 
 	// Seeding the incumbent with the known optimum — the tightest honest
 	// bound any coordinator could hand a shard — must not change the
 	// answer either.
-	pjob.Incumbent = float64(oracle.Score)
+	pjob.Incumbent = oracle.Score
 	res, err := ExecuteJob(&pjob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := res.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireAnswerIdentical(t, "seeded incumbent", oracle, sol)
+	requireAnswerIdentical(t, "seeded incumbent", oracle, res)
 	if res.Evaluations+res.Pruned != space {
 		t.Errorf("seeded: assessed %d + pruned %d != space %d", res.Evaluations, res.Pruned, space)
 	}
@@ -385,7 +407,7 @@ func TestExecuteJobPrunedWrappingShardsMatchUnpruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards, space = 5, 320
-	merge := func(prune bool) *opt.Solution {
+	merge := func(prune bool) *Result {
 		results := make([]*Result, shards)
 		for s := range results {
 			sub := *job
@@ -395,13 +417,13 @@ func TestExecuteJobPrunedWrappingShardsMatchUnpruned(t *testing.T) {
 				t.Fatalf("prune %v: shard %d: %v", prune, s, err)
 			}
 		}
-		merged, err := MergeResults(results)
+		merged, err := Merge(results)
 		if err != nil {
 			t.Fatalf("prune %v: %v", prune, err)
 		}
-		if merged.Evaluations+merged.CandidatesPruned != space {
+		if merged.Evaluations+merged.Pruned != space {
 			t.Errorf("prune %v: merged assessed %d + pruned %d != space %d",
-				prune, merged.Evaluations, merged.CandidatesPruned, space)
+				prune, merged.Evaluations, merged.Pruned, space)
 		}
 		return merged
 	}

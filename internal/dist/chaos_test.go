@@ -162,13 +162,13 @@ func TestChaosByzantineProperty(t *testing.T) {
 					chaos[i] = NewChaosWorker(&Loopback{Name: fmt.Sprintf("w%d", i)}, o)
 					workers[i] = chaos[i]
 				}
-				sol, m := runCoordinator(t, workers, Options{
+				res, m := runCoordinator(t, workers, Options{
 					ValidateK:    c.k,
 					MaxAttempts:  20,
 					RetryBackoff: time.Millisecond,
 					Seed:         seed,
 				}, job)
-				requireIdentical(t, fmt.Sprintf("%d workers, K=%d, seed %d", c.n, c.k, seed), oracle, sol)
+				requireIdentical(t, fmt.Sprintf("%d workers, K=%d, seed %d", c.n, c.k, seed), oracle, res)
 
 				var lies int64
 				for _, cw := range chaos[:liars] {
@@ -222,8 +222,8 @@ func TestCoordinatorValidateKHonest(t *testing.T) {
 		for i := range workers {
 			workers[i] = &Loopback{Name: fmt.Sprintf("w%d", i)}
 		}
-		sol, m := runCoordinator(t, workers, Options{ValidateK: k}, job)
-		requireIdentical(t, fmt.Sprintf("K=%d", k), oracle, sol)
+		res, m := runCoordinator(t, workers, Options{ValidateK: k}, job)
+		requireIdentical(t, fmt.Sprintf("K=%d", k), oracle, res)
 		shards := int64(16) // 4 workers x shardsPerWorker
 		if m.ShardsCompleted.Load() != shards {
 			t.Errorf("K=%d: completed %d shards, want %d", k, m.ShardsCompleted.Load(), shards)
@@ -283,11 +283,11 @@ func TestCoordinatorQuarantineRedispatchesInFlightVotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := c.Run(context.Background(), job)
+	res, err := c.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "mid-run quarantine", oracle, sol)
+	requireIdentical(t, "mid-run quarantine", oracle, res)
 	if s, _ := reg.State("doomed"); s != StateQuarantined {
 		t.Errorf("doomed worker state = %v, want quarantined", s)
 	}
@@ -329,9 +329,9 @@ func TestCoordinatorAdoptsWorkerAddedMidRun(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	sol, err := c.Run(ctx, job)
+	res, err := c.Run(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "late-added worker", oracle, sol)
+	requireIdentical(t, "late-added worker", oracle, res)
 }

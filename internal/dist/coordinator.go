@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"stordep/internal/mc"
 	"stordep/internal/opt"
 )
 
@@ -59,7 +58,7 @@ type Options struct {
 	// doubling per failure. The actual delay is jittered uniformly into
 	// [base/2, base] (seeded by Seed) so simultaneous failures do not
 	// re-queue in synchronized bursts; timing never affects the merged
-	// Solution. Default 100ms.
+	// Result. Default 100ms.
 	RetryBackoff time.Duration
 	// Seed seeds the retry-backoff jitter. 0 means a fixed default, so
 	// runs are reproducible unless the caller opts into variety.
@@ -82,23 +81,23 @@ type Options struct {
 	// wins, as before — a plausibly-lying worker is then undetectable).
 	ValidateK int
 	// WorkersPerJob hints each worker's local evaluation pool size; 0
-	// means all the worker's CPUs. Any value returns the same Solution.
+	// means all the worker's CPUs. Any value returns the same Result.
 	WorkersPerJob int
 	// Metrics receives the run's instrumentation; nil uses the
 	// registry's (reachable via Coordinator.Metrics).
 	Metrics *Metrics
 }
 
-// Coordinator fans an exhaustive search out over a live worker fleet
-// and merges the shard winners deterministically: the space is
-// partitioned into more shards than workers, each shard is dispatched
-// with bounded retries, optional speculative re-dispatch and optional
-// K-way cross-validation, and the results merge through opt.MergeShards
-// — byte-identical to a single-process search for any worker count,
-// shard count, failure pattern, or arrival order. Workers come from a
-// Registry, so membership may change mid-run: quarantined workers stop
-// receiving shards, readmitted or newly added ones join the dispatch
-// pool immediately.
+// Coordinator fans an exhaustive search, or a Monte Carlo campaign's
+// trial range, out over a live worker fleet and merges the shard
+// results deterministically: the space is partitioned into more shards
+// than workers, each shard is dispatched with bounded retries, optional
+// speculative re-dispatch and optional K-way cross-validation, and the
+// results merge through Merge — byte-identical to a single-process run
+// for any worker count, shard count, failure pattern, or arrival order.
+// Workers come from a Registry, so membership may change mid-run:
+// quarantined workers stop receiving shards, readmitted or newly added
+// ones join the dispatch pool immediately.
 type Coordinator struct {
 	reg  *Registry
 	opts Options
@@ -302,68 +301,57 @@ func (c *Coordinator) nonVoters(st *runState, s int) int {
 	return n
 }
 
-// Run partitions the job's candidate space and drives it to completion.
-// job must be unsharded (the coordinator owns the partitioning) and is
-// not mutated; each dispatch carries a copy with its shard assignment.
-func (c *Coordinator) Run(ctx context.Context, job *Job) (*opt.Solution, error) {
-	if job.MC != nil {
-		return nil, fmt.Errorf("%w: Monte Carlo jobs run through RunMC", ErrBadJob)
-	}
+// Run partitions the job across the fleet, drives every shard to a
+// validated result and merges them through Merge into the whole-space
+// Result ExecuteJob returns for the same job. A search job is sized
+// from its knob space, the same knob build every worker performs, so
+// coordinator and workers agree on the enumeration; a Monte Carlo job
+// is sized from its trial count, and its merged observations feed
+// mc.(*Campaign).Estimate (with the same seed, trials and mission) for
+// a report byte-identical to the single-process campaign. job must be
+// unsharded (the coordinator owns the partitioning) and is not mutated;
+// each dispatch carries a copy with its shard assignment.
+func (c *Coordinator) Run(ctx context.Context, job *Job) (*Result, error) {
 	if job.Shard != (ShardSpec{}) {
 		return nil, fmt.Errorf("%w: coordinator job must be unsharded, got shard %d/%d",
 			ErrBadJob, job.Shard.Index, job.Shard.Count)
 	}
-	// Size the space up front — the same knob build every worker
-	// performs, so coordinator and workers agree on the enumeration.
-	knobs, err := BuildKnobs(job.Knobs)
-	if err != nil {
-		return nil, err
-	}
-	space, err := opt.SpaceSize(knobs)
-	if err != nil {
-		return nil, err
-	}
-	if job.Budget > 0 && space > job.Budget {
-		return nil, fmt.Errorf("%w: %d combinations > budget %d", opt.ErrSpaceTooLarge, space, job.Budget)
+	var space int
+	if job.MC != nil {
+		if err := job.MC.Validate(); err != nil {
+			return nil, err
+		}
+		space = job.MC.Trials
+	} else {
+		knobs, err := BuildKnobs(job.Knobs)
+		if err != nil {
+			return nil, err
+		}
+		if space, err = opt.SpaceSize(knobs); err != nil {
+			return nil, err
+		}
+		if job.Budget > 0 && space > job.Budget {
+			return nil, fmt.Errorf("%w: %d combinations > budget %d", opt.ErrSpaceTooLarge, space, job.Budget)
+		}
 	}
 	results, err := c.dispatch(ctx, job, space)
 	if err != nil {
 		return nil, err
 	}
-	return MergeResults(results)
-}
-
-// RunMC partitions a Monte Carlo job's trial range across the fleet and
-// merges the shards' observations back into the full campaign's
-// sequence, in trial order, with each payload digest-validated. The
-// whole retry/speculation/K-way-validation machinery applies unchanged —
-// the engine's determinism makes honest trial shards byte-identical, so
-// cross-validation catches lying workers here exactly as it does for
-// search shards. Feed the result to mc.(*Campaign).Estimate (with the
-// same seed, trials and mission) for a report byte-identical to the
-// single-process campaign.
-func (c *Coordinator) RunMC(ctx context.Context, job *Job) ([]mc.Obs, error) {
-	if job.MC == nil {
-		return nil, fmt.Errorf("%w: RunMC needs a Monte Carlo job", ErrBadJob)
-	}
-	if err := job.MC.Validate(); err != nil {
-		return nil, err
-	}
-	if job.Shard != (ShardSpec{}) {
-		return nil, fmt.Errorf("%w: coordinator job must be unsharded, got shard %d/%d",
-			ErrBadJob, job.Shard.Index, job.Shard.Count)
-	}
-	results, err := c.dispatch(ctx, job, job.MC.Trials)
+	merged, err := Merge(results)
 	if err != nil {
 		return nil, err
 	}
-	return MergeMC(results, job.MC.Trials)
+	if job.MC != nil && merged.MC.Hi != space {
+		return nil, fmt.Errorf("%w: shards cover %d trials, campaign has %d", ErrBadResult, merged.MC.Hi, space)
+	}
+	return merged, nil
 }
 
-// dispatch is the generic validated-dispatch core shared by Run and
-// RunMC: partition a space of the given size into shards, drive every
-// shard to a validated result through the live worker fleet, and return
-// the per-shard results for the caller's merge.
+// dispatch is Run's validated-dispatch core: partition a space of the
+// given size into shards, drive every shard to a validated result
+// through the live worker fleet, and return the per-shard results for
+// Merge.
 func (c *Coordinator) dispatch(ctx context.Context, job *Job, space int) ([]*Result, error) {
 	members := c.reg.Members()
 	if len(members) == 0 {

@@ -15,22 +15,21 @@ import (
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/opt"
-	"stordep/internal/units"
 )
 
 // runCoordinator drives one distributed search over loopback workers and
-// returns the merged Solution plus the run's metrics.
-func runCoordinator(t *testing.T, workers []Worker, opts Options, job *Job) (*opt.Solution, *Metrics) {
+// returns the merged Result plus the run's metrics.
+func runCoordinator(t *testing.T, workers []Worker, opts Options, job *Job) (*Result, *Metrics) {
 	t.Helper()
 	c, err := NewCoordinator(workers, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := c.Run(context.Background(), job)
+	res, err := c.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sol, c.Metrics()
+	return res, c.Metrics()
 }
 
 // TestCoordinatorMatchesSingleProcess is the headline determinism
@@ -45,8 +44,8 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 		for i := range workers {
 			workers[i] = &Loopback{Name: fmt.Sprintf("w%d", i)}
 		}
-		sol, m := runCoordinator(t, workers, Options{}, job)
-		requireIdentical(t, fmt.Sprintf("%d workers", n), oracle, sol)
+		res, m := runCoordinator(t, workers, Options{}, job)
+		requireIdentical(t, fmt.Sprintf("%d workers", n), oracle, res)
 
 		shards := int64(n * shardsPerWorker)
 		if m.ShardsCompleted.Load() != shards {
@@ -72,8 +71,8 @@ func TestCoordinatorShardCountOverrides(t *testing.T) {
 		{24, 24},
 		{100, 24}, // capped at the space size
 	} {
-		sol, m := runCoordinator(t, workers, Options{Shards: tc.shards}, job)
-		requireIdentical(t, fmt.Sprintf("Shards=%d", tc.shards), oracle, sol)
+		res, m := runCoordinator(t, workers, Options{Shards: tc.shards}, job)
+		requireIdentical(t, fmt.Sprintf("Shards=%d", tc.shards), oracle, res)
 		if m.ShardsCompleted.Load() != int64(tc.want) {
 			t.Errorf("Shards=%d: completed %d, want %d", tc.shards, m.ShardsCompleted.Load(), tc.want)
 		}
@@ -121,8 +120,8 @@ func TestCoordinatorSurvivesInjectedFaults(t *testing.T) {
 			if seed%2 == 1 {
 				opts.SpeculateAfter = 25 * time.Millisecond
 			}
-			sol, m := runCoordinator(t, workers, opts, job)
-			requireIdentical(t, "faulty transport", oracle, sol)
+			res, m := runCoordinator(t, workers, opts, job)
+			requireIdentical(t, "faulty transport", oracle, res)
 			if m.WorkerErrors.Load() > 0 && m.ShardsRetried.Load() == 0 {
 				t.Error("errors were recorded but nothing was retried")
 			}
@@ -153,12 +152,12 @@ func TestCoordinatorStragglerRedispatch(t *testing.T) {
 			return FaultNone
 		}},
 	}
-	sol, m := runCoordinator(t, workers, Options{
+	res, m := runCoordinator(t, workers, Options{
 		Shards:         4,
 		AttemptTimeout: 100 * time.Millisecond,
 		RetryBackoff:   time.Millisecond,
 	}, job)
-	requireIdentical(t, "straggler", oracle, sol)
+	requireIdentical(t, "straggler", oracle, res)
 	if m.WorkerErrors.Load() < 1 {
 		t.Error("the hung worker's timeouts should count as worker errors")
 	}
@@ -189,11 +188,11 @@ func TestCoordinatorSpeculationRescuesStragglers(t *testing.T) {
 			return FaultNone
 		}},
 	}
-	sol, m := runCoordinator(t, workers, Options{
+	res, m := runCoordinator(t, workers, Options{
 		Shards:         4,
 		SpeculateAfter: 20 * time.Millisecond,
 	}, job)
-	requireIdentical(t, "speculation", oracle, sol)
+	requireIdentical(t, "speculation", oracle, res)
 	if m.ShardsSpeculated.Load() < 1 {
 		t.Error("the hung shard should have been speculatively re-dispatched")
 	}
@@ -211,11 +210,11 @@ func TestCoordinatorDiscardsDuplicateResults(t *testing.T) {
 		&Loopback{Name: "a", Intercept: slow},
 		&Loopback{Name: "b", Intercept: slow},
 	}
-	sol, m := runCoordinator(t, workers, Options{
+	res, m := runCoordinator(t, workers, Options{
 		Shards:         1,
 		SpeculateAfter: 10 * time.Millisecond,
 	}, job)
-	requireIdentical(t, "duplicate race", oracle, sol)
+	requireIdentical(t, "duplicate race", oracle, res)
 	if m.ShardsSpeculated.Load() != 1 {
 		t.Fatalf("speculated %d shards, want 1", m.ShardsSpeculated.Load())
 	}
@@ -303,8 +302,8 @@ func TestCoordinatorHonorsBudgetWithinLimit(t *testing.T) {
 	job := testJob(t)
 	job.Budget = 24
 	oracle := singleProcessOracle(t, job)
-	sol, _ := runCoordinator(t, []Worker{&Loopback{Name: "a"}}, Options{}, job)
-	requireIdentical(t, "budget at the limit", oracle, sol)
+	res, _ := runCoordinator(t, []Worker{&Loopback{Name: "a"}}, Options{}, job)
+	requireIdentical(t, "budget at the limit", oracle, res)
 }
 
 // TestBackoffDelayJitteredWithinBounds: retry delays are exponential in
@@ -412,9 +411,9 @@ func TestCoordinatorRetryAccountingExact(t *testing.T) {
 		}
 		return FaultNone
 	}}
-	sol, m := runCoordinator(t, []Worker{w},
+	res, m := runCoordinator(t, []Worker{w},
 		Options{Shards: 1, MaxAttempts: 5, RetryBackoff: time.Millisecond}, job)
-	requireIdentical(t, "retry then success", oracle, sol)
+	requireIdentical(t, "retry then success", oracle, res)
 	if got := m.WorkerErrors.Load(); got != 2 {
 		t.Errorf("WorkerErrors = %d, want exactly 2", got)
 	}
@@ -435,30 +434,13 @@ func TestCoordinatorRetryAccountingExact(t *testing.T) {
 // and perfbench's search workload, under the worst-total objective.
 func table7WideJob(t *testing.T) *Job {
 	t.Helper()
-	weeklyVault := casestudy.VaultPolicy()
-	weeklyVault.Primary.AccW = units.Week
-	weeklyVault.Primary.HoldW = 12 * time.Hour
-	weeklyVault.RetCnt = 156
-	fi := casestudy.BackupPolicy()
-	fi.Primary.AccW = 48 * time.Hour
-	fi.Primary.PropW = 48 * time.Hour
-	fi.Secondary = &hierarchy.WindowSet{
-		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
-		Rep: hierarchy.RepPartial,
-	}
-	fi.CycleCnt = 5
-	dailyF := casestudy.BackupPolicy()
-	dailyF.Primary.AccW = 24 * time.Hour
-	dailyF.Primary.PropW = 12 * time.Hour
-	dailyF.RetCnt = 28
-
 	vault, err := PolicyKnobSpec("vaulting", []string{"4-weekly", "weekly"},
-		[]hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault})
+		[]hierarchy.Policy{casestudy.VaultPolicy(), casestudy.WeeklyVaultPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	backup, err := PolicyKnobSpec("backup", []string{"weekly full", "F+I", "daily full"},
-		[]hierarchy.Policy{casestudy.BackupPolicy(), fi, dailyF})
+		[]hierarchy.Policy{casestudy.BackupPolicy(), casestudy.FIBackupPolicy(), casestudy.DailyFBackupPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,20 +477,20 @@ func TestCoordinatorPrunesLargeSpace(t *testing.T) {
 			workers[i] = &Loopback{Name: fmt.Sprintf("w%d", i)}
 		}
 		label := fmt.Sprintf("%d pruning workers", n)
-		sol, m := runCoordinator(t, workers, Options{}, &pjob)
-		requireAnswerIdentical(t, label, oracle, sol)
-		if sol.CandidatesPruned == 0 {
-			t.Errorf("%s: pruned none of %d candidates (%d bounds)", label, space, sol.BoundsComputed)
+		res, m := runCoordinator(t, workers, Options{}, &pjob)
+		requireAnswerIdentical(t, label, oracle, res)
+		if res.Pruned == 0 {
+			t.Errorf("%s: pruned none of %d candidates (%d bounds)", label, space, res.BoundsComputed)
 		}
-		if sol.Evaluations+sol.CandidatesPruned != space {
+		if res.Evaluations+res.Pruned != space {
 			t.Errorf("%s: assessed %d + pruned %d != space %d",
-				label, sol.Evaluations, sol.CandidatesPruned, space)
+				label, res.Evaluations, res.Pruned, space)
 		}
-		if m.CandidatesPruned.Load() != int64(sol.CandidatesPruned) || m.BoundsComputed.Load() != int64(sol.BoundsComputed) {
+		if m.CandidatesPruned.Load() != int64(res.Pruned) || m.BoundsComputed.Load() != int64(res.BoundsComputed) {
 			t.Errorf("%s: metrics pruned %d / bounds %d, merged solution %d / %d", label,
-				m.CandidatesPruned.Load(), m.BoundsComputed.Load(), sol.CandidatesPruned, sol.BoundsComputed)
+				m.CandidatesPruned.Load(), m.BoundsComputed.Load(), res.Pruned, res.BoundsComputed)
 		}
-		t.Logf("%s: pruned %d of %d, %d bounds", label, sol.CandidatesPruned, space, sol.BoundsComputed)
+		t.Logf("%s: pruned %d of %d, %d bounds", label, res.Pruned, space, res.BoundsComputed)
 	}
 }
 
@@ -538,28 +520,28 @@ func TestCoordinatorPrunedMatchesExhaustive(t *testing.T) {
 		for i := range workers {
 			workers[i] = &Loopback{Name: fmt.Sprintf("w%d", i)}
 		}
-		sol, m := runCoordinator(t, workers, Options{}, &pjob)
-		requireAnswerIdentical(t, fmt.Sprintf("%d pruning workers", n), oracle, sol)
-		if sol.Evaluations+sol.CandidatesPruned != space {
+		res, m := runCoordinator(t, workers, Options{}, &pjob)
+		requireAnswerIdentical(t, fmt.Sprintf("%d pruning workers", n), oracle, res)
+		if res.Evaluations+res.Pruned != space {
 			t.Errorf("%d workers: assessed %d + pruned %d != space %d",
-				n, sol.Evaluations, sol.CandidatesPruned, space)
+				n, res.Evaluations, res.Pruned, space)
 		}
-		if m.CandidatesPruned.Load() != int64(sol.CandidatesPruned) {
+		if m.CandidatesPruned.Load() != int64(res.Pruned) {
 			t.Errorf("%d workers: metrics pruned %d, merged solution says %d",
-				n, m.CandidatesPruned.Load(), sol.CandidatesPruned)
+				n, m.CandidatesPruned.Load(), res.Pruned)
 		}
-		if m.BoundsComputed.Load() != int64(sol.BoundsComputed) {
+		if m.BoundsComputed.Load() != int64(res.BoundsComputed) {
 			t.Errorf("%d workers: metrics bounds %d, merged solution says %d",
-				n, m.BoundsComputed.Load(), sol.BoundsComputed)
+				n, m.BoundsComputed.Load(), res.BoundsComputed)
 		}
 	}
 
 	workers := []Worker{&Loopback{Name: "a"}, &Loopback{Name: "b"}, &Loopback{Name: "c"}}
-	sol, m := runCoordinator(t, workers, Options{ValidateK: 2}, &pjob)
-	requireAnswerIdentical(t, "pruned under 2-way validation", oracle, sol)
-	if sol.Evaluations+sol.CandidatesPruned != space {
+	res, m := runCoordinator(t, workers, Options{ValidateK: 2}, &pjob)
+	requireAnswerIdentical(t, "pruned under 2-way validation", oracle, res)
+	if res.Evaluations+res.Pruned != space {
 		t.Errorf("validated: assessed %d + pruned %d != space %d",
-			sol.Evaluations, sol.CandidatesPruned, space)
+			res.Evaluations, res.Pruned, space)
 	}
 	if m.ValidationMismatches.Load() != 0 {
 		t.Errorf("honest pruning workers produced %d validation mismatches", m.ValidationMismatches.Load())

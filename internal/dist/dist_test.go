@@ -73,8 +73,9 @@ func testJob(t *testing.T) *Job {
 }
 
 // singleProcessOracle runs the plain in-process exhaustive search the
-// distributed answer must be byte-identical to.
-func singleProcessOracle(t *testing.T, job *Job) *opt.Solution {
+// distributed answer must be byte-identical to, and returns its
+// whole-space wire Result.
+func singleProcessOracle(t *testing.T, job *Job) *Result {
 	t.Helper()
 	knobs, err := BuildKnobs(job.Knobs)
 	if err != nil {
@@ -92,27 +93,16 @@ func singleProcessOracle(t *testing.T, job *Job) *opt.Solution {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sol
-}
-
-// encodeSolution canonicalizes a Solution as its whole-space wire
-// encoding — the byte-identity witness for the determinism tests.
-func encodeSolution(t *testing.T, sol *opt.Solution) []byte {
-	t.Helper()
-	r, err := SolutionResult(sol, ShardSpec{})
+	res, err := SolutionResult(sol, ShardSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return res
 }
 
-// requireIdentical asserts two Solutions have byte-identical wire
+// requireIdentical asserts two Results have byte-identical wire
 // encodings, with field-level diagnostics on mismatch.
-func requireIdentical(t *testing.T, label string, want, got *opt.Solution) {
+func requireIdentical(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if got.Score != want.Score {
 		t.Errorf("%s: score %v, want %v", label, got.Score, want.Score)
@@ -123,7 +113,14 @@ func requireIdentical(t *testing.T, label string, want, got *opt.Solution) {
 	if got.Evaluations != want.Evaluations {
 		t.Errorf("%s: evaluations %d, want %d", label, got.Evaluations, want.Evaluations)
 	}
-	wantB, gotB := encodeSolution(t, want), encodeSolution(t, got)
+	wantB, err := want.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := got.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(wantB, gotB) {
 		t.Errorf("%s: wire encodings differ\nwant %s\ngot  %s", label, wantB, gotB)
 	}
@@ -132,10 +129,10 @@ func requireIdentical(t *testing.T, label string, want, got *opt.Solution) {
 // requireAnswerIdentical compares the answer fields only — pruning makes
 // the assessed/pruned split schedule-dependent, but never the answer —
 // by zeroing the counters on copies before the byte-identity check.
-func requireAnswerIdentical(t *testing.T, label string, want, got *opt.Solution) {
+func requireAnswerIdentical(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	w, g := *want, *got
-	w.Evaluations, w.CandidatesPruned, w.BoundsComputed, w.MemoHits = 0, 0, 0, 0
-	g.Evaluations, g.CandidatesPruned, g.BoundsComputed, g.MemoHits = 0, 0, 0, 0
+	w.Evaluations, w.Pruned, w.BoundsComputed, w.MemoHits = 0, 0, 0, 0
+	g.Evaluations, g.Pruned, g.BoundsComputed, g.MemoHits = 0, 0, 0, 0
 	requireIdentical(t, label, &w, &g)
 }

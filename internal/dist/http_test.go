@@ -38,11 +38,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := c.Run(context.Background(), job)
+	res, err := c.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "HTTP transport", oracle, sol)
+	requireIdentical(t, "HTTP transport", oracle, res)
 
 	m := c.Metrics()
 	if m.HeartbeatsReceived.Load() < m.ShardsCompleted.Load() {
@@ -227,11 +227,15 @@ func TestHTTPLargeSpace6144(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	oracle, err := opt.ExhaustiveOpts(casestudy.Baseline(), knobs, scs, obj, opt.ExhaustiveOptions{Workers: 1})
+	sol, err := opt.ExhaustiveOpts(casestudy.Baseline(), knobs, scs, obj, opt.ExhaustiveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := time.Since(t0)
+	oracle, err := SolutionResult(sol, ShardSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var workers []Worker
 	for i := 0; i < 2; i++ {
@@ -244,13 +248,13 @@ func TestHTTPLargeSpace6144(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 = time.Now()
-	sol, err := c.Run(context.Background(), job)
+	res, err := c.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dual := time.Since(t0)
 
-	requireIdentical(t, "6144-candidate space", oracle, sol)
+	requireIdentical(t, "6144-candidate space", oracle, res)
 	if oracle.Evaluations != 6144 {
 		t.Errorf("space size %d, want 6144", oracle.Evaluations)
 	}

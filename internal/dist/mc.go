@@ -17,7 +17,7 @@ import (
 // of candidate-space shards. The engine's determinism contract — trial i
 // depends only on (seed, i) — is what makes the distribution safe: any
 // partitioning concatenates back into exactly the single-process
-// observation sequence, and MergeMC proves it did via per-shard digests.
+// observation sequence, and Merge proves it did via per-shard digests.
 
 // NewMCJob assembles an unsharded Monte Carlo job for a campaign over
 // the design. mission 0 means the engine default (one year); a negative
@@ -83,60 +83,4 @@ func executeMC(job *Job, progress *atomic.Int64) (*Result, error) {
 		Evaluations:    len(obs),
 		MC:             &MCResult{Lo: lo, Hi: hi, Obs: obs, Digest: mc.Digest(obs)},
 	}, nil
-}
-
-// MergeMC combines Monte Carlo shard results into the full campaign's
-// observation sequence, in trial order. Results must share one shard
-// count, every shard of the partitioning must be present, ranges must
-// tile [0, trials) exactly, and each payload must match its digest;
-// duplicates (speculative re-dispatch) are deduped, first occurrence
-// wins. The returned slice feeds mc.(*Campaign).Estimate, which then
-// yields a report byte-identical to the single-process campaign.
-func MergeMC(results []*Result, trials int) ([]mc.Obs, error) {
-	if len(results) == 0 {
-		return nil, fmt.Errorf("%w: no results to merge", ErrBadResult)
-	}
-	count := results[0].Shard.Count
-	byIndex := make(map[int]*Result, len(results))
-	for i, r := range results {
-		if r == nil {
-			return nil, fmt.Errorf("%w: result %d is missing", ErrBadResult, i)
-		}
-		if r.MC == nil {
-			return nil, fmt.Errorf("%w: result %d has no Monte Carlo payload", ErrBadResult, i)
-		}
-		if r.Shard.Count != count {
-			return nil, fmt.Errorf("%w: result %d is shard %d/%d, others have %d shards — results must come from one partitioning",
-				ErrBadResult, i, r.Shard.Index, r.Shard.Count, count)
-		}
-		if _, dup := byIndex[r.Shard.Index]; dup {
-			continue
-		}
-		if err := r.MC.Validate(); err != nil {
-			return nil, fmt.Errorf("result %d (shard %d/%d): %w", i, r.Shard.Index, r.Shard.Count, err)
-		}
-		byIndex[r.Shard.Index] = r
-	}
-	want := count
-	if want == 0 {
-		want = 1 // a zero shard count is the whole campaign as one result
-	}
-	obs := make([]mc.Obs, 0, trials)
-	next := 0
-	for s := 0; s < want; s++ {
-		r, ok := byIndex[s]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing shard %d/%d", ErrBadResult, s, count)
-		}
-		if r.MC.Lo != next {
-			return nil, fmt.Errorf("%w: shard %d covers trials [%d, %d), expected to start at %d",
-				ErrBadResult, s, r.MC.Lo, r.MC.Hi, next)
-		}
-		obs = append(obs, r.MC.Obs...)
-		next = r.MC.Hi
-	}
-	if next != trials {
-		return nil, fmt.Errorf("%w: shards cover %d trials, campaign has %d", ErrBadResult, next, trials)
-	}
-	return obs, nil
 }

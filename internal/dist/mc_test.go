@@ -40,11 +40,16 @@ func mcOracle(t *testing.T) *mc.Report {
 
 // TestRunMCMatchesSingleProcess is the distributed acceptance check:
 // trial shards dispatched across Loopback workers (full wire round
-// trip), merged and estimated, must be byte-identical to the
-// single-process campaign — for several worker and shard counts.
+// trip) merge into the Result ExecuteJob returns for the unsharded job,
+// and its estimate is byte-identical to the single-process campaign —
+// for several worker and shard counts.
 func TestRunMCMatchesSingleProcess(t *testing.T) {
 	want := mcOracle(t)
 	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := ExecuteJob(newMCTestJob(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +72,13 @@ func TestRunMCMatchesSingleProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			obs, err := coord.RunMC(context.Background(), newMCTestJob(t))
+			res, err := coord.Run(context.Background(), newMCTestJob(t))
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireIdentical(t, "merged trial shards", whole, res)
 			camp := &mc.Campaign{Design: casestudy.Baseline(), Seed: mcTestSeed, Trials: mcTestTrials}
-			rep, err := camp.Estimate(obs)
+			rep, err := camp.Estimate(res.MC.Obs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,14 +112,14 @@ func TestRunMCSurvivesCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := coord.RunMC(context.Background(), newMCTestJob(t))
+	res, err := coord.Run(context.Background(), newMCTestJob(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if crashes == 0 {
 		t.Fatal("fault injection never fired")
 	}
-	if d := mc.Digest(obs); d != want.Digest {
+	if d := mc.Digest(res.MC.Obs); d != want.Digest {
 		t.Errorf("merged digest %x after crashes, want %x", d, want.Digest)
 	}
 }
@@ -128,35 +134,44 @@ func TestRunMCValidateK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := coord.RunMC(context.Background(), newMCTestJob(t))
+	res, err := coord.Run(context.Background(), newMCTestJob(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.Digest(obs); d != want.Digest {
+	if d := mc.Digest(res.MC.Obs); d != want.Digest {
 		t.Errorf("merged digest %x under 2-way validation, want %x", d, want.Digest)
 	}
 }
 
-func TestRunMCRejectsSearchJob(t *testing.T) {
+// TestRunMCRejects: Run refuses a pre-sharded or invalid Monte Carlo
+// job, and a merge whose trial range falls short of the campaign.
+func TestRunMCRejects(t *testing.T) {
 	coord, err := NewCoordinator([]Worker{&Loopback{Name: "a"}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := newTestJob()
+	sharded := *newMCTestJob(t)
+	sharded.Shard = ShardSpec{Index: 0, Count: 2}
+	if _, err := coord.Run(context.Background(), &sharded); !errors.Is(err, ErrBadJob) {
+		t.Errorf("Run on a pre-sharded job: %v", err)
+	}
+	empty := *newMCTestJob(t)
+	empty.MC = &MCSpec{Seed: 1}
+	if _, err := coord.Run(context.Background(), &empty); !errors.Is(err, ErrBadJob) {
+		t.Errorf("Run on a zero-trial job: %v", err)
+	}
+
+	// A worker that samples a campaign one trial short returns a
+	// well-formed shard; only the coverage check can catch it.
+	short, err := NewCoordinator([]Worker{&Loopback{Name: "short", Intercept: func(job *Job) Fault {
+		job.MC.Trials--
+		return FaultNone
+	}}}, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.RunMC(context.Background(), job); !errors.Is(err, ErrBadJob) {
-		t.Errorf("RunMC on a search job: %v", err)
-	}
-	mcJob := newMCTestJob(t)
-	if _, err := coord.Run(context.Background(), mcJob); !errors.Is(err, ErrBadJob) {
-		t.Errorf("Run on a Monte Carlo job: %v", err)
-	}
-	sharded := *mcJob
-	sharded.Shard = ShardSpec{Index: 0, Count: 2}
-	if _, err := coord.RunMC(context.Background(), &sharded); !errors.Is(err, ErrBadJob) {
-		t.Errorf("RunMC on a pre-sharded job: %v", err)
+	if _, err := short.Run(context.Background(), newMCTestJob(t)); !errors.Is(err, ErrBadResult) {
+		t.Errorf("merge covering %d of %d trials: err = %v, want ErrBadResult", mcTestTrials-1, mcTestTrials, err)
 	}
 }
 
@@ -251,16 +266,16 @@ func TestMCResultDigestRejected(t *testing.T) {
 }
 
 func TestMergeMCErrors(t *testing.T) {
-	camp := &mc.Campaign{Design: casestudy.Baseline(), Seed: mcTestSeed, Trials: 8}
-	shard := func(index, count int) *Result {
-		lo, hi := (ShardSpec{Index: index, Count: count}).Shard().Bounds(8)
+	camp := &mc.Campaign{Design: casestudy.Baseline(), Seed: mcTestSeed, Trials: 10}
+	shard := func(index, count, trials int) *Result {
+		lo, hi := (ShardSpec{Index: index, Count: count}).Shard().Bounds(trials)
 		obs, err := camp.Sample(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &Result{
 			Version: Version, Shard: ShardSpec{Index: index, Count: count},
-			Feasible: false, CandidateIndex: -1,
+			Feasible: false, CandidateIndex: -1, Evaluations: len(obs),
 			MC: &MCResult{Lo: lo, Hi: hi, Obs: obs, Digest: mc.Digest(obs)},
 		}
 	}
@@ -269,33 +284,41 @@ func TestMergeMCErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeMC([]*Result{shard(0, 2), shard(1, 2)}, 8)
+	merged, err := Merge([]*Result{shard(0, 2, 8), shard(1, 2, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.Digest(merged) != mc.Digest(full) {
-		t.Error("two-shard merge differs from the full sample")
-	}
+	want := &Result{Version: Version, CandidateIndex: -1, Evaluations: 8,
+		MC: &MCResult{Lo: 0, Hi: 8, Obs: full, Digest: mc.Digest(full)}}
+	requireIdentical(t, "two-shard merge", want, merged)
 	// Duplicates dedupe, first wins.
-	merged, err = MergeMC([]*Result{shard(0, 2), shard(0, 2), shard(1, 2)}, 8)
-	if err != nil || mc.Digest(merged) != mc.Digest(full) {
-		t.Errorf("dedup merge: %v", err)
+	merged, err = Merge([]*Result{shard(0, 2, 8), shard(0, 2, 8), shard(1, 2, 8)})
+	if err != nil {
+		t.Fatalf("dedup merge: %v", err)
 	}
+	requireIdentical(t, "dedup merge", want, merged)
 
-	if _, err := MergeMC(nil, 8); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge(nil); !errors.Is(err, ErrBadResult) {
 		t.Errorf("empty merge: %v", err)
 	}
-	if _, err := MergeMC([]*Result{shard(0, 2)}, 8); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge([]*Result{shard(0, 2, 8)}); !errors.Is(err, ErrBadResult) {
 		t.Errorf("missing shard: %v", err)
 	}
-	if _, err := MergeMC([]*Result{shard(0, 2), shard(2, 3)}, 8); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge([]*Result{shard(0, 2, 8), shard(2, 3, 8)}); !errors.Is(err, ErrBadResult) {
 		t.Errorf("mixed partitioning: %v", err)
 	}
 	noMC := &Result{Version: Version, Shard: ShardSpec{Index: 1, Count: 2}, Feasible: false, CandidateIndex: -1}
-	if _, err := MergeMC([]*Result{shard(0, 2), noMC}, 8); !errors.Is(err, ErrBadResult) {
+	if _, err := Merge([]*Result{shard(0, 2, 8), noMC}); !errors.Is(err, ErrBadResult) {
 		t.Errorf("payload-free result: %v", err)
 	}
-	if _, err := MergeMC([]*Result{shard(0, 2), shard(1, 2)}, 9); !errors.Is(err, ErrBadResult) {
-		t.Errorf("coverage mismatch: %v", err)
+	// Shard 1 of a 10-trial campaign starts at trial 5, not where shard
+	// 0 of an 8-trial one ends.
+	if _, err := Merge([]*Result{shard(0, 2, 8), shard(1, 2, 10)}); !errors.Is(err, ErrBadResult) {
+		t.Errorf("gap between ranges: %v", err)
+	}
+	tampered := shard(1, 2, 8)
+	tampered.MC.Digest++
+	if _, err := Merge([]*Result{shard(0, 2, 8), tampered}); !errors.Is(err, ErrBadResult) {
+		t.Errorf("payload digest mismatch: %v", err)
 	}
 }

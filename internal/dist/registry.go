@@ -46,12 +46,13 @@ type Prober interface {
 	Health(ctx context.Context) error
 }
 
+// probeTimeout bounds each individual health probe.
+const probeTimeout = 2 * time.Second
+
 // RegistryOptions configures a Registry. The zero value is usable.
 type RegistryOptions struct {
 	// ProbeInterval spaces health-probe rounds in Start. Default 5s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each individual probe. Default 2s.
-	ProbeTimeout time.Duration
 	// EvictAfter is the consecutive failed probes before a live worker
 	// is evicted into quarantine. Default 3.
 	EvictAfter int
@@ -63,9 +64,6 @@ type RegistryOptions struct {
 	// QuarantineBackoff is the first quarantine's duration, doubling on
 	// every repeat offense (capped at 64x). Default 1s.
 	QuarantineBackoff time.Duration
-	// ProbationProbes is how many consecutive healthy probes a worker in
-	// probation needs before readmission. Default 1.
-	ProbationProbes int
 	// Metrics receives eviction/quarantine/readmission counters; nil
 	// allocates one.
 	Metrics *Metrics
@@ -82,7 +80,6 @@ type regEntry struct {
 	failures   int       // consecutive coordinator-reported failures
 	offenses   int       // quarantine count; drives the backoff doubling
 	until      time.Time // quarantine expiry
-	okProbes   int       // consecutive healthy probes while in probation
 }
 
 // Registry is a live view of the worker fleet: workers are added and
@@ -107,17 +104,11 @@ func NewRegistry(opts RegistryOptions) *Registry {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 5 * time.Second
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = 2 * time.Second
-	}
 	if opts.EvictAfter <= 0 {
 		opts.EvictAfter = 3
 	}
 	if opts.QuarantineBackoff <= 0 {
 		opts.QuarantineBackoff = time.Second
-	}
-	if opts.ProbationProbes <= 0 {
-		opts.ProbationProbes = 1
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -303,7 +294,6 @@ func (r *Registry) quarantineLocked(e *regEntry, id, reason string, counter *ato
 	e.offenses++
 	e.failures = 0
 	e.probeFails = 0
-	e.okProbes = 0
 	e.until = time.Now().Add(backoff)
 	counter.Add(1)
 	r.opts.Logf("registry: quarantined worker %s for %v (offense %d): %s", id, backoff, e.offenses, reason)
@@ -324,7 +314,6 @@ func (r *Registry) expire(id string) {
 	_, probeable := e.worker.(Prober)
 	if probeable && r.probing.Load() {
 		e.state = StateProbation
-		e.okProbes = 0
 		r.mu.Unlock()
 		r.opts.Logf("registry: worker %s entered probation", id)
 		r.notify()
@@ -338,9 +327,9 @@ func (r *Registry) expire(id string) {
 }
 
 // Probe runs one health-probe round: live probeable workers accumulate
-// consecutive failures toward eviction, probation workers accumulate
-// consecutive successes toward readmission. Probes run concurrently,
-// each bounded by ProbeTimeout.
+// consecutive failures toward eviction, and a probation worker is
+// readmitted by one healthy probe or re-quarantined by a failed one.
+// Probes run concurrently, each bounded by probeTimeout.
 func (r *Registry) Probe(ctx context.Context) {
 	type target struct {
 		id    string
@@ -366,7 +355,7 @@ func (r *Registry) Probe(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, t target) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, r.opts.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			results[i] = t.p.Health(pctx)
 		}(i, t)
@@ -402,14 +391,11 @@ func (r *Registry) Probe(ctx context.Context) {
 				changed = true
 				continue
 			}
-			e.okProbes++
-			if e.okProbes >= r.opts.ProbationProbes {
-				e.state = StateLive
-				e.probeFails = 0
-				r.m.WorkersReadmitted.Add(1)
-				r.opts.Logf("registry: readmitted worker %s after %d healthy probes", t.id, e.okProbes)
-				changed = true
-			}
+			e.state = StateLive
+			e.probeFails = 0
+			r.m.WorkersReadmitted.Add(1)
+			r.opts.Logf("registry: readmitted worker %s after a healthy probe", t.id)
+			changed = true
 		}
 	}
 	r.mu.Unlock()

@@ -1,20 +1,22 @@
-// Package dist distributes an exhaustive design-space search across
-// workers on other processes or hosts. It is the cross-host layer above
-// the sharded streaming search of internal/opt: a coordinator partitions
-// the candidate space into more shards than workers, dispatches each
-// shard as a self-contained JSON job, retries failures with backoff,
-// speculatively re-dispatches stragglers, and merges the shard winners
-// with opt.MergeShards — so the distributed answer is byte-identical to
-// a single-process opt.ExhaustiveOpts for any worker count, shard count,
-// failure pattern, or arrival order.
+// Package dist distributes an exhaustive design-space search, or a
+// Monte Carlo campaign's trials, across workers on other processes or
+// hosts. It is the cross-host layer above the sharded streaming search
+// of internal/opt and the trial ranges of internal/mc: a coordinator
+// partitions the candidate space or trial range into more shards than
+// workers, dispatches each shard as a self-contained JSON job, retries
+// failures with backoff, speculatively re-dispatches stragglers, and
+// folds the shard results through Merge into the whole-space Result a
+// single process computes for the unsharded job — byte-identical for
+// any worker count, shard count, failure pattern, or arrival order.
 //
 // The wire format is versioned JSON. A Job carries everything a worker
 // needs to evaluate its shard with no other context: the base design in
 // the internal/config schema, serializable knob specifications (policy
 // options travel as config-encoded policies), failure scenarios, the
 // objective, and the shard assignment. A Result carries a shard's
-// Solution back, again via the config schema, so independently run
-// shards merge into exactly the Solution the unsharded search returns.
+// Solution back, again via the config schema, or a trial shard's
+// digest-checked observations. Merge folds results from a coordinator
+// run and results written to files by independently run shards alike.
 //
 // Transports are pluggable behind the Worker interface: an HTTP worker
 // (cmd/worker, NewHandler/HTTPWorker) streams NDJSON heartbeats while it

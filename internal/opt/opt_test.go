@@ -46,32 +46,13 @@ func TestClone(t *testing.T) {
 
 // table7Knobs exposes the paper's Table 7 moves as optimizer knobs.
 func table7Knobs() []Knob {
-	weeklyVault := casestudy.VaultPolicy()
-	weeklyVault.Primary.AccW = units.Week
-	weeklyVault.Primary.HoldW = 12 * time.Hour
-	weeklyVault.RetCnt = 156
-
-	fi := casestudy.BackupPolicy()
-	fi.Primary.AccW = 48 * time.Hour
-	fi.Primary.PropW = 48 * time.Hour
-	fi.Secondary = &hierarchy.WindowSet{
-		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
-		Rep: hierarchy.RepPartial,
-	}
-	fi.CycleCnt = 5
-
-	dailyF := casestudy.BackupPolicy()
-	dailyF.Primary.AccW = 24 * time.Hour
-	dailyF.Primary.PropW = 12 * time.Hour
-	dailyF.RetCnt = 28
-
 	return []Knob{
 		PolicyKnob("vaulting",
 			[]string{"4-weekly", "weekly"},
-			[]hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault}),
+			[]hierarchy.Policy{casestudy.VaultPolicy(), casestudy.WeeklyVaultPolicy()}),
 		PolicyKnob("backup",
 			[]string{"weekly full", "F+I", "daily full"},
-			[]hierarchy.Policy{casestudy.BackupPolicy(), fi, dailyF}),
+			[]hierarchy.Policy{casestudy.BackupPolicy(), casestudy.FIBackupPolicy(), casestudy.DailyFBackupPolicy()}),
 		// PiTKnob renames the level, so it must come after other knobs
 		// that reference it by its base-design name.
 		PiTKnob("split-mirror"),
@@ -114,15 +95,7 @@ func TestPolicyKnobDoesNotAlias(t *testing.T) {
 		t.Errorf("second design's incremental accW = %v after changing the first's, want 24h", got)
 	}
 
-	fi := casestudy.BackupPolicy()
-	fi.Primary.AccW = 48 * time.Hour
-	fi.Primary.PropW = 48 * time.Hour
-	fi.Secondary = &hierarchy.WindowSet{
-		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
-		Rep: hierarchy.RepPartial,
-	}
-	fi.CycleCnt = 5
-	policies := []hierarchy.Policy{fi}
+	policies := []hierarchy.Policy{casestudy.FIBackupPolicy()}
 	knobs := []Knob{
 		PolicyKnob("backup", []string{"F+I"}, policies),
 		RetCntKnob("vaulting", []int{2, 4, 8}),

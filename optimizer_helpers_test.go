@@ -1,44 +1,22 @@
 package stordep_test
 
 import (
-	"time"
-
 	"stordep"
 	"stordep/internal/casestudy"
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/opt"
-	"stordep/internal/units"
 )
 
 // optimizerKnobs exposes the Table 7 moves for root-level benchmarks.
 func optimizerKnobs() []opt.Knob {
-	weeklyVault := casestudy.VaultPolicy()
-	weeklyVault.Primary.AccW = units.Week
-	weeklyVault.Primary.HoldW = 12 * time.Hour
-	weeklyVault.RetCnt = 156
-
-	fi := casestudy.BackupPolicy()
-	fi.Primary.AccW = 48 * time.Hour
-	fi.Primary.PropW = 48 * time.Hour
-	fi.Secondary = &hierarchy.WindowSet{
-		AccW: 24 * time.Hour, PropW: 12 * time.Hour, HoldW: time.Hour,
-		Rep: hierarchy.RepPartial,
-	}
-	fi.CycleCnt = 5
-
-	dailyF := casestudy.BackupPolicy()
-	dailyF.Primary.AccW = 24 * time.Hour
-	dailyF.Primary.PropW = 12 * time.Hour
-	dailyF.RetCnt = 28
-
 	return []opt.Knob{
 		opt.PolicyKnob("vaulting",
 			[]string{"4-weekly", "weekly"},
-			[]hierarchy.Policy{casestudy.VaultPolicy(), weeklyVault}),
+			[]hierarchy.Policy{casestudy.VaultPolicy(), casestudy.WeeklyVaultPolicy()}),
 		opt.PolicyKnob("backup",
 			[]string{"weekly full", "F+I", "daily full"},
-			[]hierarchy.Policy{casestudy.BackupPolicy(), fi, dailyF}),
+			[]hierarchy.Policy{casestudy.BackupPolicy(), casestudy.FIBackupPolicy(), casestudy.DailyFBackupPolicy()}),
 		opt.PiTKnob("split-mirror"),
 	}
 }
