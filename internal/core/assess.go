@@ -246,10 +246,10 @@ func (s *System) recoverySteps(buf []recovery.Step, tech protect.Technique, sc f
 		DestProvision: dr.provision,
 		AccessDelay:   read.Spec.Delay,
 		ReadIntact:    rr.kind == resIntact,
-		ReadAvail:     s.devices[readName].AvailableBandwidth(),
+		ReadAvail:     s.Device(readName).AvailableBandwidth(),
 		ReadMax:       read.Spec.MaxBandwidth(),
 		DestIntact:    dr.kind == resIntact,
-		DestAvail:     s.devices[dest.Spec.Name].AvailableBandwidth(),
+		DestAvail:     s.Device(dest.Spec.Name).AvailableBandwidth(),
 		DestMax:       dest.Spec.MaxBandwidth(),
 		SameDevice:    readName == dest.Spec.Name,
 		Size:          tech.RestoreSize(d.Workload),
@@ -259,7 +259,7 @@ func (s *System) recoverySteps(buf []recovery.Step, tech protect.Technique, sc f
 		r.Transit = t.Spec.Delay
 		if t.Spec.Kind == device.KindInterconnect && rr.site != dr.site {
 			r.CrossLink, r.LinkDelay = true, t.Spec.Delay
-			r.LinkBW = s.devices[t.Spec.Name].AvailableBandwidth()
+			r.LinkBW = s.Device(t.Spec.Name).AvailableBandwidth()
 		}
 	}
 	steps = r.Steps(buf)

@@ -50,7 +50,7 @@ type BatchKernel struct {
 	nDevices int
 	primary  int // device index of the primary array
 
-	devIndex map[string]int
+	devName  []string
 	devDelay []time.Duration
 	devKind  []device.Kind
 
@@ -175,9 +175,12 @@ func (k *BatchKernel) Retainer(di int) float64 {
 }
 
 // DeviceIndex returns the design-order index of the named device, or -1.
+// Names are unique (Design.Validate) and few, so a scan is the lookup.
 func (k *BatchKernel) DeviceIndex(name string) int {
-	if i, ok := k.devIndex[name]; ok {
-		return i
+	for i, n := range k.devName {
+		if n == name {
+			return i
+		}
 	}
 	return -1
 }
@@ -303,20 +306,18 @@ func NewBatchKernel(sys *System, scs []failure.Scenario) (*BatchKernel, error) {
 		reqs:     d.Requirements,
 		nLevels:  len(d.Levels),
 		nDevices: len(d.Devices),
-		devIndex: make(map[string]int, len(d.Devices)),
+		devName:  make([]string, len(d.Devices)),
 		devDelay: make([]time.Duration, len(d.Devices)),
 		devKind:  make([]device.Kind, len(d.Devices)),
 	}
 	for i, pd := range d.Devices {
-		k.devIndex[pd.Spec.Name] = i
+		k.devName[i] = pd.Spec.Name
 		k.devDelay[i] = pd.Spec.Delay
 		k.devKind[i] = pd.Spec.Kind
 	}
-	primary, ok := k.devIndex[d.Primary.Array]
-	if !ok {
+	if k.primary = k.DeviceIndex(d.Primary.Array); k.primary < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownLevel, d.Primary.Array)
 	}
-	k.primary = primary
 
 	k.res = make([]resolution, len(scs)*k.nDevices)
 	for si, sc := range k.scs {

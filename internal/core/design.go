@@ -113,17 +113,15 @@ func (d *Design) Validate() error {
 	if len(d.Devices) == 0 {
 		return ErrNoDevices
 	}
-	names := make(map[string]bool, len(d.Devices))
-	for _, pd := range d.Devices {
+	for i, pd := range d.Devices {
 		if err := pd.Spec.Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		if names[pd.Spec.Name] {
+		if hasDevice(d.Devices[:i], pd.Spec.Name) {
 			return fmt.Errorf("%w: %q", ErrDupDevice, pd.Spec.Name)
 		}
-		names[pd.Spec.Name] = true
 	}
-	if !names[d.Primary.Array] {
+	if !hasDevice(d.Devices, d.Primary.Array) {
 		return fmt.Errorf("%w: primary array %q", ErrUnknownLevel, d.Primary.Array)
 	}
 	for i, tech := range d.Levels {
@@ -135,11 +133,11 @@ func (d *Design) Validate() error {
 			refs = append(refs, ms.CopyDevices()...)
 		}
 		for _, ref := range refs {
-			if !names[ref] {
+			if !hasDevice(d.Devices, ref) {
 				return fmt.Errorf("%w: level %d (%s) -> %q", ErrUnknownLevel, i+1, tech.Name(), ref)
 			}
 		}
-		if tr := tech.TransportDevice(); tr != "" && !names[tr] {
+		if tr := tech.TransportDevice(); tr != "" && !hasDevice(d.Devices, tr) {
 			return fmt.Errorf("%w: level %d (%s) -> transport %q", ErrUnknownLevel, i+1, tech.Name(), tr)
 		}
 	}
@@ -175,6 +173,17 @@ func (d *Design) PrimaryPlacement() failure.Placement {
 		}
 	}
 	return failure.Placement{}
+}
+
+// hasDevice reports whether devs holds a device of the given name. A
+// design has a handful of devices, so a scan beats building a set.
+func hasDevice(devs []PlacedDevice, name string) bool {
+	for i := range devs {
+		if devs[i].Spec.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // placedDevice returns the placed device by name.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"stordep/internal/cost"
-	"stordep/internal/device"
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/protect"
@@ -189,15 +188,9 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 	if err := md.Validate(); err != nil {
 		return nil, err
 	}
-	devs := make(protect.DeviceMap, len(md.Devices))
-	ordered := make([]*device.Device, 0, len(md.Devices))
-	for _, pd := range md.Devices {
-		dev, err := device.New(pd.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		devs[pd.Spec.Name] = dev
-		ordered = append(ordered, dev)
+	devs, err := newDevices(md.Devices)
+	if err != nil {
+		return nil, err
 	}
 	ms := &MultiSystem{
 		design:  md,
@@ -214,7 +207,7 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 			}
 		}
 	}
-	for _, dev := range ordered {
+	for _, dev := range devs {
 		if err := dev.Check(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -222,7 +215,7 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 	// Outlays are computed once over the shared fleet; facility retainer
 	// piggybacks on the first object's placement view (the fleet and
 	// facility are shared). Every object view carries them.
-	ms.outlays = collectOutlays(md.ObjectDesign(md.Objects[0]), ordered)
+	ms.outlays = collectOutlays(md.ObjectDesign(md.Objects[0]), devs)
 	for _, obj := range md.Objects {
 		ms.objects[obj.Name] = newSystem(md.ObjectDesign(obj), devs, ms.outlays)
 		ms.order = append(ms.order, obj.Name)

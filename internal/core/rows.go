@@ -58,7 +58,6 @@ type Touch struct {
 type Assembler struct {
 	k     *BatchKernel
 	fleet protect.DeviceMap
-	devs  []*device.Device
 
 	totBW    []units.Rate
 	totCap   []units.ByteSize
@@ -80,7 +79,6 @@ func (k *BatchKernel) NewAssembler() *Assembler {
 	a := &Assembler{
 		k:        k,
 		fleet:    make(protect.DeviceMap, nD),
-		devs:     make([]*device.Device, nD),
 		totBW:    make([]units.Rate, nD),
 		totCap:   make([]units.ByteSize, nD),
 		rowTech:  make([]string, nD*k.maxRows()),
@@ -90,9 +88,8 @@ func (k *BatchKernel) NewAssembler() *Assembler {
 		specs:    make([]*device.Spec, nD),
 		repl:     make([]Fragment, k.nLevels),
 	}
-	for i, dev := range k.sys.Devices() {
-		a.devs[i] = dev.Clone()
-		a.fleet[dev.Name()] = a.devs[i]
+	for i, dev := range k.sys.devices {
+		a.fleet[i] = dev.Clone()
 	}
 	return a
 }
@@ -146,16 +143,16 @@ func (a *Assembler) Fragment(tech protect.Technique, buf []IndexedDemand) (Fragm
 // capture runs apply on the clean capture fleet and appends the demands
 // it registers, in device order, to buf.
 func (a *Assembler) capture(apply func(*workload.Workload, protect.DeviceMap) error, buf []IndexedDemand) ([]IndexedDemand, error) {
-	for _, dev := range a.devs {
+	for _, dev := range a.fleet {
 		dev.ResetDemands()
 	}
 	if err := apply(a.k.sys.design.Workload, a.fleet); err != nil {
 		return buf, err
 	}
-	for di, dev := range a.devs {
-		dev.ScanDemands(func(dem device.Demand) {
-			buf = append(buf, IndexedDemand{Dev: int32(di), Demand: dem})
-		})
+	for di, dev := range a.fleet {
+		for i, n := 0, dev.NumDemands(); i < n; i++ {
+			buf = append(buf, IndexedDemand{Dev: int32(di), Demand: dev.DemandAt(i)})
+		}
 	}
 	return buf, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stordep/internal/cost"
@@ -36,15 +37,9 @@ func Build(d *Design) (*System, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	devs := make(protect.DeviceMap, len(d.Devices))
-	ordered := make([]*device.Device, 0, len(d.Devices))
-	for _, pd := range d.Devices {
-		dev, err := device.New(pd.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		devs[pd.Spec.Name] = dev
-		ordered = append(ordered, dev)
+	devs, err := newDevices(d.Devices)
+	if err != nil {
+		return nil, err
 	}
 	if err := d.Primary.ApplyDemands(d.Workload, devs); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -54,12 +49,25 @@ func Build(d *Design) (*System, error) {
 			return nil, fmt.Errorf("core: level %d (%s): %w", i+1, tech.Name(), err)
 		}
 	}
-	for _, dev := range ordered {
+	for _, dev := range devs {
 		if err := dev.Check(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	return newSystem(d, devs, collectOutlays(d, ordered)), nil
+	return newSystem(d, devs, collectOutlays(d, devs)), nil
+}
+
+// newDevices instantiates placed devices, demand-free, in design order.
+func newDevices(placed []PlacedDevice) (protect.DeviceMap, error) {
+	devs := make(protect.DeviceMap, len(placed))
+	for i, pd := range placed {
+		dev, err := device.New(pd.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		devs[i] = dev
+	}
+	return devs, nil
 }
 
 // newSystem assembles the System view of d over built devices carrying
@@ -119,16 +127,13 @@ func (s *System) Chain() hierarchy.Chain { return s.chain }
 func (s *System) Outlays() cost.Outlays { return s.outlays }
 
 // Device returns the named built device (with demands applied), or nil.
-func (s *System) Device(name string) *device.Device { return s.devices[name] }
+func (s *System) Device(name string) *device.Device {
+	dev, _ := s.devices.Get(name)
+	return dev
+}
 
 // Devices returns the built devices in design order.
-func (s *System) Devices() []*device.Device {
-	out := make([]*device.Device, 0, len(s.design.Devices))
-	for _, pd := range s.design.Devices {
-		out = append(out, s.devices[pd.Spec.Name])
-	}
-	return out
-}
+func (s *System) Devices() []*device.Device { return slices.Clone(s.devices) }
 
 // Warnings reports the design's soft-convention violations (§3.2.1).
 func (s *System) Warnings() []string { return s.chain.Warnings() }

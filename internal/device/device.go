@@ -301,13 +301,12 @@ func (d *Device) ResetDemands() {
 	d.demands = d.demands[:0]
 }
 
-// ScanDemands calls fn for each registered demand in registration order,
+// NumDemands returns how many demands are registered.
+func (d *Device) NumDemands() int { return len(d.demands) }
+
+// DemandAt returns the i-th registered demand in registration order,
 // without the defensive copy Demands makes.
-func (d *Device) ScanDemands(fn func(Demand)) {
-	for _, dem := range d.demands {
-		fn(dem)
-	}
-}
+func (d *Device) DemandAt(i int) Demand { return d.demands[i] }
 
 // Demands returns a copy of the registered demands in registration order.
 func (d *Device) Demands() []Demand {
@@ -456,12 +455,13 @@ func (o TechOutlay) Total() units.Money { return o.Base + o.SpareCost }
 // costs the same whether the mirror stream fills it or not.
 func (d *Device) Outlays() []TechOutlay {
 	var rows []TechOutlay
-	index := make(map[string]int)
 	for _, dem := range d.demands {
-		i, ok := index[dem.Technique]
-		if !ok {
-			i = len(rows)
-			index[dem.Technique] = i
+		// A device serves a handful of techniques: a scan finds the row.
+		i := 0
+		for i < len(rows) && rows[i].Technique != dem.Technique {
+			i++
+		}
+		if i == len(rows) {
 			rows = append(rows, TechOutlay{Technique: dem.Technique})
 			if i == 0 {
 				rows[0].Base += d.spec.FixedOutlay()

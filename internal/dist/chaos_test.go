@@ -248,6 +248,82 @@ func TestCoordinatorValidateKNeedsEnoughWorkers(t *testing.T) {
 	}
 }
 
+// lateVoter is a scripted third voter: it starts its attempt (closing
+// started, which the honest voters wait for), evaluates the shard, holds
+// its answer until the coordinator has validated the shard without it,
+// and then returns the answer with tamper applied (nil: unchanged).
+type lateVoter struct {
+	Loopback
+	m       *Metrics
+	started chan struct{}
+	tamper  func(*Result)
+}
+
+func (l *lateVoter) Run(ctx context.Context, job *Job, heartbeat func(int64)) (*Result, error) {
+	close(l.started)
+	res, err := l.Loopback.Run(ctx, job, heartbeat)
+	if err != nil {
+		return nil, err
+	}
+	for deadline := time.Now().Add(time.Minute); l.m.ShardsCompleted.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return nil, errors.New("shard never validated")
+		}
+	}
+	if l.tamper != nil {
+		l.tamper(res)
+	}
+	return res, nil
+}
+
+// TestCoordinatorChecksLateVotes: under K=3 a shard validates on two
+// agreeing votes, so a third vote can land after it. A late lie must
+// still count as a validation mismatch and quarantine its voter, and a
+// late honest vote must stay a discarded duplicate; the merged Result
+// is the single-process one either way. The honest voters wait until
+// the late voter holds its assignment, so the late vote always lands.
+func TestCoordinatorChecksLateVotes(t *testing.T) {
+	job := testJob(t)
+	oracle := singleProcessOracle(t, job)
+	for _, c := range []struct {
+		name                               string
+		tamper                             func(*Result)
+		mismatches, quarantines, discarded int64
+	}{
+		{"lie", func(r *Result) { r.Score -= r.Score*0.25 + 1 }, 1, 1, 0},
+		{"honest", nil, 0, 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := &Metrics{}
+			late := &lateVoter{Loopback: Loopback{Name: "late"}, m: m, started: make(chan struct{}), tamper: c.tamper}
+			wait := func(*Job) Fault { <-late.started; return FaultNone }
+			workers := []Worker{
+				&Loopback{Name: "a", Intercept: wait},
+				&Loopback{Name: "b", Intercept: wait},
+				late,
+			}
+			res, _ := runCoordinator(t, workers, Options{Shards: 1, ValidateK: 3, Metrics: m}, job)
+			requireIdentical(t, c.name, oracle, res)
+			// Run returns once the shard validates; the late vote is
+			// recorded when it lands, and its quarantine delivered after.
+			deadline := time.Now().Add(time.Minute)
+			for (m.ValidationMismatches.Load()+m.DuplicatesDiscarded.Load() == 0 ||
+				m.WorkersQuarantined.Load() < c.quarantines) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := m.ValidationMismatches.Load(); got != c.mismatches {
+				t.Errorf("validation mismatches %d, want %d", got, c.mismatches)
+			}
+			if got := m.WorkersQuarantined.Load(); got != c.quarantines {
+				t.Errorf("quarantines %d, want %d", got, c.quarantines)
+			}
+			if got := m.DuplicatesDiscarded.Load(); got != c.discarded {
+				t.Errorf("duplicates discarded %d, want %d", got, c.discarded)
+			}
+		})
+	}
+}
+
 // TestCoordinatorQuarantineRedispatchesInFlightVotes: a worker
 // quarantined mid-run (here by the registry's failure limit, tripped by
 // its own crashes) keeps the run alive — its shards are re-dispatched

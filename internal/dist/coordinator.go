@@ -694,8 +694,7 @@ func (c *Coordinator) record(st *runState, w Worker, s int, res *Result, err err
 // caller to deliver after unlocking. Callers hold st.mu.
 func (c *Coordinator) recordVote(st *runState, id string, s int, res *Result) []quarAction {
 	if st.validated[s] != nil {
-		c.m.DuplicatesDiscarded.Add(1)
-		return nil
+		return c.lateVote(st, id, s, res)
 	}
 	if !c.reg.IsLive(id) {
 		// The worker was quarantined while this attempt was in flight; a
@@ -742,6 +741,32 @@ func (c *Coordinator) recordVote(st *runState, id string, s int, res *Result) []
 	st.target[s]++
 	c.ensureDispatch(st, s)
 	return nil
+}
+
+// lateVote checks a vote that lands after shard s validated. Under
+// K-way validation the validated result is the majority's, so a late
+// vote with another digest is a lie like a minority vote: it counts as
+// a validation mismatch, its voter's votes on still-unvalidated shards
+// are scrubbed, and a quarantine verdict is returned. An agreeing late
+// vote, and any late vote without cross-validation (the first answer
+// validated alone), is a discarded duplicate. Callers hold st.mu.
+func (c *Coordinator) lateVote(st *runState, id string, s int, res *Result) []quarAction {
+	if c.opts.ValidateK <= 1 {
+		c.m.DuplicatesDiscarded.Add(1)
+		return nil
+	}
+	got, want := resultDigest(res), resultDigest(st.validated[s])
+	if got == want {
+		c.m.DuplicatesDiscarded.Add(1)
+		return nil
+	}
+	c.m.ValidationMismatches.Add(1)
+	c.scrubVotes(st, id, s)
+	return []quarAction{{
+		worker: id,
+		reason: fmt.Sprintf("k-way validation mismatch on shard %d: late result digest %x disagrees with the validated majority %x",
+			s, got[:6], want[:6]),
+	}}
 }
 
 // anyUnvotedMember reports whether any registered worker (live or not —

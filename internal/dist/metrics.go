@@ -24,7 +24,8 @@ type Metrics struct {
 	// dispatch while the original attempt was still in flight.
 	ShardsSpeculated atomic.Int64
 	// DuplicatesDiscarded counts results that arrived for an
-	// already-completed shard (the losing side of a speculation race).
+	// already-completed shard (the losing side of a speculation race)
+	// and, under K-way validation, agreed with its validated result.
 	DuplicatesDiscarded atomic.Int64
 	// WorkerErrors counts attempts that ended in an error or an invalid
 	// response, including timeouts.
@@ -40,7 +41,8 @@ type Metrics struct {
 	// WorkersReadmitted counts returns to the live set after quarantine.
 	WorkersReadmitted atomic.Int64
 	// ValidationMismatches counts K-way votes whose result digest
-	// disagreed with the shard's majority.
+	// disagreed with the shard's majority, whether they arrived before
+	// the shard validated or after.
 	ValidationMismatches atomic.Int64
 	// CandidatesPruned sums candidates retired by an admissible bound
 	// without assessment, across validated shard results.

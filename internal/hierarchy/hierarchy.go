@@ -238,15 +238,18 @@ func (c Chain) Validate() error {
 	if len(c) == 0 {
 		return ErrEmptyChain
 	}
-	seen := make(map[string]bool, len(c))
-	for i, lvl := range c {
+	for i := range c {
+		lvl := &c[i]
 		if lvl.Name == "" {
 			return fmt.Errorf("hierarchy: level %d has no name", i+1)
 		}
-		if seen[lvl.Name] {
-			return fmt.Errorf("%w: %q", ErrDupLevelName, lvl.Name)
+		// A chain has a few levels: a scan of the earlier names is the
+		// duplicate check.
+		for j := range c[:i] {
+			if c[j].Name == lvl.Name {
+				return fmt.Errorf("%w: %q", ErrDupLevelName, lvl.Name)
+			}
 		}
-		seen[lvl.Name] = true
 		if err := lvl.Policy.Validate(); err != nil {
 			return fmt.Errorf("hierarchy: level %d (%s): %w", i+1, lvl.Name, err)
 		}

@@ -336,32 +336,9 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 		}
 		p.destLost[si] = lost
 	}
-	// RecoveryFloor adds delays, provisioning times and transfers at the
-	// ceilings: all must be nonnegative, and none unbounded.
-	if f := cs.base.Facility; f != nil && !boundedDelay(f.ProvisionTime) {
+	ceil := bandwidthCeil(cs)
+	if ceil == nil {
 		return nil
-	}
-	ceil := make([]units.Rate, nD)
-	for di := 0; di < nD; di++ {
-		sp := kern.BaseSpec(di)
-		if !boundedDelay(kern.DeviceFixedDelay(di)) || sp.HasSpare() && !boundedDelay(sp.Spare.ProvisionTime) {
-			return nil
-		}
-		// ceil[di] bounds the bandwidth device di offers any candidate:
-		// its base spec's, or the most among its owning group's entries.
-		if gi := cs.specOwner[di]; gi < 0 {
-			ceil[di] = sp.MaxBandwidth()
-		} else {
-			g := &cs.groups[gi]
-			for t := range g.entries {
-				if e := &g.entries[t]; !e.suspect {
-					ceil[di] = max(ceil[di], e.specs[cs.specSlot[di]].MaxBandwidth())
-				}
-			}
-		}
-		if c := float64(ceil[di]); !(c >= 0) || math.IsInf(c, 1) {
-			return nil
-		}
 	}
 	p.lostPen = kern.PenaltyFloor(units.Forever, units.Forever)
 
@@ -424,6 +401,39 @@ func newPruner(cs *compiledSpace, floor ObjectiveFloor, incumbent units.Money) *
 	return p
 }
 
+// bandwidthCeil returns, per device, the most bandwidth the device
+// offers any candidate of cs: its base spec's, or the most among its
+// owning group's entries. RecoveryFloor adds delays, provisioning times
+// and transfers at these ceilings, so it returns nil, refusing the
+// floor, when any of them is negative or unbounded.
+func bandwidthCeil(cs *compiledSpace) []units.Rate {
+	kern := cs.kern
+	if f := cs.base.Facility; f != nil && !boundedDelay(f.ProvisionTime) {
+		return nil
+	}
+	ceil := make([]units.Rate, cs.nDevices)
+	for di := range ceil {
+		sp := kern.BaseSpec(di)
+		if !boundedDelay(kern.DeviceFixedDelay(di)) || sp.HasSpare() && !boundedDelay(sp.Spare.ProvisionTime) {
+			return nil
+		}
+		if gi := cs.specOwner[di]; gi < 0 {
+			ceil[di] = sp.MaxBandwidth()
+		} else {
+			g := &cs.groups[gi]
+			for t := range g.entries {
+				if e := &g.entries[t]; !e.suspect {
+					ceil[di] = max(ceil[di], e.specs[cs.specSlot[di]].MaxBandwidth())
+				}
+			}
+		}
+		if c := float64(ceil[di]); !(c >= 0) || math.IsInf(c, 1) {
+			return nil
+		}
+	}
+	return ceil
+}
+
 // fragSane verifies the nonnegativity the duration floors rely on:
 // cumulative lags stay nonnegative and every loss is >= the level's
 // accumulation window.
@@ -437,8 +447,11 @@ func boundedDelay(d time.Duration) bool { return d >= 0 && d < units.Forever }
 
 // buildGroups fills each group's suspect and owned-level tables (outlay
 // deltas are added by buildOutlays), with each entry's recovery-time
-// floors at the bandwidth ceilings ceil. Returns false on any frag
-// sanity violation.
+// floors at the bandwidth ceilings ceil. RecoveryFloor reads only a
+// fragment's copy, read and transport devices and its restore size, so
+// a level whose four equal those of the previous non-suspect entry
+// copies that entry's floors. Returns false on any frag sanity
+// violation.
 func (p *pruner) buildGroups(ceil []units.Rate) bool {
 	cs := p.cs
 	p.groups = make([]prunedGroup, len(cs.groups))
@@ -460,6 +473,7 @@ func (p *pruner) buildGroups(ceil []units.Rate) bool {
 		pg.accW = make([]time.Duration, g.size*nl)
 		pg.lag = make([]time.Duration, g.size*nl)
 		pg.rec = make([]time.Duration, g.size*nl*p.ns)
+		prev := -1 // the previous non-suspect entry
 		for t := 0; t < g.size; t++ {
 			e := &g.entries[t]
 			pg.suspect[t] = e.suspect
@@ -475,13 +489,27 @@ func (p *pruner) buildGroups(ceil []units.Rate) bool {
 				pg.copyIdx[at] = f.Copy
 				pg.accW[at] = f.AccW
 				pg.lag[at] = f.Lag
-				for si := 0; si < p.ns; si++ {
-					pg.rec[at*p.ns+si] = cs.kern.RecoveryFloor(si, g.levels[li], f, ceil)
+				rec := pg.rec[at*p.ns : (at+1)*p.ns]
+				if prev >= 0 && sameRestore(f, &g.entries[prev].frags[li]) {
+					was := prev*nl + li
+					copy(rec, pg.rec[was*p.ns:(was+1)*p.ns])
+					continue
+				}
+				for si := range rec {
+					rec[si] = cs.kern.RecoveryFloor(si, g.levels[li], f, ceil)
 				}
 			}
+			prev = t
 		}
 	}
 	return true
+}
+
+// sameRestore reports whether two fragments of one level restore alike:
+// the same copy, read and transport devices and the same restore size,
+// everything core's RecoveryFloor reads of a fragment.
+func sameRestore(a, b *core.Fragment) bool {
+	return a.Copy == b.Copy && a.Read == b.Read && a.Transport == b.Transport && a.Restore == b.Restore
 }
 
 // buildOutlays decomposes the candidate outlay total into a constant

@@ -679,6 +679,54 @@ func TestBoundMatchesScanAndTrueMinimum(t *testing.T) {
 	t.Logf("%d bounded ranges checked", checked)
 }
 
+// TestReusedRecoveryFloorsExact: buildGroups copies an entry's
+// recovery-time floors from the previous non-suspect entry when the two
+// restore alike. Every entry's floors must equal freshly computed ones,
+// on wideCompileKnobs' space (where every vault entry restores alike)
+// and on prunerBoundKnobs' (whose backup policies do not).
+func TestReusedRecoveryFloorsExact(t *testing.T) {
+	reused, fresh := 0, 0
+	for name, knobs := range map[string][]Knob{"wide": wideCompileKnobs(), "pruner bound": prunerBoundKnobs()} {
+		cs, err := compileSpace(casestudy.Baseline(), knobs, scenarios(), 1)
+		if err != nil {
+			t.Fatalf("%s: compileSpace: %v", name, err)
+		}
+		pr := newPruner(cs, WorstTotalFloor(), 0)
+		ceil := bandwidthCeil(cs)
+		if pr == nil || ceil == nil {
+			t.Fatalf("%s: no pruner for the space", name)
+		}
+		for gi := range cs.groups {
+			g, pg := &cs.groups[gi], &pr.groups[gi]
+			nl, prev := len(g.levels), -1
+			for e := range g.entries {
+				if g.entries[e].suspect {
+					continue
+				}
+				for li, j := range g.levels {
+					f := &g.entries[e].frags[li]
+					if prev >= 0 && sameRestore(f, &g.entries[prev].frags[li]) {
+						reused++
+					} else {
+						fresh++
+					}
+					for si := range cs.scs {
+						got := pg.rec[(e*nl+li)*len(cs.scs)+si]
+						if want := cs.kern.RecoveryFloor(si, j, f, ceil); got != want {
+							t.Errorf("%s: group %d entry %d level %d scenario %d: floor %v, fresh %v",
+								name, gi, e, j, si, got, want)
+						}
+					}
+				}
+				prev = e
+			}
+		}
+	}
+	if reused == 0 || fresh == 0 {
+		t.Errorf("%d level floors reused and %d computed; both paths must run", reused, fresh)
+	}
+}
+
 // prunerBoundKnobs is table7Knobs plus vault retention counts 1..512:
 // 6144 candidates, 96 batches of defaultBatchSize.
 func prunerBoundKnobs() []Knob {

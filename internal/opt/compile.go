@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stordep/internal/core"
@@ -17,16 +18,22 @@ import (
 // re-building a System per candidate.
 //
 // The observation behind the compilation: knobs touch small, disjoint
-// parts of a design. A one-time pass diffs every option of every knob
-// against the base design (core.BatchKernel.Diff) to learn which
-// hierarchy levels and device specs each knob can change, unions knobs
-// with overlapping footprints into groups, and precomputes — for every
-// joint option combination of each group — the level fragments
-// (core.Fragment: policy lags, retention spans, restore sizes, routing
-// indices, demand lists) and device specs that combination produces.
-// Filling a candidate row is then a table lookup plus core's fold
+// parts of a design. A one-time pass learns each knob's footprint, the
+// hierarchy levels and device specs it changes, from the first of its
+// options that applies, passes Diff against the base design
+// (core.BatchKernel.Diff) and touches anything; no built-in knob's
+// footprint changes between options. Knobs with overlapping footprints
+// are unioned into groups, and for every joint option combination of
+// each group the pass precomputes the level fragments (core.Fragment:
+// policy lags, retention spans, restore sizes, routing indices, demand
+// lists) and device specs that combination produces. Filling a
+// candidate row is then a table lookup plus core's fold
 // (core.Assembler.Fold) in exactly Build's order, so the results are
-// bit-identical to the clone-and-build path.
+// bit-identical to the clone-and-build path. Every table entry is
+// applied and diffed against the whole base design, so an option that
+// writes outside its knob's footprint only makes its entries suspect; a
+// knob none of whose options touches anything is scanned to its last
+// option, which proves it touchless.
 //
 // Compilation itself applies options to one private copy of the base
 // design per worker, reset in place rather than cloned per option:
@@ -41,14 +48,21 @@ import (
 // shared with the caller's design, and knobs install nothing shared
 // into it (Knob.Apply), so no option's writes outlive its reset.
 //
-// Revertible knobs skip the reset. A group whose members are all
-// Revertible re-applies every member over the previous entry's copy,
-// and the footprint pass applies a Revertible knob's options one over
-// the other, resetting once after the last. Revertible promises that
-// applying the knobs over any earlier application leaves the state a
-// fresh clone would have, and no other knob has written the copy, so
-// each entry and option sees exactly a fresh clone's state. An entry
-// whose diff strays outside its group is still reset.
+// A group whose members are all Revertible skips the reset and walks
+// its entries like an odometer: an entry re-applies its members from
+// the first one whose option differs from what the worker's copy holds.
+// Revertible promises that a knob overwrites all the state it controls
+// and reads only state the knobs before it in the choice vector write,
+// so the members before that one would write exactly what the copy
+// already holds, and each entry sees exactly a fresh clone's state.
+// Every member is re-applied on a fresh clone, after a drop or a reset,
+// and on a change of group, which first resets the copy. An entry whose
+// diff strays outside its group is still reset.
+//
+// Fragment extraction captures an entry's demand records in place, into
+// the unused tail of its worker's demand chunk, sized for the worker's
+// share of the group's remaining entries; the fragments keep capped
+// windows of it, so no record is copied after its capture.
 //
 // Anything the tables cannot represent exactly is handled by falling
 // back, at one of three granularities:
@@ -67,20 +81,21 @@ import (
 //     (core.Probe).
 //
 // The compilation assumes each knob's Apply reads only design state
-// that it (or a knob sharing its touch footprint) also writes — the
-// same independence Knob.Revertible documents. Every built-in knob
-// satisfies this: the only state a built-in knob reads (e.g. AccWKnob's
-// propagation-window clamp, RetCntKnob's cycle-period read) lives on
-// its own level, and any other knob writing that level lands in the
-// same group, where joint enumeration reproduces the interaction
-// exactly. The probe pass is the safety net for exotic knobs.
+// that it (or a knob sharing its touch footprint) also writes. Every
+// built-in knob satisfies this: the only state a built-in knob reads
+// (e.g. AccWKnob's propagation-window clamp, RetCntKnob's cycle-period
+// read) lives on its own level, and any other knob writing that level
+// lands in the same group, where joint enumeration reproduces the
+// interaction exactly — provided one of its options changes the base on
+// its own. A knob whose every option leaves the base as it is (an AccW
+// knob offering only the base's window) is touchless and joins no
+// group, even where it would rewrite what another knob set; only the
+// probe pass, the safety net for exotic knobs, can then refuse the
+// compilation, when a probe lands on an affected candidate.
 
 const (
 	// defaultBatchSize is the candidate count per batched sweep step.
 	defaultBatchSize = 64
-	// arenaChunk is the fewest demand records an extractor's arena
-	// allocates at once.
-	arenaChunk = 256
 	// maxGroupOptions caps one group's joint-option product; interacting
 	// knobs beyond it abort compilation rather than explode the tables.
 	maxGroupOptions = 4096
@@ -110,8 +125,9 @@ type knobGroup struct {
 	levels  []int // touched level indices, ascending
 	devices []int // touched device indices, ascending
 	entries []groupEntry
-	// revertible: every member is Revertible, so entries are applied
-	// over the previous entry's copy without a reset.
+	// revertible: every member is Revertible, so an entry re-applies
+	// only the members from the first whose option changed, over the
+	// previous entry's copy, without a reset.
 	revertible bool
 }
 
@@ -173,16 +189,17 @@ type workDesign struct {
 	d  *core.Design // nil after drop: the next get clones the base
 }
 
-// get returns the copy, cloning the base when none is held.
-func (w *workDesign) get() (*core.Design, error) {
-	if w.d == nil || w.cs.cloneEach {
-		d, err := Clone(w.cs.base)
-		if err != nil {
-			return nil, err
-		}
-		w.d = d
+// get returns the copy and whether it is a fresh clone of the base,
+// cloning when none is held (and every time in cloneEach mode).
+func (w *workDesign) get() (d *core.Design, fresh bool, err error) {
+	if w.d != nil && !w.cs.cloneEach {
+		return w.d, false, nil
 	}
-	return w.d, nil
+	if d, err = Clone(w.cs.base); err != nil {
+		return nil, false, err
+	}
+	w.d = d
+	return d, true, nil
 }
 
 // restore returns the copy to the base state after Diff reported t:
@@ -243,9 +260,12 @@ func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, worke
 	return cs, nil
 }
 
-// groupKnobs diffs every option of every knob against the base to learn
-// each knob's touch footprint, then unions knobs sharing a level or a
-// device spec into groups. budget bounds the total group table size.
+// groupKnobs learns each knob's touch footprint from the first of its
+// options that applies, passes Diff and touches a level or device spec,
+// then unions knobs sharing a level or a device spec into groups. The
+// options before it that fail are suspect; a knob none of whose options
+// touches anything is scanned to its last option and joins no group.
+// budget bounds the total group table size.
 func (cs *compiledSpace) groupKnobs(budget int) error {
 	nk := len(cs.knobs)
 	cs.knobSuspect = make([][]bool, nk)
@@ -256,39 +276,25 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	for k := range cs.knobs {
 		opts := cs.knobs[k].Options
 		cs.knobSuspect[k] = make([]bool, len(opts))
-		lset, dset := map[int]bool{}, map[int]bool{}
 		for o := range opts {
-			// A Revertible knob's next option overwrites this one's
-			// writes, so only the last is reset.
-			reset := o == len(opts)-1 || !cs.knobs[k].Revertible
-			d, err := w.get()
+			d, _, err := w.get()
 			if err != nil {
 				return err
 			}
-			if err := cs.knobs[k].Apply(d, o); err != nil {
-				// Candidates choosing the option go slow, where the
-				// apply error aborts the search exactly as it should.
+			if cs.knobs[k].Apply(d, o) != nil || !cs.kern.Diff(d, &t) {
+				// Candidates choosing the option go slow, where an apply
+				// error aborts the search exactly as it should.
 				cs.knobSuspect[k][o] = true
 				w.drop()
 				continue
 			}
-			if !cs.kern.Diff(d, &t) {
-				cs.knobSuspect[k][o] = true
-				w.drop()
-				continue
-			}
-			for _, j := range t.Levels {
-				lset[j] = true
-			}
-			for _, di := range t.Devices {
-				dset[di] = true
-			}
-			if reset {
-				w.restore(&t)
+			w.restore(&t)
+			if len(t.Levels) > 0 || len(t.Devices) > 0 {
+				touchL[k] = slices.Clone(t.Levels)
+				touchD[k] = slices.Clone(t.Devices)
+				break
 			}
 		}
-		touchL[k] = sortedKeys(lset)
-		touchD[k] = sortedKeys(dset)
 	}
 
 	// Union-find over knobs: two knobs sharing a touched level or spec
@@ -388,29 +394,36 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 
 // extractor is one extraction worker's state: its core.Assembler, its
 // reset-in-place copy of the base, an entry's diff and member options,
-// and its demand buffers: buf captures one fragment's demands, which
-// are then copied into arena, the chunk the table's fragments share.
+// the odometer's reading and the demand chunk fragments capture into.
+// While holds is set, the copy differs from the base only where touch
+// says, holding group gi's members applied with options held.
 type extractor struct {
-	asm        *core.Assembler
-	work       workDesign
-	touch      core.Touch
-	opts       []int
-	buf, arena []core.IndexedDemand
+	asm   *core.Assembler
+	work  workDesign
+	touch core.Touch
+	opts  []int
+	gi    int // the group of the last entry extracted, -1 before any
+	held  []int
+	holds bool
+	// free is the unused tail of the current demand chunk, and most the
+	// most records one entry of group gi captures: the base's count on
+	// the group's levels, or more once an entry captured more.
+	free []core.IndexedDemand
+	most int
 }
 
-// keep copies demand records into the arena and returns the capped
-// window holding them (nil for none, as a fresh capture gives).
-func (x *extractor) keep(recs []core.IndexedDemand) []core.IndexedDemand {
-	n := len(recs)
-	if n == 0 {
-		return nil
+// enter readies x for entries of group gi: a copy holding another
+// group's entry returns to the base, and most restarts at the base's
+// record count on gi's levels.
+func (x *extractor) enter(cs *compiledSpace, gi int) {
+	if x.holds {
+		x.work.restore(&x.touch)
+		x.holds = false
 	}
-	if cap(x.arena)-len(x.arena) < n {
-		x.arena = make([]core.IndexedDemand, 0, max(n, arenaChunk))
+	x.gi, x.most = gi, 0
+	for _, j := range cs.groups[gi].levels {
+		x.most += len(cs.kern.BaseFragment(j).Demands)
 	}
-	lo := len(x.arena)
-	x.arena = append(x.arena, recs...)
-	return x.arena[lo : lo+n : lo+n]
 }
 
 // extractGroups fills each group's joint-option table by applying the
@@ -418,21 +431,16 @@ func (x *extractor) keep(recs []core.IndexedDemand) []core.IndexedDemand {
 // the base and re-diffing against the base. Combinations whose effects
 // stray outside the group's footprint, or fail any validation, are
 // marked suspect. Each group's fragments and specs are allocated once,
-// and every entry gets a capped window of them; fragment demands go to
-// the extractor's arena. Extraction is the
-// expensive part of compilation, so it runs on the worker pool, each
-// worker extracting on its own extractor.
+// and every entry gets a capped window of them; fragment demands are
+// captured in place into the extractor's demand chunk. Extraction is
+// the expensive part of compilation, so the entries of every group, in
+// group order, run as one index space on the worker pool, each worker
+// extracting on its own extractor.
 func (cs *compiledSpace) extractGroups(workers int) error {
-	acc := func() *extractor {
-		return &extractor{
-			asm:  cs.kern.NewAssembler(),
-			work: workDesign{cs: cs},
-			opts: make([]int, len(cs.knobs)),
-		}
-	}
-	keep := func(a, _ *extractor) *extractor { return a }
+	starts := make([]int, len(cs.groups)+1) // flat index of each group's entry 0
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
+		starts[gi+1] = starts[gi] + g.size
 		g.entries = make([]groupEntry, g.size)
 		nl, nd := len(g.levels), len(g.devices)
 		frags := make([]core.Fragment, g.size*nl)
@@ -441,16 +449,37 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 			g.entries[t].frags = frags[t*nl : (t+1)*nl : (t+1)*nl]
 			g.entries[t].specs = specs[t*nd : (t+1)*nd : (t+1)*nd]
 		}
-		_, err := parallel.Reduce(workers, g.size, acc, func(x *extractor, t int) (*extractor, error) {
-			ok, err := cs.extractEntry(x, gi, t)
-			g.entries[t].suspect = !ok
-			return x, err
-		}, keep)
-		if err != nil {
-			return err
+	}
+	acc := func() *extractor {
+		return &extractor{
+			asm:  cs.kern.NewAssembler(),
+			work: workDesign{cs: cs},
+			opts: make([]int, len(cs.knobs)),
+			gi:   -1,
+			held: make([]int, len(cs.knobs)),
 		}
 	}
-	return nil
+	total := starts[len(cs.groups)]
+	w := min(parallel.Workers(workers), total)
+	_, err := parallel.Reduce(workers, total, acc, func(x *extractor, i int) (*extractor, error) {
+		gi := max(x.gi, 0)
+		for starts[gi+1] <= i { // a worker's indices ascend
+			gi++
+		}
+		if gi != x.gi {
+			x.enter(cs, gi)
+		}
+		if cap(x.free) < x.most {
+			// A chunk for this worker's share of the group's entries left.
+			left := (starts[gi+1] - i + w - 1) / w
+			x.free = make([]core.IndexedDemand, 0, x.most*left)
+		}
+		t := i - starts[gi]
+		ok, err := cs.extractEntry(x, gi, t)
+		cs.groups[gi].entries[t].suspect = !ok
+		return x, err
+	}, func(a, _ *extractor) *extractor { return a })
+	return err
 }
 
 // extractEntry fills entry t of group gi, reporting false when that
@@ -468,12 +497,22 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 			return false, nil
 		}
 	}
-	d, err := x.work.get()
+	d, fresh, err := x.work.get()
 	if err != nil {
 		return false, err
 	}
-	for mi, k := range g.members {
-		if cs.knobs[k].Apply(d, opts[mi]) != nil {
+	// The odometer: members before the first whose option differs from
+	// the one the copy holds keep the state they wrote. Only a Revertible
+	// group's entry leaves holds set, and a fresh clone holds nothing.
+	from := 0
+	if x.holds && !fresh {
+		for from < len(opts) && opts[from] == x.held[from] {
+			from++
+		}
+	}
+	x.holds = false
+	for mi := from; mi < len(g.members); mi++ {
+		if cs.knobs[g.members[mi]].Apply(d, opts[mi]) != nil {
 			x.work.drop()
 			return false, nil
 		}
@@ -494,19 +533,27 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 			return false, nil
 		}
 	}
-	if !g.revertible {
+	if g.revertible {
+		x.holds = true
+		copy(x.held, opts)
+	} else {
 		defer x.work.restore(&x.touch)
 	}
 	e := &g.entries[t]
+	recs := 0
 	for li, j := range g.levels {
-		f, err := x.asm.Fragment(d.Levels[j], x.buf[:0])
-		x.buf = f.Demands
+		f, err := x.asm.Fragment(d.Levels[j], x.free)
 		if err != nil {
 			return false, nil
 		}
-		f.Demands = x.keep(f.Demands)
+		n := len(f.Demands)
+		x.free, recs = f.Demands[n:], recs+n
+		if f.Demands = f.Demands[:n:n]; n == 0 {
+			f.Demands = nil // as a capture into no buffer gives
+		}
 		e.frags[li] = f
 	}
+	x.most = max(x.most, recs)
 	for si, di := range g.devices {
 		e.specs[si] = d.Devices[di].Spec
 	}
@@ -596,18 +643,6 @@ func spreadIndex(p, n, size int) int {
 	}
 	q, r := (size-1)/(n-1), (size-1)%(n-1)
 	return p*q + p*r/(n-1)
-}
-
-func sortedKeys(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func dedupSorted(s []int) []int {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,6 +47,14 @@ func compiledKnobs() []Knob {
 // reproduce exactly.
 func referenceTables(t *testing.T, base *core.Design, knobs []Knob, workers int) *compiledSpace {
 	t.Helper()
+	return buildTables(t, base, knobs, workers, true)
+}
+
+// buildTables runs compile's groupKnobs and extractGroups, without the
+// probes that may refuse the tables, on the reset-in-place copy or, with
+// cloneEach, on a fresh clone per option and entry.
+func buildTables(t *testing.T, base *core.Design, knobs []Knob, workers int, cloneEach bool) *compiledSpace {
+	t.Helper()
 	sys, err := core.Build(base)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +68,7 @@ func referenceTables(t *testing.T, base *core.Design, knobs []Knob, workers int)
 		knobs:     knobs,
 		scs:       scenarios(),
 		kern:      kern,
-		cloneEach: true,
+		cloneEach: cloneEach,
 		nLevels:   kern.Levels(),
 		nDevices:  kern.Devices(),
 	}
@@ -196,6 +205,273 @@ func TestCompileTablesMatchFreshClone(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// vaultTroubleKnob writes the vaulting level's hold window for every
+// option but "keep", then errors or renames the design, always or only
+// at one vault retention count, so a dropped copy is followed by good
+// entries and the footprint pass meets suspects before the first
+// touching option.
+func vaultTroubleKnob() Knob {
+	boom := errors.New("boom")
+	return Knob{
+		Name:    "vault trouble",
+		Options: []string{"keep", "fail", "rename", "fail at 8", "rename at 4"},
+		Apply: func(d *core.Design, i int) error {
+			if i == 0 {
+				return nil
+			}
+			pol, err := namedPolicy(d, "vaulting")
+			if err != nil {
+				return err
+			}
+			pol.Primary.HoldW += time.Hour
+			switch {
+			case i == 1, i == 3 && pol.RetCnt == 8:
+				return boom
+			case i == 2, i == 4 && pol.RetCnt == 4:
+				d.Name += " (renamed)"
+			}
+			return nil
+		},
+	}
+}
+
+// tapePriceKnob reads and scales the tape library's fixed cost: a
+// device-spec knob that is not Revertible.
+func tapePriceKnob() Knob {
+	return Knob{
+		Name:    "tape price",
+		Options: []string{"list", "double"},
+		Apply: func(d *core.Design, i int) error {
+			di, err := findDevice(d, "tape-library")
+			if err != nil {
+				return err
+			}
+			if i == 1 {
+				d.Devices[di].Spec.Cost.Fixed *= 2
+			}
+			return nil
+		},
+	}
+}
+
+// fuzzKnobs draws a knob set from data: for each knob of a fixed pool,
+// in pool order so a knob that reads a level runs after the knobs that
+// set it, one byte decides whether it joins and, for the built-in
+// constructors, which of its options it keeps. Knobs join while the
+// space stays within 96 candidates; an empty draw takes the link-count
+// knob alone.
+func fuzzKnobs(data []byte) []Knob {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	// pick keeps the options whose bits are set in mask (the first
+	// option when none is).
+	pick := func(mask byte, opts int) []int {
+		var out []int
+		for o := 0; o < opts; o++ {
+			if mask&(1<<o) != 0 {
+				out = append(out, o)
+			}
+		}
+		if len(out) == 0 {
+			out = []int{0}
+		}
+		return out
+	}
+	ints := func(mask byte, vals ...int) []int {
+		var out []int
+		for _, o := range pick(mask, len(vals)) {
+			out = append(out, vals[o])
+		}
+		return out
+	}
+	durs := func(mask byte, vals ...time.Duration) []time.Duration {
+		var out []time.Duration
+		for _, o := range pick(mask, len(vals)) {
+			out = append(out, vals[o])
+		}
+		return out
+	}
+	policies := func(mask byte, level string, names []string, pols []hierarchy.Policy) Knob {
+		var ns []string
+		var ps []hierarchy.Policy
+		for _, o := range pick(mask, len(pols)) {
+			ns, ps = append(ns, names[o]), append(ps, pols[o])
+		}
+		return PolicyKnob(level, ns, ps)
+	}
+	pool := []func(mask byte) Knob{
+		func(m byte) Knob {
+			return policies(m, "vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair())
+		},
+		func(m byte) Knob {
+			return AccWKnob("vaulting", durs(m, 12*time.Hour, units.Week, 4*units.Week, units.Day))
+		},
+		func(m byte) Knob { return RetCntKnob("vaulting", ints(m, 2, 4, 8, 13)) },
+		func(byte) Knob { return vaultTroubleKnob() },
+		func(m byte) Knob {
+			return policies(m, "backup", []string{"weekly full", "F+I", "daily full"},
+				[]hierarchy.Policy{casestudy.BackupPolicy(), casestudy.FIBackupPolicy(), casestudy.DailyFBackupPolicy()})
+		},
+		func(m byte) Knob { return RetCntKnob("backup", ints(m, 7, 14, 28)) },
+		func(m byte) Knob { return LinkCountKnob("tape-library", ints(m, 2, 4, 8, 16)) },
+		func(byte) Knob { return tapePriceKnob() },
+		func(byte) Knob { return PiTKnob("split-mirror") },
+		func(m byte) Knob { return RetCntKnob("split-mirror", ints(m, 2, 4, 8)) },
+	}
+	var knobs []Knob
+	space := 1
+	for _, mk := range pool {
+		b := next()
+		if b&1 == 0 {
+			continue
+		}
+		k := mk(b >> 1)
+		if space*len(k.Options) > 96 {
+			continue
+		}
+		space *= len(k.Options)
+		knobs = append(knobs, k)
+	}
+	if len(knobs) == 0 {
+		knobs = []Knob{LinkCountKnob("tape-library", []int{4, 8, 12, 16})}
+	}
+	return knobs
+}
+
+// FuzzCompileMatchesFreshClone: on knob sets drawn from built-in
+// constructors with short option lists and custom knobs that write,
+// error or rename, compiling on 1 and 3 workers builds exactly the
+// tables a fresh clone per option and entry builds, and the batched
+// search is byte-identical to the slice oracle. The tables are compared
+// before the probes, which refuse some of them: a knob that only
+// rewrites what another knob set (an accW option equal to the base's,
+// after a policy knob) touches nothing alone and joins no group.
+func FuzzCompileMatchesFreshClone(f *testing.F) {
+	// A pool byte is 1 to join, plus its option mask shifted left once.
+	for _, seed := range [][]byte{
+		{0xff, 0, 0xff},                      // vault policies and retention
+		{0xff, 0, 0xff, 1},                   // vault policies, retention, trouble
+		{0, 0xff, 0x0b},                      // accW clamp, retention 2 and 8
+		{0, 0, 0, 0, 0, 0xff, 0xff, 1},       // backup retention, link count, tape price
+		{0, 0, 0, 0, 0xff, 0, 0, 0, 1, 0xff}, // backup policies, PiT, retention
+		{},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		knobs := fuzzKnobs(data)
+		base := casestudy.Baseline()
+		ref, refErr := sliceExhaustive(base, knobs, scenarios(), nil)
+		for _, workers := range []int{1, 3} {
+			label := fmt.Sprintf("%d knobs, workers %d", len(knobs), workers)
+			cs, fresh := buildTables(t, base, knobs, workers, false), referenceTables(t, base, knobs, workers)
+			if !reflect.DeepEqual(cs.knobSuspect, fresh.knobSuspect) || !reflect.DeepEqual(cs.groups, fresh.groups) {
+				t.Errorf("%s: suspects %v, groups %+v; fresh clones %v, %+v",
+					label, cs.knobSuspect, cs.groups, fresh.knobSuspect, fresh.groups)
+			}
+			sol, err := exhaustive(base, knobs, scenarios(), nil, ExhaustiveOptions{Workers: workers}, 7)
+			if refErr != nil {
+				if err == nil || err.Error() != refErr.Error() {
+					t.Errorf("%s: err = %v, oracle err = %v", label, err, refErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			solutionsIdentical(t, label, ref, sol)
+			if sol.CandidateIndex != ref.CandidateIndex {
+				t.Errorf("%s: candidate index %d, oracle %d", label, sol.CandidateIndex, ref.CandidateIndex)
+			}
+		}
+	})
+}
+
+// TestCompileStrayOptionGoesSlow: a knob's footprint comes from its
+// first touching option, so a later option that also writes a level of
+// another group is caught by its entries' Diff. Those candidates go
+// slow, the search still returns the slice oracle's Solution, and the
+// slow candidates count as assessed, pruned or not.
+func TestCompileStrayOptionGoesSlow(t *testing.T) {
+	base := casestudy.Baseline()
+	scs := scenarios()
+	backupRet := []int{7, 14, 28}
+	stray := Knob{
+		Name:    "backup retCnt, then vault hold",
+		Options: []string{"7", "14", "28 + vault hold"},
+		Apply: func(d *core.Design, i int) error {
+			pol, err := namedPolicy(d, "backup")
+			if err != nil {
+				return err
+			}
+			pol.RetCnt = backupRet[i]
+			pol.RetW = time.Duration(backupRet[i]) * pol.CyclePeriod()
+			if i == 2 {
+				vault, err := namedPolicy(d, "vaulting")
+				if err != nil {
+					return err
+				}
+				vault.Primary.HoldW += time.Hour
+			}
+			return nil
+		},
+	}
+	knobs := []Knob{
+		PolicyKnob("vaulting", []string{"4-weekly", "weekly"}, vaultPolicyPair()),
+		RetCntKnob("vaulting", []int{2, 4, 8, 13}),
+		stray,
+	}
+	space, err := SpaceSize(knobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := compileSpace(base, knobs, scs, 1)
+	if err != nil {
+		t.Fatalf("compileSpace: %v", err)
+	}
+	if cs.knobSuspect[2][2] {
+		t.Error("the stray option is suspect; the footprint pass should stop at its first touching option")
+	}
+	// Every candidate choosing the stray option fills slow, and no other.
+	fs := newFillScratch(cs)
+	cols := cs.kern.NewCols(1)
+	choice := make([]int, len(knobs))
+	slow := 0
+	for idx := 0; idx < space; idx++ {
+		decodeChoice(choice, knobs, idx)
+		if got := cs.fill(fs, cols, 0, choice); got != (choice[2] == 2) {
+			t.Errorf("candidate %d %v: slow = %v", idx, choice, got)
+		}
+		if choice[2] == 2 {
+			slow++
+		}
+	}
+	ref, err := sliceExhaustive(base, knobs, scs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prune := range []bool{false, true} {
+		var st SearchStats
+		sol, err := exhaustive(base, knobs, scs, nil, ExhaustiveOptions{
+			Workers: 2, Prune: prune, Floor: WorstTotalFloor(), Stats: &st,
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("prune %v", prune)
+		prunedIdentical(t, label, ref, sol)
+		if st.Assessed+st.Pruned != space || st.Assessed < slow || !prune && st.Assessed != space {
+			t.Errorf("%s: assessed %d, pruned %d of %d with %d slow", label, st.Assessed, st.Pruned, space, slow)
 		}
 	}
 }
@@ -595,16 +871,19 @@ func wideCompileKnobs() []Knob {
 // TestCompileAllocBudget: compile applies options to a copy of the base
 // that it resets in place instead of cloning per option and entry (and
 // does not reset at all between a Revertible group's entries), allocates
-// each group's fragments and specs once, and copies fragment demands
-// into a per-extractor arena, so the whole one-time pass, table
-// fragments and probes included, costs at most 1.5 allocations per table
-// entry on wideCompileKnobs' space.
+// each group's fragments and specs once, and captures fragment demands
+// in place into per-extractor chunks, so the whole one-time pass, table
+// fragments and probes included, costs at most 1.5 allocations and 384
+// bytes per table entry on wideCompileKnobs' space.
 func TestCompileAllocBudget(t *testing.T) {
 	base := casestudy.Baseline()
 	knobs := wideCompileKnobs()
 	scs := scenarios()
-	entries := 0
+	entries, runs := 0, 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(5, func() {
+		runs++
 		cs, err := compileSpace(base, knobs, scs, 1)
 		if err != nil {
 			t.Fatalf("compileSpace: %v", err)
@@ -614,12 +893,19 @@ func TestCompileAllocBudget(t *testing.T) {
 			entries += len(cs.groups[gi].entries)
 		}
 	})
+	runtime.ReadMemStats(&after)
 	if entries != 1031 {
 		t.Fatalf("compiled %d table entries, want 1031", entries)
 	}
 	if perEntry := allocs / float64(entries); perEntry > 1.5 {
 		t.Errorf("compile allocates %.2f objects per table entry (%.0f over %d), budget 1.5",
 			perEntry, allocs, entries)
+	}
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	t.Logf("%.2f allocations and %.0f bytes per table entry", allocs/float64(entries), bytes/float64(entries))
+	if perEntry := bytes / float64(entries); perEntry > 384 {
+		t.Errorf("compile allocates %.0f bytes per table entry (%.0f over %d), budget 384",
+			perEntry, bytes, entries)
 	}
 }
 

@@ -23,29 +23,44 @@ func findLevel(d *core.Design, name string) (int, error) {
 	return 0, fmt.Errorf("opt: design has no level %q", name)
 }
 
+// levelPolicy returns the policy of level i for rewriting in place, so a
+// knob changes it while preserving the technique's other configuration.
+func levelPolicy(d *core.Design, i int) (*hierarchy.Policy, error) {
+	switch t := d.Levels[i].(type) {
+	case *protect.SplitMirror:
+		return &t.Pol, nil
+	case *protect.Snapshot:
+		return &t.Pol, nil
+	case *protect.Backup:
+		return &t.Pol, nil
+	case *protect.Vaulting:
+		return &t.Pol, nil
+	case *protect.Mirror:
+		return &t.Pol, nil
+	case *protect.ErasureCode:
+		return &t.Pol, nil
+	}
+	return nil, fmt.Errorf("opt: level %q has unsupported type %T", d.Levels[i].Name(), d.Levels[i])
+}
+
+// namedPolicy finds the named level and returns its policy for
+// rewriting in place.
+func namedPolicy(d *core.Design, level string) (*hierarchy.Policy, error) {
+	i, err := findLevel(d, level)
+	if err != nil {
+		return nil, err
+	}
+	return levelPolicy(d, i)
+}
+
 // setPolicy rewrites the policy of the named level, preserving the
 // technique's other configuration.
 func setPolicy(d *core.Design, level string, pol hierarchy.Policy) error {
-	i, err := findLevel(d, level)
+	p, err := namedPolicy(d, level)
 	if err != nil {
 		return err
 	}
-	switch t := d.Levels[i].(type) {
-	case *protect.SplitMirror:
-		t.Pol = pol
-	case *protect.Snapshot:
-		t.Pol = pol
-	case *protect.Backup:
-		t.Pol = pol
-	case *protect.Vaulting:
-		t.Pol = pol
-	case *protect.Mirror:
-		t.Pol = pol
-	case *protect.ErasureCode:
-		t.Pol = pol
-	default:
-		return fmt.Errorf("opt: level %q has unsupported type %T", level, d.Levels[i])
-	}
+	*p = pol
 	return nil
 }
 
@@ -89,11 +104,10 @@ func AccWKnob(level string, options []time.Duration) Knob {
 		Name:    level + " accW",
 		Options: names,
 		Apply: func(d *core.Design, i int) error {
-			li, err := findLevel(d, level)
+			pol, err := namedPolicy(d, level)
 			if err != nil {
 				return err
 			}
-			pol := d.Levels[li].Level().Policy
 			pol.Primary.AccW = options[i]
 			if pol.Primary.PropW > options[i] {
 				pol.Primary.PropW = options[i]
@@ -108,7 +122,7 @@ func AccWKnob(level string, options []time.Duration) Knob {
 					pol.RetCnt = ret
 				}
 			}
-			return setPolicy(d, level, pol)
+			return nil
 		},
 	}
 }
@@ -124,14 +138,13 @@ func RetCntKnob(level string, options []int) Knob {
 		Name:    level + " retCnt",
 		Options: names,
 		Apply: func(d *core.Design, i int) error {
-			li, err := findLevel(d, level)
+			pol, err := namedPolicy(d, level)
 			if err != nil {
 				return err
 			}
-			pol := d.Levels[li].Level().Policy
 			pol.RetCnt = options[i]
 			pol.RetW = time.Duration(options[i]) * pol.CyclePeriod()
-			return setPolicy(d, level, pol)
+			return nil
 		},
 		// Overwrites retCnt and retW unconditionally; the cycle period it
 		// reads is derived from the primary windows, which only knobs

@@ -19,9 +19,9 @@
 // built with a structural deep copy (core.Design.Clone) instead of a
 // config-JSON round trip, about a 10x cut in per-candidate cost, since
 // the clone used to dominate the evaluation. A compiled sweep builds no
-// design per candidate, and its one-time compile applies every knob
-// option to one copy of the base per worker, reset in place between
-// options (compile.go). Sweeps spread their candidates over a bounded
+// design per candidate, and its one-time compile applies knob options
+// to one copy of the base per worker, reset in place between options
+// (compile.go). Sweeps spread their candidates over a bounded
 // worker pool. Coordinate descent scores each knob's options as one
 // batch, mostly through core.DeltaAssessor on the calling goroutine,
 // and a memo keyed by the knob-choice vector means it never re-scores a
@@ -61,15 +61,21 @@ type Knob struct {
 	// reuses one design across options (PolicyKnob clones its policies
 	// for this reason).
 	Apply func(d *core.Design, i int) error
-	// Revertible declares that Apply fully overwrites the state it
-	// controls without reading anything another application of this
-	// knob set may have changed: applying option j to a design that
-	// previously had any full choice vector applied (all knobs, in knob
-	// order) leaves exactly the state a fresh clone with option j would
-	// have. When every knob in a search declares this, the exhaustive
-	// enumerator reuses one cloned design per worker, re-applying
-	// choices in place, instead of cloning per candidate. Knobs that
-	// read-and-adjust current values (e.g. AccWKnob's propagation-window
+	// Revertible declares that Apply writes all of the state it
+	// controls, whatever the option and whatever the design holds, and
+	// reads only state that the base design or the knobs before it in
+	// the choice vector set. Applying a full choice vector (all knobs,
+	// in knob order) over a design that had any other vector applied
+	// then leaves exactly the state a fresh clone would have, and so
+	// does re-applying only the knobs from the first whose option
+	// changed: the knobs before it would read and write what they did
+	// last time. When every knob in a search declares this, the
+	// exhaustive enumerator reuses one cloned design per worker,
+	// re-applying choices in place, instead of cloning per candidate,
+	// and compile walks a group of such knobs like an odometer.
+	// RetCntKnob qualifies: the cycle period it reads comes from primary
+	// windows only a knob before it may set. Knobs that read-and-adjust
+	// what they themselves write (e.g. AccWKnob's propagation-window
 	// clamp) must leave it false; the enumerator then falls back to a
 	// clone per candidate.
 	Revertible bool

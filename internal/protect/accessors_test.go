@@ -72,7 +72,7 @@ func TestTechniqueAccessors(t *testing.T) {
 
 func TestErasureApplyDemandsInPackage(t *testing.T) {
 	w := workload.Cello()
-	m := DeviceMap{}
+	var m DeviceMap
 	for _, name := range []string{"f1", "f2", "f3"} {
 		d, err := device.New(device.Spec{
 			Name: name, Kind: device.KindStorage,
@@ -82,14 +82,14 @@ func TestErasureApplyDemandsInPackage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m[name] = d
+		m = append(m, d)
 	}
 	links, err := device.New(device.Spec{Name: "l", Kind: device.KindInterconnect,
 		MaxBWSlots: 10, SlotBW: 10 * units.MBPerSec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m["l"] = links
+	m = append(m, links)
 
 	pol := hierarchy.Policy{
 		Primary: hierarchy.WindowSet{AccW: time.Hour, PropW: time.Hour, Rep: hierarchy.RepPartial},
@@ -101,11 +101,11 @@ func TestErasureApplyDemandsInPackage(t *testing.T) {
 	}
 	// Links carry 1.5x the hourly batch rate.
 	wantLink := 1.5 * float64(w.BatchUpdateRate(time.Hour))
-	if got := float64(m["l"].TotalBandwidth()); math.Abs(got-wantLink) > 1 {
+	if got := float64(named(t, m, "l").TotalBandwidth()); math.Abs(got-wantLink) > 1 {
 		t.Errorf("link demand = %v, want %v", got, wantLink)
 	}
 	// Each site: half the object, a third of the stream.
-	if got := m["f1"].TotalCapacity(); got != w.DataCap/2 {
+	if got := named(t, m, "f1").TotalCapacity(); got != w.DataCap/2 {
 		t.Errorf("site capacity = %v, want %v", got, w.DataCap/2)
 	}
 	if got := ec.RestoreSize(w); got != w.DataCap {

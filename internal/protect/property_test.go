@@ -100,7 +100,7 @@ func TestRestoreSizeBoundsProperty(t *testing.T) {
 // up never shrinks any device demand.
 func TestDemandMonotoneProperty(t *testing.T) {
 	newDevs := func() DeviceMap {
-		m := DeviceMap{}
+		var m DeviceMap
 		specs := []device.Spec{
 			{Name: "a", Kind: device.KindStorage, MaxCapSlots: 1 << 20, SlotCap: units.GB, MaxBWSlots: 1 << 20, SlotBW: units.MBPerSec},
 			{Name: "b", Kind: device.KindStorage, MaxCapSlots: 1 << 20, SlotCap: units.GB, MaxBWSlots: 1 << 20, SlotBW: units.MBPerSec},
@@ -113,7 +113,7 @@ func TestDemandMonotoneProperty(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			m[s.Name] = d
+			m = append(m, d)
 		}
 		return m
 	}

@@ -64,8 +64,11 @@ func (k Kind) String() string {
 }
 
 // DeviceMap resolves device names to configured devices while demands are
-// being applied.
-type DeviceMap map[string]*device.Device
+// being applied. It lists a design's devices in design order; a design's
+// device names are unique (core.Design.Validate rejects duplicates), and
+// a design has a handful of devices, so a linear scan finds a name
+// faster than a hash lookup would.
+type DeviceMap []*device.Device
 
 // ErrUnknownDevice is returned when a technique references a device name
 // absent from the design.
@@ -73,11 +76,12 @@ var ErrUnknownDevice = errors.New("protect: unknown device")
 
 // Get returns the named device.
 func (m DeviceMap) Get(name string) (*device.Device, error) {
-	d, ok := m[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDevice, name)
+	for _, d := range m {
+		if d.Name() == name {
+			return d, nil
+		}
 	}
-	return d, nil
+	return nil, fmt.Errorf("%w: %q", ErrUnknownDevice, name)
 }
 
 // Technique is a configured data protection technique. Implementations

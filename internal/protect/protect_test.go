@@ -47,7 +47,7 @@ func vaultPolicy() hierarchy.Policy {
 
 func testDevices(t *testing.T) DeviceMap {
 	t.Helper()
-	m := DeviceMap{}
+	var m DeviceMap
 	for _, spec := range []device.Spec{
 		device.MidrangeArray(), device.TapeLibrary(), device.TapeVault(),
 		device.AirShipment(), device.WANLinks(1), device.RemoteMirrorArray(),
@@ -56,9 +56,19 @@ func testDevices(t *testing.T) DeviceMap {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m[spec.Name] = d
+		m = append(m, d)
 	}
 	return m
+}
+
+// named returns m's device called name, failing the test when m has none.
+func named(t *testing.T, m DeviceMap, name string) *device.Device {
+	t.Helper()
+	d, err := m.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func demandFor(t *testing.T, d *device.Device, technique string) device.Demand {
@@ -123,7 +133,7 @@ func TestPrimaryDemands(t *testing.T) {
 	if err := p.ApplyDemands(w, devs); err != nil {
 		t.Fatal(err)
 	}
-	dem := demandFor(t, devs[device.NameDiskArray], "foreground")
+	dem := demandFor(t, named(t, devs, device.NameDiskArray), "foreground")
 	if dem.Bandwidth != w.AvgAccessRate {
 		t.Errorf("foreground bw = %v, want %v", dem.Bandwidth, w.AvgAccessRate)
 	}
@@ -151,7 +161,7 @@ func TestSplitMirrorMatchesTable5(t *testing.T) {
 	if err := sm.ApplyDemands(w, devs); err != nil {
 		t.Fatal(err)
 	}
-	dem := demandFor(t, devs[device.NameDiskArray], sm.Name())
+	dem := demandFor(t, named(t, devs, device.NameDiskArray), sm.Name())
 	if want := 5 * 1360 * units.GB; dem.Capacity != want {
 		t.Errorf("split mirror cap = %v, want %v", dem.Capacity, want)
 	}
@@ -159,7 +169,7 @@ func TestSplitMirrorMatchesTable5(t *testing.T) {
 	if want := 3170 * units.KBPerSec; math.Abs(float64(dem.Bandwidth-want)) > float64(units.KBPerSec) {
 		t.Errorf("split mirror bw = %v, want ~%v", dem.Bandwidth, want)
 	}
-	arr := devs[device.NameDiskArray]
+	arr := named(t, devs, device.NameDiskArray)
 	if u := arr.Utilizations()[0]; math.Abs(u.CapUtil-0.728) > 0.001 {
 		t.Errorf("split mirror capUtil = %.4f, want 0.728", u.CapUtil)
 	}
@@ -178,7 +188,7 @@ func TestSnapshotDemands(t *testing.T) {
 	if err := sn.ApplyDemands(w, devs); err != nil {
 		t.Fatal(err)
 	}
-	dem := demandFor(t, devs[device.NameDiskArray], sn.Name())
+	dem := demandFor(t, named(t, devs, device.NameDiskArray), sn.Name())
 	// Copy-on-write costs one extra read and write per foreground write.
 	if want := 2 * w.AvgUpdateRate; dem.Bandwidth != want {
 		t.Errorf("snapshot bw = %v, want %v", dem.Bandwidth, want)
@@ -213,8 +223,8 @@ func TestBackupMatchesTable5(t *testing.T) {
 	if err := b.ApplyDemands(w, devs); err != nil {
 		t.Fatal(err)
 	}
-	arrDem := demandFor(t, devs[device.NameDiskArray], b.Name())
-	libDem := demandFor(t, devs[device.NameTapeLibrary], b.Name())
+	arrDem := demandFor(t, named(t, devs, device.NameDiskArray), b.Name())
+	libDem := demandFor(t, named(t, devs, device.NameTapeLibrary), b.Name())
 	if math.Abs(arrDem.Bandwidth.MBPS()-8.06) > 0.05 {
 		t.Errorf("backup array bw = %v, want ~8.06MB/s", arrDem.Bandwidth)
 	}
@@ -227,7 +237,7 @@ func TestBackupMatchesTable5(t *testing.T) {
 	if want := 5 * 1360 * units.GB; libDem.Capacity != want {
 		t.Errorf("library cap = %v, want %v (6.6TB)", libDem.Capacity, want)
 	}
-	lib := devs[device.NameTapeLibrary]
+	lib := named(t, devs, device.NameTapeLibrary)
 	if u := lib.BWUtil(); math.Abs(u-0.034) > 0.001 {
 		t.Errorf("library bwUtil = %.4f, want 0.034", u)
 	}
@@ -266,7 +276,7 @@ func TestBackupWithIncrementals(t *testing.T) {
 	}
 	// Rate: max(full over 48h, incr over 12h). Full = 1360GB/48h = 8.06;
 	// incr = ~130GB/12h = ~3.1 MB/s, so full dominates.
-	dem := demandFor(t, devs[device.NameTapeLibrary], b.Name())
+	dem := demandFor(t, named(t, devs, device.NameTapeLibrary), b.Name())
 	if math.Abs(dem.Bandwidth.MBPS()-8.06) > 0.05 {
 		t.Errorf("F+I bw = %v, want full-dominated ~8.06MB/s", dem.Bandwidth)
 	}
@@ -302,20 +312,20 @@ func TestVaultingMatchesTable5(t *testing.T) {
 	if err := v.ApplyDemands(w, devs); err != nil {
 		t.Fatal(err)
 	}
-	dem := demandFor(t, devs[device.NameTapeVault], v.Name())
+	dem := demandFor(t, named(t, devs, device.NameTapeVault), v.Name())
 	if want := 39 * 1360 * units.GB; dem.Capacity != want {
 		t.Errorf("vault cap = %v, want %v (51.8TB)", dem.Capacity, want)
 	}
-	if u := devs[device.NameTapeVault].CapUtil(); math.Abs(u-0.026) > 0.001 {
+	if u := named(t, devs, device.NameTapeVault).CapUtil(); math.Abs(u-0.026) > 0.001 {
 		t.Errorf("vault capUtil = %.4f, want 0.026", u)
 	}
 	// 13 shipments per year (every 4 weeks).
-	ship := demandFor(t, devs[device.NameAirShipment], v.Name())
+	ship := demandFor(t, named(t, devs, device.NameAirShipment), v.Name())
 	if math.Abs(ship.ShipmentsPerYear-13) > 1e-9 {
 		t.Errorf("shipments = %v, want 13", ship.ShipmentsPerYear)
 	}
 	// holdW (4wk12h) >= backup retW (4wk): no library demand.
-	for _, d := range devs[device.NameTapeLibrary].Demands() {
+	for _, d := range named(t, devs, device.NameTapeLibrary).Demands() {
 		if d.Technique == v.Name() {
 			t.Errorf("unexpected library demand: %+v", d)
 		}
@@ -338,7 +348,7 @@ func TestVaultingExtraCopyWhenHoldShort(t *testing.T) {
 	if err := v.ApplyDemands(w, devs); err != nil {
 		t.Fatal(err)
 	}
-	dem := demandFor(t, devs[device.NameTapeLibrary], v.Name())
+	dem := demandFor(t, named(t, devs, device.NameTapeLibrary), v.Name())
 	if dem.Capacity != w.DataCap {
 		t.Errorf("extra tape copy capacity = %v, want %v", dem.Capacity, w.DataCap)
 	}
@@ -346,7 +356,7 @@ func TestVaultingExtraCopyWhenHoldShort(t *testing.T) {
 		t.Error("extra tape copy needs bandwidth")
 	}
 	// Weekly shipments now.
-	ship := demandFor(t, devs[device.NameAirShipment], v.Name())
+	ship := demandFor(t, named(t, devs, device.NameAirShipment), v.Name())
 	if math.Abs(ship.ShipmentsPerYear-52) > 1e-9 {
 		t.Errorf("shipments = %v, want 52", ship.ShipmentsPerYear)
 	}
@@ -394,11 +404,11 @@ func TestMirrorDemands(t *testing.T) {
 	if err := m.ApplyDemands(w, devs); err != nil {
 		t.Fatal(err)
 	}
-	linkDem := demandFor(t, devs[device.NameWANLinks], m.Name())
+	linkDem := demandFor(t, named(t, devs, device.NameWANLinks), m.Name())
 	if linkDem.Bandwidth != 727*units.KBPerSec {
 		t.Errorf("link bw = %v", linkDem.Bandwidth)
 	}
-	destDem := demandFor(t, devs[device.NameMirrorArray], m.Name())
+	destDem := demandFor(t, named(t, devs, device.NameMirrorArray), m.Name())
 	if destDem.Capacity != w.DataCap {
 		t.Errorf("mirror cap = %v, want %v", destDem.Capacity, w.DataCap)
 	}

@@ -39,9 +39,6 @@ func (b ByteSize) Bytes() float64 { return float64(b) }
 // the paper's cost models are per-GB.
 func (b ByteSize) GBytes() float64 { return float64(b / GB) }
 
-// IsNegative reports whether the size is negative (always invalid).
-func (b ByteSize) IsNegative() bool { return b < 0 }
-
 // String renders the size with the largest prefix that keeps the mantissa
 // at or above one, e.g. "1360.0GB".
 func (b ByteSize) String() string {
@@ -76,9 +73,6 @@ const (
 	MBPerSec
 	GBPerSec
 )
-
-// BytesPerSec returns the rate as a float64 number of bytes per second.
-func (r Rate) BytesPerSec() float64 { return float64(r) }
 
 // MBPS returns the rate expressed in MB/s (2^20 bytes per second); several
 // of the paper's cost models are per-MB/s.
