@@ -3,7 +3,6 @@ package config
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"stordep/internal/core"
 	"stordep/internal/cost"
@@ -115,22 +114,4 @@ func UnmarshalMulti(data []byte) (*core.MultiDesign, error) {
 		md.Objects = append(md.Objects, obj)
 	}
 	return md, nil
-}
-
-// SaveMulti writes a multi-object design file.
-func SaveMulti(path string, md *core.MultiDesign) error {
-	data, err := MarshalMulti(md)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadMulti reads a multi-object design file.
-func LoadMulti(path string) (*core.MultiDesign, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("config: %w", err)
-	}
-	return UnmarshalMulti(data)
 }

@@ -3,7 +3,6 @@ package config
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -151,24 +150,6 @@ func TestMultiRoundTrip(t *testing.T) {
 	}
 	if _, err := core.BuildMulti(got); err != nil {
 		t.Errorf("decoded design does not build: %v", err)
-	}
-}
-
-func TestMultiSaveLoad(t *testing.T) {
-	md := sampleMulti()
-	path := filepath.Join(t.TempDir(), "multi.json")
-	if err := SaveMulti(path, md); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadMulti(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != md.Name || len(got.Objects) != 3 {
-		t.Errorf("loaded %q with %d objects", got.Name, len(got.Objects))
-	}
-	if _, err := LoadMulti(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("absent file accepted")
 	}
 }
 

@@ -448,10 +448,6 @@ func TestSystemAccessors(t *testing.T) {
 	if got := len(sys.Devices()); got != 4 {
 		t.Errorf("devices = %d, want 4", got)
 	}
-	names := sys.TechniqueNames()
-	if len(names) != 4 || names[0] != "foreground" {
-		t.Errorf("TechniqueNames = %v", names)
-	}
 }
 
 // TestMirrorSiteRecoveryUsesFacility: with the recovery facility at a

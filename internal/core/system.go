@@ -275,13 +275,3 @@ func (s *System) resolve(pd *PlacedDevice, scope failure.Scope) resolution {
 	}
 	return resolution{}
 }
-
-// TechniqueNames returns the design's technique names, primary copy first
-// then level order — used by reports.
-func (s *System) TechniqueNames() []string {
-	names := []string{s.design.Primary.Name()}
-	for _, tech := range s.design.Levels {
-		names = append(names, tech.Name())
-	}
-	return names
-}

@@ -280,8 +280,9 @@ func (l *lateVoter) Run(ctx context.Context, job *Job, heartbeat func(int64)) (*
 // agreeing votes, so a third vote can land after it. A late lie must
 // still count as a validation mismatch and quarantine its voter, and a
 // late honest vote must stay a discarded duplicate; the merged Result
-// is the single-process one either way. The honest voters wait until
-// the late voter holds its assignment, so the late vote always lands.
+// is the single-process one either way, and all of it is recorded by
+// the time Run returns. The honest voters wait until the late voter
+// holds its assignment, so the late vote always lands.
 func TestCoordinatorChecksLateVotes(t *testing.T) {
 	job := testJob(t)
 	oracle := singleProcessOracle(t, job)
@@ -304,13 +305,8 @@ func TestCoordinatorChecksLateVotes(t *testing.T) {
 			}
 			res, _ := runCoordinator(t, workers, Options{Shards: 1, ValidateK: 3, Metrics: m}, job)
 			requireIdentical(t, c.name, oracle, res)
-			// Run returns once the shard validates; the late vote is
-			// recorded when it lands, and its quarantine delivered after.
-			deadline := time.Now().Add(time.Minute)
-			for (m.ValidationMismatches.Load()+m.DuplicatesDiscarded.Load() == 0 ||
-				m.WorkersQuarantined.Load() < c.quarantines) && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
+			// Run returns only after the late vote is recorded and its
+			// quarantine delivered.
 			if got := m.ValidationMismatches.Load(); got != c.mismatches {
 				t.Errorf("validation mismatches %d, want %d", got, c.mismatches)
 			}

@@ -15,7 +15,8 @@ import (
 
 // Worker executes shard jobs on behalf of the coordinator. Run evaluates
 // one job and returns its wire Result; it must honor ctx cancellation
-// (the coordinator enforces per-attempt timeouts through it) and may
+// (the coordinator enforces per-attempt timeouts through it, and waits
+// for the attempts it cancels before Run returns) and may
 // call heartbeat, concurrently with its own work, to report live
 // progress (evaluated-candidate count). Implementations: HTTPWorker
 // (remote, cmd/worker), Loopback (in-process, hermetic tests) and
@@ -310,7 +311,9 @@ func (c *Coordinator) nonVoters(st *runState, s int) int {
 // mc.(*Campaign).Estimate (with the same seed, trials and mission) for
 // a report byte-identical to the single-process campaign. job must be
 // unsharded (the coordinator owns the partitioning) and is not mutated;
-// each dispatch carries a copy with its shard assignment.
+// each dispatch carries a copy with its shard assignment. Run returns
+// only after every attempt it started has returned and been recorded,
+// so the metrics count every vote, late ones included.
 func (c *Coordinator) Run(ctx context.Context, job *Job) (*Result, error) {
 	if job.Shard != (ShardSpec{}) {
 		return nil, fmt.Errorf("%w: coordinator job must be unsharded, got shard %d/%d",
@@ -428,15 +431,23 @@ func (c *Coordinator) dispatch(ctx context.Context, job *Job, space int) ([]*Res
 	if c.opts.SpeculateAfter > 0 {
 		go c.speculate(rctx, st)
 	}
+	// loops counts the worker loops launched. A loop is added only while
+	// the run is unfinished, checked under st.mu, so none can start once
+	// the wait below begins.
+	var loops sync.WaitGroup
 	launch := func(w Worker) {
 		st.mu.Lock()
 		fresh := !st.launched[w.ID()] && st.remaining > 0 && st.err == nil
 		if fresh {
 			st.launched[w.ID()] = true
+			loops.Add(1)
 		}
 		st.mu.Unlock()
 		if fresh {
-			go c.workerLoop(rctx, w, st, job, shards)
+			go func() {
+				defer loops.Done()
+				c.workerLoop(rctx, w, st, job, shards)
+			}()
 		}
 	}
 	// Membership changes wake blocked dispatch loops and adopt workers
@@ -465,7 +476,12 @@ func (c *Coordinator) dispatch(ctx context.Context, job *Job, space int) ([]*Res
 		results = append(results, st.validated...)
 	}
 	st.mu.Unlock()
-	cancel() // release any in-flight duplicate attempts
+	// Cancel the attempts still in flight and wait for every loop to
+	// record its last answer, so a vote that lands after its shard
+	// validated is compared (lateVote) before Run returns. Workers honor
+	// cancellation, so the wait is bounded.
+	cancel()
+	loops.Wait()
 
 	if err != nil {
 		return nil, err

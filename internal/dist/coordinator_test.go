@@ -218,12 +218,7 @@ func TestCoordinatorDiscardsDuplicateResults(t *testing.T) {
 	if m.ShardsSpeculated.Load() != 1 {
 		t.Fatalf("speculated %d shards, want 1", m.ShardsSpeculated.Load())
 	}
-	// The losing attempt may still be in flight when Run returns; its
-	// discard is recorded when it lands.
-	deadline := time.Now().Add(2 * time.Second)
-	for m.DuplicatesDiscarded.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Run waits for the losing attempt, so its discard is recorded.
 	if m.DuplicatesDiscarded.Load() != 1 {
 		t.Errorf("discarded %d duplicates, want 1", m.DuplicatesDiscarded.Load())
 	}
@@ -430,7 +425,7 @@ func TestCoordinatorRetryAccountingExact(t *testing.T) {
 
 // table7WideJob is cmd/optimize's Table 7 knob space (vault policy,
 // backup policy, PiT technique) widened with a vault retention sweep
-// over 1..512: the 6144-candidate space of cmd/bench's pruned/large case
+// over 1..512: the 6144-candidate space of opt's TestPrunedLargeRatio
 // and perfbench's search workload, under the worst-total objective.
 func table7WideJob(t *testing.T) *Job {
 	t.Helper()

@@ -201,8 +201,9 @@ func TestHTTPLargeSpace6144(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6144-candidate space in -short mode")
 	}
-	// The internal/bench large case: the Table 7-shaped knobs extended
-	// with a 512-option vault retention sweep, 2 x 2 x 3 x 512 = 6144.
+	// The root BenchmarkExhaustiveLarge* space: the Table 7-shaped knobs
+	// extended with a 512-option vault retention sweep,
+	// 2 x 2 x 3 x 512 = 6144.
 	specs := testKnobSpecs(t)[:3]
 	retOpts := make([]int, 512)
 	for i := range retOpts {

@@ -38,6 +38,7 @@ import (
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/parallel"
+	"stordep/internal/protect"
 	"stordep/internal/recovery"
 	"stordep/internal/rng"
 	"stordep/internal/sim"
@@ -132,6 +133,13 @@ var (
 	ErrBadTrials  = errors.New("mc: trials must be positive")
 	ErrBadRange   = errors.New("mc: invalid trial range")
 	ErrBadMission = errors.New("mc: mission must not be negative")
+	// ErrMultiSited refuses a design with a level whose copies span
+	// several devices with a survival threshold (protect.MultiSited, an
+	// erasure code). A trial takes a level out whenever any one of its
+	// devices is down, where the analytic model keeps such a level
+	// serving while SurvivalThreshold of them survive, so a campaign
+	// would overstate its degraded time.
+	ErrMultiSited = errors.New("mc: multi-sited levels are not modeled")
 )
 
 // build builds the campaign's design.
@@ -142,6 +150,11 @@ func (c *Campaign) build() (*core.System, error) {
 	sys, err := core.Build(c.Design)
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
+	}
+	for _, tech := range c.Design.Levels {
+		if _, ok := tech.(protect.MultiSited); ok {
+			return nil, fmt.Errorf("%w: level %q", ErrMultiSited, tech.Name())
+		}
 	}
 	return sys, nil
 }

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"stordep/internal/casestudy"
+	"stordep/internal/core"
+	"stordep/internal/device"
 	"stordep/internal/failure"
 	"stordep/internal/protect"
 	"stordep/internal/sim"
@@ -208,6 +211,47 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := (&Campaign{Design: countOnly, Trials: 30, Rates: site}).Run(); !errors.Is(err, sim.ErrCountOnlyRetention) {
 		t.Errorf("count-only vault retention: got %v", err)
 	}
+}
+
+// TestMultiSitedLevelRefused: a trial takes a level out whenever one of
+// its devices is down, which overstates a 2-of-3 erasure code's degraded
+// time, so every entry point refuses a design with such a level and
+// names it.
+func TestMultiSitedLevelRefused(t *testing.T) {
+	d := casestudy.Baseline()
+	var sites []string
+	for i, region := range []string{"north", "south", "east"} {
+		spec := device.EconomyArray()
+		spec.Name = fmt.Sprintf("frag-%d", i+1)
+		sites = append(sites, spec.Name)
+		d.Devices = append(d.Devices, core.PlacedDevice{Spec: spec, Placement: failure.Placement{
+			Array: spec.Name, Building: "colo-" + region, Site: "colo-" + region, Region: region,
+		}})
+	}
+	d.Devices = append(d.Devices, core.PlacedDevice{Spec: device.GigELinks(2)})
+	d.Levels = append([]protect.Technique{&protect.ErasureCode{
+		InstanceName: "fragments", Fragments: 3, Threshold: 2, Sites: sites,
+		Links: device.NameGigELinks, Pol: casestudy.SplitMirrorPolicy(),
+	}}, d.Levels...)
+	if err := d.Validate(); err != nil {
+		t.Fatalf("erasure design invalid: %v", err)
+	}
+
+	c := &Campaign{Design: d, Seed: 1, Trials: 10, Workers: 1}
+	check := func(entry string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrMultiSited) || !strings.Contains(err.Error(), `"fragments"`) {
+			t.Errorf("%s: got %v, want ErrMultiSited naming the level", entry, err)
+		}
+	}
+	_, err := c.Run()
+	check("Run", err)
+	_, err = c.Sample(0, 5)
+	check("Sample", err)
+	_, err = c.Estimate(make([]Obs, 5))
+	check("Estimate", err)
+	_, err = c.Scorer()(d)
+	check("Scorer", err)
 }
 
 // TestTrialReplayError: a window replays on its first query, and a

@@ -803,6 +803,36 @@ func TestRecoveryFloorTight(t *testing.T) {
 	t.Logf("assessed %d, pruned %d, %d bounds", stats.Assessed, stats.Pruned, stats.BoundsComputed)
 }
 
+// TestPrunedLargeRatio: a worst-total pruned search of
+// prunerBoundKnobs' 6144 candidates runs on one worker, so which batches
+// its bound retires does not depend on the host. It must retire at least
+// 90% of the space and return the unpruned search's answer.
+func TestPrunedLargeRatio(t *testing.T) {
+	base, knobs, scs := casestudy.Baseline(), prunerBoundKnobs(), scenarios()
+	want, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats SearchStats
+	got, err := ExhaustiveOpts(base, knobs, scs, nil, ExhaustiveOptions{
+		Workers: 1, Prune: true, Floor: WorstTotalFloor(), Stats: &stats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Score != want.Score || got.CandidateIndex != want.CandidateIndex {
+		t.Errorf("pruned answer #%d %v, unpruned #%d %v", got.CandidateIndex, got.Score, want.CandidateIndex, want.Score)
+	}
+	const space = 6144
+	if stats.Assessed+stats.Pruned != space {
+		t.Fatalf("assessed %d + pruned %d != %d", stats.Assessed, stats.Pruned, space)
+	}
+	if ratio := float64(stats.Pruned) / space; ratio < 0.9 {
+		t.Errorf("pruned %d of %d candidates (%.1f%%), want at least 90%%", stats.Pruned, space, 100*ratio)
+	}
+	t.Logf("pruned %d of %d, %d bounds", stats.Pruned, space, stats.BoundsComputed)
+}
+
 // BenchmarkPrunerBound times one bound call on a 64-candidate batch of
 // prunerBoundKnobs' 6144-candidate space, cycling through its 96
 // batches.

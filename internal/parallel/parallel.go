@@ -103,13 +103,3 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
-
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// with Map's first-error semantics, for loops that write their own
-// outputs instead of returning values.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}

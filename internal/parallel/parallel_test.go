@@ -82,28 +82,6 @@ func TestMapErrorSkips(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(8, 1000, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != 999*1000/2 {
-		t.Errorf("sum = %d", got)
-	}
-	sentinel := errors.New("nope")
-	if err := ForEach(8, 10, func(i int) error {
-		if i >= 2 {
-			return sentinel
-		}
-		return nil
-	}); !errors.Is(err, sentinel) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 // TestMapDeterministicError: the returned error is stable across repeats
 // and worker counts even when many indices fail.
 func TestMapDeterministicError(t *testing.T) {
