@@ -208,7 +208,11 @@ func (a *atomicScore) min(v units.Money) {
 }
 
 // prunedGroup is one knob group's bound tables: per joint-option entry,
-// the outlay floor delta and the owned levels' serve parameters.
+// the outlay floor delta and the owned levels' serve parameters. Like
+// the group's own tables they are flat, carved from the search's arena
+// (arena.go) and returned with it; suspect is the group's own table. A
+// suspect entry's rows are zero, and a bound that reaches one stops
+// before reading them.
 type prunedGroup struct {
 	members []int
 	radix   []int
@@ -421,9 +425,9 @@ func bandwidthCeil(cs *compiledSpace) []units.Rate {
 			ceil[di] = sp.MaxBandwidth()
 		} else {
 			g := &cs.groups[gi]
-			for t := range g.entries {
-				if e := &g.entries[t]; !e.suspect {
-					ceil[di] = max(ceil[di], e.specs[cs.specSlot[di]].MaxBandwidth())
+			for t := 0; t < g.size; t++ {
+				if !g.suspect[t] {
+					ceil[di] = max(ceil[di], g.entrySpecs(t)[cs.specSlot[di]].MaxBandwidth())
 				}
 			}
 		}
@@ -445,43 +449,60 @@ func fragSane(f *core.Fragment) bool {
 // so RecoveryFloor's sums over it stay floors of assessOne's.
 func boundedDelay(d time.Duration) bool { return d >= 0 && d < units.Forever }
 
-// buildGroups fills each group's suspect and owned-level tables (outlay
-// deltas are added by buildOutlays), with each entry's recovery-time
-// floors at the bandwidth ceilings ceil. RecoveryFloor reads only a
-// fragment's copy, read and transport devices and its restore size, so
-// a level whose four equal those of the previous non-suspect entry
-// copies that entry's floors. Returns false on any frag sanity
-// violation.
+// buildGroups carves each group's bound tables from the arena and fills
+// the owned-level ones (outlay deltas are added by buildOutlays), with
+// each entry's recovery-time floors at the bandwidth ceilings ceil.
+// RecoveryFloor reads only a fragment's copy, read and transport devices
+// and its restore size, so a level whose four equal those of the
+// previous non-suspect entry copies that entry's floors. Returns false
+// on any frag sanity violation.
 func (p *pruner) buildGroups(ceil []units.Rate) bool {
 	cs := p.cs
+	ar := cs.ar
+	entries, rows := 0, 0
+	for gi := range cs.groups {
+		g := &cs.groups[gi]
+		entries += g.size
+		rows += g.size * len(g.levels)
+	}
+	ar.outlay = sized(ar.outlay, entries)
+	clear(ar.outlay) // buildOutlays sums into it
+	ar.copyIdx, ar.accW, ar.lag = sized(ar.copyIdx, rows), sized(ar.accW, rows), sized(ar.lag, rows)
+	ar.rec = sized(ar.rec, rows*p.ns)
 	p.groups = make([]prunedGroup, len(cs.groups))
+	outlay, copyIdx, accW, lag, recs := ar.outlay, ar.copyIdx, ar.accW, ar.lag, ar.rec
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
 		pg := &p.groups[gi]
-		pg.members = g.members
-		pg.radix = g.radix
-		pg.size = g.size
-		pg.levels = g.levels
 		nl := len(g.levels)
-		pg.suspect = make([]bool, g.size)
-		pg.outlay = make([]units.Money, g.size)
-		pg.multi = make([]bool, nl)
+		*pg = prunedGroup{
+			members: g.members,
+			radix:   g.radix,
+			size:    g.size,
+			suspect: g.suspect,
+			levels:  g.levels,
+			multi:   make([]bool, nl),
+		}
 		for li, j := range g.levels {
 			pg.multi[li] = cs.kern.MultiLevel(j)
 		}
-		pg.copyIdx = make([]int32, g.size*nl)
-		pg.accW = make([]time.Duration, g.size*nl)
-		pg.lag = make([]time.Duration, g.size*nl)
-		pg.rec = make([]time.Duration, g.size*nl*p.ns)
+		pg.outlay, outlay = carve(outlay, g.size)
+		pg.copyIdx, copyIdx = carve(copyIdx, g.size*nl)
+		pg.accW, accW = carve(accW, g.size*nl)
+		pg.lag, lag = carve(lag, g.size*nl)
+		pg.rec, recs = carve(recs, g.size*nl*p.ns)
 		prev := -1 // the previous non-suspect entry
 		for t := 0; t < g.size; t++ {
-			e := &g.entries[t]
-			pg.suspect[t] = e.suspect
-			if e.suspect {
+			if g.suspect[t] {
+				clear(pg.copyIdx[t*nl : (t+1)*nl])
+				clear(pg.accW[t*nl : (t+1)*nl])
+				clear(pg.lag[t*nl : (t+1)*nl])
+				clear(pg.rec[t*nl*p.ns : (t+1)*nl*p.ns])
 				continue
 			}
-			for li := range e.frags {
-				f := &e.frags[li]
+			frags := g.entryFrags(t)
+			for li := range frags {
+				f := &frags[li]
 				if !fragSane(f) {
 					return false
 				}
@@ -490,7 +511,7 @@ func (p *pruner) buildGroups(ceil []units.Rate) bool {
 				pg.accW[at] = f.AccW
 				pg.lag[at] = f.Lag
 				rec := pg.rec[at*p.ns : (at+1)*p.ns]
-				if prev >= 0 && sameRestore(f, &g.entries[prev].frags[li]) {
+				if prev >= 0 && sameRestore(f, &g.entryFrags(prev)[li]) {
 					was := prev*nl + li
 					copy(rec, pg.rec[was*p.ns:(was+1)*p.ns])
 					continue
@@ -575,13 +596,13 @@ func (p *pruner) buildOutlays() bool {
 	for gi := range cs.groups {
 		feeds[gi] = make([]bool, nD)
 		g := &cs.groups[gi]
-		for t := range g.entries {
-			e := &g.entries[t]
-			if e.suspect {
+		for t := 0; t < g.size; t++ {
+			if g.suspect[t] {
 				continue
 			}
-			for li := range e.frags {
-				for _, r := range e.frags[li].Demands {
+			frags := g.entryFrags(t)
+			for li := range frags {
+				for _, r := range frags[li].Demands {
 					feeds[gi][r.Dev] = true
 				}
 			}
@@ -631,12 +652,12 @@ func (p *pruner) buildOutlays() bool {
 		}
 		slot := cs.specSlot[di]
 		g := &cs.groups[owner]
-		for t := range g.entries {
-			e := &g.entries[t]
-			if e.suspect {
+		for t := 0; t < g.size; t++ {
+			if g.suspect[t] {
 				continue
 			}
-			sp := &e.specs[slot]
+			frags := g.entryFrags(t)
+			sp := &g.entrySpecs(t)[slot]
 			ft, ok := fixedTerm(sp)
 			if !ok {
 				return false
@@ -650,9 +671,9 @@ func (p *pruner) buildOutlays() bool {
 				}
 				margSum += m
 			}
-			for li := range e.frags {
-				for ri := range e.frags[li].Demands {
-					r := &e.frags[li].Demands[ri]
+			for li := range frags {
+				for ri := range frags[li].Demands {
+					r := &frags[li].Demands[ri]
 					if int(r.Dev) != di {
 						continue
 					}
@@ -675,14 +696,14 @@ func (p *pruner) buildOutlays() bool {
 						continue
 					}
 					gg := &cs.groups[gj]
-					for tt := range gg.entries {
-						ee := &gg.entries[tt]
-						if ee.suspect {
+					for tt := 0; tt < gg.size; tt++ {
+						if gg.suspect[tt] {
 							continue
 						}
-						for li := range ee.frags {
-							for ri := range ee.frags[li].Demands {
-								r := &ee.frags[li].Demands[ri]
+						ff := gg.entryFrags(tt)
+						for li := range ff {
+							for ri := range ff[li].Demands {
+								r := &ff[li].Demands[ri]
 								if int(r.Dev) != di {
 									continue
 								}
@@ -707,14 +728,14 @@ func (p *pruner) buildOutlays() bool {
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
 		pg := &p.groups[gi]
-		for t := range g.entries {
-			e := &g.entries[t]
-			if e.suspect {
+		for t := 0; t < g.size; t++ {
+			if g.suspect[t] {
 				continue
 			}
-			for li := range e.frags {
-				for ri := range e.frags[li].Demands {
-					r := &e.frags[li].Demands[ri]
+			frags := g.entryFrags(t)
+			for li := range frags {
+				for ri := range frags[li].Demands {
+					r := &frags[li].Demands[ri]
 					di := int(r.Dev)
 					if cs.specOwner[di] >= 0 {
 						// Own-group devices were handled in the per-entry
@@ -754,28 +775,21 @@ func finiteNonNeg(m units.Money) bool {
 	return m >= 0 && !math.IsInf(float64(m), 1)
 }
 
-// newScratch allocates one worker's bound-computation state.
-func (p *pruner) newScratch() *pruneScratch {
+// readyScratch sizes one worker's bound-computation state for p,
+// reusing its arrays. bound writes every element it reads before
+// reading it.
+func (p *pruner) readyScratch(ps *pruneScratch) {
 	nk := len(p.knobRadix)
 	n := p.ns * p.nLevels
-	return &pruneScratch{
-		runStart: make([]int, nk),
-		runLen:   make([]int, nk),
-		step:     make([]int, nk),
-		opt:      make([]int, nk),
-		serve:    make([]bool, n),
-		minAccW:  make([]time.Duration, n),
-		minRec:   make([]time.Duration, n),
-		minLag:   make([]time.Duration, p.nLevels),
-		cum:      make([]time.Duration, p.nLevels),
-		fl: SubtreeFloor{
-			Scenarios:    p.cs.scs,
-			RecoveryTime: make([]time.Duration, p.ns),
-			DataLoss:     make([]time.Duration, p.ns),
-			Penalties:    make([]units.Money, p.ns),
-			Lost:         make([]bool, p.ns),
-		},
-	}
+	ps.runStart, ps.runLen = sized(ps.runStart, nk), sized(ps.runLen, nk)
+	ps.step, ps.opt = sized(ps.step, nk), sized(ps.opt, nk)
+	ps.serve = sized(ps.serve, n)
+	ps.minAccW, ps.minRec = sized(ps.minAccW, n), sized(ps.minRec, n)
+	ps.minLag, ps.cum = sized(ps.minLag, p.nLevels), sized(ps.cum, p.nLevels)
+	fl := &ps.fl
+	fl.Scenarios = p.cs.scs
+	fl.RecoveryTime, fl.DataLoss = sized(fl.RecoveryTime, p.ns), sized(fl.DataLoss, p.ns)
+	fl.Penalties, fl.Lost = sized(fl.Penalties, p.ns), sized(fl.Lost, p.ns)
 }
 
 // computeAllowed derives, per knob, the options candidates in
@@ -983,7 +997,8 @@ func (p *pruner) noteScore(s units.Money) { p.incumbent.min(s) }
 // unbounded). Slow-path probes are skipped — seeding is an accelerator
 // and must not duplicate the slow path's error semantics. Probe
 // scores are achieved scores, so seeding never changes the argmin; the
-// probes are not counted as Evaluations.
+// probes are not counted as Evaluations. It fills and assesses on slot
+// 0's batch scratch, before the sweep starts.
 func (p *pruner) seed(objective Objective, lo, hi int) {
 	cs := p.cs
 	n := hi - lo
@@ -994,17 +1009,15 @@ func (p *pruner) seed(objective Objective, lo, hi int) {
 	if probes <= 0 {
 		return
 	}
-	cols := cs.kern.NewCols(1)
-	fs := newFillScratch(cs)
-	var bs core.BatchScratch
-	choice := make([]int, len(cs.knobs))
+	s := cs.ar.slot(0, cs)
+	cols, bs, choice := s.batchCols(1), &s.bs, s.choice
 	var res whatif.Result
 	for pi := 0; pi < probes; pi++ {
 		decodeChoice(choice, cs.knobs, lo+spreadIndex(pi, probes, n))
-		if cs.fill(fs, cols, 0, choice) {
+		if cs.fill(&s.fs, cols, 0, choice) {
 			continue
 		}
-		cs.kern.AssessBatch(1, cols, &bs)
+		cs.kern.AssessBatch(1, cols, bs)
 		res.SetBriefs(cs.base.Name, cols.OutlaysTotal[0], cs.scs, bs.Briefs)
 		p.noteScore(objective(res))
 	}

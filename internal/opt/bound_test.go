@@ -450,6 +450,13 @@ func TestPrunedWrappingBatchMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// newScratch returns one worker's bound-computation state for p.
+func (p *pruner) newScratch() *pruneScratch {
+	ps := new(pruneScratch)
+	p.readyScratch(ps)
+	return ps
+}
+
 // boundScan is the reference for bound: it scans every group-table
 // entry and admits one when every member's option is one the batch
 // visits, found by decoding every index of [blo, bhi). Each admitted
@@ -699,13 +706,13 @@ func TestReusedRecoveryFloorsExact(t *testing.T) {
 		for gi := range cs.groups {
 			g, pg := &cs.groups[gi], &pr.groups[gi]
 			nl, prev := len(g.levels), -1
-			for e := range g.entries {
-				if g.entries[e].suspect {
+			for e := 0; e < g.size; e++ {
+				if g.suspect[e] {
 					continue
 				}
 				for li, j := range g.levels {
-					f := &g.entries[e].frags[li]
-					if prev >= 0 && sameRestore(f, &g.entries[prev].frags[li]) {
+					f := &g.entryFrags(e)[li]
+					if prev >= 0 && sameRestore(f, &g.entryFrags(prev)[li]) {
 						reused++
 					} else {
 						fresh++

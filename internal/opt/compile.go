@@ -35,6 +35,14 @@ import (
 // knob none of whose options touches anything is scanned to its last
 // option, which proves it touchless.
 //
+// A group's tables are flat, with no per-entry headers: entry t is
+// suspect[t], its fragments are frags[t*len(levels):][:len(levels)],
+// aligned with the group's levels, and its specs likewise in specs,
+// aligned with its devices. A suspect entry's rows are zero. The tables
+// are carved from the search's arena (arena.go), which the search draws
+// from a pool in compileSpace and returns in release once its sweep
+// ends; nothing in them outlives the search.
+//
 // Compilation itself applies options to one private copy of the base
 // design per worker, reset in place rather than cloned per option:
 // after Diff accepts an option's result, each level it reported is
@@ -62,7 +70,8 @@ import (
 // Fragment extraction captures an entry's demand records in place, into
 // the unused tail of its worker's demand chunk, sized for the worker's
 // share of the group's remaining entries; the fragments keep capped
-// windows of it, so no record is copied after its capture.
+// windows of it, so no record is copied after its capture. The chunks
+// come from the worker's arena slot.
 //
 // Anything the tables cannot represent exactly is handled by falling
 // back, at one of three granularities:
@@ -86,12 +95,25 @@ import (
 // (e.g. AccWKnob's propagation-window clamp, RetCntKnob's cycle-period
 // read) lives on its own level, and any other knob writing that level
 // lands in the same group, where joint enumeration reproduces the
-// interaction exactly — provided one of its options changes the base on
-// its own. A knob whose every option leaves the base as it is (an AccW
-// knob offering only the base's window) is touchless and joins no
-// group, even where it would rewrite what another knob set; only the
-// probe pass, the safety net for exotic knobs, can then refuse the
-// compilation, when a probe lands on an affected candidate.
+// interaction exactly.
+//
+// A touchless knob, one whose every option leaves the base as it is (an
+// AccW knob offering only the base's window), joins no group, yet it may
+// rewrite what a group's entry set (that AccW knob on a weekly vault
+// policy). So after each non-suspect entry is extracted, every option of
+// every touchless knob is applied at its knob-order place among the
+// group's members, and the result is diffed and re-extracted: an option
+// that changes the entry's touch set, fragments or specs makes the entry
+// suspect, and the copy is reset before the next entry. A touchless knob
+// is checked one at a time, so what two of them do together on one
+// entry is still left to the probes. When the knob and the group are
+// Revertible, the check runs on the held copy: the option, then the
+// members after it, re-applied as the odometer would, and a copy the
+// option left alike (same touch set, fragments and specs) keeps holding
+// the entry without a reset. That trusts such an option to have written
+// nothing a later entry's members read but no fragment shows. Otherwise
+// the check runs on a reset copy, reset again after it. A space with no
+// touchless knob does no extra work.
 
 const (
 	// defaultBatchSize is the candidate count per batched sweep step.
@@ -107,38 +129,47 @@ const (
 	compileProbes = 16
 )
 
-// groupEntry is one joint option combination of a knob group: either
-// the precomputed fragments/specs, or suspect (candidate goes slow).
-type groupEntry struct {
-	suspect bool
-	frags   []core.Fragment // aligned with knobGroup.levels
-	specs   []device.Spec   // aligned with knobGroup.devices
-}
-
-// knobGroup unions knobs whose touch footprints overlap. Its table
-// holds one entry per joint option combination (members in knob order,
-// last member least significant — the mixed-radix convention).
+// knobGroup unions knobs whose touch footprints overlap. Its tables
+// hold one entry per joint option combination (members in knob order,
+// last member least significant — the mixed-radix convention), flat:
+// suspect[t] marks entry t unrepresentable (its candidates go slow, and
+// its rows are zero), and entryFrags and entrySpecs locate its rows.
 type knobGroup struct {
 	members []int // knob indices, ascending
 	radix   []int
 	size    int
 	levels  []int // touched level indices, ascending
 	devices []int // touched device indices, ascending
-	entries []groupEntry
+	suspect []bool
+	frags   []core.Fragment // size rows of len(levels)
+	specs   []device.Spec   // size rows of len(devices)
 	// revertible: every member is Revertible, so an entry re-applies
 	// only the members from the first whose option changed, over the
 	// previous entry's copy, without a reset.
 	revertible bool
 }
 
+// entryFrags returns entry t's fragments, aligned with g.levels.
+func (g *knobGroup) entryFrags(t int) []core.Fragment {
+	nl := len(g.levels)
+	return g.frags[t*nl : (t+1)*nl]
+}
+
+// entrySpecs returns entry t's device specs, aligned with g.devices.
+func (g *knobGroup) entrySpecs(t int) []device.Spec {
+	nd := len(g.devices)
+	return g.specs[t*nd : (t+1)*nd]
+}
+
 // compiledSpace is the compiled form of (base design, knob set,
 // scenario set): immutable after compileSpace, safe for concurrent fill
-// with distinct fillScratch/Cols.
+// with distinct fillScratch/Cols, until release returns its arena.
 type compiledSpace struct {
 	base  *core.Design
 	knobs []Knob
 	scs   []failure.Scenario
 	kern  *core.BatchKernel
+	ar    *arena
 	// cloneEach makes compilation clone the base for every option and
 	// entry instead of reusing its reset copy: the reference the tests
 	// compare the reset against.
@@ -154,6 +185,16 @@ type compiledSpace struct {
 	// knobSuspect[k][o]: option o of knob k is unrepresentable (apply
 	// error or forbidden change) — every candidate choosing it is slow.
 	knobSuspect [][]bool
+	// touchless lists, ascending, the knobs no group holds: none of
+	// their options changes the base.
+	touchless []int
+}
+
+// release returns the space's arena to the pool. Neither the space nor
+// a pruner built on it may be used afterwards.
+func (cs *compiledSpace) release() {
+	cs.ar.release()
+	cs.ar = nil
 }
 
 // fillScratch is one worker's reusable state for fill: core's row
@@ -166,19 +207,18 @@ type fillScratch struct {
 	specs []*device.Spec
 }
 
-func newFillScratch(cs *compiledSpace) *fillScratch {
-	fs := &fillScratch{
-		asm:   cs.kern.NewAssembler(),
-		frags: make([]*core.Fragment, cs.nLevels),
-		specs: make([]*device.Spec, cs.nDevices),
-	}
+// ready points fs at the base fragment and spec of every level and
+// device, reusing its arrays, with asm as its assembler.
+func (fs *fillScratch) ready(cs *compiledSpace, asm *core.Assembler) {
+	fs.asm = asm
+	fs.frags = sized(fs.frags, cs.nLevels)
+	fs.specs = sized(fs.specs, cs.nDevices)
 	for j := range fs.frags {
 		fs.frags[j] = cs.kern.BaseFragment(j)
 	}
 	for di := range fs.specs {
 		fs.specs[di] = cs.kern.BaseSpec(di)
 	}
-	return fs
 }
 
 // workDesign is one compile worker's private copy of the base design.
@@ -222,8 +262,22 @@ func (w *workDesign) drop() { w.d = nil }
 
 // compileSpace builds the compiled form or reports why it cannot. A nil
 // error means the space passed probe verification; any error means the
-// caller runs every candidate slow (the error is diagnostic only).
+// caller runs every candidate slow (the error is diagnostic only). The
+// tables live in an arena drawn from the pool, which the caller returns
+// with release once it is done with the space; a refused compilation
+// has returned it already.
 func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, workers int) (*compiledSpace, error) {
+	return compileIn(arenaPool.Get().(*arena), base, knobs, scs, workers)
+}
+
+// compileIn is compileSpace on the arena ar, which it returns to the
+// pool when it refuses the space.
+func compileIn(ar *arena, base *core.Design, knobs []Knob, scs []failure.Scenario, workers int) (_ *compiledSpace, err error) {
+	defer func() {
+		if err != nil {
+			ar.release()
+		}
+	}()
 	work := 0
 	for _, k := range knobs {
 		work += len(k.Options)
@@ -244,6 +298,7 @@ func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, worke
 		knobs:    knobs,
 		scs:      scs,
 		kern:     kern,
+		ar:       ar,
 		nLevels:  kern.Levels(),
 		nDevices: kern.Devices(),
 	}
@@ -264,8 +319,8 @@ func compileSpace(base *core.Design, knobs []Knob, scs []failure.Scenario, worke
 // options that applies, passes Diff and touches a level or device spec,
 // then unions knobs sharing a level or a device spec into groups. The
 // options before it that fail are suspect; a knob none of whose options
-// touches anything is scanned to its last option and joins no group.
-// budget bounds the total group table size.
+// touches anything is scanned to its last option, joins no group and is
+// listed in cs.touchless. budget bounds the total group table size.
 func (cs *compiledSpace) groupKnobs(budget int) error {
 	nk := len(cs.knobs)
 	cs.knobSuspect = make([][]bool, nk)
@@ -335,7 +390,10 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	var roots []int
 	for k := 0; k < nk; k++ {
 		if len(touchL[k]) == 0 && len(touchD[k]) == 0 {
-			continue // touchless knob: every option leaves the base state
+			// Every option leaves the base state; extraction checks each
+			// entry against its options.
+			cs.touchless = append(cs.touchless, k)
+			continue
 		}
 		r := find(k)
 		g, ok := byRoot[r]
@@ -392,11 +450,13 @@ func (cs *compiledSpace) groupKnobs(budget int) error {
 	return nil
 }
 
-// extractor is one extraction worker's state: its core.Assembler, its
-// reset-in-place copy of the base, an entry's diff and member options,
-// the odometer's reading and the demand chunk fragments capture into.
-// While holds is set, the copy differs from the base only where touch
-// says, holding group gi's members applied with options held.
+// extractor is one extraction worker's state, kept in its arena slot:
+// its core.Assembler, its reset-in-place copy of the base, an entry's
+// diff and member options, the odometer's reading, the demand chunks
+// fragments capture into, and what a touchless check diffs and
+// extracts into. While holds is set, the copy differs from the base
+// only where touch says, holding group gi's members applied with
+// options held.
 type extractor struct {
 	asm   *core.Assembler
 	work  workDesign
@@ -410,6 +470,47 @@ type extractor struct {
 	// the group's levels, or more once an entry captured more.
 	free []core.IndexedDemand
 	most int
+	// chunks are the demand chunks of this and earlier searches, drawn
+	// in order; drawn of them hold this search's records.
+	chunks [][]core.IndexedDemand
+	drawn  int
+	// probe and scratch take a touchless check's diff and demands.
+	probe   core.Touch
+	scratch []core.IndexedDemand
+}
+
+// ready readies x for a search of cs with assembler asm.
+func (x *extractor) ready(cs *compiledSpace, asm *core.Assembler) {
+	x.asm, x.work = asm, workDesign{cs: cs}
+	x.opts, x.held = sized(x.opts, len(cs.knobs)), sized(x.held, len(cs.knobs))
+	x.gi, x.holds, x.free, x.most = -1, false, nil, 0
+}
+
+// chunk returns an empty demand chunk of at least n records: the next
+// pooled one when it is large enough, else a new one of exactly n that
+// takes its place in the pool.
+func (x *extractor) chunk(n int) []core.IndexedDemand {
+	if x.drawn == len(x.chunks) {
+		x.chunks = append(x.chunks, nil)
+	}
+	c := x.chunks[x.drawn]
+	if cap(c) < n {
+		c = make([]core.IndexedDemand, 0, n)
+		x.chunks[x.drawn] = c
+	}
+	x.drawn++
+	return c
+}
+
+// reset clears the records of the chunks drawn and drops the copy and
+// the assembler.
+func (x *extractor) reset() {
+	for _, c := range x.chunks[:x.drawn] {
+		clear(c[:cap(c)])
+	}
+	clear(x.scratch[:cap(x.scratch)])
+	x.drawn = 0
+	x.asm, x.work, x.free = nil, workDesign{}, nil
 }
 
 // enter readies x for entries of group gi: a copy holding another
@@ -429,38 +530,35 @@ func (x *extractor) enter(cs *compiledSpace, gi int) {
 // extractGroups fills each group's joint-option table by applying the
 // member knobs (in knob order) to the worker's reset-in-place copy of
 // the base and re-diffing against the base. Combinations whose effects
-// stray outside the group's footprint, or fail any validation, are
-// marked suspect. Each group's fragments and specs are allocated once,
-// and every entry gets a capped window of them; fragment demands are
-// captured in place into the extractor's demand chunk. Extraction is
-// the expensive part of compilation, so the entries of every group, in
+// stray outside the group's footprint, fail any validation, or change
+// under a touchless knob's option, are marked suspect. The groups'
+// tables are carved from the arena, and fragment demands are captured
+// in place into the extractor's demand chunks. Extraction is the
+// expensive part of compilation, so the entries of every group, in
 // group order, run as one index space on the worker pool, each worker
-// extracting on its own extractor.
+// extracting on its own slot's extractor.
 func (cs *compiledSpace) extractGroups(workers int) error {
+	ar := cs.ar
 	starts := make([]int, len(cs.groups)+1) // flat index of each group's entry 0
+	nf, ns := 0, 0
 	for gi := range cs.groups {
 		g := &cs.groups[gi]
 		starts[gi+1] = starts[gi] + g.size
-		g.entries = make([]groupEntry, g.size)
-		nl, nd := len(g.levels), len(g.devices)
-		frags := make([]core.Fragment, g.size*nl)
-		specs := make([]device.Spec, g.size*nd)
-		for t := range g.entries {
-			g.entries[t].frags = frags[t*nl : (t+1)*nl : (t+1)*nl]
-			g.entries[t].specs = specs[t*nd : (t+1)*nd : (t+1)*nd]
-		}
-	}
-	acc := func() *extractor {
-		return &extractor{
-			asm:  cs.kern.NewAssembler(),
-			work: workDesign{cs: cs},
-			opts: make([]int, len(cs.knobs)),
-			gi:   -1,
-			held: make([]int, len(cs.knobs)),
-		}
+		nf += g.size * len(g.levels)
+		ns += g.size * len(g.devices)
 	}
 	total := starts[len(cs.groups)]
+	ar.suspect, ar.frags, ar.specs = sized(ar.suspect, total), sized(ar.frags, nf), sized(ar.specs, ns)
+	suspect, frags, specs := ar.suspect, ar.frags, ar.specs
+	for gi := range cs.groups {
+		g := &cs.groups[gi]
+		g.suspect, suspect = carve(suspect, g.size)
+		g.frags, frags = carve(frags, g.size*len(g.levels))
+		g.specs, specs = carve(specs, g.size*len(g.devices))
+	}
 	w := min(parallel.Workers(workers), total)
+	ar.deal(w, cs)
+	acc := func() *extractor { return &ar.draw().x }
 	_, err := parallel.Reduce(workers, total, acc, func(x *extractor, i int) (*extractor, error) {
 		gi := max(x.gi, 0)
 		for starts[gi+1] <= i { // a worker's indices ascend
@@ -472,11 +570,18 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 		if cap(x.free) < x.most {
 			// A chunk for this worker's share of the group's entries left.
 			left := (starts[gi+1] - i + w - 1) / w
-			x.free = make([]core.IndexedDemand, 0, x.most*left)
+			x.free = x.chunk(x.most * left)
 		}
 		t := i - starts[gi]
 		ok, err := cs.extractEntry(x, gi, t)
-		cs.groups[gi].entries[t].suspect = !ok
+		if ok && err == nil && len(cs.touchless) > 0 {
+			ok, err = cs.checkTouchless(x, gi, t)
+		}
+		g := &cs.groups[gi]
+		if g.suspect[t] = !ok; !ok {
+			clear(g.entryFrags(t))
+			clear(g.entrySpecs(t))
+		}
 		return x, err
 	}, func(a, _ *extractor) *extractor { return a })
 	return err
@@ -539,8 +644,7 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 	} else {
 		defer x.work.restore(&x.touch)
 	}
-	e := &g.entries[t]
-	recs := 0
+	frags, recs := g.entryFrags(t), 0
 	for li, j := range g.levels {
 		f, err := x.asm.Fragment(d.Levels[j], x.free)
 		if err != nil {
@@ -551,13 +655,105 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 		if f.Demands = f.Demands[:n:n]; n == 0 {
 			f.Demands = nil // as a capture into no buffer gives
 		}
-		e.frags[li] = f
+		frags[li] = f
 	}
 	x.most = max(x.most, recs)
+	specs := g.entrySpecs(t)
 	for si, di := range g.devices {
-		e.specs[si] = d.Devices[di].Spec
+		specs[si] = d.Devices[di].Spec
 	}
 	return true, nil
+}
+
+// checkTouchless applies every representable option of every touchless
+// knob to entry t of group gi, just extracted by x, at the knob's place
+// among the members in knob order, and reports whether each leaves the
+// entry's touch set, fragments and specs as they are; false makes the
+// entry suspect, with x's copy reset or dropped. On a held copy, when
+// the knob is Revertible, the option and the members after it are
+// applied over the entry as the odometer would, and a copy left alike
+// keeps holding the entry. Otherwise the members before the knob, the
+// option and the members after it are applied to the base, which the
+// copy is reset to before and after.
+func (cs *compiledSpace) checkTouchless(x *extractor, gi, t int) (bool, error) {
+	g := &cs.groups[gi]
+	opts := x.opts[:len(g.members)]
+	for _, k := range cs.touchless {
+		at, _ := slices.BinarySearch(g.members, k) // the members before k
+		for o, bad := range cs.knobSuspect[k] {
+			if bad {
+				continue
+			}
+			d, fresh, err := x.work.get()
+			if err != nil {
+				return false, err
+			}
+			held := x.holds && !fresh && cs.knobs[k].Revertible
+			from := at
+			if !held {
+				if x.holds && !fresh {
+					x.work.restore(&x.touch)
+				}
+				x.holds, from = false, 0
+			}
+			applied := true
+			for mi := from; mi <= len(g.members) && applied; mi++ {
+				if mi == at {
+					applied = cs.knobs[k].Apply(d, o) == nil
+				}
+				if mi < len(g.members) && applied {
+					applied = cs.knobs[g.members[mi]].Apply(d, opts[mi]) == nil
+				}
+			}
+			if !applied || !cs.kern.Diff(d, &x.probe) {
+				x.work.drop()
+				x.holds = false
+				return false, nil
+			}
+			same := slices.Equal(x.probe.Levels, x.touch.Levels) &&
+				slices.Equal(x.probe.Devices, x.touch.Devices) && cs.sameEntry(x, d, g, t)
+			if !held || !same {
+				x.work.restore(&x.probe)
+				x.holds = false
+			}
+			if !same {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
+// sameEntry reports whether d, whose diff x.probe equals entry t's, still
+// extracts to entry t's rows. Only the levels and specs the diff reports
+// can differ: everything else equals the base in both.
+func (cs *compiledSpace) sameEntry(x *extractor, d *core.Design, g *knobGroup, t int) bool {
+	frags, specs := g.entryFrags(t), g.entrySpecs(t)
+	for _, j := range x.probe.Levels {
+		li, _ := slices.BinarySearch(g.levels, j)
+		f, err := x.asm.Fragment(d.Levels[j], x.scratch[:0])
+		if f.Demands != nil {
+			x.scratch = f.Demands[:0]
+		}
+		if err != nil || !sameFragment(&f, &frags[li]) {
+			return false
+		}
+	}
+	for _, di := range x.probe.Devices {
+		si, _ := slices.BinarySearch(g.devices, di)
+		if d.Devices[di].Spec != specs[si] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFragment reports whether two fragments are equal field by field,
+// their demand records included.
+func sameFragment(a, b *core.Fragment) bool {
+	return a.Lag == b.Lag && a.AccW == b.AccW && a.RetSpan == b.RetSpan && a.Restore == b.Restore &&
+		a.Copy == b.Copy && a.Read == b.Read && a.Transport == b.Transport && a.Name == b.Name &&
+		slices.Equal(a.Demands, b.Demands)
 }
 
 // fill resolves candidate `choice` into Cols row `row`: each group's
@@ -578,16 +774,16 @@ func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice 
 		for mi, k := range g.members {
 			t = t*g.radix[mi] + choice[k]
 		}
-		e := &g.entries[t]
-		if e.suspect {
+		if g.suspect[t] {
 			cols.Valid[row] = false
 			return true
 		}
+		frags, specs := g.entryFrags(t), g.entrySpecs(t)
 		for li, j := range g.levels {
-			fs.frags[j] = &e.frags[li]
+			fs.frags[j] = &frags[li]
 		}
 		for si, di := range g.devices {
-			fs.specs[di] = &e.specs[si]
+			fs.specs[di] = &specs[si]
 		}
 	}
 	return !fs.asm.Fold(cols, row, fs.frags, fs.specs)
@@ -597,21 +793,21 @@ func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice 
 // compiled tables and the clone+build path and compares every
 // output field (core.Probe). Any mismatch rejects the compilation.
 // Slow-path candidates are exact by construction and only checked for
-// agreement about *being* slow when the clone+build path errors.
+// agreement about *being* slow when the clone+build path errors. The
+// tables' side fills and assesses on slot 0's batch scratch; each probe
+// still clones and builds its own design.
 func (cs *compiledSpace) verify() error {
 	space, err := spaceSize(cs.knobs)
 	if err != nil {
 		return err
 	}
 	probes := min(compileProbes, space)
-	cols := cs.kern.NewCols(1)
-	var bs core.BatchScratch
-	fs := newFillScratch(cs)
-	choice := make([]int, len(cs.knobs))
+	s := cs.ar.slot(0, cs)
+	cols, bs, choice := s.batchCols(1), &s.bs, s.choice
 	for p := 0; p < probes; p++ {
 		idx := spreadIndex(p, probes, space)
 		decodeChoice(choice, cs.knobs, idx)
-		slow := cs.fill(fs, cols, 0, choice)
+		slow := cs.fill(&s.fs, cols, 0, choice)
 		d, err := Clone(cs.base)
 		if err != nil {
 			return err
@@ -625,7 +821,7 @@ func (cs *compiledSpace) verify() error {
 		if slow {
 			continue
 		}
-		cs.kern.AssessBatch(1, cols, &bs)
+		cs.kern.AssessBatch(1, cols, bs)
 		if err := core.Probe(d, cs.scs, cols.OutlaysTotal[0], bs.Briefs); err != nil {
 			return fmt.Errorf("opt: compile probe %d: %w", idx, err)
 		}

@@ -68,6 +68,7 @@ func buildTables(t *testing.T, base *core.Design, knobs []Knob, workers int, clo
 		knobs:     knobs,
 		scs:       scenarios(),
 		kern:      kern,
+		ar:        new(arena),
 		cloneEach: cloneEach,
 		nLevels:   kern.Levels(),
 		nDevices:  kern.Devices(),
@@ -79,6 +80,13 @@ func buildTables(t *testing.T, base *core.Design, knobs []Knob, workers int, clo
 		t.Fatal(err)
 	}
 	return cs
+}
+
+// newFillScratch returns a fill scratch for cs with its own assembler.
+func newFillScratch(cs *compiledSpace) *fillScratch {
+	fs := new(fillScratch)
+	fs.ready(cs, cs.kern.NewAssembler())
+	return fs
 }
 
 // findDevice returns the index of the named device spec in d.
@@ -197,11 +205,11 @@ func TestCompileTablesMatchFreshClone(t *testing.T) {
 						label, gi, g.members, g.levels, g.devices, r.members, r.levels, r.devices)
 					continue
 				}
-				for e := range g.entries {
-					got, want := &g.entries[e], &r.entries[e]
-					if got.suspect != want.suspect || !reflect.DeepEqual(got.frags, want.frags) ||
-						!reflect.DeepEqual(got.specs, want.specs) {
-						t.Errorf("%s: group %d entry %d: %+v, fresh clones %+v", label, gi, e, *got, *want)
+				for e := 0; e < g.size; e++ {
+					if g.suspect[e] != r.suspect[e] || !reflect.DeepEqual(g.entryFrags(e), r.entryFrags(e)) ||
+						!reflect.DeepEqual(g.entrySpecs(e), r.entrySpecs(e)) {
+						t.Errorf("%s: group %d entry %d: suspect %v, %+v, %+v; fresh clones %v, %+v, %+v", label, gi, e,
+							g.suspect[e], g.entryFrags(e), g.entrySpecs(e), r.suspect[e], r.entryFrags(e), r.entrySpecs(e))
 					}
 				}
 			}
@@ -353,9 +361,10 @@ func fuzzKnobs(data []byte) []Knob {
 // error or rename, compiling on 1 and 3 workers builds exactly the
 // tables a fresh clone per option and entry builds, and the batched
 // search is byte-identical to the slice oracle. The tables are compared
-// before the probes, which refuse some of them: a knob that only
-// rewrites what another knob set (an accW option equal to the base's,
-// after a policy knob) touches nothing alone and joins no group.
+// before the probes, which may refuse them. A knob that only rewrites
+// what another knob set (an accW option equal to the base's, after a
+// policy knob) touches nothing alone and joins no group; the entries it
+// rewrites are suspect.
 func FuzzCompileMatchesFreshClone(f *testing.F) {
 	// A pool byte is 1 to join, plus its option mask shifted left once.
 	for _, seed := range [][]byte{
@@ -654,6 +663,48 @@ func TestCompileSpaceGroupsInteractingKnobs(t *testing.T) {
 	}
 }
 
+// renameKnobs pairs vault retention counts with a knob whose second
+// option renames the design, which the tables cannot carry.
+func renameKnobs() []Knob {
+	return []Knob{
+		RetCntKnob("vaulting", []int{2, 4, 8}),
+		{
+			Name:    "rename",
+			Options: []string{"keep", "rename"},
+			Apply: func(d *core.Design, i int) error {
+				if i == 1 {
+					d.Name += " (renamed)"
+				}
+				return nil
+			},
+			Revertible: false,
+		},
+	}
+}
+
+// moveKnobs pairs vault retention counts with a knob whose second
+// option moves the vault to another site, which the tables cannot
+// carry.
+func moveKnobs() []Knob {
+	return []Knob{
+		RetCntKnob("vaulting", []int{2, 4, 8}),
+		{
+			Name:    "move",
+			Options: []string{"keep", "move"},
+			Apply: func(d *core.Design, i int) error {
+				if i == 1 {
+					for di := range d.Devices {
+						if d.Devices[di].Spec.Name == "vault" {
+							d.Devices[di].Placement.Site = "elsewhere"
+						}
+					}
+				}
+				return nil
+			},
+		},
+	}
+}
+
 // TestCompiledFallbacks: options the tables cannot represent — design
 // renames, device moves, apply errors — degrade per candidate to slow
 // rows, never silently diverge.
@@ -662,20 +713,7 @@ func TestCompiledFallbacks(t *testing.T) {
 	scs := scenarios()
 
 	t.Run("unrepresentable option goes slow", func(t *testing.T) {
-		knobs := []Knob{
-			RetCntKnob("vaulting", []int{2, 4, 8}),
-			{
-				Name:    "rename",
-				Options: []string{"keep", "rename"},
-				Apply: func(d *core.Design, i int) error {
-					if i == 1 {
-						d.Name += " (renamed)"
-					}
-					return nil
-				},
-				Revertible: false,
-			},
-		}
+		knobs := renameKnobs()
 		cs, err := compileSpace(base, knobs, scs, 1)
 		if err != nil {
 			t.Fatalf("compileSpace: %v", err)
@@ -695,23 +733,7 @@ func TestCompiledFallbacks(t *testing.T) {
 	})
 
 	t.Run("device move goes slow", func(t *testing.T) {
-		knobs := []Knob{
-			RetCntKnob("vaulting", []int{2, 4, 8}),
-			{
-				Name:    "move",
-				Options: []string{"keep", "move"},
-				Apply: func(d *core.Design, i int) error {
-					if i == 1 {
-						for di := range d.Devices {
-							if d.Devices[di].Spec.Name == "vault" {
-								d.Devices[di].Placement.Site = "elsewhere"
-							}
-						}
-					}
-					return nil
-				},
-			},
-		}
+		knobs := moveKnobs()
 		ref, err := sliceExhaustive(base, knobs, scs, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -870,56 +892,87 @@ func wideCompileKnobs() []Knob {
 
 // TestCompileAllocBudget: compile applies options to a copy of the base
 // that it resets in place instead of cloning per option and entry (and
-// does not reset at all between a Revertible group's entries), allocates
-// each group's fragments and specs once, and captures fragment demands
-// in place into per-extractor chunks, so the whole one-time pass, table
-// fragments and probes included, costs at most 1.5 allocations and 384
-// bytes per table entry on wideCompileKnobs' space.
+// does not reset at all between a Revertible group's entries), carves
+// the group tables from an arena, and captures fragment demands in
+// place into the arena's demand chunks. A compile on a warmed arena, as
+// every search after a process's first draws from the pool, costs at
+// most 1.0 allocations and 160 bytes per table entry, probes included,
+// on wideCompileKnobs' space (1031 entries, with a touchless knob
+// checked against every entry) and on prunerBoundKnobs' (1029 entries,
+// the perfbench search space). The test holds its arena itself, so a
+// pool that drops what it is given (as it may under the race detector)
+// does not move the count.
 func TestCompileAllocBudget(t *testing.T) {
 	base := casestudy.Baseline()
-	knobs := wideCompileKnobs()
 	scs := scenarios()
-	entries, runs := 0, 0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(5, func() {
-		runs++
-		cs, err := compileSpace(base, knobs, scs, 1)
-		if err != nil {
-			t.Fatalf("compileSpace: %v", err)
+	for _, c := range []struct {
+		name    string
+		knobs   []Knob
+		entries int
+	}{
+		{"wide compile", wideCompileKnobs(), 1031},
+		{"pruner bound", prunerBoundKnobs(), 1029},
+	} {
+		ar, entries := new(arena), 0
+		compile := func() {
+			cs, err := compileIn(ar, base, c.knobs, scs, 1)
+			if err != nil {
+				t.Fatalf("%s: compileSpace: %v", c.name, err)
+			}
+			entries = 0
+			for gi := range cs.groups {
+				entries += cs.groups[gi].size
+			}
+			ar.reset()
 		}
-		entries = 0
-		for gi := range cs.groups {
-			entries += len(cs.groups[gi].entries)
+		compile() // warm the arena
+		runs := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(5, func() { runs++; compile() })
+		runtime.ReadMemStats(&after)
+		if entries != c.entries {
+			t.Fatalf("%s: compiled %d table entries, want %d", c.name, entries, c.entries)
 		}
-	})
-	runtime.ReadMemStats(&after)
-	if entries != 1031 {
-		t.Fatalf("compiled %d table entries, want 1031", entries)
-	}
-	if perEntry := allocs / float64(entries); perEntry > 1.5 {
-		t.Errorf("compile allocates %.2f objects per table entry (%.0f over %d), budget 1.5",
-			perEntry, allocs, entries)
-	}
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-	t.Logf("%.2f allocations and %.0f bytes per table entry", allocs/float64(entries), bytes/float64(entries))
-	if perEntry := bytes / float64(entries); perEntry > 384 {
-		t.Errorf("compile allocates %.0f bytes per table entry (%.0f over %d), budget 384",
-			perEntry, bytes, entries)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+		t.Logf("%s: %.2f allocations and %.0f bytes per table entry", c.name,
+			allocs/float64(entries), bytes/float64(entries))
+		if perEntry := allocs / float64(entries); perEntry > 1.0 {
+			t.Errorf("%s: compile allocates %.2f objects per table entry (%.0f over %d), budget 1.0",
+				c.name, perEntry, allocs, entries)
+		}
+		if perEntry := bytes / float64(entries); perEntry > 160 {
+			t.Errorf("%s: compile allocates %.0f bytes per table entry (%.0f over %d), budget 160",
+				c.name, perEntry, bytes, entries)
+		}
 	}
 }
 
-// BenchmarkCompile times one compile of wideCompileKnobs' space on one
-// worker.
+// BenchmarkCompile times one compile on one worker in the steady state
+// of a process that searches repeatedly: each compile draws the pool's
+// warmed arena and returns it. "wide" is wideCompileKnobs' space, whose
+// touchless tie knob is checked against all 1031 entries; "pruner
+// bound" is prunerBoundKnobs', the perfbench search space, with none.
 func BenchmarkCompile(b *testing.B) {
 	base := casestudy.Baseline()
-	knobs := wideCompileKnobs()
 	scs := scenarios()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := compileSpace(base, knobs, scs, 1); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		knobs []Knob
+	}{
+		{"wide", wideCompileKnobs()},
+		{"pruner-bound", prunerBoundKnobs()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cs, err := compileSpace(base, c.knobs, scs, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cs.release()
+			}
+		})
 	}
 }
 
@@ -1024,6 +1077,66 @@ func TestSpreadIndex(t *testing.T) {
 		}
 		if prev != size-1 {
 			t.Errorf("last probe of %d lands at %d, want %d", size, prev, size-1)
+		}
+	}
+}
+
+// touchlessAccWKnobs is a space where a touchless knob rewrites what a
+// group's entry set: 41 vault policies, the baseline's with hold
+// windows of 4 weeks plus 0 to 40 hours but option 23 the weekly one,
+// then an accumulation-window knob offering only the baseline's 4
+// weeks. That window leaves the base as it is, so the knob joins no
+// group, but on the weekly policy it rewrites the windows and the
+// retention count. No compile probe lands on candidate 23.
+func touchlessAccWKnobs() []Knob {
+	names := make([]string, 41)
+	pols := make([]hierarchy.Policy, 41)
+	for i := range pols {
+		names[i] = fmt.Sprintf("hold +%dh", i)
+		pols[i] = casestudy.VaultPolicy()
+		pols[i].Primary.HoldW = 4*units.Week + time.Duration(i)*time.Hour
+	}
+	names[23], pols[23] = "weekly", vaultPolicyPair()[1]
+	return []Knob{
+		PolicyKnob("vaulting", names, pols),
+		AccWKnob("vaulting", []time.Duration{4 * units.Week}),
+	}
+}
+
+// TestCompileTouchlessKnobRewritesEntry: a knob none of whose options
+// changes the base still changes the candidates whose group entry it
+// rewrites. Compile must check each entry against the knob's options
+// and make the weekly policy's entry suspect, so the compiled search,
+// pruned and unpruned, returns the slice oracle's Solution.
+func TestCompileTouchlessKnobRewritesEntry(t *testing.T) {
+	base, knobs, scs := casestudy.Baseline(), touchlessAccWKnobs(), scenarios()
+	cs, err := compileSpace(base, knobs, scs, 1)
+	if err != nil {
+		t.Fatalf("compileSpace: %v", err)
+	}
+	if len(cs.groups) != 1 || !reflect.DeepEqual(cs.touchless, []int{1}) {
+		t.Fatalf("groups %d, touchless knobs %v; want one group and knob 1 touchless", len(cs.groups), cs.touchless)
+	}
+	for e := 0; e < cs.groups[0].size; e++ {
+		if got := cs.groups[0].suspect[e]; got != (e == 23) {
+			t.Errorf("entry %d suspect = %v", e, got)
+		}
+	}
+	cs.release()
+	ref, err := sliceExhaustive(base, knobs, scs, WorstTotalObjective())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prune := range []bool{false, true} {
+		for _, workers := range []int{1, 3} {
+			label := fmt.Sprintf("prune %v, workers %d", prune, workers)
+			sol, err := ExhaustiveOpts(base, knobs, scs, WorstTotalObjective(), ExhaustiveOptions{
+				Workers: workers, Prune: prune, Floor: WorstTotalFloor(),
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			prunedIdentical(t, label, ref, sol)
 		}
 	}
 }

@@ -253,6 +253,7 @@ func exhaustive(base *core.Design, knobs []Knob, scenarios []failure.Scenario, o
 	if err != nil {
 		return nil, err
 	}
+	defer sw.release()
 	var pr *pruner
 	if opts.Prune && sw.cs != nil {
 		build := func() {
@@ -302,7 +303,7 @@ func exhaustive(base *core.Design, knobs []Knob, scenarios []failure.Scenario, o
 
 // argmin is ExhaustiveOpts' sweep accumulator: the lowest score a
 // worker has seen and its global index, plus the bound pruner and the
-// worker's bound scratch when the search prunes.
+// worker's bound scratch, from its arena slot, when the search prunes.
 type argmin struct {
 	worker
 	objective Objective
@@ -313,9 +314,10 @@ type argmin struct {
 }
 
 func newArgmin(sw *sweep, objective Objective, pr *pruner) *argmin {
-	a := &argmin{worker: worker{sw: sw}, objective: objective, score: units.Money(math.Inf(1)), idx: -1, pr: pr}
+	a := &argmin{worker: sw.newWorker(), objective: objective, score: units.Money(math.Inf(1)), idx: -1, pr: pr}
 	if pr != nil {
-		a.ps = pr.newScratch()
+		a.ps = &a.sl.ps
+		pr.readyScratch(a.ps)
 	}
 	return a
 }

@@ -177,7 +177,8 @@ func frontier(base *core.Design, knobs []Knob, scenarios []failure.Scenario, opt
 	if err != nil {
 		return nil, err
 	}
-	acc, tally, err := sw.run(func() accumulator { return &frontierAcc{worker: worker{sw: sw}} })
+	defer sw.release()
+	acc, tally, err := sw.run(func() accumulator { return &frontierAcc{worker: sw.newWorker()} })
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,8 @@ type sweep struct {
 // when it holds more than compileProbes candidates. Compilation's own
 // verify assesses up to compileProbes candidates the slow way, so on a
 // smaller slice it can only add work. A refused compilation leaves the
-// sweep without tables.
+// sweep without tables. A compiled sweep holds an arena from the pool
+// until release.
 //
 // batch > 0 is a hook for tests: compile whatever the slice size, and
 // assess batch candidates per step instead of defaultBatchSize.
@@ -108,22 +109,37 @@ func newSweep(base *core.Design, knobs []Knob, scs []failure.Scenario, workers, 
 	return sw, nil
 }
 
+// release returns a compiled sweep's arena to the pool once the sweep
+// has ended; nothing the search returns points into it.
+func (sw *sweep) release() {
+	if sw.cs != nil {
+		sw.cs.release()
+	}
+}
+
 // worker is the state a sweep keeps per worker inside its accumulator:
 // the worker's share of the tally and its reusable row machinery — the
-// choice decode buffer, the compiled path's columnar block and fill
-// scratch, and the slow path's scratch design and evaluator with its
-// Result.
+// choice decode buffer, the compiled path's batch scratch (its arena
+// slot: columnar block, fill scratch, slow marks), and the slow path's
+// scratch design and evaluator with its Result.
 type worker struct {
 	sw      *sweep
 	tally   SearchStats
 	choice  []int // nil until the worker's first work item
-	slow    []bool
-	cols    *core.Cols
-	fs      *fillScratch
-	bs      core.BatchScratch
+	sl      *slot // the compiled path's batch scratch; nil without tables
 	scratch *core.Design
 	eval    whatif.Evaluator
 	res     whatif.Result
+}
+
+// newWorker returns a worker for sw, holding the next slot dealt when
+// the sweep is compiled.
+func (sw *sweep) newWorker() worker {
+	w := worker{sw: sw}
+	if sw.cs != nil {
+		w.sl = sw.cs.ar.draw()
+	}
+	return w
 }
 
 func (w *worker) state() *worker { return w }
@@ -131,12 +147,16 @@ func (w *worker) state() *worker { return w }
 // run sweeps [lo, hi) in work items of sw.batch candidates on up to
 // sw.workers goroutines, each folding into an accumulator from newAcc,
 // and returns the merged accumulator and tally. newAcc's accumulators
-// must embed a worker for sw. Rows are folded in ascending index order
-// within a work item, and work items keep parallel.Reduce's
+// must embed a worker for sw from newWorker, which on a compiled sweep
+// hands each one its own arena slot. Rows are folded in ascending index
+// order within a work item, and work items keep parallel.Reduce's
 // lowest-index-first errors, so a failing sweep returns the error of
 // its lowest failing candidate.
 func (sw *sweep) run(newAcc func() accumulator) (accumulator, SearchStats, error) {
 	items := (sw.hi - sw.lo + sw.batch - 1) / sw.batch
+	if sw.cs != nil {
+		sw.cs.ar.deal(min(parallel.Workers(sw.workers), items), sw.cs)
+	}
 	merge := mergeWorkers
 	if profilingEnabled() {
 		merge = func(a, b accumulator) accumulator {
@@ -160,11 +180,12 @@ func step(a accumulator, item int) (accumulator, error) {
 	w := a.state()
 	sw := w.sw
 	if w.choice == nil {
-		w.choice = make([]int, len(sw.knobs))
-		if sw.cs != nil {
-			w.slow = make([]bool, sw.batch)
-			w.cols = sw.cs.kern.NewCols(sw.batch)
-			w.fs = newFillScratch(sw.cs)
+		if sl := w.sl; sl != nil {
+			sl.batchCols(sw.batch)
+			sl.slow = sized(sl.slow, sw.batch)
+			w.choice = sl.choice
+		} else {
+			w.choice = make([]int, len(sw.knobs))
 		}
 	}
 	blo := sw.lo + item*sw.batch
@@ -189,7 +210,7 @@ func step(a accumulator, item int) (accumulator, error) {
 		ns := len(sw.scs)
 		for r := 0; r < m; r++ {
 			idx := blo + r
-			if sw.cs == nil || w.slow[r] {
+			if sw.cs == nil || w.sl.slow[r] {
 				if err := w.slowRow(idx); err != nil {
 					return a, err
 				}
@@ -197,7 +218,7 @@ func step(a accumulator, item int) (accumulator, error) {
 				// Knobs that could rename the design are unrepresentable,
 				// so fast-path candidates keep the base name — exactly
 				// what a slow row would record.
-				w.res.SetBriefs(sw.base.Name, w.cols.OutlaysTotal[r], sw.scs, w.bs.Briefs[r*ns:(r+1)*ns])
+				w.res.SetBriefs(sw.base.Name, w.sl.cols.OutlaysTotal[r], sw.scs, w.sl.bs.Briefs[r*ns:(r+1)*ns])
 			}
 			a.addResult(idx, &w.res)
 			w.tally.Assessed++
@@ -222,12 +243,12 @@ func mergeWorkers(a, b accumulator) accumulator {
 // fillAndAssess fills rows [blo, blo+m) from the compiled tables,
 // marking the ones they cannot carry slow, and assesses the batch.
 func (w *worker) fillAndAssess(blo, m int) {
-	cs := w.sw.cs
+	cs, sl := w.sw.cs, w.sl
 	for r := 0; r < m; r++ {
 		decodeChoice(w.choice, cs.knobs, blo+r)
-		w.slow[r] = cs.fill(w.fs, w.cols, r, w.choice)
+		sl.slow[r] = cs.fill(&sl.fs, sl.cols, r, w.choice)
 	}
-	cs.kern.AssessBatch(m, w.cols, &w.bs)
+	cs.kern.AssessBatch(m, sl.cols, &sl.bs)
 }
 
 // slowRow assesses candidate idx into w.res without tables: build it on
