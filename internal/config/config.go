@@ -187,15 +187,18 @@ func Marshal(d *core.Design) ([]byte, error) {
 // call core.Build (or Design.Validate) before use.
 func Unmarshal(data []byte) (*core.Design, error) {
 	var dj designJSON
-	if !readCanonical(data, &dj) {
-		// encoding/json merges into existing values, so it must not see
-		// the reader's partial decode.
-		dj = designJSON{}
-		if err := json.Unmarshal(data, &dj); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadDesign, err)
-		}
+	if readCanonical(data, &dj) {
+		return decodeDesign(&dj)
 	}
-	return decodeDesign(&dj)
+	// encoding/json merges into existing values, so it must not see the
+	// reader's partial decode. Its own schema value also keeps dj on the
+	// stack: passing dj's address to json.Unmarshal would move dj to the
+	// heap.
+	fresh := new(designJSON)
+	if err := json.Unmarshal(data, fresh); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadDesign, err)
+	}
+	return decodeDesign(fresh)
 }
 
 // Save writes a design file.
@@ -466,12 +469,13 @@ func decodeDesign(dj *designJSON) (*core.Design, error) {
 	if d.Devices, err = decodeDevices(dj.Devices); err != nil {
 		return nil, err
 	}
-	for i, lj := range dj.Levels {
-		tech, err := decodeLevel(&lj)
-		if err != nil {
+	if len(dj.Levels) > 0 {
+		d.Levels = make([]protect.Technique, len(dj.Levels))
+	}
+	for i := range dj.Levels {
+		if d.Levels[i], err = decodeLevel(&dj.Levels[i]); err != nil {
 			return nil, fmt.Errorf("config: level %d: %w", i+1, err)
 		}
-		d.Levels = append(d.Levels, tech)
 	}
 	if d.Facility, err = decodeFacility(dj.Facility); err != nil {
 		return nil, err
@@ -480,17 +484,19 @@ func decodeDesign(dj *designJSON) (*core.Design, error) {
 }
 
 func decodeDevices(djs []placedJSON) ([]core.PlacedDevice, error) {
-	var out []core.PlacedDevice
-	for i, pj := range djs {
-		spec, err := decodeSpec(&pj.Spec)
-		if err != nil {
+	if len(djs) == 0 {
+		return nil, nil
+	}
+	out := make([]core.PlacedDevice, len(djs))
+	for i := range djs {
+		pj, pd := &djs[i], &out[i]
+		if err := decodeSpec(&pj.Spec, &pd.Spec); err != nil {
 			return nil, fmt.Errorf("config: device %d: %w", i, err)
 		}
-		pd := core.PlacedDevice{Spec: spec, Placement: decodePlacement(pj.Placement)}
+		pd.Placement = decodePlacement(pj.Placement)
 		if pj.SparePlacement != nil {
 			pd.SparePlacement = decodePlacement(*pj.SparePlacement)
 		}
-		out = append(out, pd)
 	}
 	return out, nil
 }
@@ -530,26 +536,28 @@ func decodeWorkload(wj *workloadJSON) (*workload.Workload, error) {
 		AvgUpdateRate: update,
 		BurstMult:     wj.BurstMult,
 	}
-	for _, pj := range wj.BatchCurve {
-		win, err := parseDuration(pj.Window)
-		if err != nil {
+	if len(wj.BatchCurve) > 0 {
+		w.BatchCurve = make([]workload.BatchPoint, len(wj.BatchCurve))
+	}
+	for i, pj := range wj.BatchCurve {
+		p := &w.BatchCurve[i]
+		if p.Window, err = parseDuration(pj.Window); err != nil {
 			return nil, fmt.Errorf("batch curve: %w", err)
 		}
-		rate, err := parseRate(pj.Rate)
-		if err != nil {
+		if p.Rate, err = parseRate(pj.Rate); err != nil {
 			return nil, fmt.Errorf("batch curve: %w", err)
 		}
-		w.BatchCurve = append(w.BatchCurve, workload.BatchPoint{Window: win, Rate: rate})
 	}
 	return w, nil
 }
 
-func decodeSpec(sj *specJSON) (device.Spec, error) {
+// decodeSpec fills spec, which must be zero, from sj.
+func decodeSpec(sj *specJSON, spec *device.Spec) error {
 	kind, err := parseKind(sj.Kind)
 	if err != nil {
-		return device.Spec{}, err
+		return err
 	}
-	spec := device.Spec{
+	*spec = device.Spec{
 		Name:        sj.Name,
 		Kind:        kind,
 		MaxCapSlots: sj.MaxCapSlots,
@@ -564,37 +572,35 @@ func decodeSpec(sj *specJSON) (device.Spec, error) {
 		Spare: device.Spare{Kind: device.SpareNone},
 	}
 	if spec.SlotCap, err = parseSize(sj.SlotCap); err != nil {
-		return device.Spec{}, err
+		return err
 	}
 	if spec.SlotBW, err = parseRate(sj.SlotBW); err != nil {
-		return device.Spec{}, err
+		return err
 	}
 	if spec.EnclBW, err = parseRate(sj.EnclBW); err != nil {
-		return device.Spec{}, err
+		return err
 	}
 	if spec.Delay, err = parseDurationOpt(sj.Delay); err != nil {
-		return device.Spec{}, err
+		return err
 	}
 	if sj.Spare != nil {
-		sk, err := parseSpareKind(sj.Spare.Kind)
-		if err != nil {
-			return device.Spec{}, err
+		if spec.Spare.Kind, err = parseSpareKind(sj.Spare.Kind); err != nil {
+			return err
 		}
-		prov, err := parseDurationOpt(sj.Spare.ProvisionTime)
-		if err != nil {
-			return device.Spec{}, err
+		if spec.Spare.ProvisionTime, err = parseDurationOpt(sj.Spare.ProvisionTime); err != nil {
+			return err
 		}
-		spec.Spare = device.Spare{Kind: sk, ProvisionTime: prov, Discount: sj.Spare.Discount}
+		spec.Spare.Discount = sj.Spare.Discount
 	}
 	if sj.Reliability != nil {
 		if spec.Reliability.Failure, err = decodeDist(sj.Reliability.Failure); err != nil {
-			return device.Spec{}, err
+			return err
 		}
 		if spec.Reliability.Repair, err = decodeDist(sj.Reliability.Repair); err != nil {
-			return device.Spec{}, err
+			return err
 		}
 	}
-	return spec, nil
+	return nil
 }
 
 func decodeDist(dj distJSON) (device.Distribution, error) {

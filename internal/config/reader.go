@@ -33,9 +33,30 @@ type reader struct {
 	bad bool
 }
 
+// Byte classes of the reader's scanning loops.
+const (
+	// classSpace marks JSON whitespace.
+	classSpace = 1 << iota
+	// classStr marks the bytes a canonical string holds: printable ASCII
+	// but the quote and the backslash.
+	classStr
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range []byte(" \t\n\r") {
+		t[c] |= classSpace
+	}
+	for c := ' '; c <= '~'; c++ {
+		if c != '"' && c != '\\' {
+			t[c] |= classStr
+		}
+	}
+	return t
+}()
+
 func (r *reader) space() {
 	s, i := r.s, r.i
-	for i < len(s) && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' || s[i] == '\r') {
+	for i < len(s) && byteClass[s[i]]&classSpace != 0 {
 		i++
 	}
 	r.i = i
@@ -108,23 +129,50 @@ func (r *reader) object(field func(key string) bool) {
 	}
 }
 
-// list reads an array whose elements elem fills. Like encoding/json, it
-// returns an empty slice, not nil, for [].
-func list[T any](r *reader, elem func(*T)) []T {
-	out := []T{}
-	r.expect('[')
-	if r.bad || r.token(']') {
-		return out
-	}
-	for {
-		var zero T
-		out = append(out, zero)
-		elem(&out[len(out)-1])
-		if r.bad || !r.token(',') {
-			r.expect(']')
-			return out
+// list reads an array of a schema list's elements into a slice allocated
+// once at their number. The elements are read into a stack array first,
+// spilling to the heap only past its length, so nothing regrows on the
+// way to the final size. Like encoding/json, it returns an empty slice,
+// not nil, for [].
+func list[T placedJSON | levelJSON | pointJSON | string](r *reader) []T {
+	var tmp [8]T
+	elems := tmp[:0]
+	for r.next(len(elems)) {
+		elems = append(elems, *new(T))
+		// A static call per element type: through a func value the
+		// element's address, and tmp with it, would escape to the heap.
+		switch e := any(&elems[len(elems)-1]).(type) {
+		case *placedJSON:
+			r.placed(e)
+		case *levelJSON:
+			r.level(e)
+		case *pointJSON:
+			r.point(e)
+		case *string:
+			*e = r.str()
 		}
 	}
+	out := make([]T, len(elems))
+	copy(out, elems)
+	return out
+}
+
+// next reports whether another element of the array being read follows.
+// Before the first (n == 0) it consumes the opening bracket, before each
+// later one a comma, and after the last the closing bracket.
+func (r *reader) next(n int) bool {
+	if n == 0 {
+		r.expect('[')
+		return !r.bad && !r.token(']')
+	}
+	if r.bad {
+		return false
+	}
+	if r.token(',') {
+		return true
+	}
+	r.expect(']')
+	return false
 }
 
 // str reads a string of printable ASCII without escapes.
@@ -133,19 +181,17 @@ func (r *reader) str() string {
 		r.bad = true
 		return ""
 	}
-	for j := r.i; j < len(r.s); j++ {
-		switch c := r.s[j]; {
-		case c == '"':
-			v := r.s[r.i:j]
-			r.i = j + 1
-			return v
-		case c < ' ' || c > '~' || c == '\\':
-			r.bad = true
-			return ""
-		}
+	s, j := r.s, r.i
+	for j < len(s) && byteClass[s[j]]&classStr != 0 {
+		j++
 	}
-	r.bad = true
-	return ""
+	if j == len(s) || s[j] != '"' {
+		r.bad = true
+		return ""
+	}
+	v := s[r.i:j]
+	r.i = j + 1
+	return v
 }
 
 // number reads a JSON number literal and reports whether it is an
@@ -226,7 +272,7 @@ func (r *reader) design(dj *designJSON) {
 				return true
 			})
 		case "devices":
-			dj.Devices = list(r, r.placed)
+			dj.Devices = list[placedJSON](r)
 		case "primary":
 			r.object(func(key string) bool {
 				if key != "array" {
@@ -236,7 +282,7 @@ func (r *reader) design(dj *designJSON) {
 				return true
 			})
 		case "levels":
-			dj.Levels = list(r, r.level)
+			dj.Levels = list[levelJSON](r)
 		case "facility":
 			f := new(facilityJSON)
 			dj.Facility = f
@@ -274,19 +320,21 @@ func (r *reader) workload(w *workloadJSON) {
 		case "burstMult":
 			w.BurstMult = r.float()
 		case "batchCurve":
-			w.BatchCurve = list(r, func(p *pointJSON) {
-				r.object(func(key string) bool {
-					switch key {
-					case "window":
-						p.Window = r.str()
-					case "rate":
-						p.Rate = r.str()
-					default:
-						return false
-					}
-					return true
-				})
-			})
+			w.BatchCurve = list[pointJSON](r)
+		default:
+			return false
+		}
+		return true
+	})
+}
+
+func (r *reader) point(p *pointJSON) {
+	r.object(func(key string) bool {
+		switch key {
+		case "window":
+			p.Window = r.str()
+		case "rate":
+			p.Rate = r.str()
 		default:
 			return false
 		}
@@ -450,7 +498,7 @@ func (r *reader) level(l *levelJSON) {
 		case "threshold":
 			l.Threshold = r.int()
 		case "sites":
-			l.Sites = list(r, func(s *string) { *s = r.str() })
+			l.Sites = list[string](r)
 		case "policy":
 			r.policy(&l.Policy)
 		default:

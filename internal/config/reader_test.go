@@ -127,24 +127,66 @@ func FuzzUnmarshalMatchesJSON(f *testing.F) {
 	})
 }
 
-// BenchmarkUnmarshal decodes the designs the end-to-end benchmark's Monte
-// Carlo (an async mirror) and search (Baseline) requests start from.
-func BenchmarkUnmarshal(b *testing.B) {
+// unmarshalCase is a design's JSON and the allocation budget of its
+// decode.
+type unmarshalCase struct {
+	name   string
+	data   []byte
+	budget float64
+}
+
+// unmarshalCases are the designs the end-to-end benchmark's Monte Carlo
+// (an async mirror) and search (Baseline) requests start from.
+func unmarshalCases(tb testing.TB) []unmarshalCase {
+	var cases []unmarshalCase
 	for _, c := range []struct {
-		name string
-		d    *core.Design
+		name   string
+		d      *core.Design
+		budget float64
 	}{
-		{"mirror", casestudy.AsyncBMirror(10)},
-		{"baseline", casestudy.Baseline()},
+		{"mirror", casestudy.AsyncBMirror(10), 16},
+		{"baseline", casestudy.Baseline(), 19},
 	} {
 		data, err := Marshal(c.d)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		cases = append(cases, unmarshalCase{c.name, data, c.budget})
+	}
+	return cases
+}
+
+// TestUnmarshalAllocBudget bounds the allocations of one decode. The
+// mirror decode measures 14 and Baseline 17: the string copy of the
+// input, each schema list once at its length, the optional schema
+// objects, and the decoded design's own parts. Lists that regrow from
+// empty (22 and 27), list temporaries that escape to the heap (18 and
+// 21) or a copy per size or rate suffix (26 and 28) break the budgets.
+func TestUnmarshalAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	for _, c := range unmarshalCases(t) {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := Unmarshal(c.data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: allocs per decode: %.0f (budget %.0f)", c.name, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%s: Unmarshal allocates %.0f, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}
+
+// BenchmarkUnmarshal decodes the designs the end-to-end benchmark's Monte
+// Carlo (an async mirror) and search (Baseline) requests start from.
+func BenchmarkUnmarshal(b *testing.B) {
+	for _, c := range unmarshalCases(b) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Unmarshal(data); err != nil {
+				if _, err := Unmarshal(c.data); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -234,9 +234,9 @@ func (s *System) recoverySteps(buf []recovery.Step, tech protect.Technique, sc f
 		}
 	}
 	// Build validated every device the design names.
-	dest, _ := d.placedDevice(d.Primary.Array)
-	read, _ := d.placedDevice(readName)
-	dr, rr := s.resolve(&dest, sc.Scope), s.resolve(&read, sc.Scope)
+	di, ri := d.deviceIndex(d.Primary.Array), d.deviceIndex(readName)
+	dest, read := &d.Devices[di], &d.Devices[ri]
+	dr, rr := s.resolve(di, sc.Scope), s.resolve(ri, sc.Scope)
 	if dr.kind == resNone || rr.kind == resNone {
 		return buf, false
 	}
@@ -255,7 +255,7 @@ func (s *System) recoverySteps(buf []recovery.Step, tech protect.Technique, sc f
 		Size:          tech.RestoreSize(d.Workload),
 		RecoverSize:   sc.RecoverSize,
 	}
-	if t, ok := d.placedDevice(tech.TransportDevice()); ok {
+	if t := d.placedDevice(tech.TransportDevice()); t != nil {
 		r.Transit = t.Spec.Delay
 		if t.Spec.Kind == device.KindInterconnect && rr.site != dr.site {
 			r.CrossLink, r.LinkDelay = true, t.Spec.Delay

@@ -322,7 +322,7 @@ func NewBatchKernel(sys *System, scs []failure.Scenario) (*BatchKernel, error) {
 	k.res = make([]resolution, len(scs)*k.nDevices)
 	for si, sc := range k.scs {
 		for di := range d.Devices {
-			k.res[si*k.nDevices+di] = sys.resolve(&d.Devices[di], sc.Scope)
+			k.res[si*k.nDevices+di] = sys.resolve(di, sc.Scope)
 		}
 	}
 	k.multiLevel = make([]bool, k.nLevels)

@@ -95,64 +95,73 @@ var (
 // validates individually, device names are unique, and every technique
 // references devices that exist.
 func (d *Design) Validate() error {
+	_, err := d.validate()
+	return err
+}
+
+// validate is Validate returning the design's chain, which it assembles
+// to check, so that Build assembles it once.
+func (d *Design) validate() (hierarchy.Chain, error) {
 	if d.Workload == nil {
-		return ErrNoWorkload
+		return nil, ErrNoWorkload
 	}
 	if err := d.Workload.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := d.Requirements.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if d.Primary == nil {
-		return ErrNoPrimary
+		return nil, ErrNoPrimary
 	}
 	if err := d.Primary.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if len(d.Devices) == 0 {
-		return ErrNoDevices
+		return nil, ErrNoDevices
 	}
-	for i, pd := range d.Devices {
-		if err := pd.Spec.Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
+	for i := range d.Devices {
+		spec := &d.Devices[i].Spec
+		if err := spec.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		if hasDevice(d.Devices[:i], pd.Spec.Name) {
-			return fmt.Errorf("%w: %q", ErrDupDevice, pd.Spec.Name)
+		if d.deviceIndex(spec.Name) < i {
+			return nil, fmt.Errorf("%w: %q", ErrDupDevice, spec.Name)
 		}
 	}
-	if !hasDevice(d.Devices, d.Primary.Array) {
-		return fmt.Errorf("%w: primary array %q", ErrUnknownLevel, d.Primary.Array)
+	if d.deviceIndex(d.Primary.Array) < 0 {
+		return nil, fmt.Errorf("%w: primary array %q", ErrUnknownLevel, d.Primary.Array)
 	}
 	for i, tech := range d.Levels {
 		if err := tech.Validate(); err != nil {
-			return fmt.Errorf("core: level %d: %w", i+1, err)
+			return nil, fmt.Errorf("core: level %d: %w", i+1, err)
 		}
 		refs := []string{tech.CopyDevice(), tech.ReadDevice()}
 		if ms, ok := tech.(protect.MultiSited); ok {
 			refs = append(refs, ms.CopyDevices()...)
 		}
 		for _, ref := range refs {
-			if !hasDevice(d.Devices, ref) {
-				return fmt.Errorf("%w: level %d (%s) -> %q", ErrUnknownLevel, i+1, tech.Name(), ref)
+			if d.deviceIndex(ref) < 0 {
+				return nil, fmt.Errorf("%w: level %d (%s) -> %q", ErrUnknownLevel, i+1, tech.Name(), ref)
 			}
 		}
-		if tr := tech.TransportDevice(); tr != "" && !hasDevice(d.Devices, tr) {
-			return fmt.Errorf("%w: level %d (%s) -> transport %q", ErrUnknownLevel, i+1, tech.Name(), tr)
+		if tr := tech.TransportDevice(); tr != "" && d.deviceIndex(tr) < 0 {
+			return nil, fmt.Errorf("%w: level %d (%s) -> transport %q", ErrUnknownLevel, i+1, tech.Name(), tr)
 		}
 	}
 	if d.Facility != nil {
 		if d.Facility.ProvisionTime < 0 || d.Facility.CostFactor < 0 {
-			return ErrBadFacility
+			return nil, ErrBadFacility
 		}
 	}
 	// The hierarchy chain must also hold together.
+	chain := d.Chain()
 	if len(d.Levels) > 0 {
-		if err := d.Chain().Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
+		if err := chain.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	return nil
+	return chain, nil
 }
 
 // Chain assembles the hierarchy levels from the design's techniques.
@@ -167,31 +176,28 @@ func (d *Design) Chain() hierarchy.Chain {
 // PrimaryPlacement returns the placement of the primary array, the
 // location failures strike in scenarios.
 func (d *Design) PrimaryPlacement() failure.Placement {
-	for _, pd := range d.Devices {
-		if pd.Spec.Name == d.Primary.Array {
-			return pd.Placement
-		}
+	if pd := d.placedDevice(d.Primary.Array); pd != nil {
+		return pd.Placement
 	}
 	return failure.Placement{}
 }
 
-// hasDevice reports whether devs holds a device of the given name. A
-// design has a handful of devices, so a scan beats building a set.
-func hasDevice(devs []PlacedDevice, name string) bool {
-	for i := range devs {
-		if devs[i].Spec.Name == name {
-			return true
+// deviceIndex returns the index in Devices of the first device of the
+// given name, or -1. A design has a handful of devices, so a scan beats
+// building a set.
+func (d *Design) deviceIndex(name string) int {
+	for i := range d.Devices {
+		if d.Devices[i].Spec.Name == name {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
-// placedDevice returns the placed device by name.
-func (d *Design) placedDevice(name string) (PlacedDevice, bool) {
-	for _, pd := range d.Devices {
-		if pd.Spec.Name == name {
-			return pd, true
-		}
+// placedDevice returns the placed device by name, or nil.
+func (d *Design) placedDevice(name string) *PlacedDevice {
+	if i := d.deviceIndex(name); i >= 0 {
+		return &d.Devices[i]
 	}
-	return PlacedDevice{}, false
+	return nil
 }

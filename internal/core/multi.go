@@ -188,10 +188,13 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 	if err := md.Validate(); err != nil {
 		return nil, err
 	}
-	devs, err := newDevices(md.Devices)
-	if err != nil {
-		return nil, err
+	// Each object's primary copy and levels register at most one demand
+	// per device.
+	room := 0
+	for _, obj := range md.Objects {
+		room += len(obj.Levels) + 1
 	}
+	devs := newDevices(md.Devices, room)
 	ms := &MultiSystem{
 		design:  md,
 		devices: devs,
@@ -217,7 +220,8 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 	// facility are shared). Every object view carries them.
 	ms.outlays = collectOutlays(md.ObjectDesign(md.Objects[0]), devs)
 	for _, obj := range md.Objects {
-		ms.objects[obj.Name] = newSystem(md.ObjectDesign(obj), devs, ms.outlays)
+		od := md.ObjectDesign(obj)
+		ms.objects[obj.Name] = newSystem(od, od.Chain(), devs, ms.outlays)
 		ms.order = append(ms.order, obj.Name)
 	}
 	return ms, nil

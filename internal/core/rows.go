@@ -279,7 +279,7 @@ func (a *Assembler) Fold(cols *Cols, row int, frags []*Fragment, specs []*device
 
 // addDemands accumulates one technique's demand records into the
 // bandwidth/capacity totals and the per-device outlay rows, replicating
-// device.Device.Outlays: the first technique on a device carries the
+// device.Device.EachOutlay: the first technique on a device carries the
 // spec's FixedOutlay, and every demand adds its DemandOutlay.
 func (a *Assembler) addDemands(recs []IndexedDemand, specs []*device.Spec) bool {
 	maxRows := a.k.maxRows()

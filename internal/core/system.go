@@ -24,9 +24,10 @@ type System struct {
 	// outlaysTotal caches outlays.Total() for the scoring hot path.
 	outlaysTotal units.Money
 	// spareAt caches each spared device's effective spare placement
-	// (scenario-independent) so per-scenario resolution never rebuilds
-	// the derived placement.
-	spareAt map[string]failure.Placement
+	// (scenario-independent), indexed as Design.Devices, so per-scenario
+	// resolution never rebuilds the derived placement. It is nil when no
+	// device has a spare.
+	spareAt []failure.Placement
 }
 
 // Build validates the design, instantiates its devices, applies every
@@ -34,13 +35,13 @@ type System struct {
 // carry them (the global half of §3.3.1 — any device over 100% utilization
 // is a design error).
 func Build(d *Design) (*System, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	devs, err := newDevices(d.Devices)
+	chain, err := d.validate()
 	if err != nil {
 		return nil, err
 	}
+	// The primary copy and each level register at most one demand per
+	// device.
+	devs := newDevices(d.Devices, len(d.Levels)+1)
 	if err := d.Primary.ApplyDemands(d.Workload, devs); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -54,39 +55,33 @@ func Build(d *Design) (*System, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	return newSystem(d, devs, collectOutlays(d, devs)), nil
+	return newSystem(d, chain, devs, collectOutlays(d, devs)), nil
 }
 
-// newDevices instantiates placed devices, demand-free, in design order.
-func newDevices(placed []PlacedDevice) (protect.DeviceMap, error) {
-	devs := make(protect.DeviceMap, len(placed))
-	for i, pd := range placed {
-		dev, err := device.New(pd.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		devs[i] = dev
-	}
-	return devs, nil
+// newDevices instantiates placed devices, demand-free, in design order,
+// in one block with room for room demands each before a device's list
+// regrows. The specs must have passed validation (Design.Validate).
+func newDevices(placed []PlacedDevice, room int) protect.DeviceMap {
+	return device.Fleet(len(placed), room, func(i int) *device.Spec { return &placed[i].Spec })
 }
 
-// newSystem assembles the System view of d over built devices carrying
-// their demands, with the outlays charged to it. Build and BuildMulti
-// both construct through it.
-func newSystem(d *Design, devs protect.DeviceMap, outlays cost.Outlays) *System {
+// newSystem assembles the System view of d, whose chain is given, over
+// built devices carrying their demands, with the outlays charged to it.
+// Build and BuildMulti both construct through it.
+func newSystem(d *Design, chain hierarchy.Chain, devs protect.DeviceMap, outlays cost.Outlays) *System {
 	sys := &System{
 		design:       d,
 		devices:      devs,
-		chain:        d.Chain(),
+		chain:        chain,
 		outlays:      outlays,
 		outlaysTotal: outlays.Total(),
 	}
-	for _, pd := range d.Devices {
-		if pd.Spec.HasSpare() {
+	for i := range d.Devices {
+		if pd := &d.Devices[i]; pd.Spec.HasSpare() {
 			if sys.spareAt == nil {
-				sys.spareAt = make(map[string]failure.Placement)
+				sys.spareAt = make([]failure.Placement, len(d.Devices))
 			}
-			sys.spareAt[pd.Spec.Name] = pd.effectiveSparePlacement()
+			sys.spareAt[i] = pd.effectiveSparePlacement()
 		}
 	}
 	return sys
@@ -103,7 +98,7 @@ func collectOutlays(d *Design, ordered []*device.Device) cost.Outlays {
 	primarySite := d.PrimaryPlacement().Site
 	var covered units.Money
 	for _, it := range out.Items {
-		if pd, ok := d.placedDevice(it.Device); ok && pd.Placement.Site != "" && pd.Placement.Site == primarySite {
+		if pd := d.placedDevice(it.Device); pd != nil && pd.Placement.Site != "" && pd.Placement.Site == primarySite {
 			covered += it.Base
 		}
 	}
@@ -206,8 +201,8 @@ func (s *System) appendSurvivingLevels(out []int, sc failure.Scenario) []int {
 			}
 			continue
 		}
-		pd, ok := s.design.placedDevice(tech.CopyDevice())
-		if !ok {
+		pd := s.design.placedDevice(tech.CopyDevice())
+		if pd == nil {
 			continue
 		}
 		if pd.Placement.Survives(sc.Scope, at) {
@@ -224,7 +219,7 @@ func (s *System) multiSurvival(ms protect.MultiSited, scope failure.Scope) (surv
 	at := s.design.PrimaryPlacement()
 	n := 0
 	for _, name := range ms.CopyDevices() {
-		if pd, ok := s.design.placedDevice(name); ok && pd.Placement.Survives(scope, at) {
+		if pd := s.design.placedDevice(name); pd != nil && pd.Placement.Survives(scope, at) {
 			if n == 0 {
 				first = name
 			}
@@ -259,16 +254,20 @@ type resolution struct {
 	label string
 }
 
-// resolve determines what serves in pd's role under the scope: the
-// device itself, its surviving spare, or the surviving facility's
-// replacement hardware, in that order of preference.
-func (s *System) resolve(pd *PlacedDevice, scope failure.Scope) resolution {
+// resolve determines what serves in the role of device di (its index in
+// Design.Devices) under the scope: the device itself, its surviving
+// spare, or the surviving facility's replacement hardware, in that order
+// of preference.
+func (s *System) resolve(di int, scope failure.Scope) resolution {
+	pd := &s.design.Devices[di]
 	at := s.design.PrimaryPlacement()
 	if pd.Placement.Survives(scope, at) {
 		return resolution{kind: resIntact, site: pd.Placement.Site}
 	}
-	if sp, ok := s.spareAt[pd.Spec.Name]; ok && sp.Survives(scope, at) {
-		return resolution{kind: resReplaced, provision: pd.Spec.Spare.ProvisionTime, site: sp.Site, label: " (spare)"}
+	if pd.Spec.HasSpare() {
+		if sp := &s.spareAt[di]; sp.Survives(scope, at) {
+			return resolution{kind: resReplaced, provision: pd.Spec.Spare.ProvisionTime, site: sp.Site, label: " (spare)"}
+		}
 	}
 	if f := s.design.Facility; f != nil && f.Placement.Survives(scope, at) {
 		return resolution{kind: resReplaced, provision: f.ProvisionTime, site: f.Placement.Site, label: " (facility)"}

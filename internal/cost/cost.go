@@ -62,18 +62,25 @@ type Outlays struct {
 
 // CollectOutlays gathers the per-technique outlay allocations from every
 // device (the device models own the allocation rules; see
-// device.Device.Outlays).
+// device.Device.EachOutlay), appending each row straight into one list.
+// A device has at most one row per demand, and the list has room for one
+// more item, a design-wide charge such as a shared recovery facility's
+// retainer, so neither the rows nor that charge copy the list.
 func CollectOutlays(devices []*device.Device) Outlays {
-	var out Outlays
+	n := 1
 	for _, d := range devices {
-		for _, row := range d.Outlays() {
+		n += d.NumDemands()
+	}
+	out := Outlays{Items: make([]OutlayItem, 0, n)}
+	for _, d := range devices {
+		d.EachOutlay(func(row device.TechOutlay) {
 			out.Items = append(out.Items, OutlayItem{
 				Device:    d.Name(),
 				Technique: row.Technique,
 				Base:      row.Base,
 				Spare:     row.SpareCost,
 			})
-		}
+		})
 	}
 	return out
 }

@@ -281,6 +281,21 @@ func New(spec Spec) (*Device, error) {
 	return &Device{spec: spec}, nil
 }
 
+// Fleet returns n demand-free devices, device i of spec(i), allocated in
+// one block. Their demand lists share one array that holds room demands
+// per device before a list regrows. Unlike New, Fleet does not validate
+// the specs: the caller must have validated each (Spec.Validate).
+func Fleet(n, room int, spec func(i int) *Spec) []*Device {
+	block := make([]Device, n)
+	demands := make([]Demand, n*room)
+	devs := make([]*Device, n)
+	for i := range block {
+		block[i] = Device{spec: *spec(i), demands: demands[i*room : i*room : (i+1)*room]}
+		devs[i] = &block[i]
+	}
+	return devs
+}
+
 // Spec returns the device's static description.
 func (d *Device) Spec() Spec { return d.spec }
 
@@ -442,48 +457,59 @@ type TechOutlay struct {
 // Total returns base plus spare cost.
 func (o TechOutlay) Total() units.Money { return o.Base + o.SpareCost }
 
-// Outlays allocates the device's annualized outlay across techniques per
-// §3.3.5: the primary technique (first registered) carries the fixed costs
-// plus its own per-capacity/per-bandwidth costs; each secondary technique
-// carries only its additional per-capacity/per-bandwidth costs. Spare
-// costs are allocated proportionally at the spare discount factor.
+// EachOutlay allocates the device's annualized outlay across techniques
+// per §3.3.5 and calls fn with each technique's row, in the order the
+// techniques were first registered: the primary technique (first
+// registered) carries the fixed costs plus its own
+// per-capacity/per-bandwidth costs; each secondary technique carries only
+// its additional per-capacity/per-bandwidth costs. Spare costs are
+// allocated proportionally at the spare discount factor. A row's base
+// sums the fixed outlay first, on the first row, then each of the
+// technique's demands in registration order.
 //
 // Storage devices are priced on the capacity and bandwidth their demands
 // consume (disks and drives are bought as needed). Interconnects are
 // provisioned in whole links: their bandwidth cost is MaxBandwidth
 // regardless of utilization, carried by the primary technique — an OC-3
 // costs the same whether the mirror stream fills it or not.
-func (d *Device) Outlays() []TechOutlay {
-	var rows []TechOutlay
-	for _, dem := range d.demands {
-		// A device serves a handful of techniques: a scan finds the row.
-		i := 0
-		for i < len(rows) && rows[i].Technique != dem.Technique {
-			i++
+func (d *Device) EachOutlay(fn func(TechOutlay)) {
+	for i := range d.demands {
+		// A device serves a handful of techniques: a scan finds each
+		// technique's first demand and the rest of its demands.
+		if !d.firstOf(i) {
+			continue
 		}
-		if i == len(rows) {
-			rows = append(rows, TechOutlay{Technique: dem.Technique})
-			if i == 0 {
-				rows[0].Base += d.spec.FixedOutlay()
+		row := TechOutlay{Technique: d.demands[i].Technique}
+		if i == 0 {
+			row.Base += d.spec.FixedOutlay()
+		}
+		for _, dem := range d.demands[i:] {
+			if dem.Technique == row.Technique {
+				row.Base += d.spec.DemandOutlay(dem)
 			}
 		}
-		rows[i].Base += d.spec.DemandOutlay(dem)
+		if d.spec.HasSpare() {
+			row.SpareCost = units.Money(d.spec.Spare.Discount) * row.Base
+		}
+		fn(row)
 	}
-	if d.spec.HasSpare() {
-		for i := range rows {
-			rows[i].SpareCost = units.Money(d.spec.Spare.Discount) * rows[i].Base
+}
+
+// firstOf reports whether demand i is the first of its technique.
+func (d *Device) firstOf(i int) bool {
+	for _, dem := range d.demands[:i] {
+		if dem.Technique == d.demands[i].Technique {
+			return false
 		}
 	}
-	return rows
+	return true
 }
 
 // TotalOutlay returns the device's total annualized outlay including
 // spares.
 func (d *Device) TotalOutlay() units.Money {
 	var sum units.Money
-	for _, o := range d.Outlays() {
-		sum += o.Total()
-	}
+	d.EachOutlay(func(o TechOutlay) { sum += o.Total() })
 	return sum
 }
 

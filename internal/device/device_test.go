@@ -217,12 +217,19 @@ func TestAvailableBandwidth(t *testing.T) {
 	}
 }
 
+// outlays collects the rows EachOutlay reports.
+func outlays(d *Device) []TechOutlay {
+	var rows []TechOutlay
+	d.EachOutlay(func(row TechOutlay) { rows = append(rows, row) })
+	return rows
+}
+
 func TestOutlaysPrimaryCarriesFixed(t *testing.T) {
 	d := newDevice(t, MidrangeArray())
 	d.AddDemand(Demand{Technique: "foreground", Capacity: 1360 * units.GB})
 	d.AddDemand(Demand{Technique: "split-mirror", Capacity: 5 * 1360 * units.GB})
 
-	rows := d.Outlays()
+	rows := outlays(d)
 	if len(rows) != 2 {
 		t.Fatalf("got %d outlay rows", len(rows))
 	}
@@ -256,7 +263,7 @@ func TestOutlaysShipments(t *testing.T) {
 func TestOutlaysNoSpareNoMarkup(t *testing.T) {
 	d := newDevice(t, TapeVault())
 	d.AddDemand(Demand{Technique: "vaulting", Capacity: 53040 * units.GB})
-	rows := d.Outlays()
+	rows := outlays(d)
 	if rows[0].SpareCost != 0 {
 		t.Errorf("vault spare cost = %v, want 0", rows[0].SpareCost)
 	}
@@ -269,7 +276,7 @@ func TestOutlaysNoSpareNoMarkup(t *testing.T) {
 func TestOutlaysSharedSpareDiscount(t *testing.T) {
 	d := newDevice(t, SharedRecoveryArray())
 	d.AddDemand(Demand{Technique: "recovery", Capacity: 1360 * units.GB})
-	rows := d.Outlays()
+	rows := outlays(d)
 	if got, want := rows[0].SpareCost, units.Money(0.2)*rows[0].Base; math.Abs(float64(got-want)) > 1e-9 {
 		t.Errorf("shared spare cost = %v, want %v", got, want)
 	}

@@ -9,14 +9,16 @@ import (
 
 // TestTrialAllocBudget bounds the per-trial allocation count on the hot
 // path (sample schedules, replay the windows the queries read, check
-// bounds, assess penalties). An async mirror trial measures 59: its first
+// bounds, assess penalties). An async mirror trial measures 57: its first
 // object-scope event is unrecoverable and ends the event loop, so it
 // replays about one of its dozen windows, and its context resolves the
 // recovery plan only. Its budget of 72 fails a return to replaying every
 // window up front (about 180) or to building full assessments per context
-// (77). The tape designs measure 145 and 155, replaying from time zero
-// because their vaults' lookback reaches it; their budget of 300 catches
-// gross regressions such as a boxed event per fire or a per-event encode.
+// (77). The tape designs measure 115 and 120, replaying from time zero
+// because their vaults' lookback reaches it, into RP lists each sized
+// once from the replayed window (regrowing them took 145 and 155); their
+// budget of 300 catches gross regressions such as a boxed event per fire
+// or a per-event encode.
 func TestTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")

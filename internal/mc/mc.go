@@ -251,20 +251,25 @@ func (c *Campaign) runner() (*runner, error) {
 		sampled: make([]bool, len(c.Design.Devices)),
 	}
 	r.end = r.start + mission
-	index := make(map[string]int, len(c.Design.Devices))
 	for i, pd := range c.Design.Devices {
-		index[pd.Spec.Name] = i
 		r.rel[i] = pd.Spec.Rates()
 	}
-	for _, tech := range c.Design.Levels {
-		var devs []int
+	// All levels' indexes share one array; names are unique and few, so
+	// a scan finds each.
+	r.levelDevs = make([][]int, len(c.Design.Levels))
+	flat := make([]int, 0, 2*len(c.Design.Levels))
+	for li, tech := range c.Design.Levels {
+		start := len(flat)
 		for _, name := range core.LevelDeviceNames(tech) {
-			if i, ok := index[name]; ok {
-				devs = append(devs, i)
-				r.sampled[i] = true
+			for i, pd := range c.Design.Devices {
+				if pd.Spec.Name == name {
+					flat = append(flat, i)
+					r.sampled[i] = true
+					break
+				}
 			}
 		}
-		r.levelDevs = append(r.levelDevs, devs)
+		r.levelDevs[li] = flat[start:len(flat):len(flat)]
 	}
 	return r, nil
 }

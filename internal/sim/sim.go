@@ -219,7 +219,7 @@ func (s *Simulator) Run(outs []Outage, silents []SilentFault, from, until time.D
 	if from < 0 || from > until {
 		return nil, fmt.Errorf("sim: run start %v outside [0, %v]", from, until)
 	}
-	h := &History{chain: s.chain, levels: make([][]RP, len(s.chain)), outages: outs, silents: silents, until: until}
+	h := &History{chain: s.chain, levels: s.rpLists(until - from), outages: outs, silents: silents, until: until}
 	q := make(eventQueue, 0, s.streams())
 	var seq int64
 	push := func(e event) {
@@ -259,6 +259,45 @@ func (s *Simulator) Run(outs []Outage, silents []SilentFault, from, until time.D
 		push(e)
 	}
 	return h, nil
+}
+
+// maxPresizedRPs bounds the RPs rpLists allocates room for up front; a
+// longer run grows its lists as it fires.
+const maxPresizedRPs = 1 << 20
+
+// rpLists returns each level's empty RP list for a run over a window of
+// length span, all backed by one array sized so that no list regrows.
+// Sizing by the replayed window rather than the mission keeps a windowed
+// replay of one-minute mirror cycles at a few RPs.
+func (s *Simulator) rpLists(span time.Duration) [][]RP {
+	lists := make([][]RP, len(s.chain))
+	total := 0
+	for _, lvl := range s.chain {
+		if total += levelRPs(&lvl.Policy, span); total > maxPresizedRPs {
+			return lists
+		}
+	}
+	block := make([]RP, total)
+	for j := range s.chain {
+		n := levelRPs(&s.chain[j].Policy, span)
+		lists[j], block = block[:0:n], block[n:]
+	}
+	return lists
+}
+
+// levelRPs bounds the RPs a level of policy pol appends in a window of
+// length span: each of its streams fires at most span/period + 1 times
+// in it, and a fire appends at most one RP. A bound above maxPresizedRPs
+// may be reported as maxPresizedRPs + 1.
+func levelRPs(pol *hierarchy.Policy, span time.Duration) int {
+	per, streams := pol.CyclePeriod(), 1
+	if pol.Secondary != nil {
+		streams += pol.CycleCnt
+	}
+	if per <= 0 || streams > maxPresizedRPs || span/per >= maxPresizedRPs {
+		return maxPresizedRPs + 1
+	}
+	return streams * int(span/per+1)
 }
 
 // streams returns the number of RP streams in the chain: one primary per

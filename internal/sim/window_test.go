@@ -374,3 +374,35 @@ func TestLookback(t *testing.T) {
 		t.Errorf("Lookback() = %v, want %v", got, want)
 	}
 }
+
+// TestRPListsSizedOnce checks the bound Run sizes each level's RP list
+// by, on random chains over windows whose ends fall on the quantum grid
+// every fire instant lies on: no fault-free run appends more RPs than
+// levelRPs allows, so no list regrows out of the shared array, and some
+// runs reach the bound, so its one fire more than the period count is
+// needed.
+func TestRPListsSizedOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var runs, tight int
+	for trial := 0; trial < 300; trial++ {
+		c := randomChain(r)
+		from := quanta(r, 0, 400)
+		until := from + quanta(r, 1, 400)
+		h := runWith(t, c, nil, nil, from, until)
+		for j, rps := range h.levels {
+			bound := levelRPs(&c[j].Policy, until-from)
+			if len(rps) > bound || cap(rps) != bound {
+				t.Fatalf("trial %d, chain %v, window [%v, %v]: level %d holds %d RPs in %d, bound %d",
+					trial, c, from, until, j+1, len(rps), cap(rps), bound)
+			}
+			runs++
+			if len(rps) == bound {
+				tight++
+			}
+		}
+	}
+	t.Logf("%d of %d level runs reach the bound", tight, runs)
+	if tight == 0 {
+		t.Error("no run reaches the bound")
+	}
+}

@@ -211,12 +211,11 @@ func ParseByteSize(s string) (ByteSize, error) {
 	if s == "" {
 		return 0, errEmpty
 	}
-	upper := strings.ToUpper(s)
 	for _, sf := range sizeSuffixes {
-		if !strings.HasSuffix(upper, sf.suffix) {
+		if !hasSuffixFold(s, sf.suffix) {
 			continue
 		}
-		num := strings.TrimSpace(upper[:len(upper)-len(sf.suffix)])
+		num := strings.TrimSpace(s[:len(s)-len(sf.suffix)])
 		v, err := strconv.ParseFloat(num, 64)
 		if err != nil {
 			return 0, fmt.Errorf("units: bad size %q: %w", s, err)
@@ -233,8 +232,7 @@ func ParseByteSize(s string) (ByteSize, error) {
 // ParseRate parses strings such as "799KB/s", "25 MB/s" or "1.5GB/s".
 func ParseRate(s string) (Rate, error) {
 	s = strings.TrimSpace(s)
-	upper := strings.ToUpper(s)
-	if !strings.HasSuffix(upper, "/S") {
+	if !hasSuffixFold(s, "/S") {
 		return 0, fmt.Errorf("units: rate %q must end in /s", s)
 	}
 	size, err := ParseByteSize(s[:len(s)-2])
@@ -242,6 +240,28 @@ func ParseRate(s string) (Rate, error) {
 		return 0, fmt.Errorf("units: bad rate %q: %w", s, err)
 	}
 	return Rate(size), nil
+}
+
+// hasSuffixFold reports whether s ends in suffix, an upper-case ASCII
+// string, with its letters in either case. It matches in place what
+// strings.HasSuffix(strings.ToUpper(s), suffix) matches, except where a
+// non-ASCII rune upper-cases to an ASCII letter ("\u017f" to "S"); no
+// such input parses either way.
+func hasSuffixFold(s, suffix string) bool {
+	if len(s) < len(suffix) {
+		return false
+	}
+	tail := s[len(s)-len(suffix):]
+	for i := 0; i < len(suffix); i++ {
+		c := tail[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != suffix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ParseDuration parses time.ParseDuration syntax extended with day ("d"),
@@ -287,7 +307,15 @@ func ParseDuration(s string) (time.Duration, error) {
 		if x >= 1<<63 {
 			return 0, fmt.Errorf("units: duration %q out of range", s)
 		}
-		v, ok := decimalNanos(strconv.AppendFloat(buf[:0], x, 'f', -1, 64), ns)
+		var v uint64
+		if n := uint64(x); x < 1<<53 && float64(n) == x {
+			// A whole number below 2^53 is its own shortest decimal,
+			// all integer digits: decimalNanos's value and overflow
+			// check without the round trip through its digits.
+			v, ok = n*ns, n <= 1<<63/ns
+		} else {
+			v, ok = decimalNanos(strconv.AppendFloat(buf[:0], x, 'f', -1, 64), ns)
+		}
 		if d += v; !ok || d > 1<<63 {
 			return 0, fmt.Errorf("units: duration %q out of range", s)
 		}

@@ -1,6 +1,7 @@
 package units
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -171,6 +172,9 @@ func TestParseByteSize(t *testing.T) {
 		{"1.5TB", 1.5 * TB, false},
 		{"512B", 512 * Byte, false},
 		{"727KB", 727 * KB, false},
+		{"5kb", 5 * KB, false},
+		{" 73 gB ", 73 * GB, false},
+		{"2Pb", 2 * PB, false},
 		{"", 0, true},
 		{"12", 0, true},
 		{"GB", 0, true},
@@ -203,7 +207,11 @@ func TestParseRate(t *testing.T) {
 		{"25 MB/s", 25 * MBPerSec, false},
 		{"60MB/s", 60 * MBPerSec, false},
 		{"1028KB/s", 1028 * KBPerSec, false},
+		{"5Kb/S", 5 * KBPerSec, false},
+		{"5kb/s", 5 * KBPerSec, false},
+		{" 3 gB/S ", 3 * GBPerSec, false},
 		{"10MB", 0, true},
+		{"10MB\\s", 0, true},
 		{"", 0, true},
 		{"NaNMB/s", 0, true},
 		{"+Inf KB/s", 0, true},
@@ -414,6 +422,9 @@ func FuzzParseDuration(f *testing.F) {
 		"9223372036854775807ns", "-9223372036854775808ns", "2562047h47m16.854775807s",
 		"1e5h", "1.2.3h", ".5h", "5.h", "1h 30m", " 2wk ",
 		"0.1d", "106751.99116730064d", "15250.28445247152wk",
+		// Whole-number components, converted without formatting digits.
+		"8736h", "4wk12h", "3yr", "2562047h", "2562048h", "9007199254740991ns",
+		"9007199254740992ns", "1W\u212a", "1m\u0130n", "1YR", "2Wk",
 	} {
 		f.Add(s)
 	}
@@ -425,6 +436,74 @@ func FuzzParseDuration(f *testing.F) {
 		}
 		if err == nil && got != want {
 			t.Fatalf("ParseDuration(%q) = %v, reference %v", s, got, want)
+		}
+	})
+}
+
+// referenceParseByteSize and referenceParseRate are ParseByteSize and
+// ParseRate as first written: the unit suffix matched on a
+// strings.ToUpper copy of the input, and the number taken from it.
+func referenceParseByteSize(s string) (ByteSize, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, errEmpty
+	}
+	upper := strings.ToUpper(s)
+	for _, sf := range sizeSuffixes {
+		if !strings.HasSuffix(upper, sf.suffix) {
+			continue
+		}
+		num := strings.TrimSpace(upper[:len(upper)-len(sf.suffix)])
+		v, err := strconv.ParseFloat(num, 64)
+		if err != nil {
+			return 0, fmt.Errorf("units: bad size %q: %w", s, err)
+		}
+		b := ByteSize(v) * sf.unit
+		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+			return 0, fmt.Errorf("units: size %q is not finite", s)
+		}
+		return b, nil
+	}
+	return 0, fmt.Errorf("units: size %q has no recognized unit suffix", s)
+}
+
+func referenceParseRate(s string) (Rate, error) {
+	s = strings.TrimSpace(s)
+	upper := strings.ToUpper(s)
+	if !strings.HasSuffix(upper, "/S") {
+		return 0, fmt.Errorf("units: rate %q must end in /s", s)
+	}
+	size, err := referenceParseByteSize(s[:len(s)-2])
+	if err != nil {
+		return 0, fmt.Errorf("units: bad rate %q: %w", s, err)
+	}
+	return Rate(size), nil
+}
+
+// FuzzParseByteSize checks ParseByteSize and ParseRate against the
+// references: the same value on every input, and an error exactly where
+// the reference errors. The error texts may differ: ParseFloat's quotes
+// the number as written, where the reference quoted its upper-case copy.
+func FuzzParseByteSize(f *testing.F) {
+	for _, s := range []string{
+		"1360GB", "73 GB", "400gb", "1.5TB", "512B", "727KB", "5kb", " 73 gB ",
+		"799KB/s", "25 MB/s", "5Kb/S", "1.00390625MB/s", "19.375MB/s",
+		"", "12", "GB", "x12GB", "NaNGB", "nanKB", "InfGB", "-infinityTB",
+		"1e308PB", "0x1p-2KB", "0X1P-2kb", "1_000GB", "1E3mb/S", "b", "/s",
+		"5KB/\u017f", "\u0131nfGB", "\u0131nf KB/s", "73\u00a0GB", "\xff5GB", "5KB/\xffs",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseByteSize(s)
+		want, werr := referenceParseByteSize(s)
+		if (err != nil) != (werr != nil) || math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("ParseByteSize(%q) = %v, %v; reference %v, %v", s, got, err, want, werr)
+		}
+		rate, err := ParseRate(s)
+		wantRate, werr := referenceParseRate(s)
+		if (err != nil) != (werr != nil) || math.Float64bits(float64(rate)) != math.Float64bits(float64(wantRate)) {
+			t.Fatalf("ParseRate(%q) = %v, %v; reference %v, %v", s, rate, err, wantRate, werr)
 		}
 	})
 }
