@@ -200,7 +200,7 @@ func BenchmarkSimulationValidation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		h, err := s.Run(nil, nil, 0, 20*units.Week)
+		h, err := s.Run(nil, nil, nil, 0, 20*units.Week)
 		if err != nil {
 			b.Fatal(err)
 		}

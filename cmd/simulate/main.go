@@ -67,7 +67,7 @@ func run(w io.Writer, designPath, scope, target string, weeks int, step, outage 
 	if err != nil {
 		return err
 	}
-	surviving := sys.SurvivingLevels(sc)
+	surviving := sys.SurvivingLevels(nil, sc)
 	if len(surviving) == 0 {
 		fmt.Fprintf(w, "No protection level survives a %s failure: the object is lost.\n", sc.Scope)
 		return nil
@@ -104,7 +104,7 @@ func run(w io.Writer, designPath, scope, target string, weeks int, step, outage 
 	for i, o := range outages {
 		outs[i] = sim.Outage{Level: o.Level, From: from - o.Outage, To: from}
 	}
-	hist, err := simulator.Run(outs, nil, 0, horizon)
+	hist, err := simulator.Run(nil, outs, nil, 0, horizon)
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func main() {
 	horizon := 30 * stordep.Week
 	fmt.Printf("Simulating %v of RP propagation for: %s\n\n",
 		horizon, chain)
-	hist, err := simulator.Run(nil, nil, 0, horizon)
+	hist, err := simulator.Run(nil, nil, nil, 0, horizon)
 	if err != nil {
 		log.Fatal(err)
 	}

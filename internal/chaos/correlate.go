@@ -104,7 +104,7 @@ func deriveEvents(md *core.MultiDesign, events []failure.CorrEvent) ([]derivedEv
 // eventHitsLevel reports whether a hardware event takes the level's
 // propagation devices out of service.
 func eventHitsLevel(md *core.MultiDesign, e failure.CorrEvent, tech protect.Technique) bool {
-	for _, name := range core.LevelDeviceNames(tech) {
+	for _, name := range core.LevelDeviceNames(nil, tech) {
 		switch e.Kind {
 		case failure.CorrSharedDevice:
 			if name == e.Device {
@@ -283,13 +283,13 @@ func buildObjSims(ms *core.MultiSystem, mcs *MultiCase, merged []ObjectOutage, s
 	if err != nil {
 		return nil, err
 	}
-	clean, err := sm.Run(outs, nil, 0, mcs.Horizon)
+	clean, err := sm.Run(nil, outs, nil, 0, mcs.Horizon)
 	if err != nil {
 		return nil, err
 	}
 	faulted := clean
 	if len(own) > 0 {
-		if faulted, err = sm.Run(outs, own, 0, mcs.Horizon); err != nil {
+		if faulted, err = sm.Run(nil, outs, own, 0, mcs.Horizon); err != nil {
 			return nil, err
 		}
 	}
@@ -297,7 +297,7 @@ func buildObjSims(ms *core.MultiSystem, mcs *MultiCase, merged []ObjectOutage, s
 		chain:   chain,
 		clean:   clean,
 		faulted: faulted,
-		surv:    sys.SurvivingLevels(mcs.Scenario),
+		surv:    sys.SurvivingLevels(nil, mcs.Scenario),
 		outs:    outs,
 	}, nil
 }

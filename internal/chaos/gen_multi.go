@@ -159,7 +159,7 @@ func referencedDevices(md *core.MultiDesign) []string {
 	seen := make(map[string]bool)
 	for _, obj := range md.Objects {
 		for _, tech := range obj.Levels {
-			for _, name := range core.LevelDeviceNames(tech) {
+			for _, name := range core.LevelDeviceNames(nil, tech) {
 				if !seen[name] {
 					seen[name] = true
 					out = append(out, name)

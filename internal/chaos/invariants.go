@@ -74,13 +74,13 @@ func checkCase(cs *Case) (*runResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	healthy, err := sm.Run(nil, nil, 0, cs.Horizon)
+	healthy, err := sm.Run(nil, nil, nil, 0, cs.Horizon)
 	if err != nil {
 		return nil, err
 	}
 	degraded := healthy
 	if len(cs.Outages) > 0 {
-		if degraded, err = sm.Run(cs.Outages, nil, 0, cs.Horizon); err != nil {
+		if degraded, err = sm.Run(nil, cs.Outages, nil, 0, cs.Horizon); err != nil {
 			return nil, err
 		}
 	}
@@ -91,7 +91,7 @@ func checkCase(cs *Case) (*runResult, error) {
 	if from < to {
 		samples = sampleInstants(degraded, len(chain), from, to)
 	}
-	surviving := sys.SurvivingLevels(cs.Scenario)
+	surviving := sys.SurvivingLevels(nil, cs.Scenario)
 
 	maxLoss := checkLossBounds(res, cs, chain, healthy, degraded, surviving, samples)
 	checkAgeMonotone(res, chain, cs.Outages)
@@ -164,38 +164,40 @@ func sampleInstants(s *sim.History, levels int, from, to time.Duration) []time.D
 // too) and, when in-flight transfers abort, by one transfer lag (the RP
 // destroyed mid-propagation was up to one lag from landing).
 func EffectiveOutages(chain hierarchy.Chain, outs []sim.Outage) []hierarchy.LevelOutage {
-	return levelTotals(chain, outs, true)
+	return appendLevelTotals(nil, chain, outs, true)
 }
 
 // rawOutages sums the schedule per level without inflation, for
 // model-vs-model degraded comparisons.
 func rawOutages(chain hierarchy.Chain, outs []sim.Outage) []hierarchy.LevelOutage {
-	return levelTotals(chain, outs, false)
+	return appendLevelTotals(nil, chain, outs, false)
 }
 
-func levelTotals(chain hierarchy.Chain, outs []sim.Outage, inflate bool) []hierarchy.LevelOutage {
-	totals := make([]time.Duration, len(chain))
-	for _, o := range outs {
-		if o.Level < 1 || o.Level > len(chain) {
-			continue
-		}
-		d := o.To - o.From
-		if inflate {
-			pol := chain[o.Level-1].Policy
-			d += pol.CyclePeriod()
-			if o.AbortInFlight {
-				d += pol.TransferLag()
+// appendLevelTotals appends each level's summed outage, in level order,
+// omitting levels with none. Outages on a level outside the chain count
+// for no level.
+func appendLevelTotals(dst []hierarchy.LevelOutage, chain hierarchy.Chain, outs []sim.Outage, inflate bool) []hierarchy.LevelOutage {
+	for i := range chain {
+		pol := &chain[i].Policy
+		var total time.Duration
+		for _, o := range outs {
+			if o.Level != i+1 {
+				continue
 			}
+			d := o.To - o.From
+			if inflate {
+				d += pol.CyclePeriod()
+				if o.AbortInFlight {
+					d += pol.TransferLag()
+				}
+			}
+			total += d
 		}
-		totals[o.Level-1] += d
-	}
-	var list []hierarchy.LevelOutage
-	for i, d := range totals {
-		if d > 0 {
-			list = append(list, hierarchy.LevelOutage{Level: i + 1, Outage: d})
+		if total > 0 {
+			dst = append(dst, hierarchy.LevelOutage{Level: i + 1, Outage: total})
 		}
 	}
-	return list
+	return dst
 }
 
 // SkipReason names why an analytic bound comparison is skipped rather
@@ -231,7 +233,51 @@ const (
 // prepared to defend for level j at the given target age under the fault
 // schedule, or the named reason the comparison is skipped.
 func AnalyticBoundReason(chain hierarchy.Chain, outs []sim.Outage, j int, age time.Duration) (time.Duration, SkipReason) {
-	if len(outs) == 0 {
+	var b Bounds
+	b.Reset(chain, outs)
+	return b.Reason(j, age)
+}
+
+// Bounds answers AnalyticBoundReason for one fault schedule at every
+// level and target age asked, deriving the schedule's effective outages
+// and degraded chain once. Reset reuses the storage of the schedule
+// before, so a Monte Carlo trial resolves its bounds without allocating.
+// The zero value is ready for Reset.
+type Bounds struct {
+	chain   hierarchy.Chain
+	faulted bool // the schedule has an outage
+	eff     []hierarchy.LevelOutage
+	deg     hierarchy.Chain
+	degErr  error
+	storage hierarchy.Degraded
+}
+
+// Reset points b at the chain under a new fault schedule. The chain's
+// degraded copy lives in b's storage, valid until the next Reset.
+func (b *Bounds) Reset(chain hierarchy.Chain, outs []sim.Outage) {
+	b.chain, b.faulted = chain, len(outs) > 0
+	b.eff = appendLevelTotals(b.eff[:0], chain, outs, true)
+	b.deg, b.degErr = nil, nil
+	if b.faulted {
+		b.deg, b.degErr = b.storage.Compound(chain, b.eff)
+	}
+}
+
+// Degraded returns the chain degraded by the schedule's effective
+// outages (EffectiveOutages), or nil when the schedule has no outage or
+// the degraded chain cannot be built.
+func (b *Bounds) Degraded() hierarchy.Chain {
+	if b.degErr != nil {
+		return nil
+	}
+	return b.deg
+}
+
+// Reason is AnalyticBoundReason(chain, outs, j, age) for the chain and
+// schedule of the last Reset.
+func (b *Bounds) Reason(j int, age time.Duration) (time.Duration, SkipReason) {
+	chain := b.chain
+	if !b.faulted {
 		var loss time.Duration
 		var ok bool
 		if chain.Aligned() {
@@ -244,16 +290,15 @@ func AnalyticBoundReason(chain hierarchy.Chain, outs []sim.Outage, j int, age ti
 		}
 		return loss, SkipNone
 	}
-	eff := EffectiveOutages(chain, outs)
-	deg, err := chain.DegradedCompound(eff)
-	if err != nil {
+	if b.degErr != nil {
 		return 0, SkipDegradedBuild
 	}
+	deg := b.deg
 	rg := deg.GuaranteedRange(j)
 	if rg.Empty() {
 		return 0, SkipDegradedEmptyRange
 	}
-	for _, lo := range eff {
+	for _, lo := range b.eff {
 		if lo.Level >= j {
 			continue
 		}
@@ -272,6 +317,13 @@ func AnalyticBoundReason(chain hierarchy.Chain, outs []sim.Outage, j int, age ti
 		return 0, SkipPastRetention
 	}
 	return lag, SkipNone
+}
+
+// Bound is the boolean view of Reason, as AnalyticBound is of
+// AnalyticBoundReason.
+func (b *Bounds) Bound(j int, age time.Duration) (time.Duration, bool) {
+	bound, reason := b.Reason(j, age)
+	return bound, reason == SkipNone
 }
 
 // AnalyticBound is the boolean view of AnalyticBoundReason: ok=false

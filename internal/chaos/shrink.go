@@ -191,7 +191,7 @@ func usedDevices(devices []core.PlacedDevice, objects ...core.ObjectSpec) []core
 		used[obj.Primary.Array] = true
 		for _, t := range obj.Levels {
 			used[t.ReadDevice()] = true
-			for _, name := range core.LevelDeviceNames(t) {
+			for _, name := range core.LevelDeviceNames(nil, t) {
 				used[name] = true
 			}
 		}

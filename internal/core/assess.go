@@ -68,28 +68,37 @@ func (s *System) AssessDegradedCompound(sc failure.Scenario, outages []hierarchy
 	return s.assess(sc, outages)
 }
 
-// PlanDegradedCompound resolves the scenario's recovery plan while every
-// listed level is degraded (nil outages: the healthy chain), without the
-// report-only fields an Assessment adds. lost reports the §3.3.3
-// whole-object-lost case; otherwise the plan's Time and Loss are the
-// worst-case recovery time and data loss AssessDegradedCompound reports.
-func (s *System) PlanDegradedCompound(sc failure.Scenario, outages []hierarchy.LevelOutage) (plan recovery.Plan, lost bool, err error) {
-	chain := s.chain
-	if outages != nil {
-		if chain, err = s.chain.DegradedCompound(outages); err != nil {
-			return recovery.Plan{}, false, fmt.Errorf("core: %w", err)
-		}
+// PlanDegradedCompound resolves the scenario's recovery plan on deg, the
+// system's chain degraded by hierarchy.Chain.DegradedCompound (nil: the
+// healthy chain), without the report-only fields an Assessment adds.
+// lost reports the §3.3.3 whole-object-lost case; otherwise the plan's
+// Time and Loss are the worst-case recovery time and data loss
+// AssessDegradedCompound reports for the outages deg was degraded by. A
+// caller resolving plan after plan (one per Monte Carlo trial and scope)
+// degrades the chain once and passes a scratch: the plan then allocates
+// nothing, its steps are unnamed and they alias the scratch until its
+// next use. A nil scratch gives named steps in fresh storage.
+func (s *System) PlanDegradedCompound(sc failure.Scenario, deg hierarchy.Chain, scratch *Scratch) (plan recovery.Plan, lost bool, err error) {
+	if deg == nil {
+		deg = s.chain
 	}
 	if err := sc.Validate(); err != nil {
 		return recovery.Plan{}, false, err
 	}
-	plan, lost = s.resolvePlan(sc, chain, true, nil)
+	plan, lost = s.resolvePlan(sc, deg, scratch == nil, scratch)
 	return plan, lost, nil
 }
 
 // assess builds the full report on PlanDegradedCompound's plan.
 func (s *System) assess(sc failure.Scenario, outages []hierarchy.LevelOutage) (*Assessment, error) {
-	plan, lost, err := s.PlanDegradedCompound(sc, outages)
+	var deg hierarchy.Chain
+	if outages != nil {
+		var err error
+		if deg, err = s.chain.DegradedCompound(outages); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	plan, lost, err := s.PlanDegradedCompound(sc, deg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -119,10 +128,10 @@ func (s *System) assess(sc failure.Scenario, outages []hierarchy.LevelOutage) (*
 func (s *System) resolvePlan(sc failure.Scenario, chain hierarchy.Chain, named bool, scratch *Scratch) (plan recovery.Plan, lost bool) {
 	var surviving []int
 	if scratch != nil {
-		surviving = s.appendSurvivingLevels(scratch.surviving[:0], sc)
+		surviving = s.SurvivingLevels(scratch.surviving[:0], sc)
 		scratch.surviving = surviving
 	} else {
-		surviving = s.SurvivingLevels(sc)
+		surviving = s.SurvivingLevels(nil, sc)
 	}
 	cand, err := recovery.SelectSource(chain, surviving, sc.TargetAge)
 	if err != nil {

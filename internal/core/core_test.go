@@ -286,7 +286,7 @@ func TestSurvivingLevels(t *testing.T) {
 		{failure.ScopeRegion, []int{3}}, // vault is in another region
 	}
 	for _, tt := range tests {
-		got := sys.SurvivingLevels(failure.Scenario{Scope: tt.scope})
+		got := sys.SurvivingLevels(nil, failure.Scenario{Scope: tt.scope})
 		if len(got) != len(tt.want) {
 			t.Errorf("%v survivors = %v, want %v", tt.scope, got, tt.want)
 			continue

@@ -148,13 +148,13 @@ func TestErasureThresholdSurvivability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Site disaster at hq: all five fragments survive.
-	if got := sys.SurvivingLevels(failure.Scenario{Scope: failure.ScopeSite}); len(got) != 1 {
+	if got := sys.SurvivingLevels(nil, failure.Scenario{Scope: failure.ScopeSite}); len(got) != 1 {
 		t.Errorf("site survivors = %v", got)
 	}
 	// Region failure (west): the hq array dies; fragment "a" sits in
 	// central etc. — the design places fragment regions round-robin, so at
 	// most one fragment shares the west region. 4 >= 3 survive.
-	if got := sys.SurvivingLevels(failure.Scenario{Scope: failure.ScopeRegion}); len(got) != 1 {
+	if got := sys.SurvivingLevels(nil, failure.Scenario{Scope: failure.ScopeRegion}); len(got) != 1 {
 		t.Errorf("region survivors = %v", got)
 	}
 	a, err := sys.Assess(failure.Scenario{Scope: failure.ScopeRegion})

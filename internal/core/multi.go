@@ -146,8 +146,8 @@ func (md *MultiDesign) ObjectDesign(obj ObjectSpec) *Design {
 // matters at restore time, not for RP propagation. Shared by the Monte
 // Carlo sampler (device down intervals → level outages) and the chaos
 // correlation engine (shared-device events → dependent-object outages).
-func LevelDeviceNames(tech protect.Technique) []string {
-	var names []string
+// The names are appended to names, which is returned extended.
+func LevelDeviceNames(names []string, tech protect.Technique) []string {
 	if ms, ok := tech.(interface{ CopyDevices() []string }); ok {
 		names = append(names, ms.CopyDevices()...)
 	} else if d := tech.CopyDevice(); d != "" {

@@ -15,7 +15,10 @@ import (
 
 // System is a built design: devices carry their normal-mode demands, the
 // hierarchy chain is assembled, and outlays are collected. Build once,
-// then Assess against any number of failure scenarios.
+// then Assess against any number of failure scenarios. A System reads
+// its design in place (levels, placements, requirements, and the device
+// specs its devices point at), so the design must not be modified while
+// the System is in use.
 type System struct {
 	design  *Design
 	devices protect.DeviceMap
@@ -182,17 +185,12 @@ func (s *System) Utilization() Utilization {
 	return u
 }
 
-// SurvivingLevels returns the 1-based indices of hierarchy levels whose
-// copy devices outlive the scenario, in level order. Multi-sited
-// techniques (protect.MultiSited, e.g. erasure coding) survive when at
-// least their threshold of copy devices does.
-func (s *System) SurvivingLevels(sc failure.Scenario) []int {
-	return s.appendSurvivingLevels(nil, sc)
-}
-
-// appendSurvivingLevels is SurvivingLevels appending into a caller
-// buffer, for scoring loops that reuse one across scenarios.
-func (s *System) appendSurvivingLevels(out []int, sc failure.Scenario) []int {
+// SurvivingLevels appends to out the 1-based indices of hierarchy levels
+// whose copy devices outlive the scenario, in level order, and returns
+// the extended slice; scoring loops pass one buffer scenario after
+// scenario. Multi-sited techniques (protect.MultiSited, e.g. erasure
+// coding) survive when at least their threshold of copy devices does.
+func (s *System) SurvivingLevels(out []int, sc failure.Scenario) []int {
 	at := s.design.PrimaryPlacement()
 	for i, tech := range s.design.Levels {
 		if ms, ok := tech.(protect.MultiSited); ok {

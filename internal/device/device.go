@@ -269,35 +269,41 @@ type Demand struct {
 // Device is a configured device instance accumulating demands from the
 // techniques that use it. The zero value is not usable; construct with New.
 type Device struct {
-	spec    Spec
+	// spec is read, never written: New points it at the device's own
+	// copy, Fleet at the caller's spec, and Clone shares it.
+	spec    *Spec
 	demands []Demand
 }
 
-// New validates the spec and returns a Device ready to accept demands.
+// New validates the spec and returns a Device ready to accept demands,
+// holding its own copy of the spec.
 func New(spec Spec) (*Device, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Device{spec: spec}, nil
+	return &Device{spec: &spec}, nil
 }
 
 // Fleet returns n demand-free devices, device i of spec(i), allocated in
 // one block. Their demand lists share one array that holds room demands
-// per device before a list regrows. Unlike New, Fleet does not validate
-// the specs: the caller must have validated each (Spec.Validate).
+// per device before a list regrows. A device points at spec(i) rather
+// than copying it, so the spec must not change while the device is in
+// use (a core.System points its devices at its design's specs). Unlike
+// New, Fleet does not validate the specs: the caller must have validated
+// each (Spec.Validate).
 func Fleet(n, room int, spec func(i int) *Spec) []*Device {
 	block := make([]Device, n)
 	demands := make([]Demand, n*room)
 	devs := make([]*Device, n)
 	for i := range block {
-		block[i] = Device{spec: *spec(i), demands: demands[i*room : i*room : (i+1)*room]}
+		block[i] = Device{spec: spec(i), demands: demands[i*room : i*room : (i+1)*room]}
 		devs[i] = &block[i]
 	}
 	return devs
 }
 
-// Spec returns the device's static description.
-func (d *Device) Spec() Spec { return d.spec }
+// Spec returns a copy of the device's static description.
+func (d *Device) Spec() Spec { return *d.spec }
 
 // Name returns the device name.
 func (d *Device) Name() string { return d.spec.Name }

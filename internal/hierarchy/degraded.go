@@ -28,7 +28,25 @@ type LevelOutage struct {
 // the conservative worst-case reading — retention at the affected levels
 // is assumed to keep expiring while nothing new arrives.
 func (c Chain) DegradedCompound(outages []LevelOutage) (Chain, error) {
-	total := make([]time.Duration, len(c))
+	var d Degraded
+	return d.Compound(c, outages)
+}
+
+// Degraded is storage for degraded chains: Compound writes each into the
+// storage the previous one used, so a caller that degrades one chain per
+// fault schedule (a Monte Carlo trial) allocates only while the storage
+// grows. The zero value is ready to use.
+type Degraded struct {
+	chain Chain
+	// secs holds each level's copy of its secondary window set, which
+	// the degraded chain points at instead of the source chain's.
+	secs []WindowSet
+}
+
+// Compound returns c degraded by the outages, exactly as
+// c.DegradedCompound(outages) does. The chain lives in d's storage: it
+// is valid until d's next Compound.
+func (d *Degraded) Compound(c Chain, outages []LevelOutage) (Chain, error) {
 	for _, o := range outages {
 		if o.Level < 1 || o.Level > len(c) {
 			return nil, fmt.Errorf("hierarchy: degraded level %d out of range [1,%d]", o.Level, len(c))
@@ -36,24 +54,27 @@ func (c Chain) DegradedCompound(outages []LevelOutage) (Chain, error) {
 		if o.Outage < 0 {
 			return nil, fmt.Errorf("hierarchy: outage must be non-negative, got %v", o.Outage)
 		}
-		total[o.Level-1] += o.Outage
 	}
-	out := make(Chain, len(c))
-	copy(out, c)
-	for i, extra := range total {
-		if extra == 0 {
+	d.chain = append(d.chain[:0], c...)
+	for _, o := range outages {
+		if o.Outage == 0 {
 			continue
 		}
-		pol := out[i].Policy // copies the struct
-		pol.Primary.HoldW += extra
+		pol := &d.chain[o.Level-1].Policy
+		pol.Primary.HoldW += o.Outage
 		if pol.Secondary != nil {
-			sec := *pol.Secondary
-			sec.HoldW += extra
-			pol.Secondary = &sec
+			if cap(d.secs) < len(c) {
+				d.secs = make([]WindowSet, len(c))
+			}
+			d.secs = d.secs[:len(c)]
+			if sec := &d.secs[o.Level-1]; pol.Secondary != sec {
+				*sec = *pol.Secondary
+				pol.Secondary = sec
+			}
+			pol.Secondary.HoldW += o.Outage
 		}
-		out[i].Policy = pol
 	}
-	return out, nil
+	return d.chain, nil
 }
 
 // CompoundDegradedLoss returns the worst-case recent data loss at level j

@@ -4,21 +4,39 @@ import (
 	"testing"
 
 	"stordep/internal/casestudy"
+	"stordep/internal/config"
 	"stordep/internal/core"
 )
 
+// testRunner builds the campaign's design and readies a runner for it,
+// returned to the pool when the test ends.
+func testRunner(tb testing.TB, c *Campaign) *runner {
+	tb.Helper()
+	sys, err := c.build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := c.runner(sys)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(r.release)
+	return r
+}
+
 // TestTrialAllocBudget bounds the per-trial allocation count on the hot
 // path (sample schedules, replay the windows the queries read, check
-// bounds, assess penalties). An async mirror trial measures 57: its first
-// object-scope event is unrecoverable and ends the event loop, so it
-// replays about one of its dozen windows, and its context resolves the
-// recovery plan only. Its budget of 72 fails a return to replaying every
-// window up front (about 180) or to building full assessments per context
-// (77). The tape designs measure 115 and 120, replaying from time zero
-// because their vaults' lookback reaches it, into RP lists each sized
-// once from the replayed window (regrowing them took 145 and 155); their
-// budget of 300 catches gross regressions such as a boxed event per fire
-// or a per-event encode.
+// bounds, assess penalties) of a warm trial: one on a scratch earlier
+// trials filled, as every trial but a worker's first draws from the pool.
+// Its schedules, histories, caches and random stream are reused in place,
+// so a trial allocates only when a buffer must grow past what the trials
+// before it needed: about 0.03-0.04 allocations per trial for the async
+// mirror, Baseline and Weekly vault F+I alike (the cold first trial
+// allocates 34, 60 and 61; before the scratch, every trial allocated 57,
+// 114 and 119). The budget of 1 fails a per-trial random stream (2
+// allocations per stream, 7 or more streams), a per-replay RP block or
+// event queue, a per-trial context or bound map, or a sort with a
+// reflection swapper.
 func TestTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
@@ -27,44 +45,115 @@ func TestTrialAllocBudget(t *testing.T) {
 		design *core.Design
 		budget float64
 	}{
-		{casestudy.AsyncBMirror(4), 72},
-		{casestudy.Baseline(), 300},
-		{casestudy.WeeklyVaultFI(), 300},
+		{casestudy.AsyncBMirror(4), 1},
+		{casestudy.Baseline(), 1},
+		{casestudy.WeeklyVaultFI(), 1},
 	} {
 		c := &Campaign{Design: tc.design, Seed: 9, Trials: 1000}
-		r, err := c.runner()
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := testRunner(t, c)
+		s := new(scratch)
 		i := 0
 		got := testing.AllocsPerRun(200, func() {
-			if _, err := r.trial(i % c.Trials); err != nil {
+			if _, err := r.trial(s, i%c.Trials); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
-		t.Logf("%s: allocs per trial: %.0f (budget %.0f)", tc.design.Name, got, tc.budget)
+		t.Logf("%s: allocs per trial: %.1f (budget %.0f)", tc.design.Name, got, tc.budget)
 		if got > tc.budget {
-			t.Errorf("%s: per-trial hot path allocates %.0f, budget %.0f", tc.design.Name, got, tc.budget)
+			t.Errorf("%s: per-trial hot path allocates %.1f, budget %.0f", tc.design.Name, got, tc.budget)
 		}
 	}
 }
 
-// BenchmarkTrial is the raw per-trial cost, for -bench comparison runs:
-// Baseline (three-year vault retention), an F+I backup under a weekly
-// vault, and an async mirror (one-minute cycles over a one-year mission).
+// requestCases are the request-shaped workloads TestRequestAllocBudget
+// bounds and BenchmarkRequest times. A request is one perfbench mc-mirror
+// request: decode the design's JSON, core.Build it, sample a one-trial
+// campaign and estimate its report. The decode (14 allocations) and the
+// three builds (8 each: the request's own, Sample's and Estimate's) are
+// 38 of the mirror's 44; the trial allocates nothing once the pool is
+// warm. The budget of 60 fails a return to pooling nothing (about 110).
+var requestCases = []struct {
+	name   string
+	design *core.Design
+	budget float64
+}{
+	{"mirror", casestudy.AsyncBMirror(4), 60},
+}
+
+// serveRequest serves one request-shaped campaign on the design's JSON.
+func serveRequest(tb testing.TB, data []byte, seed int64) *Report {
+	d, err := config.Unmarshal(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := core.Build(d); err != nil {
+		tb.Fatal(err)
+	}
+	c := &Campaign{Design: d, Seed: seed, Trials: 1, Workers: 1}
+	obs, err := c.Sample(0, c.Trials)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := c.Estimate(obs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
+func TestRequestAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	for _, tc := range requestCases {
+		data, err := config.Marshal(tc.design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int64(0)
+		got := testing.AllocsPerRun(200, func() {
+			serveRequest(t, data, seed)
+			seed++
+		})
+		t.Logf("%s: allocs per request: %.1f (budget %.0f)", tc.name, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s: a request allocates %.1f, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}
+
+// BenchmarkRequest is the cost of one request of each requestCases
+// workload, for -bench comparison runs.
+func BenchmarkRequest(b *testing.B) {
+	for _, tc := range requestCases {
+		data, err := config.Marshal(tc.design)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				serveRequest(b, data, int64(i))
+			}
+		})
+	}
+}
+
+// BenchmarkTrial is the raw per-trial cost on a warm scratch, for -bench
+// comparison runs: Baseline (three-year vault retention), an F+I backup
+// under a weekly vault, and an async mirror (one-minute cycles over a
+// one-year mission).
 func BenchmarkTrial(b *testing.B) {
 	for _, d := range []*core.Design{casestudy.Baseline(), casestudy.WeeklyVaultFI(), casestudy.AsyncBMirror(4)} {
 		b.Run(d.Name, func(b *testing.B) {
 			c := &Campaign{Design: d, Seed: 9, Trials: 1 << 30}
-			r, err := c.runner()
-			if err != nil {
-				b.Fatal(err)
-			}
+			r := testRunner(b, c)
+			s := new(scratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.trial(i); err != nil {
+				if _, err := r.trial(s, i); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"stordep/internal/core"
 	"stordep/internal/units"
 )
 
@@ -107,6 +108,13 @@ func (c *Campaign) Estimate(obs []Obs) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.estimate(sys, obs)
+}
+
+// estimate is Estimate over sys, the campaign's built design, for a
+// non-empty observation list.
+func (c *Campaign) estimate(sys *core.System, obs []Obs) (*Report, error) {
+	var err error
 	n := len(obs)
 	rep := &Report{
 		Design: c.Design.Name,

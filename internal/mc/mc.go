@@ -20,15 +20,32 @@
 // including its documented skip rules — and its simulated recovery time
 // against the analytic worst-case assessment. Violations are counted in
 // the observations and surfaced in the report; tests pin them to zero.
+//
+// Pooled storage: a trial draws one scratch from a package pool when it
+// starts and returns it when it ends. The scratch holds everything the
+// trial used to allocate: the device down intervals and their merge
+// buffer, the level outages, disaster events, operator-fault arrivals,
+// query instants and history windows, the simulator Histories the
+// windows replay into (sim.Simulator.Run replays into storage handed
+// back), the per-scope analytic contexts, the per-(level, age) bound
+// cache with the trial's degraded chain (chaos.Bounds), and one random
+// stream that rng.Reseed re-seeds for each process. A campaign's runner
+// tables come from a second pool and return when its trials end. A
+// trial reuses what the trials before it on the same scratch left, so
+// once warm it allocates almost nothing; its Obs holds no pointer, so
+// nothing pooled outlives the trial. TestTrialScratchReuse and
+// TestTrialScratchConcurrent hold a trial on a used scratch to the Obs a
+// fresh one gives.
 package mc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"stordep/internal/chaos"
@@ -171,13 +188,21 @@ func (c *Campaign) mission() (time.Duration, error) {
 	return c.Mission, nil
 }
 
-// Run samples every trial and estimates the dependability report.
+// Run samples every trial and estimates the dependability report,
+// building the design once for both.
 func (c *Campaign) Run() (*Report, error) {
-	obs, err := c.Sample(0, c.Trials)
+	if err := c.checkRange(0, c.Trials); err != nil {
+		return nil, err
+	}
+	sys, err := c.build()
 	if err != nil {
 		return nil, err
 	}
-	return c.Estimate(obs)
+	obs, err := c.sample(sys, 0, c.Trials)
+	if err != nil {
+		return nil, err
+	}
+	return c.estimate(sys, obs)
 }
 
 // Sample runs trials [lo, hi) and returns their observations in trial
@@ -185,24 +210,52 @@ func (c *Campaign) Run() (*Report, error) {
 // trial's streams depend only on (seed, trial), the concatenation of
 // range results is byte-identical to a single-process run.
 func (c *Campaign) Sample(lo, hi int) ([]Obs, error) {
-	if c.Trials <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadTrials, c.Trials)
+	if err := c.checkRange(lo, hi); err != nil {
+		return nil, err
 	}
-	if lo < 0 || hi < lo || hi > c.Trials {
-		return nil, fmt.Errorf("%w: [%d, %d) of %d", ErrBadRange, lo, hi, c.Trials)
-	}
-	r, err := c.runner()
+	sys, err := c.build()
 	if err != nil {
 		return nil, err
 	}
+	return c.sample(sys, lo, hi)
+}
+
+// checkRange validates the trial count and the range [lo, hi) of it.
+func (c *Campaign) checkRange(lo, hi int) error {
+	if c.Trials <= 0 {
+		return fmt.Errorf("%w: %d", ErrBadTrials, c.Trials)
+	}
+	if lo < 0 || hi < lo || hi > c.Trials {
+		return fmt.Errorf("%w: [%d, %d) of %d", ErrBadRange, lo, hi, c.Trials)
+	}
+	return nil
+}
+
+// sample runs trials [lo, hi) of the campaign over sys, its built
+// design. Each trial runs on a scratch drawn from the pool and returned
+// when the trial ends.
+func (c *Campaign) sample(sys *core.System, lo, hi int) ([]Obs, error) {
+	r, err := c.runner(sys)
+	if err != nil {
+		return nil, err
+	}
+	defer r.release()
 	return parallel.Map(c.Workers, hi-lo, func(i int) (Obs, error) {
-		return r.trial(lo + i)
+		s := scratches.Get().(*scratch)
+		defer s.release()
+		return r.trial(s, lo+i)
 	})
 }
 
-// runner is the per-campaign immutable state shared by all trials: the
-// built system, its simulator, the mission window, and the device/level
-// wiring.
+// typicalRates is whatif.TypicalFrequencies, built once: a campaign with
+// nil Rates reads it and never writes it.
+var typicalRates = whatif.TypicalFrequencies()
+
+// runner is the per-campaign state shared by all trials, immutable while
+// they run: the built system, its simulator, the mission window, and the
+// device/level wiring. Its tables come from a pool (runners) and return
+// to it when the campaign's trials end, since a small campaign (one trial
+// per request) would otherwise allocate them for every trial.
 type runner struct {
 	c       *Campaign
 	sys     *core.System
@@ -214,18 +267,24 @@ type runner struct {
 	rates   whatif.Frequencies
 	// levelDevs maps each chain level (0-based) to the indexes into
 	// Design.Devices of the devices whose failure takes the level out.
+	// All levels' indexes share one array, flat.
 	levelDevs [][]int
+	flat      []int
 	// rel holds each sampled device's effective reliability model.
 	rel []device.Reliability
 	// sampled marks devices referenced by at least one level.
 	sampled []bool
+	// all lists every level (1-based), for queries over the whole chain.
+	all []int
+	// names holds one level's device names while levelDevs is built.
+	names []string
 }
 
-func (c *Campaign) runner() (*runner, error) {
-	sys, err := c.build()
-	if err != nil {
-		return nil, err
-	}
+var runners = sync.Pool{New: func() any { return new(runner) }}
+
+// runner draws a runner from the pool and readies it for the campaign
+// over sys, its built design. The caller returns it with release.
+func (c *Campaign) runner(sys *core.System) (*runner, error) {
 	chain := sys.Chain()
 	sm, err := sim.New(chain)
 	if err != nil {
@@ -237,113 +296,157 @@ func (c *Campaign) runner() (*runner, error) {
 	}
 	rates := c.Rates
 	if rates == nil {
-		rates = whatif.TypicalFrequencies()
+		rates = typicalRates
 	}
-	r := &runner{
-		c:       c,
-		sys:     sys,
-		chain:   chain,
-		sm:      sm,
-		start:   chaos.CeilMinute(sm.WarmUp()),
-		mission: mission,
-		rates:   rates,
-		rel:     make([]device.Reliability, len(c.Design.Devices)),
-		sampled: make([]bool, len(c.Design.Devices)),
+	r := runners.Get().(*runner)
+	r.c, r.sys, r.chain, r.sm = c, sys, chain, sm
+	r.start = chaos.CeilMinute(sm.WarmUp())
+	r.mission, r.end = mission, r.start+mission
+	r.rates = rates
+	nd := len(c.Design.Devices)
+	r.rel = sized(r.rel, nd)
+	r.sampled = sized(r.sampled, nd)
+	for i := range c.Design.Devices {
+		r.rel[i] = c.Design.Devices[i].Spec.Rates()
+		r.sampled[i] = false
 	}
-	r.end = r.start + mission
-	for i, pd := range c.Design.Devices {
-		r.rel[i] = pd.Spec.Rates()
+	r.all = sized(r.all, len(chain))
+	for i := range r.all {
+		r.all[i] = i + 1
 	}
-	// All levels' indexes share one array; names are unique and few, so
-	// a scan finds each.
-	r.levelDevs = make([][]int, len(c.Design.Levels))
-	flat := make([]int, 0, 2*len(c.Design.Levels))
+	// Names are unique and few, so a scan finds each.
+	r.levelDevs = sized(r.levelDevs, len(c.Design.Levels))
+	r.flat = r.flat[:0]
 	for li, tech := range c.Design.Levels {
-		start := len(flat)
-		for _, name := range core.LevelDeviceNames(tech) {
-			for i, pd := range c.Design.Devices {
-				if pd.Spec.Name == name {
-					flat = append(flat, i)
+		start := len(r.flat)
+		r.names = core.LevelDeviceNames(r.names[:0], tech)
+		for _, name := range r.names {
+			for i := range c.Design.Devices {
+				if c.Design.Devices[i].Spec.Name == name {
+					r.flat = append(r.flat, i)
 					r.sampled[i] = true
 					break
 				}
 			}
 		}
-		r.levelDevs[li] = flat[start:len(flat):len(flat)]
+		r.levelDevs[li] = r.flat[start:len(r.flat):len(r.flat)]
 	}
 	return r, nil
+}
+
+// release returns the runner to the pool, dropping its references to
+// the campaign's design.
+func (r *runner) release() {
+	r.c, r.sys, r.chain, r.sm, r.rates = nil, nil, nil, nil, nil
+	clear(r.names)
+	runners.Put(r)
+}
+
+// sized returns buf resliced to length n, reallocated when its capacity
+// is short. Its elements keep whatever they held.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // interval is one closed-open down period.
 type interval struct{ from, to time.Duration }
 
-// trial runs one trial and returns its observations.
-func (r *runner) trial(trial int) (Obs, error) {
+// scratch is one trial's working storage: every schedule, buffer, cache
+// and random stream the trial fills, kept so that the next trial on the
+// same scratch refills them in place. A trial draws a scratch from the
+// pool (scratches) when it starts and returns it when it ends; nothing a
+// trial returns points into it.
+type scratch struct {
+	// rand is every random stream of the trial, re-seeded by rng.Reseed
+	// before each; the trial draws each stream to its end before it
+	// seeds the next.
+	rand *rand.Rand
+	// downs holds each device's down intervals; ivs is the buffer each
+	// level's intervals are merged in.
+	downs   [][]interval
+	ivs     []interval
+	commons []interval
+	outs    []sim.Outage
+	evs     []event
+	// arrivals holds one operator-fault process's arrival instants.
+	arrivals []time.Duration
+	silents  []sim.SilentFault
+	wrongs   []wrongRecovery
+	// ats are the trial's query instants; probes one silent fault's.
+	ats    []time.Duration
+	probes []time.Duration
+	hist   histories
+	// bounds derives the analytic bounds and the degraded chain once per
+	// trial; boundCache memoizes each (level, age) bound it is asked.
+	bounds     chaos.Bounds
+	boundCache []boundEntry
+	// ctxs caches the analytic context of each scope, valid where
+	// resolved; plan is core's plan storage.
+	ctxs [failure.ScopeRegion + 1]eventContext
+	plan core.Scratch
+	one  [1]int
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns the scratch to the pool, dropping its references to
+// the trial's campaign.
+func (s *scratch) release() {
+	s.hist.r = nil
+	s.bounds.Reset(nil, nil)
+	scratches.Put(s)
+}
+
+// trial runs one trial on the scratch s and returns its observations.
+func (r *runner) trial(s *scratch, trial int) (Obs, error) {
 	tseed := rng.SubSeed(r.c.Seed, trial)
 
 	// 1. Per-device down intervals. Each sampled device draws from its
 	// own sub-stream (seeded by device index), so adding or removing an
 	// unrelated device leaves other devices' schedules unchanged.
-	downs := make([][]interval, len(r.rel))
+	s.downs = sized(s.downs, len(r.rel))
 	for di := range r.rel {
-		if !r.sampled[di] {
-			continue
+		s.downs[di] = s.downs[di][:0]
+		if r.sampled[di] {
+			s.rand = rng.Reseed(s.rand, tseed, di)
+			s.downs[di] = sampleDevice(s.downs[di], s.rand, r.rel[di], r.end)
 		}
-		downs[di] = sampleDevice(rng.Run(tseed, di), r.rel[di], r.end)
 	}
 
 	// 1b. Correlated common-mode outages: each sampled event takes every
 	// protection level down at once (shared infrastructure, regional
 	// scope) — the correlation the per-device renewal processes cannot
 	// express.
-	commons := r.sampleCommonOutages(tseed)
+	commons := r.sampleCommonOutages(s, tseed)
 
 	// 2. Level outages: the union of the level's devices' down periods
 	// plus every common-mode window. A failed device aborts in-flight
 	// transfers — RPs mid-propagation when the device dies are
 	// destroyed, and the analytic side charges the level's transfer lag
 	// on top (chaos.EffectiveOutages).
-	var outs []sim.Outage
+	outs := s.outs[:0]
 	for li, devs := range r.levelDevs {
-		var ivs []interval
+		ivs := s.ivs[:0]
 		for _, di := range devs {
-			ivs = append(ivs, downs[di]...)
+			ivs = append(ivs, s.downs[di]...)
 		}
 		ivs = append(ivs, commons...)
 		for _, iv := range mergeIntervals(ivs) {
 			outs = append(outs, sim.Outage{Level: li + 1, From: iv.from, To: iv.to, AbortInFlight: true})
 		}
+		s.ivs = ivs
 	}
+	s.outs = outs
 
-	// 3. Disaster arrivals: a Poisson process per failure scope over the
-	// mission window, each scope on its own sub-stream (negative index
-	// space, disjoint from the device streams).
-	// Gaps are drawn in float64 year space — rare scopes have mean gaps
-	// of centuries, which overflow time.Duration — and only in-window
-	// arrivals are converted back to instants.
-	var evs []event
-	missionYears := float64(r.mission) / float64(units.Year)
-	for si, scope := range failure.Scopes() {
-		freq := r.rates[scope]
-		if freq <= 0 {
-			continue
-		}
-		er := rng.Run(tseed, -1-si)
-		for t := expGap(er, freq); t < missionYears; t += expGap(er, freq) {
-			at := chaos.CeilMinute(r.start + time.Duration(t*float64(units.Year)))
-			if at >= r.end {
-				break
-			}
-			evs = append(evs, event{at: at, scope: scope})
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-
-	// 3b. Operator faults: silent non-write windows corrupt the RP
-	// history itself, wrong recoveries are classified and charged after
-	// the event loop.
-	silents := r.sampleSilentFaults(tseed)
-	wrongs := r.sampleWrongRecoveries(tseed)
+	// 3. Disaster arrivals, and 3b. operator faults: silent non-write
+	// windows corrupt the RP history itself, wrong recoveries are
+	// classified and charged after the event loop.
+	evs := r.sampleDisasters(s, tseed)
+	silents := r.sampleSilentFaults(s, tseed)
+	wrongs := r.sampleWrongRecoveries(s, tseed)
 
 	// 4. Lay out the RP history the trial's queries can observe: its event
 	// instants, each silent fault's probe grid and its wrong recoveries.
@@ -354,37 +457,36 @@ func (r *runner) trial(trial int) (Obs, error) {
 	// ledger and detection baselines: the analytic bound is fault-unaware
 	// by design, so comparing it against the faulted history would
 	// conflate model violations with the detection channel.
-	ats := make([]time.Duration, 0, len(evs)+len(wrongs))
+	ats := s.ats[:0]
 	for _, ev := range evs {
 		ats = append(ats, ev.at)
 	}
 	for _, f := range silents {
-		ats = append(ats, r.probes(f)...)
+		ats = r.appendProbes(ats, f)
 	}
 	for _, wr := range wrongs {
 		ats = append(ats, wr.at)
 	}
-	hist := r.replay(ats, outs, silents)
+	s.ats = ats
+	hist := &s.hist
+	r.replay(hist, ats, outs, silents)
 	fail := func(err error) (Obs, error) {
 		return Obs{}, fmt.Errorf("mc: trial %d: %w", trial, err)
 	}
 
 	var o Obs
 	o.CorrEvents = len(commons)
-	o.DegTime = unionWithin(outs, r.start, r.end)
+	o.DegTime, s.ivs = unionWithin(s.ivs, outs, r.start, r.end)
 
 	// 5. Measure each failure event. Analytic context is cached per
-	// scope/age — it depends on the trial's schedule, not the event
-	// instant.
-	effOuts := chaos.EffectiveOutages(r.chain, outs)
+	// scope and bounds per level and age — they depend on the trial's
+	// schedule, not the event instant.
+	s.resetBounds(r.chain, outs)
 	req := r.c.Design.Requirements
-	actx := make(map[failure.Scope]*eventContext, 4)
-	bounds := make(map[boundKey]boundVal, 2*len(r.chain))
-	one := make([]int, 1)
 	lostAt := r.end
 	for _, ev := range evs {
 		sc := scenarioFor(ev.scope)
-		ctx := r.context(sc, effOuts, actx)
+		ctx := r.context(s, sc)
 		h, err := hist.at(ev.at)
 		if err != nil {
 			return fail(err)
@@ -395,23 +497,18 @@ func (r *runner) trial(trial int) (Obs, error) {
 		// must respect the analytic bound (same function, same skip
 		// rules as the chaos engine).
 		for _, j := range ctx.surviving {
-			key := boundKey{level: j, age: sc.TargetAge}
-			b, seen := bounds[key]
-			if !seen {
-				b.bound, b.ok = chaos.AnalyticBound(r.chain, outs, j, sc.TargetAge)
-				bounds[key] = b
-			}
-			if !b.ok {
+			bound, ok := s.bound(j, sc.TargetAge)
+			if !ok {
 				o.BoundSkips++
 				continue
 			}
-			one[0] = j
-			loss, _, lok := h.clean.Loss(one, ev.at, sc.TargetAge)
+			s.one[0] = j
+			loss, _, lok := h.clean.Loss(s.one[:], ev.at, sc.TargetAge)
 			if !lok {
 				continue
 			}
 			o.BoundChecks++
-			if loss > b.bound {
+			if loss > bound {
 				o.BoundViolations++
 			}
 		}
@@ -452,7 +549,7 @@ func (r *runner) trial(trial int) (Obs, error) {
 	// the trial later loses its data); wrong recoveries after an
 	// unrecoverable event have nothing left to restore.
 	for _, f := range silents {
-		if err := r.classifySilentFault(&o, &hist, outs, f); err != nil {
+		if err := r.classifySilentFault(s, &o, f); err != nil {
 			return fail(err)
 		}
 	}
@@ -464,12 +561,41 @@ func (r *runner) trial(trial int) (Obs, error) {
 		if err != nil {
 			return fail(err)
 		}
-		r.applyWrongRecovery(&o, h.clean, outs, effOuts, actx, wr)
+		r.applyWrongRecovery(s, &o, h.clean, wr)
 	}
 	if o.Downtime > r.mission {
 		o.Downtime = r.mission
 	}
 	return o, nil
+}
+
+// sampleDisasters draws the trial's disaster arrivals in time order: a
+// Poisson process per failure scope over the mission window, each scope
+// on its own sub-stream (negative index space, disjoint from the device
+// streams). Gaps are drawn in float64 year space — rare scopes have mean
+// gaps of centuries, which overflow time.Duration — and only in-window
+// arrivals are converted back to instants.
+func (r *runner) sampleDisasters(s *scratch, tseed int64) []event {
+	evs := s.evs[:0]
+	missionYears := float64(r.mission) / float64(units.Year)
+	for si, scope := range failure.Scopes() {
+		freq := r.rates[scope]
+		if freq <= 0 {
+			continue
+		}
+		s.rand = rng.Reseed(s.rand, tseed, -1-si)
+		er := s.rand
+		for t := expGap(er, freq); t < missionYears; t += expGap(er, freq) {
+			at := chaos.CeilMinute(r.start + time.Duration(t*float64(units.Year)))
+			if at >= r.end {
+				break
+			}
+			evs = append(evs, event{at: at, scope: scope})
+		}
+	}
+	slices.SortStableFunc(evs, func(a, b event) int { return cmp.Compare(a.at, b.at) })
+	s.evs = evs
+	return evs
 }
 
 type event struct {
@@ -486,12 +612,16 @@ type history struct {
 }
 
 // histories are a trial's query windows in time order, disjoint, with
-// the faults every window replays under.
+// the faults every window replays under. store holds the Histories
+// earlier trials on the same scratch replayed into, the first used of
+// them by this trial's replays.
 type histories struct {
 	r       *runner
 	outs    []sim.Outage
 	silents []sim.SilentFault
 	wins    []history
+	store   []*sim.History
+	used    int
 }
 
 // at returns the history of the window holding query instant t, the
@@ -509,13 +639,13 @@ func (h *histories) at(t time.Duration) (*history, error) {
 	if w.s != nil {
 		return w, nil
 	}
-	s, err := h.r.sm.Run(h.outs, h.silents, w.from, w.to)
+	s, err := h.run(h.silents, w)
 	if err != nil {
 		return nil, err
 	}
 	clean := s
 	if len(h.silents) > 0 {
-		if clean, err = h.r.sm.Run(h.outs, nil, w.from, w.to); err != nil {
+		if clean, err = h.run(nil, w); err != nil {
 			return nil, err
 		}
 	}
@@ -523,17 +653,38 @@ func (h *histories) at(t time.Duration) (*history, error) {
 	return w, nil
 }
 
-// replay lays out the RP history windows the query instants can observe;
-// histories.at replays each on its first query. A query at T reads
-// nothing that fired before T-lookback (sim.Simulator.Lookback gives the
-// proof), so each instant needs the window [max(0, T-lookback), T],
-// clamped to the mission end. Overlapping windows merge, and each merged
-// window is replayed at most once, plus once more without the silent
-// faults for the clean history when there are any.
-func (r *runner) replay(ats []time.Duration, outs []sim.Outage, silents []sim.SilentFault) histories {
+// run replays window w under the trial's outages and the given silent
+// faults into the next History of the store, adding one when the store
+// is used up.
+func (h *histories) run(silents []sim.SilentFault, w *history) (*sim.History, error) {
+	var into *sim.History
+	if h.used < len(h.store) {
+		into = h.store[h.used]
+	}
+	s, err := h.r.sm.Run(into, h.outs, silents, w.from, w.to)
+	if err != nil {
+		return nil, err
+	}
+	if into == nil {
+		h.store = append(h.store, s)
+	}
+	h.used++
+	return s, nil
+}
+
+// replay lays out in h the RP history windows the query instants can
+// observe; histories.at replays each on its first query. A query at T
+// reads nothing that fired before T-lookback (sim.Simulator.Lookback
+// gives the proof), so each instant needs the window
+// [max(0, T-lookback), T], clamped to the mission end. Overlapping
+// windows merge, and each merged window is replayed at most once, plus
+// once more without the silent faults for the clean history when there
+// are any.
+func (r *runner) replay(h *histories, ats []time.Duration, outs []sim.Outage, silents []sim.SilentFault) {
 	slices.Sort(ats)
 	lookback := r.sm.Lookback()
-	h := histories{r: r, outs: outs, silents: silents, wins: make([]history, 0, len(ats))}
+	h.r, h.outs, h.silents = r, outs, silents
+	h.wins, h.used = h.wins[:0], 0
 	for _, at := range ats {
 		to := min(at, r.end)
 		from := max(0, to-lookback)
@@ -543,7 +694,6 @@ func (r *runner) replay(ats []time.Duration, outs []sim.Outage, silents []sim.Si
 		}
 		h.wins = append(h.wins, history{from: from, to: to})
 	}
-	return h
 }
 
 // expGap draws one exponential inter-arrival gap in years for a process
@@ -552,22 +702,46 @@ func expGap(r *rand.Rand, ratePerYear float64) float64 {
 	return -math.Log(1-r.Float64()) / ratePerYear
 }
 
-type boundKey struct {
+// boundEntry is one memoized analytic bound of a trial.
+type boundEntry struct {
 	level int
 	age   time.Duration
-}
-
-type boundVal struct {
 	bound time.Duration
 	ok    bool
 }
 
+// resetBounds readies the trial's analytic side for its schedule: the
+// bounds and degraded chain of outs, and no context or bound resolved.
+func (s *scratch) resetBounds(chain hierarchy.Chain, outs []sim.Outage) {
+	s.bounds.Reset(chain, outs)
+	s.boundCache = s.boundCache[:0]
+	for i := range s.ctxs {
+		s.ctxs[i].resolved = false
+	}
+}
+
+// bound returns chaos.AnalyticBound for level j at the target age under
+// the trial's schedule, resolving each (level, age) once. A trial asks
+// for a handful, so a scan finds them.
+func (s *scratch) bound(j int, age time.Duration) (time.Duration, bool) {
+	for _, b := range s.boundCache {
+		if b.level == j && b.age == age {
+			return b.bound, b.ok
+		}
+	}
+	bound, ok := s.bounds.Bound(j, age)
+	s.boundCache = append(s.boundCache, boundEntry{level: j, age: age, bound: bound, ok: ok})
+	return bound, ok
+}
+
 // eventContext caches the analytic context for one scope under one
 // trial's schedule: surviving levels, the worst-case recovery plan, and
-// the analytic recovery-time bound.
+// the analytic recovery-time bound. Its slices are the scratch's, reused
+// by the next trial.
 type eventContext struct {
+	resolved  bool
 	surviving []int
-	// steps is the analytic recovery path (nil when the analytic model
+	// steps is the analytic recovery path (empty when the analytic model
 	// deems the scenario unrecoverable even healthy).
 	steps []recovery.Step
 	// rtBound is the analytic recovery-time bound (units.Forever when
@@ -596,22 +770,24 @@ func scenarioFor(scope failure.Scope) failure.Scenario {
 // healthy model cannot recover, recovery time is unbounded. Only the plan
 // is resolved: the report fields of a core.Assessment are design
 // constants no trial reads.
-func (r *runner) context(sc failure.Scenario, effOuts []hierarchy.LevelOutage, cache map[failure.Scope]*eventContext) *eventContext {
-	if ctx, ok := cache[sc.Scope]; ok {
+func (r *runner) context(s *scratch, sc failure.Scenario) *eventContext {
+	ctx := &s.ctxs[sc.Scope]
+	if ctx.resolved {
 		return ctx
 	}
-	ctx := &eventContext{surviving: r.sys.SurvivingLevels(sc), rtBound: units.Forever}
-	plan, lost, err := r.sys.PlanDegradedCompound(sc, effOuts)
+	ctx.resolved = true
+	ctx.surviving = r.sys.SurvivingLevels(ctx.surviving[:0], sc)
+	ctx.steps, ctx.rtBound = ctx.steps[:0], units.Forever
+	plan, lost, err := r.sys.PlanDegradedCompound(sc, s.bounds.Degraded(), &s.plan)
 	if err != nil || lost || plan.Time() == units.Forever {
-		plan, lost, err = r.sys.PlanDegradedCompound(sc, nil)
+		plan, lost, err = r.sys.PlanDegradedCompound(sc, nil, &s.plan)
 	}
 	if err == nil && !lost {
 		if rt := plan.Time(); rt < units.Forever {
-			ctx.steps = plan.Steps
+			ctx.steps = append(ctx.steps, plan.Steps...)
 			ctx.rtBound = rt
 		}
 	}
-	cache[sc.Scope] = ctx
 	return ctx
 }
 
@@ -623,7 +799,7 @@ func (r *runner) context(sc failure.Scenario, effOuts []hierarchy.LevelOutage, c
 // analytic model is unrecoverable the event charges the rest of the
 // window.
 func (r *runner) eventRT(ctx *eventContext, plan sim.RestorePlan) time.Duration {
-	if ctx.steps == nil {
+	if len(ctx.steps) == 0 {
 		return units.Forever
 	}
 	var buf [2]recovery.Step // a restore has at most two hops
@@ -635,15 +811,14 @@ func (r *runner) eventRT(ctx *eventContext, plan sim.RestorePlan) time.Duration 
 	return recovery.Time(steps)
 }
 
-// sampleDevice draws one device's down intervals over [0, horizon) as
-// an alternating renewal process: up times from the failure
-// distribution, down times from the repair distribution, quantized to
-// whole minutes (the resolution every schedule generator in this repo
-// emits). The stream consumes two draws per cycle regardless of
+// sampleDevice appends to out one device's down intervals over
+// [0, horizon) as an alternating renewal process: up times from the
+// failure distribution, down times from the repair distribution,
+// quantized to whole minutes (the resolution every schedule generator in
+// this repo emits). The stream consumes two draws per cycle regardless of
 // parameters, so device streams stay aligned across candidate designs
 // sharing a fleet (common random numbers).
-func sampleDevice(r *rand.Rand, rel device.Reliability, horizon time.Duration) []interval {
-	var out []interval
+func sampleDevice(out []interval, r *rand.Rand, rel device.Reliability, horizon time.Duration) []interval {
 	var t time.Duration
 	for {
 		t += rel.Failure.Sample(r)
@@ -666,12 +841,13 @@ func sampleDevice(r *rand.Rand, rel device.Reliability, horizon time.Duration) [
 	}
 }
 
-// mergeIntervals sorts and merges overlapping or touching intervals.
+// mergeIntervals sorts and merges overlapping or touching intervals in
+// place, returning the merged prefix of ivs.
 func mergeIntervals(ivs []interval) []interval {
 	if len(ivs) <= 1 {
 		return ivs
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].from < ivs[j].from })
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.from, b.from) })
 	merged := ivs[:1]
 	for _, iv := range ivs[1:] {
 		last := &merged[len(merged)-1]
@@ -687,9 +863,9 @@ func mergeIntervals(ivs []interval) []interval {
 }
 
 // unionWithin returns the total time any outage is active within
-// [from, to).
-func unionWithin(outs []sim.Outage, from, to time.Duration) time.Duration {
-	ivs := make([]interval, 0, len(outs))
+// [from, to), and buf, the buffer it merged the clipped outages in.
+func unionWithin(buf []interval, outs []sim.Outage, from, to time.Duration) (time.Duration, []interval) {
+	ivs := buf[:0]
 	for _, o := range outs {
 		f, t := o.From, o.To
 		if f < from {
@@ -706,5 +882,5 @@ func unionWithin(outs []sim.Outage, from, to time.Duration) time.Duration {
 	for _, iv := range mergeIntervals(ivs) {
 		sum += iv.to - iv.from
 	}
-	return sum
+	return sum, ivs
 }

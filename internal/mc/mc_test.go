@@ -262,14 +262,11 @@ func TestMultiSitedLevelRefused(t *testing.T) {
 // that has one succeeds.
 func TestTrialReplayError(t *testing.T) {
 	c := &Campaign{Design: casestudy.AsyncBMirror(4), Seed: 3, Trials: 20, Op: OpRates{CommonOutage: 20}}
-	r, err := c.runner()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testRunner(t, c)
 	r.levelDevs = append(r.levelDevs, nil)
 	var failed int
 	for i := 0; i < c.Trials; i++ {
-		o, err := r.trial(i)
+		o, err := r.trial(new(scratch), i)
 		if err == nil {
 			if o.Events+o.OpEvents > 0 {
 				t.Errorf("trial %d queried a history without replaying it: %+v", i, o)

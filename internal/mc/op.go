@@ -7,7 +7,6 @@ import (
 	"stordep/internal/chaos"
 	"stordep/internal/cost"
 	"stordep/internal/failure"
-	"stordep/internal/hierarchy"
 	"stordep/internal/rng"
 	"stordep/internal/sim"
 	"stordep/internal/units"
@@ -46,19 +45,21 @@ const (
 )
 
 // opArrivals draws Poisson arrival instants over the mission window
-// (whole minutes) from one dedicated stream, returning the instants and
-// the stream for follow-on shape draws. The stream consumes one
-// uniform per arrival attempt plus the shape draws made by the caller
-// in arrival order, so schedules are reproducible from (seed, trial)
-// alone. A process that is off has no arrivals, so its stream is
-// neither seeded nor returned: callers draw shapes only per arrival.
-func (r *runner) opArrivals(tseed int64, stream int, ratePerYear float64) ([]time.Duration, *rand.Rand) {
+// (whole minutes) from one dedicated stream, returning the instants (in
+// s.arrivals) and the stream for follow-on shape draws. The stream
+// consumes one uniform per arrival attempt plus the shape draws made by
+// the caller in arrival order, so schedules are reproducible from
+// (seed, trial) alone. A process that is off has no arrivals, so its
+// stream is neither seeded nor returned: callers draw shapes only per
+// arrival.
+func (r *runner) opArrivals(s *scratch, tseed int64, stream int, ratePerYear float64) ([]time.Duration, *rand.Rand) {
 	if ratePerYear <= 0 {
 		return nil, nil
 	}
-	er := rng.Run(tseed, stream)
+	s.rand = rng.Reseed(s.rand, tseed, stream)
+	er := s.rand
 	missionYears := float64(r.mission) / float64(units.Year)
-	var ats []time.Duration
+	ats := s.arrivals[:0]
 	for t := expGap(er, ratePerYear); t < missionYears; t += expGap(er, ratePerYear) {
 		at := chaos.CeilMinute(r.start + time.Duration(t*float64(units.Year)))
 		if at >= r.end {
@@ -66,17 +67,18 @@ func (r *runner) opArrivals(tseed int64, stream int, ratePerYear float64) ([]tim
 		}
 		ats = append(ats, at)
 	}
+	s.arrivals = ats
 	return ats, er
 }
 
-// sampleCommonOutages draws correlated common-mode outage windows: each
-// arrival takes every protection level down for a duration on the
-// chain's cycle scale (0.3–2.5 cycles, whole minutes), the same window
-// law the chaos generator uses for correlated events.
-func (r *runner) sampleCommonOutages(tseed int64) []interval {
-	ats, shape := r.opArrivals(tseed, streamCommonOutage, r.c.Op.CommonOutage)
+// sampleCommonOutages draws correlated common-mode outage windows into
+// s.commons: each arrival takes every protection level down for a
+// duration on the chain's cycle scale (0.3–2.5 cycles, whole minutes),
+// the same window law the chaos generator uses for correlated events.
+func (r *runner) sampleCommonOutages(s *scratch, tseed int64) []interval {
+	ats, shape := r.opArrivals(s, tseed, streamCommonOutage, r.c.Op.CommonOutage)
 	cycle := chaos.MaxCycle(r.chain)
-	var out []interval
+	out := s.commons[:0]
 	for _, at := range ats {
 		down := chaos.Quantize(time.Duration((0.3 + 2.2*shape.Float64()) * float64(cycle)))
 		to := at + down
@@ -87,15 +89,16 @@ func (r *runner) sampleCommonOutages(tseed int64) []interval {
 			out = append(out, interval{from: at, to: to})
 		}
 	}
+	s.commons = out
 	return out
 }
 
-// sampleSilentFaults draws silent non-write windows: each arrival
-// silences one uniformly chosen level for 0.5–2.5 of its own cycle
-// periods — long enough to skip at least one capture.
-func (r *runner) sampleSilentFaults(tseed int64) []sim.SilentFault {
-	ats, shape := r.opArrivals(tseed, streamSilentNonWrite, r.c.Op.SilentNonWrite)
-	var out []sim.SilentFault
+// sampleSilentFaults draws silent non-write windows into s.silents: each
+// arrival silences one uniformly chosen level for 0.5–2.5 of its own
+// cycle periods — long enough to skip at least one capture.
+func (r *runner) sampleSilentFaults(s *scratch, tseed int64) []sim.SilentFault {
+	ats, shape := r.opArrivals(s, tseed, streamSilentNonWrite, r.c.Op.SilentNonWrite)
+	out := s.silents[:0]
 	for _, at := range ats {
 		level := 1 + int(shape.Float64()*float64(len(r.chain)))
 		if level > len(r.chain) {
@@ -111,6 +114,7 @@ func (r *runner) sampleSilentFaults(tseed int64) []sim.SilentFault {
 			out = append(out, sim.SilentFault{Level: level, From: at, To: to})
 		}
 	}
+	s.silents = out
 	return out
 }
 
@@ -122,16 +126,18 @@ type wrongRecovery struct {
 	staleBy time.Duration
 }
 
-// sampleWrongRecoveries draws wrong-recovery arrivals with staleness on
-// the chain's cycle scale (0.5–3 cycles, whole minutes).
-func (r *runner) sampleWrongRecoveries(tseed int64) []wrongRecovery {
-	ats, shape := r.opArrivals(tseed, streamWrongRecovery, r.c.Op.WrongRecovery)
+// sampleWrongRecoveries draws wrong-recovery arrivals into s.wrongs,
+// with staleness on the chain's cycle scale (0.5–3 cycles, whole
+// minutes).
+func (r *runner) sampleWrongRecoveries(s *scratch, tseed int64) []wrongRecovery {
+	ats, shape := r.opArrivals(s, tseed, streamWrongRecovery, r.c.Op.WrongRecovery)
 	cycle := chaos.MaxCycle(r.chain)
-	var out []wrongRecovery
+	out := s.wrongs[:0]
 	for _, at := range ats {
 		staleBy := chaos.Quantize(time.Duration((0.5 + 2.5*shape.Float64()) * float64(cycle)))
 		out = append(out, wrongRecovery{at: at, staleBy: staleBy})
 	}
+	s.wrongs = out
 	return out
 }
 
@@ -142,19 +148,16 @@ func (r *runner) sampleWrongRecoveries(tseed int64) []wrongRecovery {
 // caught and re-synced (protection was degraded for the window), an
 // escaped window is latent exposure the estimator surfaces only through
 // events that happen to land in it.
-func (r *runner) classifySilentFault(o *Obs, hist *histories, outs []sim.Outage, f sim.SilentFault) error {
-	all := make([]int, len(r.chain))
-	for i := range all {
-		all[i] = i + 1
-	}
+func (r *runner) classifySilentFault(s *scratch, o *Obs, f sim.SilentFault) error {
 	detected := false
-	for _, at := range r.probes(f) {
-		h, err := hist.at(at)
+	s.probes = r.appendProbes(s.probes[:0], f)
+	for _, at := range s.probes {
+		h, err := s.hist.at(at)
 		if err != nil {
 			return err
 		}
-		floss, _, fok := h.s.Loss(all, at, 0)
-		closs, _, cok := h.clean.Loss(all, at, 0)
+		floss, _, fok := h.s.Loss(r.all, at, 0)
+		closs, _, cok := h.clean.Loss(r.all, at, 0)
 		if cok && !fok {
 			detected = true // fails where the fault-free history recovers
 			break
@@ -162,7 +165,7 @@ func (r *runner) classifySilentFault(o *Obs, hist *histories, outs []sim.Outage,
 		if !fok {
 			continue
 		}
-		if bound, ok := chaos.AnalyticBound(r.chain, outs, f.Level, 0); ok && floss > bound {
+		if bound, ok := s.bound(f.Level, 0); ok && floss > bound {
 			detected = true // loss-bound violation surfaces the fault
 			break
 		}
@@ -183,32 +186,31 @@ func (r *runner) classifySilentFault(o *Obs, hist *histories, outs []sim.Outage,
 	return nil
 }
 
-// probes returns the instants at which a silent fault's consequences are
-// probed: its window plus two of the level's cycles, when the RPs it
-// poisoned are still retained.
-func (r *runner) probes(f sim.SilentFault) []time.Duration {
+// appendProbes appends the instants at which a silent fault's
+// consequences are probed: its window plus two of the level's cycles,
+// when the RPs it poisoned are still retained.
+func (r *runner) appendProbes(dst []time.Duration, f sim.SilentFault) []time.Duration {
 	cycle := r.chain[f.Level-1].Policy.CyclePeriod()
-	return probeGrid(f.From, f.To+2*cycle, r.end)
+	return appendProbeGrid(dst, f.From, f.To+2*cycle, r.end)
 }
 
-// probeGrid returns up to eight whole-minute probe instants spanning
-// [from, to], clipped to the mission window.
-func probeGrid(from, to, end time.Duration) []time.Duration {
+// appendProbeGrid appends up to eight whole-minute probe instants
+// spanning [from, to], clipped to the mission window.
+func appendProbeGrid(dst []time.Duration, from, to, end time.Duration) []time.Duration {
 	if to > end {
 		to = end
 	}
 	if to <= from {
-		return nil
+		return dst
 	}
 	step := (to - from) / 7
 	if step < time.Minute {
 		step = time.Minute
 	}
-	var out []time.Duration
 	for at := from; at <= to; at += step {
-		out = append(out, chaos.CeilMinute(at))
+		dst = append(dst, chaos.CeilMinute(at))
 	}
-	return out
+	return dst
 }
 
 // applyWrongRecovery classifies and charges one wrong-recovery fault.
@@ -219,18 +221,14 @@ func probeGrid(from, to, end time.Duration) []time.Duration {
 // fault is redone — the service is down for one more recovery pass. An
 // escaped fault silently rolls the object back: the staleness stands as
 // real data loss.
-func (r *runner) applyWrongRecovery(o *Obs, clean *sim.History, outs []sim.Outage, effOuts []hierarchy.LevelOutage, actx map[failure.Scope]*eventContext, wr wrongRecovery) {
+func (r *runner) applyWrongRecovery(s *scratch, o *Obs, clean *sim.History, wr wrongRecovery) {
 	o.OpEvents++
 	req := r.c.Design.Requirements
-	all := make([]int, len(r.chain))
-	for i := range all {
-		all[i] = i + 1
-	}
-	staleLoss, level, ok := clean.Loss(all, wr.at, wr.staleBy)
+	staleLoss, level, ok := clean.Loss(r.all, wr.at, wr.staleBy)
 	detected := !ok
 	if ok {
 		actual := staleLoss + wr.staleBy
-		if bound, bok := chaos.AnalyticBound(r.chain, outs, level, 0); bok && actual > bound {
+		if bound, bok := s.bound(level, 0); bok && actual > bound {
 			detected = true
 		}
 	}
@@ -238,8 +236,7 @@ func (r *runner) applyWrongRecovery(o *Obs, clean *sim.History, outs []sim.Outag
 		o.OpDetected++
 		// Redo the restore correctly: one recovery pass of downtime at
 		// the analytic estimate for a full restore from protection.
-		sc := scenarioFor(failure.ScopeArray)
-		ctx := r.context(sc, effOuts, actx)
+		ctx := r.context(s, scenarioFor(failure.ScopeArray))
 		rt := ctx.rtBound
 		if rt > r.end-wr.at {
 			rt = r.end - wr.at

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"stordep/internal/casestudy"
-	"stordep/internal/failure"
 )
 
 // opCampaign is the shared fixture: all three operator-fault processes
@@ -167,17 +166,15 @@ func TestOpNinesShift(t *testing.T) {
 // one recovery pass of downtime.
 func TestWrongRecoveryDetectedRedo(t *testing.T) {
 	c := opCampaign(1)
-	r, err := c.runner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := r.sm.Run(nil, nil, 0, r.end)
+	r := testRunner(t, c)
+	clean, err := r.sm.Run(nil, nil, nil, 0, r.end)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var o Obs
-	actx := make(map[failure.Scope]*eventContext)
-	r.applyWrongRecovery(&o, clean, nil, nil, actx, wrongRecovery{
+	s := new(scratch)
+	s.resetBounds(r.chain, nil)
+	r.applyWrongRecovery(s, &o, clean, wrongRecovery{
 		at:      r.start + r.mission/2,
 		staleBy: r.mission, // far past every retention window
 	})

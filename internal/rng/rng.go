@@ -30,7 +30,8 @@
 // Both tables are built at init from the standard library: the powers
 // of 48271 directly, and the constant table, which math/rand does not
 // export, from the first 607 draws of seed 1 (see source.go).
-// TestRunMatchesMathRand and FuzzRunMatchesMathRand hold the contract.
+// TestRunMatchesMathRand and FuzzRunMatchesMathRand hold the contract,
+// and TestReseedMatchesRun holds it for a stream Reseed re-seeds.
 //
 // # Seed fold
 //
@@ -67,4 +68,18 @@ func SubSeed(seed int64, run int) int64 {
 // cost (see the package doc).
 func Run(seed int64, run int) *rand.Rand {
 	return rand.New(newSource(SubSeed(seed, run)))
+}
+
+// Reseed re-seeds r in place to the stream Run(seed, run) returns and
+// returns r, so a caller that draws one stream after another (a Monte
+// Carlo trial seeds one per device and per arrival process) allocates a
+// single rand.Rand for all of them. A nil r gets a new stream from Run.
+// Otherwise r must come from Run: its source re-seeds without a register
+// fill and keeps its hand-off storage (see the package doc).
+func Reseed(r *rand.Rand, seed int64, run int) *rand.Rand {
+	if r == nil {
+		return Run(seed, run)
+	}
+	r.Seed(SubSeed(seed, run))
+	return r
 }

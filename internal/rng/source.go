@@ -73,11 +73,12 @@ func foldSeed(seed int64) uint64 {
 // draw for draw. Its first lagTap draws come in closed form from the
 // seeded register words, so seeding costs no register fill; draw lagTap
 // seeds the standard source, skips the draws already made and hands
-// every later draw to it.
+// every later draw to it. Seed keeps that standard source, so a source
+// re-seeded stream after stream (Reseed) allocates it at most once.
 type source struct {
 	x0   uint64        // folded seed
-	n    int           // closed-form draws made so far
-	tail rand.Source64 // the standard source, after the hand-off
+	n    int           // draws made so far, counted up to the hand-off
+	tail rand.Source64 // the standard source, live once n passes lagTap
 }
 
 func newSource(seed int64) *source {
@@ -86,7 +87,7 @@ func newSource(seed int64) *source {
 
 // Seed re-seeds the source, as rand.Source requires.
 func (s *source) Seed(seed int64) {
-	*s = source{x0: foldSeed(seed)}
+	s.x0, s.n = foldSeed(seed), 0
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
@@ -96,19 +97,23 @@ func (s *source) Int63() int64 {
 
 // Uint64 returns a pseudo-random 64-bit integer.
 func (s *source) Uint64() uint64 {
-	if s.tail != nil {
+	k := s.n
+	if k > lagTap {
 		return s.tail.Uint64()
 	}
-	k := s.n
+	s.n++
 	if k == lagTap {
-		s.tail = rand.NewSource(int64(s.x0)).(rand.Source64)
+		if s.tail == nil {
+			s.tail = rand.NewSource(int64(s.x0)).(rand.Source64)
+		} else {
+			s.tail.Seed(int64(s.x0))
+		}
 		for range lagTap {
 			s.tail.Uint64()
 		}
 		return s.tail.Uint64()
 	}
 	// Draw k < lagTap sums two words no earlier draw has written.
-	s.n++
 	feed, tap := lagLen-lagTap-1-k, lagLen-1-k
 	return (lcgWord(s.x0, feed) ^ cooked[feed]) + (lcgWord(s.x0, tap) ^ cooked[tap])
 }

@@ -160,3 +160,49 @@ func BenchmarkRun(b *testing.B) {
 		seedAndDraw(i)
 	}
 }
+
+// TestReseedMatchesRun holds Reseed's contract: a stream re-seeded in
+// place draws exactly what Run returns for the same (seed, run), whether
+// it was re-seeded before the hand-off at draw lagTap or after it (when
+// its standard source is live and is re-seeded rather than replaced), and
+// on across the hand-off of the re-seeded stream.
+func TestReseedMatchesRun(t *testing.T) {
+	const calls = 900 // past draw lagTap whatever the methods drawn
+	var r *rand.Rand
+	for i := 0; i < 64; i++ {
+		// Leave the stream short of the hand-off on even rounds and
+		// past it on odd ones (the first round starts from nil).
+		for n := 0; r != nil && n < (i%2)*lagLen+i; n++ {
+			r.Uint64()
+		}
+		seed, run := int64(SplitMix64(uint64(i))), int(SplitMix64(^uint64(i))%1000)-500
+		if i < len(edgeSeeds) {
+			seed = edgeSeeds[i]
+		}
+		r = Reseed(r, seed, run)
+		sameStream(t, fmt.Sprintf("Reseed(%d, %d) after round %d", seed, run, i),
+			r, Run(seed, run), uint64(i), calls, -1, 0)
+		r = Reseed(r, seed, run)
+		sameStream(t, fmt.Sprintf("Reseed(%d, %d) against math/rand", seed, run),
+			r, rand.New(rand.NewSource(SubSeed(seed, run))), uint64(i)+1, calls, -1, 0)
+	}
+}
+
+// TestReseedAllocBudget: re-seeding a stream and drawing from it
+// allocates nothing, which is what lets a Monte Carlo trial keep one
+// stream for all of its processes.
+func TestReseedAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	r := Run(9, 0)
+	run := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		r = Reseed(r, 9, run)
+		sink += r.Float64() + r.ExpFloat64()
+		run++
+	})
+	if allocs != 0 {
+		t.Errorf("Reseed plus 2 draws allocates %.1f times, want 0", allocs)
+	}
+}

@@ -15,7 +15,9 @@
 // facts (WarmUp, Lookback). Run replays the chain under a fault schedule
 // over a time window and returns an immutable History, which answers
 // every query about the RPs the replay produced. A Simulator is never
-// modified after New, so one may serve many Runs, concurrently too.
+// modified after New, so one may serve many Runs, concurrently too. A
+// caller replaying window after window (a Monte Carlo trial) hands Run
+// a History it has finished reading, and Run replays into its storage.
 package sim
 
 import (
@@ -177,13 +179,17 @@ func New(c hierarchy.Chain) (*Simulator, error) {
 
 // History is the RP history one Run produced: every RP each level fired
 // in the run's window, retained or expired. It is never modified after
-// Run returns it.
+// Run returns it, unless it is handed to a later Run to replay into.
 type History struct {
 	chain   hierarchy.Chain
 	levels  [][]RP // retained and expired RPs per level, in fire order (span relies on it)
 	outages []Outage
 	silents []SilentFault
 	until   time.Duration
+	// block backs the levels' RP lists and queue is the replay's event
+	// queue, both kept for a later Run into the same History.
+	block []RP
+	queue eventQueue
 }
 
 // Run replays the RP propagation that fires in [from, until] under the
@@ -193,10 +199,17 @@ type History struct {
 // exactly as a run from 0 to any horizon H >= T would, provided
 // T-from >= Lookback() (Lookback's doc gives the proof).
 //
+// into, when not nil, is a History an earlier Run returned (of this or
+// any Simulator) that the caller has finished reading: Run replays into
+// its RP block and event queue, growing them only when the window needs
+// more room, and returns it. With into nil Run replays into fresh
+// storage.
+//
 // Run rejects a fault on a level outside the chain or with an empty or
-// negative window. It keeps outs and silents by reference, without
-// copying them: callers may not modify them while the History is in use.
-func (s *Simulator) Run(outs []Outage, silents []SilentFault, from, until time.Duration) (*History, error) {
+// negative window, leaving into untouched. It keeps outs and silents by
+// reference, without copying them: callers may not modify them while the
+// History is in use.
+func (s *Simulator) Run(into *History, outs []Outage, silents []SilentFault, from, until time.Duration) (*History, error) {
 	for _, o := range outs {
 		if o.Level < 1 || o.Level > len(s.chain) {
 			return nil, fmt.Errorf("sim: outage level %d out of range", o.Level)
@@ -219,8 +232,16 @@ func (s *Simulator) Run(outs []Outage, silents []SilentFault, from, until time.D
 	if from < 0 || from > until {
 		return nil, fmt.Errorf("sim: run start %v outside [0, %v]", from, until)
 	}
-	h := &History{chain: s.chain, levels: s.rpLists(until - from), outages: outs, silents: silents, until: until}
-	q := make(eventQueue, 0, s.streams())
+	h := into
+	if h == nil {
+		h = new(History)
+	}
+	h.chain, h.outages, h.silents, h.until = s.chain, outs, silents, until
+	s.rpLists(h, until-from)
+	q := h.queue[:0]
+	if n := s.streams(); cap(q) < n {
+		q = make(eventQueue, 0, n)
+	}
 	var seq int64
 	push := func(e event) {
 		e.seq = seq
@@ -258,6 +279,7 @@ func (s *Simulator) Run(outs []Outage, silents []SilentFault, from, until time.D
 		e.at += s.chain[e.level-1].Policy.CyclePeriod()
 		push(e)
 	}
+	h.queue = q
 	return h, nil
 }
 
@@ -265,24 +287,31 @@ func (s *Simulator) Run(outs []Outage, silents []SilentFault, from, until time.D
 // longer run grows its lists as it fires.
 const maxPresizedRPs = 1 << 20
 
-// rpLists returns each level's empty RP list for a run over a window of
-// length span, all backed by one array sized so that no list regrows.
-// Sizing by the replayed window rather than the mission keeps a windowed
-// replay of one-minute mirror cycles at a few RPs.
-func (s *Simulator) rpLists(span time.Duration) [][]RP {
-	lists := make([][]RP, len(s.chain))
+// rpLists sets each of h's level RP lists empty for a run over a window
+// of length span, all backed by h's block, which grows to the size where
+// no list regrows. Sizing by the replayed window rather than the mission
+// keeps a windowed replay of one-minute mirror cycles at a few RPs.
+func (s *Simulator) rpLists(h *History, span time.Duration) {
+	n := len(s.chain)
+	if cap(h.levels) < n {
+		h.levels = make([][]RP, n)
+	}
+	h.levels = h.levels[:n]
 	total := 0
 	for _, lvl := range s.chain {
 		if total += levelRPs(&lvl.Policy, span); total > maxPresizedRPs {
-			return lists
+			clear(h.levels)
+			return
 		}
 	}
-	block := make([]RP, total)
+	if cap(h.block) < total {
+		h.block = make([]RP, total)
+	}
+	block := h.block[:total]
 	for j := range s.chain {
 		n := levelRPs(&s.chain[j].Policy, span)
-		lists[j], block = block[:0:n], block[n:]
+		h.levels[j], block = block[:0:n], block[n:]
 	}
-	return lists
 }
 
 // levelRPs bounds the RPs a level of policy pol appends in a window of

@@ -60,7 +60,7 @@ func runErr(t *testing.T, outs []Outage, silents []SilentFault, from, until time
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.Run(outs, silents, from, until)
+	h, err := s.Run(nil, outs, silents, from, until)
 	if (h == nil) == (err == nil) {
 		t.Errorf("Run = %v, %v: want a History or an error", h, err)
 	}

@@ -37,7 +37,7 @@ func runWith(t *testing.T, c hierarchy.Chain, outs []Outage, silents []SilentFau
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.Run(outs, silents, from, until)
+	h, err := s.Run(nil, outs, silents, from, until)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,5 +404,45 @@ func TestRPListsSizedOnce(t *testing.T) {
 	t.Logf("%d of %d level runs reach the bound", tight, runs)
 	if tight == 0 {
 		t.Error("no run reaches the bound")
+	}
+}
+
+// TestRunIntoReusedHistory: a Run into a History an earlier Run returned
+// fires exactly the RPs a Run into fresh storage does, whatever chain,
+// faults and window the earlier Run had (more levels or fewer, a longer
+// window or a shorter one), and returns the History it was handed.
+func TestRunIntoReusedHistory(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var reused *History
+	for trial := 0; trial < 200; trial++ {
+		c := randomChain(r)
+		s, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := quanta(r, 0, 400)
+		until := from + quanta(r, 1, 400)
+		outs, silents := randomFaults(r, c, until)
+		want := runWith(t, c, outs, silents, from, until)
+		got, err := s.Run(reused, outs, silents, from, until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused != nil && got != reused {
+			t.Fatalf("trial %d: Run returned new storage, not the History it was handed", trial)
+		}
+		reused = got
+		if len(got.levels) != len(c) {
+			t.Fatalf("trial %d: %d level lists for %d levels", trial, len(got.levels), len(c))
+		}
+		for j := range c {
+			if !slices.Equal(got.levels[j], want.levels[j]) {
+				t.Fatalf("trial %d, chain %v, window [%v, %v]: level %d fired %v into reused storage, %v into fresh",
+					trial, c, from, until, j+1, got.levels[j], want.levels[j])
+			}
+		}
+		if err := sameAnswers(got, want, until, []time.Duration{0, quanta(r, 1, 24)}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
