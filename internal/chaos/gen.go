@@ -122,6 +122,12 @@ func scheduleFor(r *rand.Rand, d *core.Design) *Case {
 	}
 }
 
+// RandomDesign draws a design as a campaign's generator does, before the
+// campaign checks it: like the draws a campaign rejects and draws again,
+// it may fail validation or its build. Property tests outside this
+// package draw varied designs from it.
+func RandomDesign(r *rand.Rand, run int) *core.Design { return genDesign(r, run) }
+
 // genDesign draws a random design: workload, penalty rates, fleet, and a
 // one-to-three level protection hierarchy (near-line copy or remote
 // mirror, tape backup with optional cyclic incrementals, remote vault).

@@ -44,7 +44,7 @@ func NewDeltaAssessor(base *Design, scs []failure.Scenario) (*DeltaAssessor, err
 	if !ok {
 		return nil, fmt.Errorf("core: delta: base design not re-assessable")
 	}
-	if err := Probe(base, scs, outlays, briefs); err != nil {
+	if err := Probe(new(System), new(Scratch), base, scs, outlays, briefs); err != nil {
 		return nil, fmt.Errorf("core: delta: %w", err)
 	}
 	return da, nil

@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"stordep/internal/cost"
@@ -31,15 +32,26 @@ type PlacedDevice struct {
 	SparePlacement failure.Placement
 }
 
-// effectiveSparePlacement applies the same-site default.
-func (p PlacedDevice) effectiveSparePlacement() failure.Placement {
+// sparePlacement returns the effective spare placement: SparePlacement,
+// or by default the device's own placement in a separate "-spare"
+// array. A rebuild passes as prev the placement it derived last time,
+// returned when it still applies, so an unchanged default does not
+// concatenate its array name again.
+func (p *PlacedDevice) sparePlacement(prev failure.Placement) failure.Placement {
 	if p.SparePlacement != (failure.Placement{}) {
 		return p.SparePlacement
 	}
-	sp := p.Placement
-	if sp.Array != "" {
-		sp.Array += "-spare"
+	const suffix = "-spare"
+	sp, array := p.Placement, p.Placement.Array
+	if array == "" {
+		return sp
 	}
+	sp.Array = prev.Array
+	if sp == prev && len(prev.Array) == len(array)+len(suffix) &&
+		strings.HasPrefix(prev.Array, array) && strings.HasSuffix(prev.Array, suffix) {
+		return prev
+	}
+	sp.Array = array + suffix
 	return sp
 }
 
@@ -95,13 +107,14 @@ var (
 // validates individually, device names are unique, and every technique
 // references devices that exist.
 func (d *Design) Validate() error {
-	_, err := d.validate()
+	_, err := d.validate(nil)
 	return err
 }
 
 // validate is Validate returning the design's chain, which it assembles
-// to check, so that Build assembles it once.
-func (d *Design) validate() (hierarchy.Chain, error) {
+// to check, in buf's storage when it has room, so that a build assembles
+// it once.
+func (d *Design) validate(buf hierarchy.Chain) (hierarchy.Chain, error) {
 	if d.Workload == nil {
 		return nil, ErrNoWorkload
 	}
@@ -155,7 +168,7 @@ func (d *Design) validate() (hierarchy.Chain, error) {
 		}
 	}
 	// The hierarchy chain must also hold together.
-	chain := d.Chain()
+	chain := d.appendChain(buf[:0])
 	if len(d.Levels) > 0 {
 		if err := chain.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -165,8 +178,15 @@ func (d *Design) validate() (hierarchy.Chain, error) {
 }
 
 // Chain assembles the hierarchy levels from the design's techniques.
-func (d *Design) Chain() hierarchy.Chain {
-	c := make(hierarchy.Chain, 0, len(d.Levels))
+func (d *Design) Chain() hierarchy.Chain { return d.appendChain(nil) }
+
+// appendChain assembles the chain into c's storage, emptied, when it
+// has room for every level, and into a new chain otherwise.
+func (d *Design) appendChain(c hierarchy.Chain) hierarchy.Chain {
+	if c == nil || cap(c) < len(d.Levels) {
+		c = make(hierarchy.Chain, 0, len(d.Levels))
+	}
+	c = c[:0]
 	for _, tech := range d.Levels {
 		c = append(c, tech.Level())
 	}

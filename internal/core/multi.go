@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"stordep/internal/cost"
+	"stordep/internal/device"
 	"stordep/internal/failure"
 	"stordep/internal/hierarchy"
 	"stordep/internal/protect"
@@ -194,7 +195,7 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 	for _, obj := range md.Objects {
 		room += len(obj.Levels) + 1
 	}
-	devs := newDevices(md.Devices, room)
+	devs := newDevices(new(device.Fleet), md.Devices, room)
 	ms := &MultiSystem{
 		design:  md,
 		devices: devs,
@@ -218,7 +219,7 @@ func BuildMulti(md *MultiDesign) (*MultiSystem, error) {
 	// Outlays are computed once over the shared fleet; facility retainer
 	// piggybacks on the first object's placement view (the fleet and
 	// facility are shared). Every object view carries them.
-	ms.outlays = collectOutlays(md.ObjectDesign(md.Objects[0]), devs)
+	ms.outlays = collectOutlays(nil, md.ObjectDesign(md.Objects[0]), devs)
 	for _, obj := range md.Objects {
 		od := md.ObjectDesign(obj)
 		ms.objects[obj.Name] = newSystem(od, od.Chain(), devs, ms.outlays)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"time"
+	"unsafe"
 
 	"stordep/internal/device"
 	"stordep/internal/failure"
@@ -77,8 +78,11 @@ type Assembler struct {
 func (k *BatchKernel) NewAssembler() *Assembler {
 	nD := k.nDevices
 	a := &Assembler{
-		k:        k,
-		fleet:    make(protect.DeviceMap, nD),
+		k: k,
+		// The capture fleet, demand-free, with room in one array for the
+		// one demand per device a technique registers (see Build), so no
+		// capture grows a device's list.
+		fleet:    newDevices(new(device.Fleet), k.sys.design.Devices, 1),
 		totBW:    make([]units.Rate, nD),
 		totCap:   make([]units.ByteSize, nD),
 		rowTech:  make([]string, nD*k.maxRows()),
@@ -87,9 +91,6 @@ func (k *BatchKernel) NewAssembler() *Assembler {
 		frags:    make([]*Fragment, k.nLevels),
 		specs:    make([]*device.Spec, nD),
 		repl:     make([]Fragment, k.nLevels),
-	}
-	for i, dev := range k.sys.devices {
-		a.fleet[i] = dev.Clone()
 	}
 	return a
 }
@@ -100,9 +101,12 @@ func (k *BatchKernel) NewAssembler() *Assembler {
 // are policy/workload arithmetic only — no technique reads its devices'
 // specs or prior demands — so a capture on the clean base-spec fleet
 // yields exactly the records Build's shared fleet receives from tech, in
-// the same order. The records are appended to buf (may be nil), whose
-// backing array the fragment adopts.
-func (a *Assembler) Fragment(tech protect.Technique, buf []IndexedDemand) (Fragment, error) {
+// the same order. Once the level's n records are captured, and before
+// any is copied, room(n) returns the buffer they are appended to, which
+// should have free capacity for n (a short one regrows as append
+// grows it); the fragment adopts its backing array. A nil room means a
+// new array of exactly n.
+func (a *Assembler) Fragment(tech protect.Technique, room func(n int) []IndexedDemand) (Fragment, error) {
 	k := a.k
 	f := Fragment{Transport: -1}
 	if err := tech.Validate(); err != nil {
@@ -136,18 +140,29 @@ func (a *Assembler) Fragment(tech protect.Technique, buf []IndexedDemand) (Fragm
 		f.Transport = int32(ti)
 	}
 	var err error
-	f.Demands, err = a.capture(tech.ApplyDemands, buf)
+	f.Demands, err = a.capture(tech.ApplyDemands, room)
 	return f, err
 }
 
-// capture runs apply on the clean capture fleet and appends the demands
-// it registers, in device order, to buf.
-func (a *Assembler) capture(apply func(*workload.Workload, protect.DeviceMap) error, buf []IndexedDemand) ([]IndexedDemand, error) {
+// capture runs apply on the clean capture fleet, counts the demands it
+// registers, and appends them, in device order, to the buffer room
+// returns for that count (see Fragment).
+func (a *Assembler) capture(apply func(*workload.Workload, protect.DeviceMap) error, room func(n int) []IndexedDemand) ([]IndexedDemand, error) {
 	for _, dev := range a.fleet {
 		dev.ResetDemands()
 	}
 	if err := apply(a.k.sys.design.Workload, a.fleet); err != nil {
-		return buf, err
+		return nil, err
+	}
+	n := 0
+	for _, dev := range a.fleet {
+		n += dev.NumDemands()
+	}
+	var buf []IndexedDemand
+	if room != nil {
+		buf = room(n)
+	} else if n > 0 {
+		buf = make([]IndexedDemand, 0, n)
 	}
 	for di, dev := range a.fleet {
 		for i, n := 0, dev.NumDemands(); i < n; i++ {
@@ -176,7 +191,7 @@ func (a *Assembler) Row(d *Design, cols *Cols, row int) bool {
 		a.specs[i] = k.BaseSpec(i)
 	}
 	for _, j := range a.touch.Levels {
-		f, err := a.Fragment(d.Levels[j], a.repl[j].Demands[:0])
+		f, err := a.Fragment(d.Levels[j], func(int) []IndexedDemand { return a.repl[j].Demands[:0] })
 		if err != nil {
 			return false
 		}
@@ -318,7 +333,8 @@ func (a *Assembler) addDemands(recs []IndexedDemand, specs []*device.Spec) bool 
 // different level or device count; a moved device; a spec change to a
 // name, kind, delay or spare (which the kernel froze); a changed spec
 // that fails device.Spec.Validate; or a reconfigured multi-sited level.
-// Comparisons are typed and allocation-free.
+// Comparisons are typed and allocation-free, after a device first
+// compares its memory with its base counterpart's (sameMemory).
 func (k *BatchKernel) Diff(d *Design, t *Touch) bool {
 	b := k.sys.design
 	t.Levels, t.Devices = t.Levels[:0], t.Devices[:0]
@@ -332,6 +348,9 @@ func (k *BatchKernel) Diff(d *Design, t *Touch) bool {
 	}
 	for i := range d.Devices {
 		dp, bp := &d.Devices[i], &b.Devices[i]
+		if sameMemory(dp, bp) {
+			continue // a device no knob wrote, as most are
+		}
 		if dp.Placement != bp.Placement || dp.SparePlacement != bp.SparePlacement {
 			return false
 		}
@@ -364,6 +383,19 @@ func (k *BatchKernel) Diff(d *Design, t *Touch) bool {
 		t.Levels = append(t.Levels, j)
 	}
 	return true
+}
+
+// sameMemory reports whether two placed devices hold the same bytes, the
+// test Diff runs before comparing a device field by field. A device
+// copied from the base that no knob wrote passes it: its strings share
+// the base's text and its numbers have the base's bits. Equal bytes mean
+// equal fields, except that a NaN equals itself here, which only keeps
+// an unchanged device out of the touch set. Unequal bytes (a -0 for a 0,
+// equal text stored elsewhere, padding) leave the answer to the field
+// comparison.
+func sameMemory(a, b *PlacedDevice) bool {
+	n := int(unsafe.Sizeof(*a))
+	return unsafe.String((*byte)(unsafe.Pointer(a)), n) == unsafe.String((*byte)(unsafe.Pointer(b)), n)
 }
 
 // levelEqual reports whether a candidate level equals its base
@@ -410,10 +442,12 @@ func ptrEqual[T comparable](p, q *T) bool {
 // Build plus AssessBrief: the outlay total, then each of the Briefs
 // (one per scenario of scs) compared field by field. A nil error means
 // the fast path reproduced the reference bit for bit; every fast path
-// verifies itself through this one check.
-func Probe(d *Design, scs []failure.Scenario, outlays units.Money, briefs []Brief) error {
-	sys, err := Build(d)
-	if err != nil {
+// verifies itself through this one check. The reference build goes into
+// sys (System.Rebuild) and its assessments use scratch, so a caller
+// probing again and again holds one of each; sys holds d's build
+// afterwards.
+func Probe(sys *System, scratch *Scratch, d *Design, scs []failure.Scenario, outlays units.Money, briefs []Brief) error {
+	if err := sys.Rebuild(d); err != nil {
 		return fmt.Errorf("core: probe: build fails (%v) but the fast path assessed the design", err)
 	}
 	if outlays != sys.outlaysTotal {
@@ -422,9 +456,8 @@ func Probe(d *Design, scs []failure.Scenario, outlays units.Money, briefs []Brie
 	if len(briefs) != len(scs) {
 		return fmt.Errorf("core: probe: %d briefs for %d scenarios", len(briefs), len(scs))
 	}
-	var scratch Scratch
 	for si, sc := range scs {
-		want, err := sys.AssessBrief(sc, &scratch)
+		want, err := sys.AssessBrief(sc, scratch)
 		if err != nil {
 			return fmt.Errorf("core: probe: scenario %d: %w", si, err)
 		}

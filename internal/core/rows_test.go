@@ -2,13 +2,16 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"stordep/internal/casestudy"
 	"stordep/internal/core"
+	"stordep/internal/failure"
 )
 
 // changeEachField walks every field reachable from v (an addressable
@@ -150,5 +153,82 @@ func TestDiffReportsEveryField(t *testing.T) {
 		if !found {
 			t.Errorf("walk never reached %s", name)
 		}
+	}
+}
+
+// TestFragmentCapturesWithoutAllocating: a new Assembler's capture fleet
+// has room in one array for the demand a technique registers on each
+// device, and Fragment counts a level's records before it asks room for
+// their buffer. So the first captures of every level on a new Assembler,
+// as each search's extraction makes, allocate nothing. A fleet of
+// demand-free device copies, whose lists grow on their first capture,
+// allocates 4 times (192 bytes) on Baseline.
+func TestFragmentCapturesWithoutAllocating(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, d := range []*core.Design{casestudy.Baseline(), casestudy.AsyncBMirror(5)} {
+		sys, err := core.Build(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern, err := core.NewBatchKernel(sys, failure.CaseStudyScenarios())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := kern.NewAssembler()
+		buf := make([]core.IndexedDemand, 0, 64)
+		short := false
+		room := func(n int) []core.IndexedDemand {
+			short = short || cap(buf) < n
+			return buf[:0]
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, tech := range d.Levels {
+			if _, err := a.Fragment(tech, room); err != nil {
+				t.Fatalf("%s: %s: %v", d.Name, tech.Name(), err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if short {
+			t.Fatalf("%s: a level captures more than 64 records", d.Name)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: first captures on a new Assembler allocate %d times (%d bytes), want 0",
+				d.Name, n, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+}
+
+// TestDiffSameDeviceOtherMemory: Diff compares a device's memory with
+// its base counterpart's before its fields. A device equal field by
+// field but not in memory, its names' text stored elsewhere and a -0
+// where the base has 0, must still count as unchanged.
+func TestDiffSameDeviceOtherMemory(t *testing.T) {
+	base := casestudy.Baseline()
+	sys, err := core.Build(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := core.NewBatchKernel(sys, deltaScenarios())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cloneDesign(t, base)
+	zeros := 0
+	for i := range d.Devices {
+		pd := &d.Devices[i]
+		pd.Spec.Name = strings.Clone(pd.Spec.Name)
+		pd.Placement.Site = strings.Clone(pd.Placement.Site)
+		if pd.Spec.Cost.PerShipment == 0 {
+			pd.Spec.Cost.PerShipment = math.Copysign(0, -1)
+			zeros++
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("no device has a zero shipment cost to negate")
+	}
+	var touch core.Touch
+	if !kern.Diff(d, &touch) || len(touch.Levels)+len(touch.Devices) != 0 {
+		t.Fatalf("devices equal to the base's but stored elsewhere differ: %+v", touch)
 	}
 }

@@ -19,6 +19,14 @@ import (
 // its design in place (levels, placements, requirements, and the device
 // specs its devices point at), so the design must not be modified while
 // the System is in use.
+//
+// A System the caller holds can be rebuilt with another design
+// (Rebuild), reusing its storage. Everything the System handed out
+// before, its chain, outlay items and devices, then belongs to the new
+// build: it stays valid only until the next Rebuild or Reset. So a
+// reused System suits a private, short-lived use, such as one probe or
+// one candidate's evaluation, and must not be shared with code that
+// keeps what it returns.
 type System struct {
 	design  *Design
 	devices protect.DeviceMap
@@ -28,49 +36,88 @@ type System struct {
 	outlaysTotal units.Money
 	// spareAt caches each spared device's effective spare placement
 	// (scenario-independent), indexed as Design.Devices, so per-scenario
-	// resolution never rebuilds the derived placement. It is nil when no
-	// device has a spare.
+	// resolution never rebuilds the derived placement. Only spared
+	// devices' entries are meaningful; it is empty when no device has a
+	// spare.
 	spareAt []failure.Placement
+	// fleet is the devices' storage, which Rebuild refits.
+	fleet device.Fleet
 }
 
 // Build validates the design, instantiates its devices, applies every
 // technique's normal-mode demands, and verifies the configuration can
 // carry them (the global half of §3.3.1 — any device over 100% utilization
-// is a design error).
+// is a design error). It is Rebuild into a new System.
 func Build(d *Design) (*System, error) {
-	chain, err := d.validate()
-	if err != nil {
+	sys := new(System)
+	if err := sys.Rebuild(d); err != nil {
 		return nil, err
 	}
-	// The primary copy and each level register at most one demand per
-	// device.
-	devs := newDevices(d.Devices, len(d.Levels)+1)
-	if err := d.Primary.ApplyDemands(d.Workload, devs); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	for i, tech := range d.Levels {
-		if err := tech.ApplyDemands(d.Workload, devs); err != nil {
-			return nil, fmt.Errorf("core: level %d (%s): %w", i+1, tech.Name(), err)
-		}
-	}
-	for _, dev := range devs {
-		if err := dev.Check(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	return newSystem(d, chain, devs, collectOutlays(d, devs)), nil
+	return sys, nil
 }
 
-// newDevices instantiates placed devices, demand-free, in design order,
-// in one block with room for room demands each before a device's list
+// Rebuild builds d into s as Build does, reusing the storage s holds
+// from earlier builds: the device block and demand array, the chain,
+// the outlay items and the spare placements, each replaced only when
+// it is too small for d. A default spare placement that has not changed
+// since the last build is kept. Once s has held a design of d's size,
+// a Rebuild allocates nothing. What s returned before is overwritten
+// (see System). On error, s must not be assessed until a later Rebuild
+// succeeds.
+func (s *System) Rebuild(d *Design) error {
+	chain, err := d.validate(s.chain)
+	if err != nil {
+		return err
+	}
+	s.design, s.chain = d, chain
+	// The primary copy and each level register at most one demand per
+	// device.
+	s.devices = newDevices(&s.fleet, d.Devices, len(d.Levels)+1)
+	if err := d.Primary.ApplyDemands(d.Workload, s.devices); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	for i, tech := range d.Levels {
+		if err := tech.ApplyDemands(d.Workload, s.devices); err != nil {
+			return fmt.Errorf("core: level %d (%s): %w", i+1, tech.Name(), err)
+		}
+	}
+	for _, dev := range s.devices {
+		if err := dev.Check(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	s.outlays = collectOutlays(s.outlays.Items, d, s.devices)
+	s.outlaysTotal = s.outlays.Total()
+	s.placeSpares()
+	return nil
+}
+
+// Reset drops every reference s holds to its design, keeping its
+// storage for a later Rebuild, so a pooled System keeps no design
+// alive. s must not be assessed until then.
+func (s *System) Reset() {
+	s.fleet.Clear()
+	clear(s.chain[:cap(s.chain)])
+	clear(s.outlays.Items[:cap(s.outlays.Items)])
+	clear(s.spareAt[:cap(s.spareAt)])
+	*s = System{
+		chain:   s.chain[:0],
+		outlays: cost.Outlays{Items: s.outlays.Items[:0]},
+		spareAt: s.spareAt[:0],
+		fleet:   s.fleet,
+	}
+}
+
+// newDevices refits f with the placed devices, demand-free, in design
+// order, with room for room demands each before a device's list
 // regrows. The specs must have passed validation (Design.Validate).
-func newDevices(placed []PlacedDevice, room int) protect.DeviceMap {
-	return device.Fleet(len(placed), room, func(i int) *device.Spec { return &placed[i].Spec })
+func newDevices(f *device.Fleet, placed []PlacedDevice, room int) protect.DeviceMap {
+	return f.Refit(len(placed), room, func(i int) *device.Spec { return &placed[i].Spec })
 }
 
 // newSystem assembles the System view of d, whose chain is given, over
 // built devices carrying their demands, with the outlays charged to it.
-// Build and BuildMulti both construct through it.
+// BuildMulti constructs each object's view through it.
 func newSystem(d *Design, chain hierarchy.Chain, devs protect.DeviceMap, outlays cost.Outlays) *System {
 	sys := &System{
 		design:       d,
@@ -79,22 +126,32 @@ func newSystem(d *Design, chain hierarchy.Chain, devs protect.DeviceMap, outlays
 		outlays:      outlays,
 		outlaysTotal: outlays.Total(),
 	}
+	sys.placeSpares()
+	return sys
+}
+
+// placeSpares derives each spared device's effective spare placement
+// into spareAt, keeping what an earlier build derived where it still
+// applies.
+func (s *System) placeSpares() {
+	d := s.design
+	s.spareAt = s.spareAt[:0]
 	for i := range d.Devices {
 		if pd := &d.Devices[i]; pd.Spec.HasSpare() {
-			if sys.spareAt == nil {
-				sys.spareAt = make([]failure.Placement, len(d.Devices))
+			if len(s.spareAt) == 0 {
+				s.spareAt = reuse(s.spareAt, len(d.Devices))
 			}
-			sys.spareAt[i] = pd.effectiveSparePlacement()
+			s.spareAt[i] = pd.sparePlacement(s.spareAt[i])
 		}
 	}
-	return sys
 }
 
 // collectOutlays gathers device outlays plus the shared recovery
 // facility's retainer (CostFactor x the base outlays of the devices at the
-// primary site, which the facility must be able to replace).
-func collectOutlays(d *Design, ordered []*device.Device) cost.Outlays {
-	out := cost.CollectOutlays(ordered)
+// primary site, which the facility must be able to replace), into items'
+// storage when it has room.
+func collectOutlays(items []cost.OutlayItem, d *Design, ordered []*device.Device) cost.Outlays {
+	out := cost.CollectOutlays(items, ordered)
 	if d.Facility == nil || d.Facility.CostFactor == 0 {
 		return out
 	}

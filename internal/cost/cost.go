@@ -65,13 +65,18 @@ type Outlays struct {
 // device.Device.EachOutlay), appending each row straight into one list.
 // A device has at most one row per demand, and the list has room for one
 // more item, a design-wide charge such as a shared recovery facility's
-// retainer, so neither the rows nor that charge copy the list.
-func CollectOutlays(devices []*device.Device) Outlays {
+// retainer, so neither the rows nor that charge copy the list. The list
+// is items' storage, emptied, when it has that room (a rebuilt system
+// passes its previous list), and a new one otherwise.
+func CollectOutlays(items []OutlayItem, devices []*device.Device) Outlays {
 	n := 1
 	for _, d := range devices {
 		n += d.NumDemands()
 	}
-	out := Outlays{Items: make([]OutlayItem, 0, n)}
+	if cap(items) < n {
+		items = make([]OutlayItem, 0, n)
+	}
+	out := Outlays{Items: items[:0]}
 	for _, d := range devices {
 		d.EachOutlay(func(row device.TechOutlay) {
 			out.Items = append(out.Items, OutlayItem{

@@ -80,7 +80,7 @@ func buildDevices(t *testing.T) []*device.Device {
 }
 
 func TestCollectOutlays(t *testing.T) {
-	out := CollectOutlays(buildDevices(t))
+	out := CollectOutlays(nil, buildDevices(t))
 	if len(out.Items) != 3 {
 		t.Fatalf("items = %d, want 3", len(out.Items))
 	}
@@ -104,7 +104,7 @@ func TestCollectOutlays(t *testing.T) {
 }
 
 func TestOutlaysByTechnique(t *testing.T) {
-	out := CollectOutlays(buildDevices(t))
+	out := CollectOutlays(nil, buildDevices(t))
 	m, names := out.ByTechnique()
 	if len(names) != 3 {
 		t.Fatalf("techniques = %v", names)
@@ -124,7 +124,7 @@ func TestOutlaysByTechnique(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	out := CollectOutlays(buildDevices(t))
+	out := CollectOutlays(nil, buildDevices(t))
 	req := CaseStudyRequirements()
 	s := Summary{Outlays: out, Penalties: Assess(req, 2*time.Hour, 10*time.Hour)}
 	wantPen := units.Money(12 * 50_000)
@@ -152,7 +152,7 @@ func TestEmptyOutlays(t *testing.T) {
 }
 
 func TestOutlaysByDevice(t *testing.T) {
-	out := CollectOutlays(buildDevices(t))
+	out := CollectOutlays(nil, buildDevices(t))
 	m, names := out.ByDevice()
 	if len(names) != 2 {
 		t.Fatalf("devices = %v", names)

@@ -270,7 +270,7 @@ type Demand struct {
 // techniques that use it. The zero value is not usable; construct with New.
 type Device struct {
 	// spec is read, never written: New points it at the device's own
-	// copy, Fleet at the caller's spec, and Clone shares it.
+	// copy, Fleet.Refit at the caller's spec.
 	spec    *Spec
 	demands []Demand
 }
@@ -284,22 +284,49 @@ func New(spec Spec) (*Device, error) {
 	return &Device{spec: &spec}, nil
 }
 
-// Fleet returns n demand-free devices, device i of spec(i), allocated in
-// one block. Their demand lists share one array that holds room demands
-// per device before a list regrows. A device points at spec(i) rather
-// than copying it, so the spec must not change while the device is in
-// use (a core.System points its devices at its design's specs). Unlike
-// New, Fleet does not validate the specs: the caller must have validated
-// each (Spec.Validate).
-func Fleet(n, room int, spec func(i int) *Spec) []*Device {
-	block := make([]Device, n)
-	demands := make([]Demand, n*room)
-	devs := make([]*Device, n)
-	for i := range block {
-		block[i] = Device{spec: spec(i), demands: demands[i*room : i*room : (i+1)*room]}
-		devs[i] = &block[i]
+// Fleet is storage for a design's built devices that one build after
+// another refits in place: the devices in one block, their demand lists
+// in one shared array, and the pointers to them. The zero value is ready
+// to use.
+type Fleet struct {
+	block   []Device
+	demands []Demand
+	devs    []*Device
+}
+
+// Refit returns n demand-free devices, device i of spec(i), in the
+// fleet's storage, allocating only what is shorter than n devices or n
+// times room demands. Their demand lists share one array that holds room
+// demands per device before a list regrows. The devices an earlier Refit
+// returned are these same devices, so they are valid only until the
+// next Refit. A device points at spec(i) rather than copying it, so the
+// spec must not change while the device is in use (a core.System points
+// its devices at its design's specs). Unlike New, Refit does not
+// validate the specs: the caller must have validated each
+// (Spec.Validate).
+func (f *Fleet) Refit(n, room int, spec func(i int) *Spec) []*Device {
+	if cap(f.block) < n {
+		f.block, f.devs = make([]Device, n), make([]*Device, n)
 	}
-	return devs
+	if cap(f.demands) < n*room {
+		f.demands = make([]Demand, n*room)
+	}
+	f.block, f.devs = f.block[:n], f.devs[:n]
+	for i := range f.block {
+		f.block[i] = Device{spec: spec(i), demands: f.demands[i*room : i*room : (i+1)*room]}
+		f.devs[i] = &f.block[i]
+	}
+	return f.devs
+}
+
+// Clear drops the fleet's references to specs and technique names,
+// keeping its storage for the next Refit; the devices it returned must
+// not be used afterwards.
+func (f *Fleet) Clear() {
+	clear(f.block[:cap(f.block)])
+	clear(f.demands)
+	clear(f.devs[:cap(f.devs)])
+	f.block, f.devs = f.block[:0], f.devs[:0]
 }
 
 // Spec returns a copy of the device's static description.
@@ -517,10 +544,4 @@ func (d *Device) TotalOutlay() units.Money {
 	var sum units.Money
 	d.EachOutlay(func(o TechOutlay) { sum += o.Total() })
 	return sum
-}
-
-// Clone returns a demand-free copy of the device, for evaluating
-// alternative designs against the same hardware.
-func (d *Device) Clone() *Device {
-	return &Device{spec: d.spec}
 }

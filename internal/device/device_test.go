@@ -305,18 +305,6 @@ func TestDemandsReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	d := newDevice(t, MidrangeArray())
-	d.AddDemand(Demand{Technique: "a", Bandwidth: units.MBPerSec})
-	c := d.Clone()
-	if len(c.Demands()) != 0 {
-		t.Error("clone should have no demands")
-	}
-	if c.Name() != d.Name() {
-		t.Error("clone lost spec")
-	}
-}
-
 func TestKindAndSpareStrings(t *testing.T) {
 	tests := []struct {
 		got, want string

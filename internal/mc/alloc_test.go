@@ -9,13 +9,14 @@ import (
 )
 
 // testRunner builds the campaign's design and readies a runner for it,
-// returned to the pool when the test ends.
+// both returned to their pools when the test ends.
 func testRunner(tb testing.TB, c *Campaign) *runner {
 	tb.Helper()
 	sys, err := c.build()
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { releaseSystem(sys) })
 	r, err := c.runner(sys)
 	if err != nil {
 		tb.Fatal(err)
@@ -70,16 +71,23 @@ func TestTrialAllocBudget(t *testing.T) {
 // bounds and BenchmarkRequest times. A request is one perfbench mc-mirror
 // request: decode the design's JSON, core.Build it, sample a one-trial
 // campaign and estimate its report. The decode (14 allocations) and the
-// three builds (8 each: the request's own, Sample's and Estimate's) are
-// 38 of the mirror's 44; the trial allocates nothing once the pool is
-// warm. The budget of 60 fails a return to pooling nothing (about 110).
+// request's own build (7; its System stays on the stack) are 21 of the
+// mirror's 29: Sample's and Estimate's builds go into pooled Systems and
+// allocate nothing, nor does the trial, once the pools are warm. The
+// budget of 34 fails a return to fresh campaign builds (45). Under the
+// race detector, whose pools drop a quarter of what they are given, a
+// request measures about 46, and the budget is raceBudget.
 var requestCases = []struct {
 	name   string
 	design *core.Design
 	budget float64
 }{
-	{"mirror", casestudy.AsyncBMirror(4), 60},
+	{"mirror", casestudy.AsyncBMirror(4), 34},
 }
+
+// raceBudget bounds a request under the race detector. It still fails a
+// return to pooling nothing (about 110).
+const raceBudget = 60
 
 // serveRequest serves one request-shaped campaign on the design's JSON.
 func serveRequest(tb testing.TB, data []byte, seed int64) *Report {
@@ -111,14 +119,18 @@ func TestRequestAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		budget := tc.budget
+		if raceEnabled {
+			budget = raceBudget
+		}
 		seed := int64(0)
 		got := testing.AllocsPerRun(200, func() {
 			serveRequest(t, data, seed)
 			seed++
 		})
-		t.Logf("%s: allocs per request: %.1f (budget %.0f)", tc.name, got, tc.budget)
-		if got > tc.budget {
-			t.Errorf("%s: a request allocates %.1f, budget %.0f", tc.name, got, tc.budget)
+		t.Logf("%s: allocs per request: %.1f (budget %.0f)", tc.name, got, budget)
+		if got > budget {
+			t.Errorf("%s: a request allocates %.1f, budget %.0f", tc.name, got, budget)
 		}
 	}
 }

@@ -108,6 +108,7 @@ func (c *Campaign) Estimate(obs []Obs) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseSystem(sys)
 	return c.estimate(sys, obs)
 }
 

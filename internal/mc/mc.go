@@ -159,21 +159,36 @@ var (
 	ErrMultiSited = errors.New("mc: multi-sited levels are not modeled")
 )
 
-// build builds the campaign's design.
+// systems pools the Systems campaigns build their designs into
+// (core.System.Rebuild).
+var systems = sync.Pool{New: func() any { return new(core.System) }}
+
+// build builds the campaign's design into a System drawn from the pool.
+// The caller returns it with releaseSystem when its call ends; nothing
+// the call returns points into it.
 func (c *Campaign) build() (*core.System, error) {
 	if c.Design == nil {
 		return nil, ErrNoDesign
 	}
-	sys, err := core.Build(c.Design)
-	if err != nil {
+	sys := systems.Get().(*core.System)
+	if err := sys.Rebuild(c.Design); err != nil {
+		releaseSystem(sys)
 		return nil, fmt.Errorf("mc: %w", err)
 	}
 	for _, tech := range c.Design.Levels {
 		if _, ok := tech.(protect.MultiSited); ok {
+			releaseSystem(sys)
 			return nil, fmt.Errorf("%w: level %q", ErrMultiSited, tech.Name())
 		}
 	}
 	return sys, nil
+}
+
+// releaseSystem resets a System build drew, dropping its references to
+// the campaign's design, and returns it to the pool.
+func releaseSystem(sys *core.System) {
+	sys.Reset()
+	systems.Put(sys)
 }
 
 // mission returns the per-trial mission window: Mission, or
@@ -198,6 +213,7 @@ func (c *Campaign) Run() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseSystem(sys)
 	obs, err := c.sample(sys, 0, c.Trials)
 	if err != nil {
 		return nil, err
@@ -217,6 +233,7 @@ func (c *Campaign) Sample(lo, hi int) ([]Obs, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer releaseSystem(sys)
 	return c.sample(sys, lo, hi)
 }
 

@@ -16,11 +16,12 @@ import (
 // (compiledSpace.release), so a process that runs search after search
 // stops allocating, zeroing and collecting that storage each time.
 //
-// The arena holds the group tables (compile.go) and the pruner's
-// per-entry tables (bound.go), each kind one flat array carved into the
-// groups' rows, and one slot per worker: the demand chunks its
-// extraction captures into, and the batch scratch that verify, the
-// pruner's seed and its sweep worker fill and assess with.
+// The arena holds the base design's built System, the group tables
+// (compile.go) and the pruner's per-entry tables (bound.go), each kind
+// one flat array carved into the groups' rows, and one slot per worker:
+// the demand chunks its extraction captures into, the batch scratch
+// that verify, the pruner's seed and its sweep worker fill and assess
+// with, and the probe storage of verify's reference checks.
 //
 // Pooled memory stays safe under five rules:
 //
@@ -36,15 +37,19 @@ import (
 //     Frontiers and SearchStats are built from the knobs and the base;
 //   - concurrent searches draw distinct arenas from the pool, and within
 //     a search each worker draws its own slot;
-//   - release clears every slice that holds pointers, so a pooled arena
-//     keeps no design's strings alive. A slot's Assembler is bound to its
-//     search's kernel, so it is made once per search and slot, for
-//     extraction, verify, the seed and the sweep alike, and dropped at
-//     release.
+//   - release clears every slice that holds pointers, and resets the
+//     Systems and the probe designs (core.System.Reset,
+//     core.Design.Reset), so a pooled arena keeps no design's strings
+//     alive. A slot's Assembler is bound to its search's kernel, so it is
+//     made once per search and slot, for extraction, verify, the seed and
+//     the sweep alike, and dropped at release.
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // arena is one search's table storage; see the file comment.
 type arena struct {
+	// base is the base design's System, which the kernel reads.
+	base core.System
+
 	// The group tables, carved into each knobGroup's rows.
 	suspect []bool
 	frags   []core.Fragment
@@ -71,6 +76,7 @@ func (ar *arena) release() {
 // reset clears what the arena's buffers point to, keeping the buffers
 // for the next search. A second reset clears nothing more.
 func (ar *arena) reset() {
+	ar.base.Reset()
 	clear(ar.frags)
 	clear(ar.specs)
 	ar.frags, ar.specs = ar.frags[:0], ar.specs[:0]
@@ -98,9 +104,9 @@ func carve[T any](buf []T, n int) (head, rest []T) {
 }
 
 // slot is one worker's share of an arena. Extraction worker w captures
-// demands through slot w's extractor, and sweep worker w fills and
-// assesses on its batch scratch, as verify and the pruner's seed do on
-// slot 0's.
+// demands through slot w's extractor, verify worker w probes on its
+// batch scratch and probe storage, and sweep worker w fills and
+// assesses on its batch scratch, as the pruner's seed does on slot 0's.
 type slot struct {
 	x extractor
 
@@ -111,6 +117,12 @@ type slot struct {
 	ps     pruneScratch
 	choice []int
 	slow   []bool
+
+	// A verify probe's reference side: the candidate's copy of the base
+	// (core.Design.CloneInto), its build and its assessment scratch.
+	probe        core.Design
+	probeSys     core.System
+	probeScratch core.Scratch
 }
 
 // slot returns slot w readied for cs, adding slots up to w. It is not
@@ -172,4 +184,6 @@ func (s *slot) reset() {
 		clear(s.cols.Err)
 	}
 	s.ps.fl.Scenarios = nil
+	s.probe.Reset()
+	s.probeSys.Reset()
 }

@@ -285,11 +285,10 @@ func compileIn(ar *arena, base *core.Design, knobs []Knob, scs []failure.Scenari
 	if work > maxCompileWork {
 		return nil, fmt.Errorf("opt: compile: %d knob options exceed the compile work cap", work)
 	}
-	baseSys, err := core.Build(base)
-	if err != nil {
+	if err := ar.base.Rebuild(base); err != nil {
 		return nil, fmt.Errorf("opt: compile: base design: %w", err)
 	}
-	kern, err := core.NewBatchKernel(baseSys, scs)
+	kern, err := core.NewBatchKernel(&ar.base, scs)
 	if err != nil {
 		return nil, fmt.Errorf("opt: compile: %w", err)
 	}
@@ -309,7 +308,7 @@ func compileIn(ar *arena, base *core.Design, knobs []Knob, scs []failure.Scenari
 	if err := cs.extractGroups(workers); err != nil {
 		return nil, err
 	}
-	if err := cs.verify(); err != nil {
+	if err := cs.verify(workers); err != nil {
 		return nil, err
 	}
 	return cs, nil
@@ -465,11 +464,13 @@ type extractor struct {
 	gi    int // the group of the last entry extracted, -1 before any
 	held  []int
 	holds bool
-	// free is the unused tail of the current demand chunk, and most the
-	// most records one entry of group gi captures: the base's count on
-	// the group's levels, or more once an entry captured more.
+	// free is the unused tail of the current demand chunk, most the
+	// most records one entry of group gi captures (the base's count on
+	// the group's levels, or more once an entry captured more), and
+	// left the worker's share of the group's entries not yet extracted.
 	free []core.IndexedDemand
 	most int
+	left int
 	// chunks are the demand chunks of this and earlier searches, drawn
 	// in order; drawn of them hold this search's records.
 	chunks [][]core.IndexedDemand
@@ -500,6 +501,17 @@ func (x *extractor) chunk(n int) []core.IndexedDemand {
 	}
 	x.drawn++
 	return c
+}
+
+// room returns the free tail of the worker's demand chunk when it has
+// room for n more records, and otherwise draws the next chunk, sized for
+// the worker's share of the group's entries left at the most records an
+// entry has captured so far, and for at least n.
+func (x *extractor) room(n int) []core.IndexedDemand {
+	if cap(x.free) < n {
+		x.free = x.chunk(max(n, x.most*x.left))
+	}
+	return x.free
 }
 
 // reset clears the records of the chunks drawn and drops the copy and
@@ -567,11 +579,7 @@ func (cs *compiledSpace) extractGroups(workers int) error {
 		if gi != x.gi {
 			x.enter(cs, gi)
 		}
-		if cap(x.free) < x.most {
-			// A chunk for this worker's share of the group's entries left.
-			left := (starts[gi+1] - i + w - 1) / w
-			x.free = x.chunk(x.most * left)
-		}
+		x.left = (starts[gi+1] - i + w - 1) / w // this worker's share
 		t := i - starts[gi]
 		ok, err := cs.extractEntry(x, gi, t)
 		if ok && err == nil && len(cs.touchless) > 0 {
@@ -646,7 +654,7 @@ func (cs *compiledSpace) extractEntry(x *extractor, gi, t int) (bool, error) {
 	}
 	frags, recs := g.entryFrags(t), 0
 	for li, j := range g.levels {
-		f, err := x.asm.Fragment(d.Levels[j], x.free)
+		f, err := x.asm.Fragment(d.Levels[j], x.room)
 		if err != nil {
 			return false, nil
 		}
@@ -731,7 +739,7 @@ func (cs *compiledSpace) sameEntry(x *extractor, d *core.Design, g *knobGroup, t
 	frags, specs := g.entryFrags(t), g.entrySpecs(t)
 	for _, j := range x.probe.Levels {
 		li, _ := slices.BinarySearch(g.levels, j)
-		f, err := x.asm.Fragment(d.Levels[j], x.scratch[:0])
+		f, err := x.asm.Fragment(d.Levels[j], func(int) []core.IndexedDemand { return x.scratch[:0] })
 		if f.Demands != nil {
 			x.scratch = f.Demands[:0]
 		}
@@ -794,37 +802,47 @@ func (cs *compiledSpace) fill(fs *fillScratch, cols *core.Cols, row int, choice 
 // output field (core.Probe). Any mismatch rejects the compilation.
 // Slow-path candidates are exact by construction and only checked for
 // agreement about *being* slow when the clone+build path errors. The
-// tables' side fills and assesses on slot 0's batch scratch; each probe
-// still clones and builds its own design.
-func (cs *compiledSpace) verify() error {
+// probes run as one index space on the worker pool, each worker on its
+// own arena slot; the lowest failing probe's error is returned.
+func (cs *compiledSpace) verify(workers int) error {
 	space, err := spaceSize(cs.knobs)
 	if err != nil {
 		return err
 	}
 	probes := min(compileProbes, space)
-	s := cs.ar.slot(0, cs)
-	cols, bs, choice := s.batchCols(1), &s.bs, s.choice
-	for p := 0; p < probes; p++ {
-		idx := spreadIndex(p, probes, space)
-		decodeChoice(choice, cs.knobs, idx)
-		slow := cs.fill(&s.fs, cols, 0, choice)
-		d, err := Clone(cs.base)
-		if err != nil {
-			return err
+	cs.ar.deal(min(parallel.Workers(workers), probes), cs)
+	_, err = parallel.Reduce(workers, probes, cs.ar.draw, func(s *slot, p int) (*slot, error) {
+		return s, cs.probe(s, spreadIndex(p, probes, space))
+	}, func(a, _ *slot) *slot { return a })
+	return err
+}
+
+// probe checks candidate idx on slot s. The tables' side fills and
+// assesses on the slot's batch scratch. The reference side copies the
+// base into the slot's probe design, applies the choice, builds into
+// the slot's System and assesses on its scratch: each probe is still an
+// independent clone, apply, build and assess, on storage the slot
+// keeps from probe to probe.
+func (cs *compiledSpace) probe(s *slot, idx int) error {
+	cols, choice := s.batchCols(1), s.choice
+	decodeChoice(choice, cs.knobs, idx)
+	slow := cs.fill(&s.fs, cols, 0, choice)
+	d := &s.probe
+	if err := cs.base.CloneInto(d); err != nil {
+		return fmt.Errorf("opt: %w", err)
+	}
+	if err := applyChoiceTo(d, cs.knobs, choice); err != nil {
+		if !slow {
+			return fmt.Errorf("opt: compile probe %d: apply fails (%v) but tables claim fast path", idx, err)
 		}
-		if err := applyChoiceTo(d, cs.knobs, choice); err != nil {
-			if !slow {
-				return fmt.Errorf("opt: compile probe %d: apply fails (%v) but tables claim fast path", idx, err)
-			}
-			continue
-		}
-		if slow {
-			continue
-		}
-		cs.kern.AssessBatch(1, cols, bs)
-		if err := core.Probe(d, cs.scs, cols.OutlaysTotal[0], bs.Briefs); err != nil {
-			return fmt.Errorf("opt: compile probe %d: %w", idx, err)
-		}
+		return nil
+	}
+	if slow {
+		return nil
+	}
+	cs.kern.AssessBatch(1, cols, &s.bs)
+	if err := core.Probe(&s.probeSys, &s.probeScratch, d, cs.scs, cols.OutlaysTotal[0], s.bs.Briefs); err != nil {
+		return fmt.Errorf("opt: compile probe %d: %w", idx, err)
 	}
 	return nil
 }

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"stordep/internal/casestudy"
 	"stordep/internal/core"
@@ -893,15 +895,19 @@ func wideCompileKnobs() []Knob {
 // TestCompileAllocBudget: compile applies options to a copy of the base
 // that it resets in place instead of cloning per option and entry (and
 // does not reset at all between a Revertible group's entries), carves
-// the group tables from an arena, and captures fragment demands in
-// place into the arena's demand chunks. A compile on a warmed arena, as
-// every search after a process's first draws from the pool, costs at
-// most 1.0 allocations and 160 bytes per table entry, probes included,
-// on wideCompileKnobs' space (1031 entries, with a touchless knob
-// checked against every entry) and on prunerBoundKnobs' (1029 entries,
-// the perfbench search space). The test holds its arena itself, so a
-// pool that drops what it is given (as it may under the race detector)
-// does not move the count.
+// the group tables from an arena, captures fragment demands in place
+// into the arena's demand chunks, builds the base into the arena's
+// System, and runs verify's probes on each slot's probe design, System
+// and scratch. A compile on a warmed arena, as every search after a
+// process's first draws from the pool, costs at most 0.25 allocations
+// and 32 bytes per table entry, probes included (about 0.17-0.19 and
+// 19-21: the kernel, the assemblers, the knobs' own writes and each
+// probe's technique clones), on wideCompileKnobs' space (1031 entries,
+// with a touchless knob checked against every entry) and on
+// prunerBoundKnobs' (1029 entries, the perfbench search space). Probes
+// that clone and build afresh (about 0.45 and 72) break it. The test
+// holds its arena itself, so a pool that drops what it is given (as it
+// may under the race detector) does not move the count.
 func TestCompileAllocBudget(t *testing.T) {
 	base := casestudy.Baseline()
 	scs := scenarios()
@@ -937,15 +943,101 @@ func TestCompileAllocBudget(t *testing.T) {
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 		t.Logf("%s: %.2f allocations and %.0f bytes per table entry", c.name,
 			allocs/float64(entries), bytes/float64(entries))
-		if perEntry := allocs / float64(entries); perEntry > 1.0 {
-			t.Errorf("%s: compile allocates %.2f objects per table entry (%.0f over %d), budget 1.0",
+		if perEntry := allocs / float64(entries); perEntry > 0.25 {
+			t.Errorf("%s: compile allocates %.2f objects per table entry (%.0f over %d), budget 0.25",
 				c.name, perEntry, allocs, entries)
 		}
-		if perEntry := bytes / float64(entries); perEntry > 160 {
-			t.Errorf("%s: compile allocates %.0f bytes per table entry (%.0f over %d), budget 160",
+		if perEntry := bytes / float64(entries); perEntry > 32 {
+			t.Errorf("%s: compile allocates %.0f bytes per table entry (%.0f over %d), budget 32",
 				c.name, perEntry, bytes, entries)
 		}
 	}
+}
+
+// TestCompileCapturesInArena: an entry's fragments capture their demands
+// into the extractor's demand chunks, drawing a chunk large enough for
+// the records an entry registers before copying any, so no record lands
+// outside the arena. On a warmed arena, a steady-state compile of
+// prunerBoundKnobs' space draws the same chunks the first compile left
+// and allocates none, and every fragment of every representable entry
+// lies in a chunk it drew.
+func TestCompileCapturesInArena(t *testing.T) {
+	base, knobs, scs := casestudy.Baseline(), prunerBoundKnobs(), scenarios()
+	ar := new(arena)
+	var warm [][]core.IndexedDemand
+	for run := 0; run < 3; run++ {
+		cs, err := compileIn(ar, base, knobs, scs, 1)
+		if err != nil {
+			t.Fatalf("compileIn: %v", err)
+		}
+		x := &ar.slots[0].x
+		drawn := x.chunks[:x.drawn]
+		if run > 0 {
+			if len(x.chunks) != len(warm) {
+				t.Fatalf("run %d: %d demand chunks, %d after the first compile", run, len(x.chunks), len(warm))
+			}
+			for i, c := range x.chunks {
+				if unsafe.SliceData(c) != unsafe.SliceData(warm[i]) || cap(c) != cap(warm[i]) {
+					t.Fatalf("run %d: demand chunk %d replaced on a warmed arena", run, i)
+				}
+			}
+		}
+		warm = append(warm[:0], x.chunks...)
+		records := 0
+		for gi := range cs.groups {
+			g := &cs.groups[gi]
+			for e := 0; e < g.size; e++ {
+				if g.suspect[e] {
+					continue
+				}
+				for li, f := range g.entryFrags(e) {
+					if len(f.Demands) == 0 {
+						continue
+					}
+					records += len(f.Demands)
+					if !slices.ContainsFunc(drawn, func(c []core.IndexedDemand) bool { return within(f.Demands, c) }) {
+						t.Fatalf("run %d: group %d entry %d level %d: %d records outside the arena's demand chunks",
+							run, gi, e, g.levels[li], len(f.Demands))
+					}
+				}
+			}
+		}
+		if records == 0 {
+			t.Fatal("no entry captured a demand record")
+		}
+		ar.reset()
+	}
+}
+
+// TestExtractorRoom: room hands a capture a buffer with room for the
+// records it counted: the current chunk's free tail when that has room,
+// else a new chunk sized for the worker's entries left in the group at
+// the most records an entry has captured, and for at least the count.
+func TestExtractorRoom(t *testing.T) {
+	var x extractor
+	x.most, x.left = 2, 3
+	chunk := x.room(1)
+	if cap(chunk) != 6 {
+		t.Fatalf("first chunk holds %d records, want 6 (2 for each of 3 entries)", cap(chunk))
+	}
+	x.free = chunk[:5][5:] // five records captured
+	if got := x.room(1); cap(got) != 1 || !within(got[:1], chunk) {
+		t.Fatalf("room(1) with one record free: %d records, in the chunk %v", cap(got), within(got[:1], chunk))
+	}
+	if got := x.room(7); cap(got) < 7 {
+		t.Fatalf("room(7) leaves room for %d records", cap(got))
+	}
+}
+
+// within reports whether s lies in c's backing array.
+func within[T any](s, c []T) bool {
+	if cap(s) == 0 || cap(c) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(s[:1][0])
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(c)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return at >= lo && at+uintptr(len(s))*size <= lo+uintptr(cap(c))*size
 }
 
 // BenchmarkCompile times one compile on one worker in the steady state

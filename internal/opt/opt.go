@@ -240,22 +240,22 @@ func applyChoiceTo(d *core.Design, knobs []Knob, choice []int) error {
 	return nil
 }
 
-// applyScratch builds one candidate on a worker's scratch design: it
-// applies the choice to *scratch, or to a fresh clone of the base when
-// *scratch is nil. With reuse set (every knob Revertible) the clone is
-// kept in *scratch for the worker's next candidate; otherwise each
-// candidate gets its own clone.
+// applyScratch builds one candidate on a worker's scratch design, which
+// *scratch keeps from candidate to candidate (nil before the first).
+// With reuse set (every knob Revertible) the choice is applied over the
+// copy of the base made for the worker's first candidate; otherwise the
+// base is copied into the scratch design again for each candidate
+// (core.Design.CloneInto), which leaves what a fresh clone holds.
 func applyScratch(scratch **core.Design, base *core.Design, knobs []Knob, reuse bool, choice []int) (*core.Design, error) {
 	d := *scratch
-	if d == nil {
-		fresh, err := Clone(base)
-		if err != nil {
-			return nil, err
+	if d == nil || !reuse {
+		if d == nil {
+			d = new(core.Design)
 		}
-		d = fresh
-		if reuse {
-			*scratch = fresh
+		if err := base.CloneInto(d); err != nil {
+			return nil, fmt.Errorf("opt: %w", err)
 		}
+		*scratch = d
 	}
 	if err := applyChoiceTo(d, knobs, choice); err != nil {
 		return nil, err
@@ -416,6 +416,9 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 		scratch *core.Design
 		res     whatif.Result
 		probes  int
+		// The delta probes' reference builds and assessments.
+		probeSys     core.System
+		probeScratch core.Scratch
 	)
 	type fullAcc struct {
 		scratch *core.Design
@@ -436,7 +439,7 @@ func TuneWorkers(base *core.Design, knobs []Knob, scenarios []failure.Scenario, 
 			out, briefs, ok := delta.AssessDelta(d)
 			if ok && probes < tuneDeltaProbes {
 				probes++
-				if core.Probe(d, scenarios, out, briefs) != nil {
+				if core.Probe(&probeSys, &probeScratch, d, scenarios, out, briefs) != nil {
 					delta, ok = nil, false
 				}
 			}

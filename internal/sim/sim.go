@@ -580,13 +580,15 @@ type Stats struct {
 }
 
 // LossStudy sweeps failure instants from `from` to `to` (inclusive) every
-// `step` and aggregates the measured losses.
+// `step` and aggregates the measured losses. The losses are summed in
+// float64: a few thousand instants losing weeks each overflow a
+// time.Duration sum.
 func (h *History) LossStudy(surviving []int, targetAge, from, to, step time.Duration) (Stats, error) {
 	if step <= 0 || to < from {
 		return Stats{}, fmt.Errorf("sim: bad study window [%v, %v] step %v", from, to, step)
 	}
 	var st Stats
-	var sum time.Duration
+	var sum float64
 	for at := from; at <= to; at += step {
 		st.Samples++
 		loss, _, ok := h.Loss(surviving, at, targetAge)
@@ -597,10 +599,10 @@ func (h *History) LossStudy(surviving []int, targetAge, from, to, step time.Dura
 		if loss > st.Max {
 			st.Max = loss
 		}
-		sum += loss
+		sum += float64(loss)
 	}
 	if n := st.Samples - st.Unrecoverable; n > 0 {
-		st.Mean = sum / time.Duration(n)
+		st.Mean = time.Duration(sum / float64(n))
 	}
 	return st, nil
 }

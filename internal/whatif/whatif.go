@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"stordep/internal/core"
@@ -110,43 +111,54 @@ func EvaluateWorkers(designs []*core.Design, scenarios []failure.Scenario, worke
 // EvaluateOne builds and assesses a single candidate — the shared inner
 // step of Evaluate and the optimizer's per-candidate scoring path (which
 // calls it directly rather than paying a one-element slice round trip
-// per candidate).
+// per candidate). It evaluates on an Evaluator drawn from a pool and
+// returned, reset, when the call ends, so concurrent calls draw
+// distinct ones and the Result owns its Outcomes.
 func EvaluateOne(d *core.Design, scenarios []failure.Scenario) Result {
 	var res Result
-	var e Evaluator
+	e := evaluators.Get().(*Evaluator)
 	e.EvaluateInto(d, scenarios, &res)
+	e.sys.Reset()
+	evaluators.Put(e)
 	return res
 }
 
+// evaluators pools EvaluateOne's Evaluators.
+var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
+
 // Evaluator is the allocation-lean evaluation path for scoring loops
-// that assess one candidate after another: it reuses the model's scratch
-// buffers and the Result's Outcomes storage across calls. An Evaluator
-// must not be shared between concurrent calls; the zero value is ready
-// to use.
+// that assess one candidate after another: it builds each candidate into
+// the one core.System it holds (System.Rebuild), reusing its storage,
+// and reuses the model's scratch buffers and the Result's Outcomes
+// storage across calls. The System holds a candidate's build only until
+// the next EvaluateInto; nothing the Result holds points into it. An
+// Evaluator must not be shared between concurrent calls; the zero value
+// is ready to use.
 type Evaluator struct {
+	sys     core.System
 	scratch core.Scratch
 	briefs  []core.Brief
 }
 
 // EvaluateInto evaluates d into *res, producing exactly the Result
 // EvaluateOne would, while reusing res's Outcomes capacity and the
-// evaluator's scratch buffers. The filled Result (including its Outcomes
-// slice) is valid until the next EvaluateInto call on the same res or
-// Evaluator — objectives and reducers must read it, not retain it.
+// evaluator's System and scratch buffers. The filled Result (including
+// its Outcomes slice) is valid until the next EvaluateInto call on the
+// same res or Evaluator — objectives and reducers must read it, not
+// retain it.
 func (e *Evaluator) EvaluateInto(d *core.Design, scenarios []failure.Scenario, res *Result) {
 	res.Design = d.Name
 	res.Outlays = 0
 	res.Outcomes = res.Outcomes[:0]
 	res.Err = nil
-	sys, err := core.Build(d)
-	if err != nil {
+	if err := e.sys.Rebuild(d); err != nil {
 		res.Err = err
 		return
 	}
-	res.Outlays = sys.Outlays().Total()
+	res.Outlays = e.sys.Outlays().Total()
 	e.briefs = e.briefs[:0]
 	for _, sc := range scenarios {
-		b, err := sys.AssessBrief(sc, &e.scratch)
+		b, err := e.sys.AssessBrief(sc, &e.scratch)
 		if err != nil {
 			res.Err = fmt.Errorf("whatif: scenario %s: %w", sc.DisplayName(), err)
 			return

@@ -114,10 +114,22 @@ func (w *Workload) Validate() error {
 // Clone returns a deep copy of the workload (the batch curve is the only
 // reference field).
 func (w *Workload) Clone() *Workload {
-	out := *w
-	out.BatchCurve = make([]BatchPoint, len(w.BatchCurve))
-	copy(out.BatchCurve, w.BatchCurve)
-	return &out
+	out := new(Workload)
+	w.CloneInto(out)
+	return out
+}
+
+// CloneInto makes dst a deep copy of w, reusing dst's batch curve
+// storage when it has room. The curve must belong to dst alone, as one
+// an earlier Clone or CloneInto made does.
+func (w *Workload) CloneInto(dst *Workload) {
+	curve := dst.BatchCurve
+	if curve == nil || cap(curve) < len(w.BatchCurve) {
+		curve = make([]BatchPoint, len(w.BatchCurve))
+	}
+	*dst = *w
+	dst.BatchCurve = curve[:len(w.BatchCurve)]
+	copy(dst.BatchCurve, w.BatchCurve)
 }
 
 // sortedCurve returns the breakpoints sorted by ascending window without
